@@ -31,14 +31,20 @@ from .suites import SUITES
 DEFAULT_CUTOFF = 64
 
 
-def _cutoff_default() -> int:
+def _resolve_cutoff(cutoff: int | None) -> int:
+    """``--cutoff`` if given, else ``DOMDIMLAB_CUTOFF``, else the default."""
+    if cutoff is not None:
+        return cutoff
     env = os.environ.get("DOMDIMLAB_CUTOFF")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.UsageError(f"DOMDIMLAB_CUTOFF is not an integer: {env!r}")
-    return DEFAULT_CUTOFF
+    if not env:
+        return DEFAULT_CUTOFF
+    try:
+        value = int(env)
+    except ValueError:
+        raise click.UsageError(f"DOMDIMLAB_CUTOFF is not an integer: {env!r}")
+    if value < 1:
+        raise click.UsageError(f"DOMDIMLAB_CUTOFF must be >= 1: {env!r}")
+    return value
 
 
 def _digest(payload) -> str:
@@ -93,6 +99,8 @@ def _parse_nak_modules(A: nak.NakAlgebra, spec: str) -> list[nak.NakModule]:
         if spec.startswith("omega:"):
             _, t_str, inner = spec.split(":", 2)
             t = int(t_str)
+            if t < 0:
+                raise ValueError("syzygy degree must be >= 0")
             out = []
             for M in _parse_nak_modules(A, inner):
                 om = nak.syzygy_power(A, M, t)
@@ -152,6 +160,13 @@ def shared_options(fn):
     return fn
 
 
+_cutoff_option = click.option(
+    "--cutoff", type=click.IntRange(min=1), default=None,
+    help="search cutoff for bounded invariants (default 64; env DOMDIMLAB_CUTOFF)")
+_degree_option = click.option("--degree", type=click.IntRange(min=1), default=4,
+                              show_default=True)
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -200,14 +215,12 @@ def info(cycle, line, kupisch, report, fmt):
 @_nak_flags
 @click.option("--module", "modules", multiple=True, required=True,
               help="one or two module specs; Ext is from the first to the last")
-@click.option("--degree", type=int, default=4, show_default=True)
+@_degree_option
 @shared_options
 def ext(cycle, line, kupisch, modules, degree, report, fmt):
     """Ext dimensions between (sums of) indecomposables."""
     started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
-    if degree < 1:
-        raise click.UsageError("--degree must be >= 1")
     sources = _parse_nak_modules(A, modules[0])
     targets = _parse_nak_modules(A, modules[-1])
     items = []
@@ -221,14 +234,13 @@ def ext(cycle, line, kupisch, modules, degree, report, fmt):
 
 @nakayama.command()
 @_nak_flags
-@click.option("--cutoff", type=int, default=None,
-              help="search cutoff for bounded invariants (default 64; env DOMDIMLAB_CUTOFF)")
+@_cutoff_option
 @shared_options
 def domdim(cycle, line, kupisch, cutoff, report, fmt):
     """Dominant dimension (bounded search)."""
     started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
-    cutoff = cutoff or _cutoff_default()
+    cutoff = _resolve_cutoff(cutoff)
     value = nak.domdim(A, cutoff)
     item = {"name": "domdim", "pass": True, "cutoff": cutoff,
             "domdim": value.to_json()}
@@ -280,8 +292,7 @@ def ok(cycle, line, kupisch, kdeg, report, fmt):
 @nakayama.command("verify-main")
 @_nak_flags
 @click.option("--k", "kdeg", type=int, required=True)
-@click.option("--cutoff", type=int, default=None,
-              help="search cutoff for bounded invariants (default 64; env DOMDIMLAB_CUTOFF)")
+@_cutoff_option
 @click.option("--assume-gendo", is_flag=True,
               help="record the gendo-symmetric hypothesis as caller-asserted "
                    "instead of running the bimodule test")
@@ -290,7 +301,7 @@ def verify_main(cycle, line, kupisch, kdeg, cutoff, assume_gendo, report, fmt):
     """Check the dominant-dimension inequality on one instance."""
     started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
-    cutoff = cutoff or _cutoff_default()
+    cutoff = _resolve_cutoff(cutoff)
     try:
         rep = rg.verify_main_inequality(A, kdeg, cutoff,
                                         gendo="assert" if assume_gendo else "bimodule")
@@ -342,7 +353,7 @@ def compile_cmd(algebra, preset, report, fmt):
 @click.option("--algebra", type=click.Path(exists=True), default=None)
 @click.option("--preset", default=None)
 @click.option("--module", "module_spec", default="simple")
-@click.option("--length", type=int, default=4, show_default=True)
+@click.option("--length", type=click.IntRange(min=1), default=4, show_default=True)
 @shared_options
 def resolve(algebra, preset, module_spec, length, report, fmt):
     """Syzygy dimensions along the minimal projective resolution."""
@@ -362,7 +373,7 @@ def resolve(algebra, preset, module_spec, length, report, fmt):
 @click.option("--algebra", type=click.Path(exists=True), default=None)
 @click.option("--preset", default=None)
 @click.option("--module", "modules", multiple=True, required=True)
-@click.option("--degree", type=int, default=4, show_default=True)
+@_degree_option
 @shared_options
 def quiver_ext(algebra, preset, modules, degree, report, fmt):
     """Ext dimensions between two modules."""
@@ -382,14 +393,13 @@ def quiver_ext(algebra, preset, modules, degree, report, fmt):
 @quiver.command("domdim")
 @click.option("--algebra", type=click.Path(exists=True), default=None)
 @click.option("--preset", default=None)
-@click.option("--cutoff", type=int, default=None,
-              help="search cutoff for bounded invariants (default 64; env DOMDIMLAB_CUTOFF)")
+@_cutoff_option
 @shared_options
 def quiver_domdim(algebra, preset, cutoff, report, fmt):
     """Dominant dimension of a table algebra (bounded search)."""
     started = time.perf_counter()
     table = _load_table(preset, algebra)
-    cutoff = cutoff or _cutoff_default()
+    cutoff = _resolve_cutoff(cutoff)
     value = hml.domdim(table, cutoff)
     item = {"name": "domdim", "pass": True, "cutoff": cutoff,
             "domdim": value.to_json()}
@@ -430,14 +440,13 @@ def ideal(algebra, preset, gen_exprs, report, fmt):
 @quiver.command()
 @click.option("--algebra", type=click.Path(exists=True), default=None)
 @click.option("--preset", default=None)
-@click.option("--cutoff", type=int, default=None,
-              help="search cutoff for bounded invariants (default 64; env DOMDIMLAB_CUTOFF)")
+@_cutoff_option
 @shared_options
 def predicates(algebra, preset, cutoff, report, fmt):
     """Structural predicates: local, selfinjective, symmetric, gendo-symmetric."""
     started = time.perf_counter()
     table = _load_table(preset, algebra)
-    cutoff = cutoff or _cutoff_default()
+    cutoff = _resolve_cutoff(cutoff)
     sym = qa.is_symmetric(table)
     try:
         selfinj = qa.is_selfinjective(table)
@@ -469,14 +478,13 @@ def predicates(algebra, preset, cutoff, report, fmt):
 
 @main.command()
 @click.option("--suite", required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @shared_options
-def verify(suite, jobs, report, fmt):
+def verify(suite, report, fmt):
     """Run a batch verification suite; exit 0 iff every item passes."""
     started = time.perf_counter()
     runner = SUITES.get(suite)
     if runner is None:
         raise click.UsageError(
             f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
-    items, failures = runner(jobs=jobs)
+    items, failures = runner()
     _emit(f"verify {suite}", {"suite": suite}, items, failures, report, fmt, started)

@@ -358,10 +358,7 @@ class SpanBuilder:
         rows = [list(r) for r in self.rows]
         rref_rows(self.field, rows)
         rank = len(self.rows)
-        order = sorted(range(rank), key=lambda k: self.pivots[k])
-        # rref_rows already sorts rows by pivot; recompute pivot list
         pivots = sorted(self.pivots)
-        del order
         return rows[:rank], pivots
 
 

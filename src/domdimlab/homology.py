@@ -250,12 +250,10 @@ def top(M: Representation) -> Representation:
 
 
 def _projective_data(table: AlgebraTable, vertex: int):
-    cache = getattr(table, "_proj_cache", None)
-    if cache is None:
-        cache = {}
-        table._proj_cache = cache
-    if vertex in cache:
-        return cache[vertex]
+    key = ("projective", vertex)
+    cache = table._cache
+    if key in cache:
+        return cache[key]
     fld = table.field
     label, e = table.idempotents[vertex]
     span = SpanBuilder(fld, table.dim)
@@ -274,8 +272,8 @@ def _projective_data(table: AlgebraTable, vertex: int):
             mat.append(coeffs)
         actions.append(mat)
     rep = Representation(table, k, actions, name=f"P({label})")
-    cache[vertex] = (rep, basis, pivots)
-    return cache[vertex]
+    cache[key] = (rep, basis, pivots)
+    return cache[key]
 
 
 def projective(table: AlgebraTable, vertex: int) -> Representation:
@@ -402,17 +400,25 @@ def projective_cover(M: Representation) -> Cover:
     return Cover(vertices, P, blocks, offsets, matrix, gens)
 
 
-def syzygy(M: Representation, check_minimal: bool = True) -> Representation:
-    """Kernel of the projective cover (zero-dimensional for projectives)."""
+def _cover_and_kernel(M: Representation) -> tuple[Cover, list[list]]:
+    """Projective cover of M and rows spanning its kernel inside the cover,
+    certified to lie in the radical of the cover (minimality)."""
+    fld = M.algebra.field
     cov = projective_cover(M)
-    ker = left_kernel_rows(M.algebra.field, cov.matrix)
-    if check_minimal and ker:
-        radP = SpanBuilder(M.algebra.field, cov.P.dim)
+    ker = left_kernel_rows(fld, cov.matrix)
+    if ker:
+        radP = SpanBuilder(fld, cov.P.dim)
         for r in radical_rows(cov.P):
             radP.add(r)
         for row in ker:
             if not radP.contains(row):
                 raise AssertionError("cover is not minimal: kernel escapes the radical")
+    return cov, ker
+
+
+def syzygy(M: Representation) -> Representation:
+    """Kernel of the projective cover (zero-dimensional for projectives)."""
+    cov, ker = _cover_and_kernel(M)
     rep, _ = submodule(cov.P, ker, name=f"syz({M.name})" if M.name else "syzygy")
     return rep
 
@@ -456,7 +462,7 @@ class MinimalResolution:
             return
         A = self.M.algebra
         fld = A.field
-        cov = projective_cover(cur)
+        cov, ker = _cover_and_kernel(cur)
         self.levels.append(list(cov.vertices))
         self._covers.append(cov)
         if len(self.levels) >= 2:
@@ -481,13 +487,6 @@ class MinimalResolution:
                                     elem[k] = fld.add(elem[k], fld.mul(coeff, brow[k]))
                     elem_matrix[c][gi] = elem
             self.maps.append(elem_matrix)
-        ker = left_kernel_rows(fld, cov.matrix)
-        radP = SpanBuilder(fld, cov.P.dim)
-        for r in radical_rows(cov.P):
-            radP.add(r)
-        for row in ker:
-            if not radP.contains(row):
-                raise AssertionError("cover is not minimal: kernel escapes the radical")
         krep, kbasis = submodule(cov.P, ker, name="") if ker else (None, [])
         if krep is None or krep.dim == 0:
             self.kernel_dims.append(0)
@@ -576,7 +575,7 @@ def ext_dims(M: Representation, N: Representation, t: int,
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if M.algebra is not N.algebra and M.algebra.dim != N.algebra.dim:
+    if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
     fld = M.algebra.field
     res = _resolution(M, t + 2)  # the outgoing differential needs level t+1
@@ -746,11 +745,11 @@ def modules_isomorphic(M: Representation, N: Representation,
 # ---------------------------------------------------------------------------
 
 def _op_table(table: AlgebraTable) -> AlgebraTable:
-    op = getattr(table, "_op_cache", None)
+    op = table._cache.get("opposite")
     if op is None:
         op = opposite(table)
-        table._op_cache = op
-        op._op_cache = table
+        table._cache["opposite"] = op
+        op._cache["opposite"] = table
     return op
 
 
@@ -773,8 +772,7 @@ def dual_regular(table: AlgebraTable) -> Representation:
 def projective_injective_vertices(table: AlgebraTable,
                                   budget: int = DEFAULT_SEARCH_BUDGET) -> set[int]:
     """Vertices whose injective is also projective."""
-    key = "_pi_vertices"
-    cached = getattr(table, key, None)
+    cached = table._cache.get("pi_vertices")
     if cached is not None:
         return cached
     nv = table.n_vertices
@@ -796,7 +794,7 @@ def projective_injective_vertices(table: AlgebraTable,
                 )
         if verdict_found:
             out.add(i)
-    setattr(table, key, out)
+    table._cache["pi_vertices"] = out
     return out
 
 

@@ -246,6 +246,8 @@ class AlgebraTable:
     radical: tuple[tuple, ...]  # vectors spanning the Jacobson radical
     generators: tuple[tuple, ...]  # vectors generating the algebra (with the unit)
     provenance: dict = dc_field(default_factory=dict)
+    # derived data (projectives, opposite, projective-injective vertices)
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:

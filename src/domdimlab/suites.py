@@ -8,7 +8,6 @@ constants or independent oracles, never from the code path under test.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iter_product
 
 from . import homology as hml
@@ -33,234 +32,218 @@ def _item(name: str, passed: bool, **details):
     return out
 
 
-def _run_items(makers, jobs: int = 1):
-    """Evaluate item thunks, optionally concurrently, preserving order."""
-    if jobs <= 1:
-        items = [mk() for mk in makers]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            items = list(pool.map(lambda mk: mk(), makers))
-    failures = [it["name"] for it in items if not it["pass"]]
-    return items, failures
+def _result(items):
+    return items, [it["name"] for it in items if not it["pass"]]
 
 
 # ---------------------------------------------------------------------------
 # paper-core: the fast pinned-value checks
 # ---------------------------------------------------------------------------
 
-def suite_paper_core(cutoff: int = 64, jobs: int = 1):
-    makers = []
+def _family_item(n, cutoff):
+    A = nak.validate(nak.CYCLE, (n,) + (n + 1,) * (n - 1))
+    got = nak.domdim(A, cutoff)
+    want = 2 * n - 2
+    return _item(f"family-domdim-n{n}", got.is_finite and got.value == want,
+                 expected=want, got=got.to_json())
 
-    def family_item(n):
-        def run():
-            A = nak.validate(nak.CYCLE, (n,) + (n + 1,) * (n - 1))
-            got = nak.domdim(A, cutoff)
-            want = 2 * n - 2
-            return _item(f"family-domdim-n{n}", got.is_finite and got.value == want,
-                         expected=want, got=got.to_json())
-        return run
 
-    for n in range(2, 9):
-        makers.append(family_item(n))
+def _rigid_witness_item():
+    A = nak.validate(nak.CYCLE, (5, 6, 6, 6, 6))
+    duals = nak.dual_regular(A)
+    mods = list(duals)
+    for I in duals:
+        om = nak.syzygy_power(A, I, 4)
+        if om is not None:
+            mods.append(om)
+    ok = rg.is_k_rigid(A, mods, 2)
+    return _item("two-rigid-witness-n5", ok,
+                 modules=[[m.vertex, m.length] for m in sorted(set(mods))])
 
-    def rigid_witness():
-        A = nak.validate(nak.CYCLE, (5, 6, 6, 6, 6))
-        duals = nak.dual_regular(A)
-        mods = list(duals)
-        for I in duals:
-            om = nak.syzygy_power(A, I, 4)
-            if om is not None:
-                mods.append(om)
-        ok = rg.is_k_rigid(A, mods, 2)
-        return _item("two-rigid-witness-n5", ok,
-                     modules=[[m.vertex, m.length] for m in sorted(set(mods))])
-    makers.append(rigid_witness)
 
-    def delta_item(kup, want):
-        def run():
-            A = nak.validate(nak.CYCLE, kup)
-            got = nak.delta(A, 12)
-            return _item(f"symmetric-delta-{'-'.join(map(str, kup))}",
-                         got.is_finite and got.value == want,
-                         expected=want, got=got.to_json())
-        return run
+def _delta_item(kup, want):
+    A = nak.validate(nak.CYCLE, kup)
+    got = nak.delta(A, 12)
+    return _item(f"symmetric-delta-{'-'.join(map(str, kup))}",
+                 got.is_finite and got.value == want,
+                 expected=want, got=got.to_json())
 
-    makers.append(delta_item((3,), 1))       # one simple
-    makers.append(delta_item((3, 3), 3))     # two simples
-    makers.append(delta_item((4, 4, 4), 5))  # three simples
 
-    def fingerprint(preset_name, dims_want):
-        def run():
-            table = qa.preset(preset_name)
-            S = hml.simple(table, 0)
-            got = hml.syzygy_dims(S, 4)
-            return _item(f"syzygy-fingerprint-{preset_name}", got == list(dims_want),
-                         expected=list(dims_want), got=got)
-        return run
+def _fingerprint_item(preset_name, dims_want):
+    table = qa.preset(preset_name)
+    S = hml.simple(table, 0)
+    got = hml.syzygy_dims(S, 4)
+    return _item(f"syzygy-fingerprint-{preset_name}", got == list(dims_want),
+                 expected=list(dims_want), got=got)
 
-    makers.append(fingerprint("hopf-a5-f2", (7, 9, 7, 9)))
-    makers.append(fingerprint("dihedral8-f2", (7, 9, 15, 17)))
-    makers.append(fingerprint("quaternion8-f2", (7, 9, 7, 1)))
 
-    def quaternion_periodic():
-        table = qa.preset("quaternion8-f2")
-        S = hml.simple(table, 0)
-        om = S
-        for _ in range(4):
-            om = hml.syzygy(om)
-        verdict = hml.modules_isomorphic(om, S)
-        return _item("quaternion-omega4-selfiso", verdict is True, got_dim=om.dim)
-    makers.append(quaternion_periodic)
+def _quaternion_periodic_item():
+    table = qa.preset("quaternion8-f2")
+    S = hml.simple(table, 0)
+    om = S
+    for _ in range(4):
+        om = hml.syzygy(om)
+    verdict = hml.modules_isomorphic(om, S)
+    return _item("quaternion-omega4-selfiso", verdict is True, got_dim=om.dim)
 
-    def mueller():
-        B = nak.validate(nak.CYCLE, (3, 3))
-        table = qa.nakayama_to_table(B, F2)
-        P0 = hml.projective(table, 0); P0.name = "P0"
-        P1 = hml.projective(table, 1); P1.name = "P1"
-        S0 = hml.bridged_module(table, 0, 1); S0.name = "S0"
-        end = hml.endomorphism_algebra([P0, P1, S0])
-        dd = hml.domdim(end, cutoff)
-        phi_comb = nak.phi(B, [nak.projective(B, 0), nak.projective(B, 1),
-                               nak.simple(B, 0)], 12)
-        ok = (dd.is_finite and phi_comb.is_finite
-              and dd.value == 4 and phi_comb.value + 1 == 4)
-        return _item("mueller-end-3-3", ok, domdim_end=dd.to_json(),
-                     phi=phi_comb.to_json())
-    makers.append(mueller)
 
-    def ideal_rigidity():
-        details = []
-        ok = True
-        for n in range(3, 7):
-            table = qa.preset(f"truncated-poly({n},Q)")
-            for k in range(1, n):
-                X = hml.radical_power(table, k)
-                rep = hml.check_ideal_rigidity(table, X, strict=False)
-                details.append(rep.to_json())
-                ok = ok and rep.holds and rep.ext1_self > 0
-        return _item("ideal-rigidity-truncated-poly", ok, instances=details)
-    makers.append(ideal_rigidity)
+def _mueller_item(cutoff):
+    B = nak.validate(nak.CYCLE, (3, 3))
+    table = qa.nakayama_to_table(B, F2)
+    P0 = hml.projective(table, 0); P0.name = "P0"
+    P1 = hml.projective(table, 1); P1.name = "P1"
+    S0 = hml.bridged_module(table, 0, 1); S0.name = "S0"
+    end = hml.endomorphism_algebra([P0, P1, S0])
+    dd = hml.domdim(end, cutoff)
+    phi_comb = nak.phi(B, [nak.projective(B, 0), nak.projective(B, 1),
+                           nak.simple(B, 0)], 12)
+    ok = (dd.is_finite and phi_comb.is_finite
+          and dd.value == 4 and phi_comb.value + 1 == 4)
+    return _item("mueller-end-3-3", ok, domdim_end=dd.to_json(),
+                 phi=phi_comb.to_json())
 
-    def ideal_rigidity_group_algebras():
-        details = []
-        ok = True
-        for name in ("dihedral8-f2", "quaternion8-f2"):
-            table = qa.preset(name)
-            for k in range(1, 5):
-                X = hml.radical_power(table, k)
-                if not 0 < X.dim < table.dim:
-                    continue
-                rep = hml.check_ideal_rigidity(table, X, strict=False)
-                details.append(rep.to_json())
-                ok = ok and rep.holds and rep.ext1_self > 0
-        return _item("ideal-rigidity-group-algebras", ok, instances=details)
-    makers.append(ideal_rigidity_group_algebras)
 
-    def enveloping_ext():
-        table = qa.preset("truncated-poly(3,F3)")
-        env, bimod = qa.enveloping(table)
-        ext1 = hml.ext_dims(bimod, bimod, 1).dim(1)
-        return _item("enveloping-ext1-nonzero", env.dim == 9 and ext1 > 0,
-                     env_dim=env.dim, ext1=ext1)
-    makers.append(enveloping_ext)
+def _ideal_rigidity_item():
+    details = []
+    ok = True
+    for n in range(3, 7):
+        table = qa.preset(f"truncated-poly({n},Q)")
+        for k in range(1, n):
+            X = hml.radical_power(table, k)
+            rep = hml.check_ideal_rigidity(table, X, strict=False)
+            details.append(rep.to_json())
+            ok = ok and rep.holds and rep.ext1_self > 0
+    return _item("ideal-rigidity-truncated-poly", ok, instances=details)
 
-    def extsym():
-        A = nak.validate(nak.CYCLE, (2, 2))
-        table = qa.preset("preproj-a2")
-        mods = [hml.bridged_module(table, M.vertex, M.length)
-                for M in rg.indecomposables_sorted(A)]
-        table_sym = rg.is_ext1_symmetric(table, mods)
-        rep = rg.verify_extsym_bound(A, 12)
-        ok = (table_sym and rep.extsymmetric and rep.holds
-              and rep.delta.is_finite and rep.delta.value == 2
-              and rep.o_1 == 3 and rep.simples == 2)
-        return _item("extsym-preproj-a2", ok, report=rep.to_json())
-    makers.append(extsym)
 
-    return _run_items(makers, jobs)
+def _ideal_rigidity_group_algebras_item():
+    details = []
+    ok = True
+    for name in ("dihedral8-f2", "quaternion8-f2"):
+        table = qa.preset(name)
+        for k in range(1, 5):
+            X = hml.radical_power(table, k)
+            if not 0 < X.dim < table.dim:
+                continue
+            rep = hml.check_ideal_rigidity(table, X, strict=False)
+            details.append(rep.to_json())
+            ok = ok and rep.holds and rep.ext1_self > 0
+    return _item("ideal-rigidity-group-algebras", ok, instances=details)
+
+
+def _enveloping_ext_item():
+    table = qa.preset("truncated-poly(3,F3)")
+    env, bimod = qa.enveloping(table)
+    ext1 = hml.ext_dims(bimod, bimod, 1).dim(1)
+    return _item("enveloping-ext1-nonzero", env.dim == 9 and ext1 > 0,
+                 env_dim=env.dim, ext1=ext1)
+
+
+def _extsym_item():
+    A = nak.validate(nak.CYCLE, (2, 2))
+    table = qa.preset("preproj-a2")
+    mods = [hml.bridged_module(table, M.vertex, M.length)
+            for M in rg.indecomposables_sorted(A)]
+    table_sym = rg.is_ext1_symmetric(table, mods)
+    rep = rg.verify_extsym_bound(A, 12)
+    ok = (table_sym and rep.extsymmetric and rep.holds
+          and rep.delta.is_finite and rep.delta.value == 2
+          and rep.o_1 == 3 and rep.simples == 2)
+    return _item("extsym-preproj-a2", ok, report=rep.to_json())
+
+
+def suite_paper_core(cutoff: int = 64):
+    items = [_family_item(n, cutoff) for n in range(2, 9)]
+    items.append(_rigid_witness_item())
+    items.append(_delta_item((3,), 1))       # one simple
+    items.append(_delta_item((3, 3), 3))     # two simples
+    items.append(_delta_item((4, 4, 4), 5))  # three simples
+    items.append(_fingerprint_item("hopf-a5-f2", (7, 9, 7, 9)))
+    items.append(_fingerprint_item("dihedral8-f2", (7, 9, 15, 17)))
+    items.append(_fingerprint_item("quaternion8-f2", (7, 9, 7, 1)))
+    items.append(_quaternion_periodic_item())
+    items.append(_mueller_item(cutoff))
+    items.append(_ideal_rigidity_item())
+    items.append(_ideal_rigidity_group_algebras_item())
+    items.append(_enveloping_ext_item())
+    items.append(_extsym_item())
+    return _result(items)
 
 
 # ---------------------------------------------------------------------------
 # oracle-cross: combinatorial vs linear-algebra engines
 # ---------------------------------------------------------------------------
 
-def suite_oracle_cross(n_max: int = 3, c_max: int = 6, t_max: int = 4, jobs: int = 1):
-    makers = []
+def _oracle_item(kup, fld, t_max):
+    A = nak.validate(nak.CYCLE, kup)
+    table = qa.nakayama_to_table(A, fld)
+    mods = rg.indecomposables_sorted(A)
+    bridged = {M: hml.bridged_module(table, M.vertex, M.length) for M in mods}
+    mismatches = []
+    for M in mods:
+        for N in mods:
+            ext = hml.ext_dims(bridged[M], bridged[N], t_max, include_hom=True)
+            if ext.hom != nak.dim_hom(A, M, N):
+                mismatches.append(["hom", M.to_json(), N.to_json(),
+                                   ext.hom, nak.dim_hom(A, M, N)])
+            for t in range(1, t_max + 1):
+                comb = nak.dim_ext(A, t, M, N)
+                if ext.dim(t) != comb:
+                    mismatches.append(["ext", t, M.to_json(), N.to_json(),
+                                       ext.dim(t), comb])
+    name = f"oracle-{'-'.join(map(str, kup))}-{fld.describe()}"
+    return _item(name, not mismatches, pairs=len(mods) ** 2,
+                 mismatches=mismatches)
 
-    def one(kup, fld):
-        def run():
-            A = nak.validate(nak.CYCLE, kup)
-            table = qa.nakayama_to_table(A, fld)
-            mods = rg.indecomposables_sorted(A)
-            bridged = {M: hml.bridged_module(table, M.vertex, M.length) for M in mods}
-            mismatches = []
-            for M in mods:
-                for N in mods:
-                    ext = hml.ext_dims(bridged[M], bridged[N], t_max, include_hom=True)
-                    if ext.hom != nak.dim_hom(A, M, N):
-                        mismatches.append(["hom", M.to_json(), N.to_json(),
-                                           ext.hom, nak.dim_hom(A, M, N)])
-                    for t in range(1, t_max + 1):
-                        comb = nak.dim_ext(A, t, M, N)
-                        if ext.dim(t) != comb:
-                            mismatches.append(["ext", t, M.to_json(), N.to_json(),
-                                               ext.dim(t), comb])
-            name = f"oracle-{'-'.join(map(str, kup))}-{fld.describe()}"
-            return _item(name, not mismatches, pairs=len(mods) ** 2,
-                         mismatches=mismatches)
-        return run
 
-    for kup in cyclic_series(1, n_max, c_max):
-        for fld in (F2, F3):
-            makers.append(one(kup, fld))
-    return _run_items(makers, jobs)
+def suite_oracle_cross(n_max: int = 3, c_max: int = 6, t_max: int = 4):
+    return _result([_oracle_item(kup, fld, t_max)
+                    for kup in cyclic_series(1, n_max, c_max)
+                    for fld in (F2, F3)])
 
 
 # ---------------------------------------------------------------------------
 # rigidity-sweep: the closed 1-rigidity criterion and the o_1 bound
 # ---------------------------------------------------------------------------
 
-def suite_rigidity_sweep(n_max: int = 5, c_max: int = 10, jobs: int = 1):
-    makers = []
+def _rigidity_chunk_item(series_chunk, tag):
+    bad = []
+    for kup in series_chunk:
+        A = nak.validate(nak.CYCLE, kup)
+        crit = set(nak.one_rigid_indecomposables(A))
+        brute = {M for M in nak.indecomposables(A)
+                 if nak.dim_ext(A, 1, M, M) == 0}
+        if crit != brute:
+            bad.append(["criterion", list(kup)])
+            continue
+        rep = rg.o_k(A, 1)
+        n = A.n
+        if not (n <= rep.o_k <= n * (n - 1) + n * n):
+            bad.append(["o1-bound", list(kup), rep.o_k])
+    return _item(f"rigidity-sweep-{tag}", not bad,
+                 algebras=len(series_chunk), violations=bad)
 
-    def chunk(series_chunk, tag):
-        def run():
-            bad = []
-            for kup in series_chunk:
-                A = nak.validate(nak.CYCLE, kup)
-                crit = set(nak.one_rigid_indecomposables(A))
-                brute = {M for M in nak.indecomposables(A)
-                         if nak.dim_ext(A, 1, M, M) == 0}
-                if crit != brute:
-                    bad.append(["criterion", list(kup)])
-                    continue
-                rep = rg.o_k(A, 1)
-                n = A.n
-                if not (n <= rep.o_k <= n * (n - 1) + n * n):
-                    bad.append(["o1-bound", list(kup), rep.o_k])
-            return _item(f"rigidity-sweep-{tag}", not bad,
-                         algebras=len(series_chunk), violations=bad)
-        return run
 
+def _brute_o1_22_item():
+    A = nak.validate(nak.CYCLE, (2, 2))
+    mods = rg.indecomposables_sorted(A)
+    best = 0
+    for bits in range(1, 2 ** len(mods)):
+        sub = [m for i, m in enumerate(mods) if bits >> i & 1]
+        if rg.is_k_rigid(A, sub, 1):
+            best = max(best, len(set(sub)))
+    rep = rg.o_k(A, 1)
+    return _item("o1-2-2-exhaustive", best == 3 and rep.o_k == 3,
+                 brute=best, clique=rep.o_k)
+
+
+def suite_rigidity_sweep(n_max: int = 5, c_max: int = 10):
     series = list(cyclic_series(2, n_max, c_max))
     size = 128
-    for i in range(0, len(series), size):
-        makers.append(chunk(series[i:i + size], f"{i:05d}"))
-
-    def brute_o1_22():
-        A = nak.validate(nak.CYCLE, (2, 2))
-        mods = rg.indecomposables_sorted(A)
-        best = 0
-        for bits in range(1, 2 ** len(mods)):
-            sub = [m for i, m in enumerate(mods) if bits >> i & 1]
-            if rg.is_k_rigid(A, sub, 1):
-                best = max(best, len(set(sub)))
-        rep = rg.o_k(A, 1)
-        return _item("o1-2-2-exhaustive", best == 3 and rep.o_k == 3,
-                     brute=best, clique=rep.o_k)
-    makers.append(brute_o1_22)
-
-    return _run_items(makers, jobs)
+    items = [_rigidity_chunk_item(series[i:i + size], f"{i:05d}")
+             for i in range(0, len(series), size)]
+    items.append(_brute_o1_22_item())
+    return _result(items)
 
 
 # ---------------------------------------------------------------------------
@@ -281,61 +264,50 @@ FAMILY_ASSERTED = tuple(
 )
 
 
-def suite_main_inequality(cutoff: int = 64, jobs: int = 1):
-    makers = []
-
-    def confirmed(kup):
-        def run():
-            A = nak.validate(nak.CYCLE, kup)
-            name = f"main-ineq-{'-'.join(map(str, kup))}"
-            table = qa.nakayama_to_table(A, F2)
-            verdict = hml.is_gendo_symmetric(table, max(cutoff, 2))
-            if verdict is False:
-                return _item(name + "-skipped", True, gendo=False,
-                             note="not gendo-symmetric; outside the theorem's hypothesis")
-            if verdict is None:
-                return _item(name, False, error="gendo-symmetric status undetermined")
-            reports = []
-            ok = True
-            for k in (1, 2):
-                rep = rg.verify_main_inequality(A, k, cutoff, gendo="assert")
-                rep.gendo_provenance = "bimodule-test"
-                reports.append(rep.to_json())
-                ok = ok and rep.verdict
-            return _item(name, ok, reports=reports)
-        return run
-
-    for kup in MAIN_INEQUALITY_CORPUS:
-        makers.append(confirmed(kup))
-
-    def asserted(kup):
-        def run():
-            A = nak.validate(nak.CYCLE, kup)
-            name = f"main-ineq-asserted-{'-'.join(map(str, kup))}"
-            reports = []
-            ok = True
-            for k in (1, 2):
-                rep = rg.verify_main_inequality(A, k, cutoff, gendo="assert")
-                reports.append(rep.to_json())
-                ok = ok and rep.verdict
-            return _item(name, ok, reports=reports)
-        return run
-
-    for kup in FAMILY_ASSERTED:
-        makers.append(asserted(kup))
-
-    return _run_items(makers, jobs)
+def _confirmed_item(kup, cutoff):
+    A = nak.validate(nak.CYCLE, kup)
+    name = f"main-ineq-{'-'.join(map(str, kup))}"
+    table = qa.nakayama_to_table(A, F2)
+    verdict = hml.is_gendo_symmetric(table, max(cutoff, 2))
+    if verdict is False:
+        return _item(name + "-skipped", True, gendo=False,
+                     note="not gendo-symmetric; outside the theorem's hypothesis")
+    if verdict is None:
+        return _item(name, False, error="gendo-symmetric status undetermined")
+    reports = []
+    ok = True
+    for k in (1, 2):
+        rep = rg.verify_main_inequality(A, k, cutoff, gendo="assert")
+        rep.gendo_provenance = "bimodule-test"
+        reports.append(rep.to_json())
+        ok = ok and rep.verdict
+    return _item(name, ok, reports=reports)
 
 
-def suite_all(jobs: int = 1):
+def _asserted_item(kup, cutoff):
+    A = nak.validate(nak.CYCLE, kup)
+    name = f"main-ineq-asserted-{'-'.join(map(str, kup))}"
+    reports = []
+    ok = True
+    for k in (1, 2):
+        rep = rg.verify_main_inequality(A, k, cutoff, gendo="assert")
+        reports.append(rep.to_json())
+        ok = ok and rep.verdict
+    return _item(name, ok, reports=reports)
+
+
+def suite_main_inequality(cutoff: int = 64):
+    items = [_confirmed_item(kup, cutoff) for kup in MAIN_INEQUALITY_CORPUS]
+    items += [_asserted_item(kup, cutoff) for kup in FAMILY_ASSERTED]
+    return _result(items)
+
+
+def suite_all():
     items = []
-    failures = []
     for fn in (suite_paper_core, suite_oracle_cross, suite_rigidity_sweep,
                suite_main_inequality):
-        its, fails = fn(jobs=jobs)
-        items.extend(its)
-        failures.extend(fails)
-    return items, failures
+        items.extend(fn()[0])
+    return _result(items)
 
 
 SUITES = {

@@ -2,19 +2,10 @@ import pytest
 from hypothesis import settings
 
 from domdimlab import nakayama as nak
+from domdimlab.suites import cyclic_series
 
 settings.register_profile("exact", deadline=None, max_examples=60)
 settings.load_profile("exact")
-
-
-def cyclic_series(n_min, n_max, c_max, c_min=2):
-    from itertools import product
-    out = []
-    for n in range(n_min, n_max + 1):
-        for c in product(range(c_min, c_max + 1), repeat=n):
-            if all(c[(i + 1) % n] >= c[i] - 1 for i in range(n)):
-                out.append(c)
-    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,15 @@
 """Acceptance criteria, one test per criterion.
 
-Every expected value is either a pinned constant or recomputed in-test by
-an independent oracle (exhaustive subset search, the second engine, the
-explicit kernel description).  All arithmetic is exact; tolerances are
-equality.  Each test prints one PASS line; a failure shows up as the
-pytest failure itself.
+Every expected value is either a pinned constant or recomputed by an
+independent oracle (exhaustive subset search, the second engine, the
+explicit kernel description).  The sweeps (criteria 03, 04, 05 and 08)
+assert on the items of the matching ``verify`` suite, which runs those
+oracles, and pin the size of each corpus.  All arithmetic is exact;
+tolerances are equality.  Each test prints one PASS line; a failure shows
+up as the pytest failure itself.
 """
 
 import time
-from itertools import product as iter_product
 
 import pytest
 
@@ -16,8 +17,9 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab import rigidity as rg
+from domdimlab import suites
 from domdimlab.bounded import BoundedValue
-from domdimlab.exactmath import F2, F3
+from domdimlab.exactmath import F2
 
 C = nak.CYCLE
 
@@ -26,11 +28,14 @@ def _announce(num, label, detail=""):
     print(f"ACCEPTANCE {num:02d} {label}: PASS {detail}".rstrip())
 
 
-def cyclic_series(n_min, n_max, c_max):
-    for n in range(n_min, n_max + 1):
-        for c in iter_product(range(2, c_max + 1), repeat=n):
-            if all(c[(i + 1) % n] >= c[i] - 1 for i in range(n)):
-                yield c
+@pytest.fixture(scope="module")
+def rigidity_sweep():
+    """One run of the rigidity-sweep suite, shared by criteria 03 and 04."""
+    return suites.suite_rigidity_sweep(n_max=5, c_max=10)
+
+
+def _sweep_chunks(items):
+    return [it for it in items if it["name"].startswith("rigidity-sweep-")]
 
 
 def test_criterion_01_family_domdim():
@@ -57,39 +62,29 @@ def test_criterion_02_two_rigid_witness():
     _announce(2, "2-rigid witness D(A)+Omega^4 D(A) at n=5")
 
 
-def test_criterion_03_one_rigid_criterion_sweep():
+def test_criterion_03_one_rigid_criterion_sweep(rigidity_sweep):
     """Closed 1-rigidity criterion equals brute-force Ext^1 vanishing on
     every cyclic Kupisch series with n <= 5 and entries <= 10."""
-    count = 0
-    for kup in cyclic_series(2, 5, 10):
-        A = nak.validate(C, kup)
-        crit = set(nak.one_rigid_indecomposables(A))
-        brute = {M for M in nak.indecomposables(A)
-                 if nak.dim_ext(A, 1, M, M) == 0}
-        assert crit == brute, kup
-        count += 1
+    items, failures = rigidity_sweep
+    chunks = _sweep_chunks(items)
+    count = sum(it["algebras"] for it in chunks)
+    assert count == 1234
+    criterion = [v for it in chunks for v in it["violations"] if v[0] == "criterion"]
+    assert criterion == []
+    assert failures == []
     _announce(3, "1-rigidity criterion = brute force", f"({count} algebras)")
 
 
-def test_criterion_04_o1_bound_sweep():
+def test_criterion_04_o1_bound_sweep(rigidity_sweep):
     """o_1 <= n(n-1) + n^2 across the same corpus (exact clique numbers),
     and o_1(cycle (2,2)) = 3 by exhaustive subset search."""
-    count = 0
-    for kup in cyclic_series(2, 5, 10):
-        A = nak.validate(C, kup)
-        n = A.n
-        rep = rg.o_k(A, 1)
-        assert n <= rep.o_k <= n * (n - 1) + n * n, kup
-        count += 1
-    A22 = nak.validate(C, (2, 2))
-    mods = rg.indecomposables_sorted(A22)
-    brute = 0
-    for bits in range(1, 2 ** len(mods)):
-        sub = [m for i, m in enumerate(mods) if bits >> i & 1]
-        if rg.is_k_rigid(A22, sub, 1):
-            brute = max(brute, len(set(sub)))
-    assert brute == 3
-    assert rg.o_k(A22, 1).o_k == 3
+    items, failures = rigidity_sweep
+    count = sum(it["algebras"] for it in _sweep_chunks(items))
+    assert count == 1234
+    assert failures == [], [it["violations"] for it in _sweep_chunks(items)]
+    brute = next(it for it in items if it["name"] == "o1-2-2-exhaustive")
+    assert brute["brute"] == 3
+    assert brute["clique"] == 3
     _announce(4, "o_1 bound n(n-1)+n^2", f"({count} exact clique numbers)")
 
 
@@ -97,19 +92,18 @@ def test_criterion_05_main_inequality():
     """(o_k + 2 - w)(k + 2) - 1 >= domdim for k in {1, 2} on every
     non-selfinjective corpus instance the bimodule test confirms
     gendo-symmetric.  Any failing verdict is a falsification event."""
+    items, failures = suites.suite_main_inequality(cutoff=64)
+    assert failures == [], ("FALSIFICATION", failures)
+    by_name = {it["name"]: it for it in items}
     confirmed = []
-    for kup in [(2, 3), (2, 3, 3), (3, 3, 4), (3, 4, 4), (4, 4, 4, 5), (4, 5, 5, 5)]:
-        A = nak.validate(C, kup)
-        table = qa.nakayama_to_table(A, F2)
-        verdict = hml.is_gendo_symmetric(table, 64)
-        assert verdict is not None, kup
-        if verdict is False:
-            continue  # outside the theorem's hypothesis
+    for kup in suites.MAIN_INEQUALITY_CORPUS:
+        tag = "-".join(map(str, kup))
+        if f"main-ineq-{tag}-skipped" in by_name:
+            continue  # not gendo-symmetric: outside the theorem's hypothesis
+        assert "error" not in by_name[f"main-ineq-{tag}"], kup  # verdict is not None
         confirmed.append(kup)
-        for k in (1, 2):
-            rep = rg.verify_main_inequality(A, k, 64, gendo="assert")
-            assert rep.verdict, ("FALSIFICATION", kup, k, rep.to_json())
     assert confirmed, "bimodule test confirmed no instance at all"
+    assert confirmed == [(2, 3), (3, 4, 4), (4, 5, 5, 5)]
     _announce(5, "main inequality k=1,2", f"(confirmed: {confirmed})")
 
 
@@ -150,22 +144,11 @@ def test_criterion_08_dual_oracle_sweep():
     """dim Ext^t (t <= 4) and dim Hom agree between the combinatorial and
     the linear-algebra engine for every pair of indecomposables, over all
     cyclic Kupisch series with n <= 3, entries <= 6, fields F_2 and F_3."""
-    pairs = 0
-    for kup in cyclic_series(1, 3, 6):
-        A = nak.validate(C, kup)
-        mods = rg.indecomposables_sorted(A)
-        for fld in (F2, F3):
-            table = qa.nakayama_to_table(A, fld)
-            bridged = {M: hml.bridged_module(table, M.vertex, M.length)
-                       for M in mods}
-            for M in mods:
-                for N in mods:
-                    ext = hml.ext_dims(bridged[M], bridged[N], 4, include_hom=True)
-                    assert ext.hom == nak.dim_hom(A, M, N), (kup, M, N)
-                    for t in range(1, 5):
-                        assert ext.dim(t) == nak.dim_ext(A, t, M, N), \
-                            (kup, fld.describe(), t, M, N)
-                    pairs += 1
+    items, failures = suites.suite_oracle_cross(n_max=3, c_max=6, t_max=4)
+    assert failures == [], [(it["name"], it["mismatches"]) for it in items
+                            if not it["pass"]]
+    pairs = sum(it["pairs"] for it in items)
+    assert pairs == 13788
     _announce(8, "dual-oracle Ext/Hom equality", f"({pairs} pairs)")
 
 

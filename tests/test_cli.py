@@ -141,8 +141,55 @@ def test_csv_format(runner):
     assert result.output.splitlines()[0] == "name,pass"
 
 
+PAPER_CORE_ITEMS = [
+    *(f"family-domdim-n{n}" for n in range(2, 9)),
+    "two-rigid-witness-n5",
+    "symmetric-delta-3",
+    "symmetric-delta-3-3",
+    "symmetric-delta-4-4-4",
+    "syzygy-fingerprint-hopf-a5-f2",
+    "syzygy-fingerprint-dihedral8-f2",
+    "syzygy-fingerprint-quaternion8-f2",
+    "quaternion-omega4-selfiso",
+    "mueller-end-3-3",
+    "ideal-rigidity-truncated-poly",
+    "ideal-rigidity-group-algebras",
+    "enveloping-ext1-nonzero",
+    "extsym-preproj-a2",
+]
+
+
 def test_verify_suite_jobs(runner):
-    doc = run_json(runner, ["verify", "--suite", "paper-core", "--jobs", "2"])
+    doc = run_json(runner, ["verify", "--suite", "paper-core"])
     assert doc["failures"] == []
-    names = [it["name"] for it in doc["items"]]
-    assert names == sorted(names, key=names.index)  # canonical order preserved
+    assert [it["name"] for it in doc["items"]] == PAPER_CORE_ITEMS
+
+
+BAD_NUMBERS = {
+    "cutoff-0": (["nakayama", "domdim", "--cycle", "--kupisch", "3,3",
+                  "--cutoff", "0"], None),
+    "cutoff-negative": (["nakayama", "domdim", "--cycle", "--kupisch", "3,3",
+                         "--cutoff", "-1"], None),
+    "env-cutoff-0": (["nakayama", "domdim", "--cycle", "--kupisch", "3,3"],
+                     {"DOMDIMLAB_CUTOFF": "0"}),
+    "env-cutoff-text": (["nakayama", "domdim", "--cycle", "--kupisch", "3,3"],
+                        {"DOMDIMLAB_CUTOFF": "x"}),
+    "quiver-cutoff-0": (["quiver", "domdim", "--preset", "preproj-a2",
+                         "--cutoff", "0"], None),
+    "degree-0": (["nakayama", "ext", "--cycle", "--kupisch", "3,3",
+                  "--module", "0,1", "--degree", "0"], None),
+    "quiver-degree-0": (["quiver", "ext", "--preset", "hopf-a5-f2",
+                         "--module", "simple", "--degree", "0"], None),
+    "length-0": (["quiver", "resolve", "--preset", "hopf-a5-f2",
+                  "--length", "0"], None),
+    "omega-negative": (["nakayama", "rigid", "--k", "1", "--cycle", "--kupisch",
+                        "3,3", "--module", "omega:-1:simple"], None),
+}
+
+
+@pytest.mark.parametrize("args, env", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_out_of_range_numbers_exit_2(runner, args, env):
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output

@@ -131,6 +131,13 @@ def test_ext1_self_extension_of_simple_hopf(hopf):
     assert hml.ext_dims(S, S, 1).dim(1) > 0
 
 
+def test_ext_rejects_modules_over_separate_tables(hopf):
+    twin = qa.preset("hopf-a5-f2")  # equal structure constants, another table
+    assert twin is not hopf and twin.dim == hopf.dim
+    with pytest.raises(ValueError, match="different algebras"):
+        hml.ext_dims(hml.simple(hopf, 0), hml.simple(twin, 0), 1)
+
+
 def test_ext_from_projective_vanishes(bridged33):
     P = hml.projective(bridged33, 0)
     N = hml.bridged_module(bridged33, 1, 2)
