@@ -143,7 +143,7 @@ def _parse_table_module(table: qa.AlgebraTable, spec: str) -> hml.Representation
         if spec.startswith("projective"):
             v = int(spec.split(":", 1)[1]) if ":" in spec else 0
             return hml.projective(table, v)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"bad module spec {spec!r}: {exc}")
     raise click.UsageError(f"bad module spec {spec!r} (want simple[:v] or projective:v)")
 
@@ -167,7 +167,36 @@ _degree_option = click.option("--degree", type=click.IntRange(min=1), default=4,
                               show_default=True)
 
 
-@click.group()
+# Input the engines reject as malformed, out of range or out of scope.
+_INPUT_ERRORS = (
+    nak.NakInputError,
+    qa.RelationSyntaxError,
+    qa.UnknownNameError,
+    qa.SizeLimitError,
+    hml.PreconditionError,
+    hml.SemisimpleInputError,
+)
+
+
+class _Command(click.Command):
+    """Maps input errors to exit 2 and exhausted searches to exit 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as exc:
+            raise click.UsageError(str(exc), ctx)
+        except hml.UndeterminedError as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(3)
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Group too
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__)
 def main():
     """Exact homological invariants of finite-dimensional algebras."""
@@ -260,10 +289,7 @@ def rigid(cycle, line, kupisch, kdeg, modules, report, fmt):
     summands: list[nak.NakModule] = []
     for spec in modules:
         summands.extend(_parse_nak_modules(A, spec))
-    try:
-        verdict = rg.is_k_rigid(A, summands, kdeg)
-    except nak.NakInputError as exc:
-        raise click.UsageError(str(exc))
+    verdict = rg.is_k_rigid(A, summands, kdeg)
     item = {"name": "rigid", "pass": True, "k": kdeg, "rigid": verdict,
             "modules": [[m.vertex, m.length] for m in sorted(set(summands))]}
     _emit("nakayama rigid",
@@ -279,10 +305,7 @@ def ok(cycle, line, kupisch, kdeg, report, fmt):
     """Exact maximal size of a k-rigid module (clique search)."""
     started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
-    try:
-        rep = rg.o_k(A, kdeg)
-    except nak.NakInputError as exc:
-        raise click.UsageError(str(exc))
+    rep = rg.o_k(A, kdeg)
     item = {"name": f"o_{kdeg}", "pass": True}
     item.update(rep.to_json())
     _emit("nakayama ok", {"algebra": A.to_json(), "k": kdeg},
@@ -302,14 +325,8 @@ def verify_main(cycle, line, kupisch, kdeg, cutoff, assume_gendo, report, fmt):
     started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
     cutoff = _resolve_cutoff(cutoff)
-    try:
-        rep = rg.verify_main_inequality(A, kdeg, cutoff,
-                                        gendo="assert" if assume_gendo else "bimodule")
-    except (nak.NakInputError, hml.PreconditionError) as exc:
-        raise click.UsageError(str(exc))
-    except hml.UndeterminedError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(3)
+    rep = rg.verify_main_inequality(A, kdeg, cutoff,
+                                    gendo="assert" if assume_gendo else "bimodule")
     item = {"name": "main-inequality", "pass": bool(rep.verdict)}
     item.update(rep.to_json())
     failures = [] if rep.verdict else ["main-inequality"]
@@ -417,18 +434,9 @@ def ideal(algebra, preset, gen_exprs, report, fmt):
     """Two-sided ideal rigidity report: Hom(X, A/X) and Ext^1(X, X)."""
     started = time.perf_counter()
     table = _load_table(preset, algebra)
-    try:
-        vectors = [table.element_from_expr(e) for e in gen_exprs]
-    except (qa.RelationSyntaxError, qa.UnknownNameError) as exc:
-        raise click.UsageError(str(exc))
+    vectors = [table.element_from_expr(e) for e in gen_exprs]
     X = hml.ideal_module(table, vectors)
-    try:
-        rep = hml.check_ideal_rigidity(table, X, strict=False)
-    except (hml.PreconditionError, hml.SemisimpleInputError) as exc:
-        raise click.UsageError(str(exc))
-    except hml.UndeterminedError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(3)
+    rep = hml.check_ideal_rigidity(table, X, strict=False)
     item = {"name": "ideal-rigidity", "pass": rep.holds}
     item.update(rep.to_json())
     failures = [] if rep.holds else ["ideal-rigidity"]
@@ -449,7 +457,7 @@ def predicates(algebra, preset, cutoff, report, fmt):
     cutoff = _resolve_cutoff(cutoff)
     sym = qa.is_symmetric(table)
     try:
-        selfinj = qa.is_selfinjective(table)
+        selfinj = hml.is_selfinjective(table)
     except hml.UndeterminedError:
         selfinj = None
     try:

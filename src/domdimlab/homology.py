@@ -18,6 +18,7 @@ with None meaning the bounded search was exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .bounded import BoundedValue
@@ -34,11 +35,14 @@ from .exactmath import (
 from .quivalg import (
     AlgebraTable,
     DEFAULT_SEARCH_BUDGET,
-    _coeff_tuples,
+    DEFAULT_SIZE_LIMIT,
+    _find_invertible,
+    _radical_powers,
     corner_algebra,
     is_local,
     is_semisimple,
     is_symmetric,
+    make_table,
     opposite,
     tensor_algebra,
 )
@@ -250,6 +254,9 @@ def top(M: Representation) -> Representation:
 
 
 def _projective_data(table: AlgebraTable, vertex: int):
+    if not 0 <= vertex < table.n_vertices:
+        raise PreconditionError(
+            f"vertex {vertex} out of range 0..{table.n_vertices - 1}")
     key = ("projective", vertex)
     cache = table._cache
     if key in cache:
@@ -312,7 +319,7 @@ def dual_representation(M: Representation, target: AlgebraTable) -> Representati
 class Cover:
     vertices: list[int]
     P: Representation
-    blocks: list[tuple[int, list[list], list[int]]]  # (vertex, basis rows of e_iA, pivots)
+    blocks: list[tuple[int, list[list]]]  # (vertex, basis rows of e_iA)
     offsets: list[int]
     matrix: list[list]  # dim P x dim M
     generators: list[tuple[int, list]]  # (vertex, image row in M) per summand
@@ -376,7 +383,7 @@ def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Represent
         actions.append(mat)
     name = "(+)".join(f"P{v}" for v in vertices)
     rep = Representation(table, total, actions, name=name)
-    block_data = [(v, b[1], b[2]) for v, b in zip(vertices, blocks)]
+    block_data = [(v, b[1]) for v, b in zip(vertices, blocks)]
     return rep, block_data, offsets
 
 
@@ -390,7 +397,7 @@ def projective_cover(M: Representation) -> Cover:
     vertices = [vi for vi, _ in gens]
     P, blocks, offsets = _projective_sum(A, vertices)
     matrix = []
-    for (vi, m), (v2, rows, _) in zip(gens, blocks):
+    for (vi, m), (v2, rows) in zip(gens, blocks):
         act_cache = [M.element_action(list(r)) for r in rows]
         for act in act_cache:
             matrix.append(matmul_rows(fld, [m], act)[0])
@@ -446,7 +453,7 @@ class MinimalResolution:
         self.levels: list[list[int]] = []
         self.maps: list[Optional[list[list]]] = [None]
         self.kernel_dims: list[int] = []
-        self._covers: list[Cover] = []
+        self._prev_cover: Optional[Cover] = None
         self._current: Optional[Representation] = M
         self._sub_basis: Optional[list] = None  # rows of the current kernel inside its ambient P
         self.finished = False
@@ -464,9 +471,8 @@ class MinimalResolution:
         fld = A.field
         cov, ker = _cover_and_kernel(cur)
         self.levels.append(list(cov.vertices))
-        self._covers.append(cov)
-        if len(self.levels) >= 2:
-            prev = self._covers[-2]
+        prev, self._prev_cover = self._prev_cover, cov
+        if prev is not None:
             gens = cov.generators
             # rows of the new generators inside the previous projective sum
             assert self._sub_basis is not None
@@ -690,34 +696,6 @@ def dim_hom(M: Representation, N: Representation) -> int:
     return len(hom_basis(M, N))
 
 
-def _find_invertible(mats, fld, dim, budget):
-    """Search the span of ``mats`` for an invertible matrix.
-
-    Returns (witness or None, search_complete).  Complete exhaustion rules
-    out a witness: over F_p all points are tried; over Q the determinant of
-    the generic combination has total degree <= dim, so vanishing on the
-    whole {0..dim}^h grid makes it the zero polynomial."""
-    if not mats:
-        return None, True
-    for T in mats:
-        if rank_rows(fld, T) == dim:
-            return T, False
-    tuples, complete = _coeff_tuples(fld, len(mats), budget, degree_bound=dim)
-    for coeffs in tuples:
-        acc = [[fld.zero()] * dim for _ in range(dim)]
-        for c, T in zip(coeffs, mats):
-            if c:
-                for i in range(dim):
-                    row = T[i]
-                    ai = acc[i]
-                    for j in range(dim):
-                        if row[j]:
-                            ai[j] = fld.add(ai[j], fld.mul(c, row[j]))
-        if rank_rows(fld, acc) == dim:
-            return acc, complete
-    return None, complete
-
-
 def modules_isomorphic(M: Representation, N: Representation,
                        budget: int = DEFAULT_SEARCH_BUDGET):
     """True / False / None: does an invertible intertwiner exist?
@@ -769,33 +747,56 @@ def dual_regular(table: AlgebraTable) -> Representation:
     return rep
 
 
+def enveloping(table: AlgebraTable, size_limit: int = DEFAULT_SIZE_LIMIT):
+    """A (x) A^op, together with the regular bimodule as a right module
+    over it: (u (x) v) acts by m -> v*m*u.
+
+    Returns (enveloping table, Representation of the regular bimodule).
+    """
+    env = tensor_algebra(table, _op_table(table), size_limit=size_limit)
+    env.provenance.update({"kind": "enveloping"})
+    d = table.dim
+    actions = []
+    for i in range(d):
+        R_u = table.right_mult_matrix(table.basis_vec(i))
+        for j in range(d):
+            L_v = table.left_mult_matrix(table.basis_vec(j))
+            actions.append(tuple(tuple(r) for r in matmul_rows(table.field, L_v, R_u)))
+    rep = Representation(env, d, tuple(actions), name="regular-bimodule")
+    return env, rep
+
+
+def _injective_is_projective(table: AlgebraTable, vertex: int, budget: int) -> bool:
+    """Is the injective at ``vertex`` isomorphic to some indecomposable projective?"""
+    inj = injective(table, vertex)
+    for j in range(table.n_vertices):
+        P = projective(table, j)
+        if P.dim != inj.dim:
+            continue
+        verdict = modules_isomorphic(inj, P, budget=budget)
+        if verdict is True:
+            return True
+        if verdict is None:
+            raise UndeterminedError(
+                "isomorphism search exhausted while locating projective-injectives"
+            )
+    return False
+
+
 def projective_injective_vertices(table: AlgebraTable,
                                   budget: int = DEFAULT_SEARCH_BUDGET) -> set[int]:
     """Vertices whose injective is also projective."""
     cached = table._cache.get("pi_vertices")
     if cached is not None:
         return cached
-    nv = table.n_vertices
-    projs = [projective(table, j) for j in range(nv)]
-    out = set()
-    for i in range(nv):
-        inj = injective(table, i)
-        verdict_found = False
-        for P in projs:
-            if P.dim != inj.dim:
-                continue
-            verdict = modules_isomorphic(inj, P, budget=budget)
-            if verdict is True:
-                verdict_found = True
-                break
-            if verdict is None:
-                raise UndeterminedError(
-                    "isomorphism search exhausted while locating projective-injectives"
-                )
-        if verdict_found:
-            out.add(i)
+    out = {i for i in range(table.n_vertices) if _injective_is_projective(table, i, budget)}
     table._cache["pi_vertices"] = out
     return out
+
+
+def is_selfinjective(table: AlgebraTable, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+    """Every injective is projective (stops at the first that is not)."""
+    return all(_injective_is_projective(table, i, budget) for i in range(table.n_vertices))
 
 
 def domdim(table: AlgebraTable, cutoff: int,
@@ -828,23 +829,23 @@ class CoresolutionReport:
         return {"module": self.module, "terms": self.terms}
 
 
+def _term_summary(table: AlgebraTable, vertices) -> dict:
+    """Vertex multiset (by label) and dimension of the sum of the
+    projectives of ``table`` at ``vertices``."""
+    counts: dict[str, int] = {}
+    dim_s = 0
+    for v in vertices:
+        label = table.idempotents[v][0]
+        counts[label] = counts.get(label, 0) + 1
+        dim_s += projective(table, v).dim
+    return {"vertices": dict(sorted(counts.items())), "dim": dim_s}
+
+
 def resolution_report(M: Representation, t: int) -> dict:
     """First t terms of the minimal projective resolution as a JSON-ready
     dict: vertex multiset and dimension per step, syzygy dims, minimality flag."""
     res = _resolution(M, t)
-    table = M.algebra
-    terms = []
-    for s in range(t):
-        if s >= len(res.levels):
-            terms.append({"vertices": {}, "dim": 0})
-            continue
-        counts: dict[str, int] = {}
-        dim_s = 0
-        for v in res.levels[s]:
-            label = table.idempotents[v][0]
-            counts[label] = counts.get(label, 0) + 1
-            dim_s += projective(table, v).dim
-        terms.append({"vertices": dict(sorted(counts.items())), "dim": dim_s})
+    terms = [_term_summary(M.algebra, verts) for verts in (res.levels + [[]] * t)[:t]]
     return {
         "module": M.name or "M",
         "terms": terms,
@@ -861,24 +862,21 @@ def injective_coresolution(M: Representation, t: int,
     dual = dual_representation(M, op)
     res = _resolution(dual, t)
     PI = projective_injective_vertices(table, budget)
-    terms = []
-    for s in range(t):
-        if s >= len(res.levels):
-            terms.append({"vertices": {}, "dim": 0, "projective": True})
-            continue
-        verts = res.levels[s]
-        counts: dict[str, int] = {}
-        dim_s = 0
-        for v in verts:
-            label = table.idempotents[v][0]
-            counts[label] = counts.get(label, 0) + 1
-            dim_s += projective(op, v).dim
-        terms.append({
-            "vertices": dict(sorted(counts.items())),
-            "dim": dim_s,
-            "projective": all(v in PI for v in verts),
-        })
+    # the opposite algebra has the same vertex labels
+    terms = [{**_term_summary(op, verts), "projective": all(v in PI for v in verts)}
+             for verts in (res.levels + [[]] * t)[:t]]
     return CoresolutionReport(M.name or "M", terms)
+
+
+def _first_nonzero_ext(M: Representation, N: Representation, cutoff: int) -> BoundedValue:
+    """First degree r in [1, cutoff] with Ext^r(M, N) nonzero."""
+    res = _resolution(M, cutoff + 1)
+    for r in range(1, cutoff + 1):
+        if r >= len(res.levels) and res.finished:
+            return BoundedValue.at_least(cutoff)  # finite projective dimension, all higher Ext vanish
+        if ext_dims(M, N, r).dim(r) > 0:
+            return BoundedValue.finite(r)
+    return BoundedValue.at_least(cutoff)
 
 
 def phi(M: Representation, cutoff: int) -> BoundedValue:
@@ -888,13 +886,7 @@ def phi(M: Representation, cutoff: int) -> BoundedValue:
     require_not_semisimple(M.algebra)
     if is_projective_rep(M):
         raise PreconditionError("phi is undefined on projective modules")
-    res = _resolution(M, cutoff + 1)
-    for r in range(1, cutoff + 1):
-        if r >= len(res.levels) and res.finished:
-            return BoundedValue.at_least(cutoff)  # finite projective dimension, all higher Ext vanish
-        if ext_dims(M, M, r).dim(r) > 0:
-            return BoundedValue.finite(r)
-    return BoundedValue.at_least(cutoff)
+    return _first_nonzero_ext(M, M, cutoff)
 
 
 def delta(table: AlgebraTable, cutoff: int, witnesses=None,
@@ -915,29 +907,16 @@ def delta(table: AlgebraTable, cutoff: int, witnesses=None,
         all_finite = True
         for W in nonproj:
             r = phi(W, cutoff)
-            if r.is_finite:
-                bound = max(bound, r.value)
-            else:
-                all_finite = False
-                bound = max(bound, r.value)
+            bound = max(bound, r.value)
+            all_finite = all_finite and r.is_finite
         if witnesses_complete and all_finite:
             return BoundedValue.finite(bound)
         return BoundedValue.at_least(bound)
-    from .quivalg import is_selfinjective as _table_selfinjective
-
-    if _table_selfinjective(table):
+    if is_selfinjective(table):
         raise PreconditionError(
             "delta of a selfinjective algebra needs an explicit witness family"
         )
-    D = dual_regular(table)
-    A = regular(table)
-    res = _resolution(D, cutoff + 1)
-    for r in range(1, cutoff + 1):
-        if r >= len(res.levels) and res.finished:
-            return BoundedValue.at_least(cutoff)
-        if ext_dims(D, A, r).dim(r) > 0:
-            return BoundedValue.finite(r)
-    return BoundedValue.at_least(cutoff)
+    return _first_nonzero_ext(dual_regular(table), regular(table), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +937,7 @@ def ideal_module(table: AlgebraTable, generator_vectors) -> IdealModule:
     """Smallest two-sided ideal containing the generators, as a right module."""
     gens = [list(v) for v in generator_vectors if any(v)]
     if not gens:
-        raise ValueError("ideal generators are all zero")
+        raise PreconditionError("ideal generators are all zero")
     fld = table.field
     span = SpanBuilder(fld, table.dim)
     work = []
@@ -980,18 +959,7 @@ def radical_power(table: AlgebraTable, k: int) -> IdealModule:
     """J^k with its right module structure (dim 0 above the Loewy length)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    fld = table.field
-    current = [list(v) for v in table.radical]
-    for _ in range(k - 1):
-        nxt = SpanBuilder(fld, table.dim)
-        for u in current:
-            for v in table.radical:
-                w = table.mult_elements(u, list(v))
-                if any(w):
-                    nxt.add(w)
-        current = [list(r) for r in nxt.rows]
-        if not current:
-            break
+    current = next(islice(_radical_powers(table), k - 1, None), [])
     if not current:
         zero_rep = Representation(table, 0, [[] for _ in range(table.dim)], name=f"J^{k}")
         return IdealModule(zero_rep, [])
@@ -1164,8 +1132,6 @@ def endomorphism_algebra(summands: list[Representation],
     "u then v" (composition read left to right), so the summand identity
     maps are the complete set of orthogonal primitive idempotents.
     """
-    from .quivalg import make_table
-
     if not summands:
         raise ValueError("empty summand list")
     table = summands[0].algebra

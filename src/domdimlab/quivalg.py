@@ -11,7 +11,7 @@ projective covers through idempotents, ...).
 Tables are produced four ways: compiling a bounded quiver algebra with
 relations (with a certified Loewy bound), fixed presets, bridging a
 Nakayama algebra given by its Kupisch series, and closure operations
-(opposite, tensor/enveloping, corner algebras).
+(opposite, tensor, corner algebras).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .exactmath import (
     SpanBuilder,
     coords_against,
     kernel_rows,
-    matmul_rows,
     rank_rows,
     reduce_against,
 )
@@ -143,85 +142,87 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_relation(text: str, spec: QuiverSpec) -> RelationExpr:
-    """Parse one relation against the grammar
+def _parse_terms(text: str, names: dict, combine, coeff_error_at_int: bool = False) -> list:
+    """Parse ``text`` against the grammar
 
         expr := term (("+"|"-") term)*
         term := [integer "*"]? name ("*" name)*
 
-    where a name is a vertex (denoting its idempotent) or an arrow.
-    Terms are resolved into coefficient/path form with composability
-    checked left to right; like paths are combined over the integers.
+    Each name is looked up in ``names``; each term is handed to
+    ``combine(signed integer coefficient, [(names[name], position), ...])``
+    as soon as it is read, so errors surface left to right.  Returns the
+    combined terms.  A coefficient without its '*' is reported at the
+    token where the '*' was expected, or at the coefficient itself when
+    ``coeff_error_at_int`` is set.
     """
-    arrows = {a.name: a for a in spec.arrows}
-    vertices = set(spec.vertices)
     tokens = _tokenize(text)
+    if not tokens:
+        raise RelationSyntaxError("empty expression", 0)
     idx = 0
 
-    def peek(kind):
-        return idx < len(tokens) and tokens[idx][0] == kind
+    def at_star():
+        return idx < len(tokens) and tokens[idx][:2] == ("op", "*")
 
-    def expect(kind):
-        nonlocal idx
-        if not peek(kind):
-            pos = tokens[idx][2] if idx < len(tokens) else len(text)
-            raise RelationSyntaxError(f"expected {kind}", pos)
-        tok = tokens[idx]
-        idx += 1
-        return tok
+    def here():
+        return tokens[idx][2] if idx < len(tokens) else len(text)
 
-    def parse_name():
-        _, name, pos = expect("name")
-        if name in vertices:
-            return ("vertex", name, pos)
-        if name in arrows:
-            return ("arrow", arrows[name], pos)
-        raise UnknownNameError(f"unknown name {name!r} (position {pos})")
-
-    def parse_term(sign: int) -> RelTerm:
-        nonlocal idx
+    out = []
+    sign = 1
+    while True:
         coeff = sign
-        if peek("int"):
-            coeff *= int(expect("int")[1])
-            if not (peek("op") and tokens[idx][1] == "*"):
-                pos = tokens[idx][2] if idx < len(tokens) else len(text)
+        if idx < len(tokens) and tokens[idx][0] == "int":
+            coeff *= int(tokens[idx][1])
+            idx += 1
+            if not at_star():
+                pos = tokens[idx - 1][2] if coeff_error_at_int else here()
                 raise RelationSyntaxError("integer coefficient must be followed by '*'", pos)
             idx += 1
-        factors = [parse_name()]
-        while peek("op") and tokens[idx][1] == "*":
+        factors = []
+        while True:
+            if idx == len(tokens) or tokens[idx][0] != "name":
+                raise RelationSyntaxError("expected name", here())
+            _, name, pos = tokens[idx]
             idx += 1
-            factors.append(parse_name())
-        source = target = None
-        path: list[str] = []
-        for kind, val, pos in factors:
-            if kind == "vertex":
-                s, t = val, val
-            else:
-                s, t = val.source, val.target
-            if source is None:
-                source = s
-            elif target != s:
+            if name not in names:
+                raise UnknownNameError(f"unknown name {name!r} (position {pos})")
+            factors.append((names[name], pos))
+            if not at_star():
+                break
+            idx += 1
+        out.append(combine(coeff, factors))
+        if idx == len(tokens):
+            return out
+        kind, val, pos = tokens[idx]
+        if kind != "op" or val not in "+-":
+            raise RelationSyntaxError("expected '+' or '-'", pos)
+        idx += 1
+        sign = 1 if val == "+" else -1
+
+
+def parse_relation(text: str, spec: QuiverSpec) -> RelationExpr:
+    """Parse one relation (grammar of ``_parse_terms``) where a name is a
+    vertex (denoting its idempotent) or an arrow.  Terms are resolved into
+    coefficient/path form with composability checked left to right; like
+    paths are combined over the integers.
+    """
+    # name -> (source, target, arrow names)
+    names = {v: (v, v, ()) for v in spec.vertices}
+    names.update({a.name: (a.source, a.target, (a.name,)) for a in spec.arrows})
+
+    def combine(coeff, factors) -> RelTerm:
+        (source, target, path), _ = factors[0]
+        for (s, t, arrows), pos in factors[1:]:
+            if target != s:
                 raise NonComposableError(
                     f"path breaks at position {pos}: previous factor ends at "
                     f"{target!r}, next starts at {s!r}"
                 )
             target = t
-            if kind == "arrow":
-                path.append(val.name)
-        return RelTerm(coeff, tuple(path), source, target)
-
-    if not tokens:
-        raise RelationSyntaxError("empty expression", 0)
-    terms = [parse_term(1)]
-    while idx < len(tokens):
-        kind, val, pos = tokens[idx]
-        if kind != "op" or val not in "+-":
-            raise RelationSyntaxError("expected '+' or '-'", pos)
-        idx += 1
-        terms.append(parse_term(1 if val == "+" else -1))
+            path += arrows
+        return RelTerm(coeff, path, source, target)
 
     combined: dict[tuple, int] = {}
-    for t in terms:
+    for t in _parse_terms(text, names, combine):
         key = (t.path, t.source, t.target)
         combined[key] = combined.get(key, 0) + t.coeff
     canon = tuple(
@@ -318,52 +319,22 @@ class AlgebraTable:
     def element_from_expr(self, text: str):
         """Evaluate a relation-grammar expression whose names are basis
         elements or idempotent labels, inside this table."""
-        tokens = _tokenize(text)
         by_name = {name: self.basis_vec(i) for i, name in enumerate(self.basis_names)}
         for label, vec in self.idempotents:
             by_name.setdefault(label, list(vec))
-        idx = 0
+        fld = self.field
 
-        def peek(kind):
-            return idx < len(tokens) and tokens[idx][0] == kind
+        def combine(coeff, factors):
+            vec = factors[0][0]
+            for other, _ in factors[1:]:
+                vec = self.mult_elements(vec, other)
+            c = fld.of_int(coeff)
+            return [fld.mul(c, x) for x in vec]
 
-        def term(sign: int):
-            nonlocal idx
-            coeff = sign
-            if peek("int"):
-                coeff *= int(tokens[idx][1])
-                idx += 1
-                if not (peek("op") and tokens[idx][1] == "*"):
-                    raise RelationSyntaxError("integer coefficient must be followed by '*'",
-                                              tokens[idx - 1][2])
-                idx += 1
-            vec = None
-            while True:
-                if not peek("name"):
-                    pos = tokens[idx][2] if idx < len(tokens) else len(text)
-                    raise RelationSyntaxError("expected a name", pos)
-                kind, name, pos = tokens[idx]
-                idx += 1
-                if name not in by_name:
-                    raise UnknownNameError(f"unknown name {name!r} (position {pos})")
-                vec = by_name[name] if vec is None else self.mult_elements(vec, by_name[name])
-                if peek("op") and tokens[idx][1] == "*":
-                    idx += 1
-                    continue
-                break
-            c = self.field.of_int(coeff)
-            return [self.field.mul(c, x) for x in vec]
-
-        if not tokens:
-            raise RelationSyntaxError("empty expression", 0)
-        acc = term(1)
-        while idx < len(tokens):
-            kind, val, pos = tokens[idx]
-            if kind != "op" or val not in "+-":
-                raise RelationSyntaxError("expected '+' or '-'", pos)
-            idx += 1
-            nxt = term(1 if val == "+" else -1)
-            acc = [self.field.add(a, b) for a, b in zip(acc, nxt)]
+        terms = _parse_terms(text, by_name, combine, coeff_error_at_int=True)
+        acc = terms[0]
+        for nxt in terms[1:]:
+            acc = [fld.add(a, b) for a, b in zip(acc, nxt)]
         return acc
 
     def to_json(self):
@@ -429,22 +400,39 @@ def make_table(field, basis_names, mult, unit, idempotents, radical,
     return table
 
 
-def _default_generators(table: AlgebraTable) -> list[list]:
-    """Idempotents plus lifts of a basis of J/J^2: a unital generating set."""
+def _radical_powers(table: AlgebraTable, rad=None):
+    """Rows spanning J, J^2, J^3, ... in turn, stopping before the first
+    zero power.  ``rad`` spans J (default: the declared radical basis);
+    each higher power comes as echelon rows.  Raises ``CompileError``
+    when the powers do not reach 0 within dim + 1 steps."""
     fld = table.field
     d = table.dim
-    j2 = SpanBuilder(fld, d)
-    rad = [list(v) for v in table.radical]
-    for u in rad:
-        for v in rad:
-            w = table.mult_elements(u, v)
-            if any(w):
-                j2.add(w)
+    rad = [list(v) for v in table.radical] if rad is None else rad
+    current = rad
+    steps = 0
+    while current:
+        steps += 1
+        if steps > d + 1:
+            raise CompileError("declared radical is not nilpotent")
+        yield current
+        nxt = SpanBuilder(fld, d)
+        for u in current:
+            for v in rad:
+                w = table.mult_elements(u, v)
+                if any(w):
+                    nxt.add(w)
+        current = [list(r) for r in nxt.rows]
+
+
+def _default_generators(table: AlgebraTable) -> list[list]:
+    """Idempotents plus lifts of a basis of J/J^2: a unital generating set."""
+    powers = _radical_powers(table)
+    next(powers, None)  # J
+    mod = SpanBuilder(table.field, table.dim)
+    for r in next(powers, []):  # J^2
+        mod.add(r)
     gens = [list(vec) for _, vec in table.idempotents]
-    mod = SpanBuilder(fld, d)
-    for r in j2.rows:
-        mod.add(list(r))
-    for v in rad:
+    for v in table.radical:
         if mod.add(list(v)):
             gens.append(list(v))
     return gens
@@ -506,19 +494,8 @@ def verify_table(table: AlgebraTable, check_associativity: bool = True) -> None:
         if not full.add(list(e)):
             raise CompileError("idempotents are not independent modulo the radical")
     # nilpotency: iterate J -> J*J until zero
-    current = [list(v) for v in rad.rows]
-    steps = 0
-    while current:
-        steps += 1
-        if steps > d + 1:
-            raise CompileError("declared radical is not nilpotent")
-        nxt = SpanBuilder(fld, d)
-        for u in current:
-            for v in rad.rows:
-                w = table.mult_elements(u, v)
-                if any(w):
-                    nxt.add(w)
-        current = [list(r) for r in nxt.rows]
+    for _ in _radical_powers(table, rad.rows):
+        pass
 
 
 def _verify_associativity(table: AlgebraTable) -> None:
@@ -548,22 +525,7 @@ def _verify_associativity(table: AlgebraTable) -> None:
 
 def loewy_length(table: AlgebraTable) -> int:
     """Least L with J^L = 0."""
-    fld = table.field
-    rad = [list(v) for v in table.radical]
-    current = rad
-    L = 0
-    while current:
-        L += 1
-        nxt = SpanBuilder(fld, table.dim)
-        for u in current:
-            for v in rad:
-                w = table.mult_elements(u, v)
-                if any(w):
-                    nxt.add(w)
-        current = [list(r) for r in nxt.rows]
-        if L > table.dim:
-            raise CompileError("radical is not nilpotent")
-    return L + 1 if rad else 1
+    return 1 + sum(1 for _ in _radical_powers(table))
 
 
 def is_semisimple(table: AlgebraTable) -> bool:
@@ -1011,28 +973,6 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable,
     )
 
 
-def enveloping(table: AlgebraTable, size_limit: int = DEFAULT_SIZE_LIMIT):
-    """A (x) A^op, together with the regular bimodule as a right module
-    over it: (u (x) v) acts by m -> v*m*u.
-
-    Returns (enveloping table, Representation of the regular bimodule).
-    """
-
-    from .homology import Representation  # local import to avoid a cycle
-
-    env = tensor_algebra(table, opposite(table), size_limit=size_limit)
-    env.provenance.update({"kind": "enveloping"})
-    d = table.dim
-    actions = []
-    for i in range(d):
-        R_u = table.right_mult_matrix(table.basis_vec(i))
-        for j in range(d):
-            L_v = table.left_mult_matrix(table.basis_vec(j))
-            actions.append(tuple(tuple(r) for r in matmul_rows(table.field, L_v, R_u)))
-    rep = Representation(env, d, tuple(actions), name="regular-bimodule")
-    return env, rep
-
-
 def corner_algebra(table: AlgebraTable, idem_labels: list[str],
                    size_limit: int = DEFAULT_SIZE_LIMIT):
     """e*A*e for e the sum of the named idempotents.
@@ -1186,57 +1126,49 @@ def _coeff_tuples(field: FieldSpec, h: int, budget: int, degree_bound: int | Non
     return gen_q(), False
 
 
+def _find_invertible(mats, fld, dim, budget):
+    """Search the span of ``mats`` for an invertible matrix.
+
+    Returns (witness or None, search_complete).  Complete exhaustion rules
+    out a witness: over F_p all points are tried; over Q the determinant of
+    the generic combination has total degree <= dim, so vanishing on the
+    whole {0..dim}^h grid makes it the zero polynomial."""
+    if not mats:
+        return None, True
+    for T in mats:
+        if rank_rows(fld, T) == dim:
+            return T, False
+    tuples, complete = _coeff_tuples(fld, len(mats), budget, degree_bound=dim)
+    for coeffs in tuples:
+        acc = [[fld.zero()] * dim for _ in range(dim)]
+        for c, T in zip(coeffs, mats):
+            if c:
+                for i in range(dim):
+                    row = T[i]
+                    ai = acc[i]
+                    for j in range(dim):
+                        if row[j]:
+                            ai[j] = fld.add(ai[j], fld.mul(c, row[j]))
+        if rank_rows(fld, acc) == dim:
+            return acc, complete
+    return None, complete
+
+
 def is_symmetric(table: AlgebraTable, budget: int = DEFAULT_SEARCH_BUDGET):
     """True / False / None (undetermined).
 
     Searches for a symmetrising functional whose induced bilinear form
-    b(x, y) = lam(xy) is nondegenerate.  Over F_p the scan is exhaustive
-    whenever p^dim(space) fits the budget, making False definitive; over Q
-    a found witness gives True and exhaustion gives None.
+    b(x, y) = lam(xy) is nondegenerate.  The Gram matrix is linear in lam,
+    so this is a search for an invertible matrix in the span of the Gram
+    matrices of a basis of symmetrising functionals.  Over F_p the scan is
+    exhaustive whenever p^dim(space) fits the budget, making False
+    definitive; over Q a found witness gives True and exhaustion gives None.
     """
-
-
-    lams = symmetric_functional_space(table)
-    h = len(lams)
-    if h == 0:
-        return False
-    fld = table.field
-    # the Gram determinant has total degree <= dim in the coefficients
-    tuples, complete = _coeff_tuples(fld, h, budget, degree_bound=table.dim)
-    for coeffs in tuples:
-        lam = [fld.zero()] * table.dim
-        for c, base in zip(coeffs, lams):
-            if c:
-                for k in range(table.dim):
-                    lam[k] = fld.add(lam[k], fld.mul(c, base[k]))
-        if rank_rows(fld, _gram(table, lam)) == table.dim:
-            return True
+    grams = [_gram(table, lam) for lam in symmetric_functional_space(table)]
+    witness, complete = _find_invertible(grams, table.field, table.dim, budget)
+    if witness is not None:
+        return True
     return False if complete else None
-
-
-def is_selfinjective(table: AlgebraTable, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
-    """Every dual left projective is isomorphic to some right projective."""
-    from . import homology as hml
-
-    op = opposite(table)
-    projs = [hml.projective(table, i) for i in range(table.n_vertices)]
-    for i in range(table.n_vertices):
-        inj = hml.dual_representation(hml.projective(op, i), table)
-        found = False
-        for P in projs:
-            if P.dim != inj.dim:
-                continue
-            verdict = hml.modules_isomorphic(inj, P, budget=budget)
-            if verdict is True:
-                found = True
-                break
-            if verdict is None:
-                raise hml.UndeterminedError(
-                    "module isomorphism search exhausted while testing selfinjectivity"
-                )
-        if not found:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

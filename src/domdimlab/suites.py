@@ -133,7 +133,7 @@ def _ideal_rigidity_group_algebras_item():
 
 def _enveloping_ext_item():
     table = qa.preset("truncated-poly(3,F3)")
-    env, bimod = qa.enveloping(table)
+    env, bimod = hml.enveloping(table)
     ext1 = hml.ext_dims(bimod, bimod, 1).dim(1)
     return _item("enveloping-ext1-nonzero", env.dim == 9 and ext1 > 0,
                  env_dim=env.dim, ext1=ext1)

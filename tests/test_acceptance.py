@@ -183,7 +183,7 @@ def test_criterion_10_ideal_rigidity():
             rep = hml.check_ideal_rigidity(table, X)
             assert rep.holds and rep.ext1_self > 0, (n, k)
     cubes = qa.preset("truncated-poly(3,F3)")
-    env, bimod = qa.enveloping(cubes)
+    env, bimod = hml.enveloping(cubes)
     assert env.dim == 9
     assert hml.ext_dims(bimod, bimod, 1).dim(1) > 0
     assert time.perf_counter() - started < 5.0

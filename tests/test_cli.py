@@ -184,12 +184,42 @@ BAD_NUMBERS = {
                   "--length", "0"], None),
     "omega-negative": (["nakayama", "rigid", "--k", "1", "--cycle", "--kupisch",
                         "3,3", "--module", "omega:-1:simple"], None),
+    "simple-vertex-negative": (["quiver", "resolve", "--preset", "hopf-a5-f2",
+                                "--module", "simple:-1"], None),
+    "projective-vertex-negative": (["quiver", "ext", "--preset", "preproj-a2",
+                                    "--module", "projective:-1"], None),
+    "ideal-zero-generator": (["quiver", "ideal", "--preset", "truncated-poly(4,Q)",
+                              "--generators", "a0 - a0"], None),
 }
 
 
 @pytest.mark.parametrize("args, env", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
 def test_out_of_range_numbers_exit_2(runner, args, env):
     result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+OUT_OF_SCOPE_FILES = {
+    "semisimple-domdim": ("semisimple", "domdim"),
+    "semisimple-resolve": ("semisimple", "resolve"),
+    "semisimple-predicates": ("semisimple", "predicates"),
+    "nakayama-over-size-limit": ("large", "compile"),
+}
+ALGEBRA_FILES = {
+    "semisimple": {"kind": "quiver", "vertices": ["v0"], "arrows": [], "relations": [],
+                   "loewy_bound": 2, "field": {"kind": "prime", "p": 2}},
+    "large": {"kind": "nakayama", "orientation": "cycle", "kupisch": [5000]},
+}
+
+
+@pytest.mark.parametrize("algebra, command", OUT_OF_SCOPE_FILES.values(),
+                         ids=OUT_OF_SCOPE_FILES.keys())
+def test_out_of_scope_algebra_file_exit_2(runner, tmp_path, algebra, command):
+    path = tmp_path / f"{algebra}.json"
+    path.write_text(json.dumps(ALGEBRA_FILES[algebra]))
+    result = runner.invoke(main, ["quiver", command, "--algebra", str(path)])
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output

@@ -317,7 +317,7 @@ def test_check_ideal_rigidity_radical_of_33(bridged33):
 
 def test_check_ideal_rigidity_enveloping_f3():
     table = qa.preset("truncated-poly(3,F3)")
-    env, bimod = qa.enveloping(table)
+    env, bimod = hml.enveloping(table)
     assert hml.ext_dims(bimod, bimod, 1).dim(1) > 0
 
 

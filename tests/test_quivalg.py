@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab.exactmath import F2, F3, QQ
@@ -81,6 +82,24 @@ def test_parse_rejects_leading_sign():
 def test_parse_rejects_trailing_operator():
     with pytest.raises(qa.RelationSyntaxError):
         qa.parse_relation("a*b -", LOOPS)
+
+
+MALFORMED = {
+    "unknown-name": ("a*zz", qa.UnknownNameError),
+    "operator-after-star": ("a*+b", qa.RelationSyntaxError),
+    "coefficient-without-star": ("3 a", qa.RelationSyntaxError),
+    "leading-sign": ("-a*b", qa.RelationSyntaxError),
+    "trailing-operator": ("a*b -", qa.RelationSyntaxError),
+}
+
+
+@pytest.mark.parametrize("text, error", MALFORMED.values(), ids=MALFORMED.keys())
+def test_element_from_expr_rejects_malformed_relations(text, error):
+    # one grammar: elements of the compiled table fail like relations do
+    with pytest.raises(error):
+        qa.parse_relation(text, LOOPS)
+    with pytest.raises(error):
+        qa.compile_quiver(LOOPS).element_from_expr(text)
 
 
 def test_compile_arrow_rewriting_relation():
@@ -193,7 +212,7 @@ def test_preset_preproj_a2():
     table = qa.preset("preproj-a2")
     assert table.dim == 4
     assert table.n_vertices == 2
-    assert qa.is_selfinjective(table)
+    assert hml.is_selfinjective(table)
 
 
 def test_preset_truncated_poly():
@@ -239,12 +258,12 @@ def test_symmetric_decision_over_q():
     # vanishing on the whole degree grid
     assert qa.is_symmetric(qa.nakayama_to_table(nak.validate(nak.CYCLE, (4, 4)), QQ)) is False
     assert qa.is_symmetric(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ)) is True
-    assert qa.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ))
+    assert hml.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ))
 
 
 def test_selfinjective_bridge_cross_validation():
-    assert qa.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (4, 4)), F2))
-    assert not qa.is_selfinjective(
+    assert hml.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (4, 4)), F2))
+    assert not hml.is_selfinjective(
         qa.nakayama_to_table(nak.validate(nak.LINE, (2, 1)), F2))
 
 
@@ -263,21 +282,21 @@ def test_opposite_of_commutative_is_identical():
 
 
 def test_enveloping_dimensions():
-    env3, _ = qa.enveloping(qa.preset("truncated-poly(3,F3)"))
+    env3, _ = hml.enveloping(qa.preset("truncated-poly(3,F3)"))
     assert env3.dim == 9
-    env8, bimod = qa.enveloping(qa.preset("hopf-a5-f2"))
+    env8, bimod = hml.enveloping(qa.preset("hopf-a5-f2"))
     assert env8.dim == 64
     assert bimod.dim == 8
 
 
 def test_enveloping_bimodule_is_a_module():
-    _, bimod = qa.enveloping(qa.preset("truncated-poly(3,F3)"))
+    _, bimod = hml.enveloping(qa.preset("truncated-poly(3,F3)"))
     bimod.verify()
 
 
 def test_tensor_size_limit():
     with pytest.raises(qa.SizeLimitError):
-        qa.enveloping(qa.preset("hopf-a5-f2"), size_limit=32)
+        hml.enveloping(qa.preset("hopf-a5-f2"), size_limit=32)
 
 
 def test_corner_algebra_of_unit_recovers_dimension():
