@@ -16,7 +16,7 @@ from domdimlab.exactmath import F2
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=10)
-    parser.add_argument("--bimodule-up-to", type=int, default=4,
+    parser.add_argument("--bimodule-up-to", type=int, default=6,
                         help="run the gendo-symmetric bimodule test for n up to here")
     parser.add_argument("--cutoff", type=int, default=64)
     args = parser.parse_args()

@@ -14,6 +14,7 @@ homology engines; the ``Matrix`` class is the stable public surface.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -294,7 +295,7 @@ class SpanBuilder:
         self.ncols = ncols
         self.rows: list[list] = []
         self.pivots: list[int] = []
-        self._pivot_of_col: dict[int, int] = {}
+        self._hits: list[tuple[int, int]] = []  # (pivot column, row index), sorted
 
     @property
     def rank(self) -> int:
@@ -302,30 +303,26 @@ class SpanBuilder:
 
     def residue(self, vec) -> list:
         """Forward-reduce ``vec`` against the stored rows (returns remainder)."""
+        # pivot columns in increasing order: reducing by a row only changes
+        # entries at or right of its pivot, so later pivots are read afresh
         field = self.field
         v = list(vec)
         if field.kind == "prime":
             p = field.p
-            for c, k in self._iter_hits(v):
-                row = self.rows[k]
-                f = v[c] % p
-                for j in range(c, self.ncols):
-                    v[j] = (v[j] - f * row[j]) % p
+            for c, k in self._hits:
+                if v[c]:
+                    row = self.rows[k]
+                    f = v[c] % p
+                    for j in range(c, self.ncols):
+                        v[j] = (v[j] - f * row[j]) % p
         else:
-            for c, k in self._iter_hits(v):
-                row = self.rows[k]
-                f = v[c]
-                for j in range(c, self.ncols):
-                    v[j] = v[j] - f * row[j]
+            for c, k in self._hits:
+                if v[c]:
+                    row = self.rows[k]
+                    f = v[c]
+                    for j in range(c, self.ncols):
+                        v[j] = v[j] - f * row[j]
         return v
-
-    def _iter_hits(self, v):
-        # pivot columns in increasing order; re-scan because reduction can
-        # only introduce entries to the right of the current column
-        for idx in range(self.ncols):
-            k = self._pivot_of_col.get(idx)
-            if k is not None and v[idx]:
-                yield idx, k
 
     def contains(self, vec) -> bool:
         return not any(self.residue(vec))
@@ -348,7 +345,7 @@ class SpanBuilder:
                 v = [x * inv % p for x in v]
             else:
                 v = [x * inv for x in v]
-        self._pivot_of_col[lead] = len(self.rows)
+        insort(self._hits, (lead, len(self.rows)))
         self.rows.append(v)
         self.pivots.append(lead)
         return True

@@ -656,16 +656,18 @@ def ext_dims(M: Representation, N: Representation, t: int,
 def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
     """Basis of Hom_A(M, N) as dM x dN matrices, solved against the
     algebra's generator set."""
-    fld = M.algebra.field
-    dm, dn = M.dim, N.dim
+    pairs = ((M.element_action(g), N.element_action(g)) for g in M.algebra.generators)
+    return _intertwiners(M.algebra.field, pairs, M.dim, N.dim)
+
+
+def _intertwiners(fld, pairs, dm: int, dn: int) -> list[list[list]]:
+    """Basis of the dm x dn matrices T with actM @ T = T @ actN for every
+    (actM, actN) in ``pairs``, the actions of one generator on the two
+    modules; ``pairs`` is read only when both dimensions are nonzero."""
     if dm == 0 or dn == 0:
         return []
-    gens = M.algebra.generators
     rows = []
-    gen_pairs = []
-    for g in gens:
-        gen_pairs.append((M.element_action(list(g)), N.element_action(list(g))))
-    for actM, actN in gen_pairs:
+    for actM, actN in pairs:
         for i in range(dm):
             for k in range(dn):
                 row = [fld.zero()] * (dm * dn)
@@ -708,11 +710,15 @@ def modules_isomorphic(M: Representation, N: Representation,
         return False
     if M.dim == 0:
         return True
-    mats = hom_basis(M, N)
+    return _iso_verdict(hom_basis(M, N), M.algebra.field, M.dim, budget)
+
+
+def _iso_verdict(mats, fld, dim: int, budget: int):
+    """True / False / None from a Hom basis between two modules of
+    dimension ``dim``: is some combination invertible?"""
     if not mats:
         return False
-    fld = M.algebra.field
-    witness, complete = _find_invertible(mats, fld, M.dim, budget)
+    witness, complete = _find_invertible(mats, fld, dim, budget)
     if witness is not None:
         return True
     return False if complete else None
@@ -1257,11 +1263,14 @@ def _solve_coords(fld, basis_rows, target):
 # ---------------------------------------------------------------------------
 
 def is_gendo_symmetric(table: AlgebraTable, cutoff: int,
-                       budget: int = DEFAULT_SEARCH_BUDGET,
-                       size_limit: int = 4096):
+                       budget: int = DEFAULT_SEARCH_BUDGET):
     """True / False / None: dominant dimension >= 2 together with the
     bimodule isomorphism D(Ae) = eA over eAe (x) A^op, for e the sum of
-    idempotents spanning the minimal faithful projective-injective."""
+    idempotents spanning the minimal faithful projective-injective.
+
+    Both bimodules are presented by the actions of generators (those of
+    eAe, lifted to A, and those of A), and Hom is solved once against
+    them, so no tensor algebra is built."""
     if cutoff < 2:
         raise PreconditionError("cutoff must be >= 2 to settle domdim >= 2")
     require_not_semisimple(table)
@@ -1271,56 +1280,55 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int,
     fld = table.field
     PI = sorted(projective_injective_vertices(table, budget))
     labels = [table.idempotents[i][0] for i in PI]
-    corner, corner_rows = corner_algebra(table, labels, size_limit=size_limit)
-    T = tensor_algebra(opposite(corner), table, size_limit=size_limit)
+    corner, corner_rows = corner_algebra(table, labels)
 
     e = table.zero_vec()
     for i in PI:
         e = [fld.add(a, b) for a, b in zip(e, table.idempotents[i][1])]
 
-    # eA as a right module over (eAe)^op (x) A: m . (x (x) a) = x*m*a
-    span_eA = SpanBuilder(fld, table.dim)
-    for j in range(table.dim):
-        r = table.mult_elements(e, table.basis_vec(j))
-        if any(r):
-            span_eA.add(r)
-    rows_eA, piv_eA = span_eA.finish()
+    def span(side):
+        builder = SpanBuilder(fld, table.dim)
+        for j in range(table.dim):
+            r = side(table.basis_vec(j))
+            if any(r):
+                builder.add(r)
+        return builder.finish()
 
-    span_Ae = SpanBuilder(fld, table.dim)
-    for j in range(table.dim):
-        r = table.mult_elements(table.basis_vec(j), e)
-        if any(r):
-            span_Ae.add(r)
-    rows_Ae, piv_Ae = span_Ae.finish()
+    def action(basis, act, label):
+        rows, pivots = basis
+        mat = []
+        for r in rows:
+            coeffs = coords_against(fld, rows, pivots, act(r))
+            if coeffs is None:
+                raise AssertionError(f"{label} is not stable under the bimodule action")
+            mat.append(coeffs)
+        return mat
 
-    dim_e = len(rows_eA)
-    actions_eA = []
-    actions_DAe = []
-    for ci in range(corner.dim):
-        x = corner_rows[ci]
-        for aj in range(table.dim):
-            a = table.basis_vec(aj)
-            mat = []
-            for r in rows_eA:
-                img = table.mult_elements(x, table.mult_elements(list(r), a))
-                coeffs = coords_against(fld, rows_eA, piv_eA, img)
-                if coeffs is None:
-                    raise AssertionError("eA is not stable under the bimodule action")
-                mat.append(coeffs)
-            actions_eA.append(mat)
-            # on Ae: m -> a*m*x, then transpose for the dual
-            mat2 = []
-            for r in rows_Ae:
-                img = table.mult_elements(a, table.mult_elements(list(r), x))
-                coeffs = coords_against(fld, rows_Ae, piv_Ae, img)
-                if coeffs is None:
-                    raise AssertionError("Ae is not stable under the bimodule action")
-                mat2.append(coeffs)
-            actions_DAe.append([[mat2[i][j] for i in range(len(rows_Ae))]
-                                for j in range(len(rows_Ae))])
-    rep_eA = Representation(T, dim_e, actions_eA, name="eA")
-    rep_DAe = Representation(T, len(rows_Ae), actions_DAe, name="D(Ae)")
-    return modules_isomorphic(rep_DAe, rep_eA, budget=budget)
+    eA = span(lambda a: table.mult_elements(e, a))
+    Ae = span(lambda a: table.mult_elements(a, e))
+    dim = len(eA[0])
+    if len(Ae[0]) != dim:
+        return False
+
+    def pair(on_Ae, on_eA):
+        # eA is a right module by m . (x (x) a) = x*m*a; D(Ae) acts by the
+        # transpose of m -> a*m*x on Ae
+        mat = action(Ae, on_Ae, "Ae")
+        return ([[mat[i][j] for i in range(dim)] for j in range(dim)],
+                action(eA, on_eA, "eA"))
+
+    pairs = []
+    for g in corner.generators:
+        x = table.zero_vec()
+        for c, row in zip(g, corner_rows):
+            if c:
+                x = [fld.add(a, fld.mul(c, b)) for a, b in zip(x, row)]
+        pairs.append(pair(lambda m: table.mult_elements(m, x),
+                          lambda m: table.mult_elements(x, m)))
+    for h in table.generators:
+        pairs.append(pair(lambda m: table.mult_elements(h, m),
+                          lambda m: table.mult_elements(m, h)))
+    return _iso_verdict(_intertwiners(fld, pairs, dim, dim), fld, dim, budget)
 
 
 # ---------------------------------------------------------------------------

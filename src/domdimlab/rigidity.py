@@ -17,7 +17,7 @@ from . import homology as hml
 from . import nakayama as nak
 from . import quivalg as qa
 from .bounded import BoundedValue
-from .exactmath import FieldSpec
+from .exactmath import F2
 
 
 @dataclass
@@ -247,22 +247,20 @@ def rigid_sequence_module(A: nak.NakAlgebra, k: int, cutoff: int) -> RigidSequen
 
 
 def verify_main_inequality(A: nak.NakAlgebra, k: int, cutoff: int,
-                           gendo: str = "bimodule",
-                           field: Optional[FieldSpec] = None,
-                           budget: int = qa.DEFAULT_SEARCH_BUDGET) -> RigidityReport:
+                           gendo: str = "bimodule") -> RigidityReport:
     """Check (o_k + 2 - w)(k + 2) - 1 >= domdim on a non-selfinjective
     gendo-symmetric algebra.
 
     ``gendo="bimodule"`` confirms the hypothesis with the bimodule
-    isomorphism test on the bridged table; ``gendo="assert"`` records that
-    the caller vouches for it.  A failing verdict on a confirmed instance
-    is a falsification event for the suites.
+    isomorphism test on the table bridged over F_2; ``gendo="assert"``
+    records that the caller vouches for it.  A failing verdict on a
+    confirmed instance is a falsification event for the suites.
     """
     if nak.is_selfinjective(A):
         raise nak.NakInputError("the inequality concerns non-selfinjective algebras")
     if gendo == "bimodule":
-        table = qa.nakayama_to_table(A, field or FieldSpec.prime(2))
-        verdict = hml.is_gendo_symmetric(table, max(cutoff, 2), budget=budget)
+        table = qa.nakayama_to_table(A, F2)
+        verdict = hml.is_gendo_symmetric(table, max(cutoff, 2))
         if verdict is None:
             raise hml.UndeterminedError("gendo-symmetric status undetermined")
         if verdict is False:

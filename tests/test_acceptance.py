@@ -103,7 +103,7 @@ def test_criterion_05_main_inequality():
         assert "error" not in by_name[f"main-ineq-{tag}"], kup  # verdict is not None
         confirmed.append(kup)
     assert confirmed, "bimodule test confirmed no instance at all"
-    assert confirmed == [(2, 3), (3, 4, 4), (4, 5, 5, 5)]
+    assert confirmed == [(2, 3), (3, 4, 4), (4, 5, 5, 5), (5, 6, 6, 6, 6), (6, 7, 7, 7, 7, 7)]
     _announce(5, "main inequality k=1,2", f"(confirmed: {confirmed})")
 
 

@@ -5,6 +5,7 @@ from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab.bounded import BoundedValue
 from domdimlab.exactmath import F2, F3, QQ
+from domdimlab.suites import cyclic_series
 
 
 @pytest.fixture(scope="module")
@@ -443,6 +444,34 @@ def test_gendo_symmetric_line_false():
 
 def test_gendo_symmetric_of_symmetric_algebra(bridged33):
     assert hml.is_gendo_symmetric(bridged33, 16) is True
+
+
+def test_gendo_symmetric_builds_no_tensor_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gendo-symmetric test built a tensor algebra")
+
+    monkeypatch.setattr(hml, "tensor_algebra", refuse)
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (4, 5, 5, 5)), F2)
+    assert hml.is_gendo_symmetric(table, 16) is True
+
+
+GENDO_TRUE_SMALL = {(2,), (3,), (4,), (2, 3), (3, 2), (3, 3),
+                    (3, 4, 4), (4, 3, 4), (4, 4, 3), (4, 4, 4)}
+
+
+@pytest.mark.parametrize("fld", [F3, QQ], ids=["F3", "Q"])
+def test_gendo_symmetric_small_cycles_pinned(fld):
+    verdicts = {}
+    for c in cyclic_series(1, 3, 4):
+        table = qa.nakayama_to_table(nak.validate(nak.CYCLE, c), fld)
+        verdicts[c] = hml.is_gendo_symmetric(table, 16)
+    assert {c for c, v in verdicts.items() if v is True} == GENDO_TRUE_SMALL
+    assert all(v is False for c, v in verdicts.items() if c not in GENDO_TRUE_SMALL)
+
+
+@pytest.mark.parametrize("name", ["dihedral8-f2", "quaternion8-f2"])
+def test_gendo_symmetric_group_algebras(name):
+    assert hml.is_gendo_symmetric(qa.preset(name), 16) is True
 
 
 def test_gendo_symmetric_rejects_small_cutoff(bridged33):

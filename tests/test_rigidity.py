@@ -156,8 +156,8 @@ def test_main_inequality_family_instances():
     assert rep.verdict and rep.gendo_provenance == "bimodule-test"
     assert rep.domdim.value == 4
     rep2 = rg.verify_main_inequality(nak.validate(C, (5, 6, 6, 6, 6)), 2, 64,
-                                     gendo="assert")
-    assert rep2.verdict
+                                     gendo="bimodule")
+    assert rep2.verdict and rep2.gendo_provenance == "bimodule-test"
     # the inequality with domdim 8 forces o_2 >= 6; the exact clique search
     # finds a strictly larger 2-rigid module
     assert rep2.o_k >= 6 and rep2.rhs == 8
