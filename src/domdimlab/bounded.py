@@ -34,11 +34,6 @@ class BoundedValue:
     def is_finite(self) -> bool:
         return self.kind == "finite"
 
-    def expect_finite(self, what: str = "value") -> int:
-        if not self.is_finite:
-            raise ValueError(f"{what} did not resolve below cutoff {self.value}")
-        return self.value
-
     def __repr__(self):
         return f"{self.kind}({self.value})"
 

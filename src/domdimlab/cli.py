@@ -436,7 +436,7 @@ def ideal(algebra, preset, gen_exprs, report, fmt):
     table = _load_table(preset, algebra)
     vectors = [table.element_from_expr(e) for e in gen_exprs]
     X = hml.ideal_module(table, vectors)
-    rep = hml.check_ideal_rigidity(table, X, strict=False)
+    rep = hml.check_ideal_rigidity(table, X)
     item = {"name": "ideal-rigidity", "pass": rep.holds}
     item.update(rep.to_json())
     failures = [] if rep.holds else ["ideal-rigidity"]

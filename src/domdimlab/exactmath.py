@@ -60,10 +60,6 @@ class FieldSpec:
     def rational() -> "FieldSpec":
         return FieldSpec("rational")
 
-    @property
-    def is_prime(self) -> bool:
-        return self.kind == "prime"
-
     def zero(self):
         return 0 if self.kind == "prime" else Fraction(0)
 
@@ -144,6 +140,9 @@ def rref_rows(field: FieldSpec, rows: list[list]) -> tuple[int, list[int]]:
     return _rref_frac(rows)
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _rref_f2(rows: list[list[int]]) -> tuple[int, list[int]]:
     nrows = len(rows)
     ncols = len(rows[0])
@@ -168,11 +167,10 @@ def _rref_f2(rows: list[list[int]]) -> tuple[int, list[int]]:
         r += 1
         if r == nrows:
             break
-    for i in range(nrows):
-        v = packed[i]
-        row = rows[i]
-        for j in range(ncols):
-            row[j] = (v >> j) & 1
+    width = f"0{ncols}b"
+    for row, v in zip(rows, packed):
+        # bit j of v is column j: reverse the binary string, map "0"/"1" to 0/1
+        row[:] = format(v, width)[::-1].encode().translate(_BIT_BYTES)
     return r, pivots
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
+from . import quivalg as qa
 from .bounded import BoundedValue
 from .exactmath import (
     SpanBuilder,
@@ -34,8 +35,6 @@ from .exactmath import (
 )
 from .quivalg import (
     AlgebraTable,
-    DEFAULT_SEARCH_BUDGET,
-    DEFAULT_SIZE_LIMIT,
     _find_invertible,
     _radical_powers,
     corner_algebra,
@@ -58,10 +57,6 @@ class PreconditionError(ValueError):
 
 class UndeterminedError(RuntimeError):
     """A bounded witness search was exhausted without a verdict."""
-
-
-class FalsificationError(AssertionError):
-    """A machine-checked theorem instance failed; treat as fatal."""
 
 
 def require_not_semisimple(table: AlgebraTable) -> None:
@@ -503,9 +498,6 @@ class MinimalResolution:
             self._current = krep
             self._sub_basis = kbasis
 
-    def term_count(self) -> int:
-        return len(self.levels)
-
 
 def _resolution(M: Representation, length: int) -> MinimalResolution:
     res = M._cache.get("resolution")
@@ -698,27 +690,26 @@ def dim_hom(M: Representation, N: Representation) -> int:
     return len(hom_basis(M, N))
 
 
-def modules_isomorphic(M: Representation, N: Representation,
-                       budget: int = DEFAULT_SEARCH_BUDGET):
+def modules_isomorphic(M: Representation, N: Representation):
     """True / False / None: does an invertible intertwiner exist?
 
     Equality of dimensions and a nonzero Hom space are necessary; the
-    witness search is exhaustive over F_p whenever p^dim Hom fits the
-    budget, making False definitive there.
+    witness search is exhaustive over F_p whenever p^dim Hom fits
+    ``quivalg.SEARCH_BUDGET``, making False definitive there.
     """
     if M.dim != N.dim:
         return False
     if M.dim == 0:
         return True
-    return _iso_verdict(hom_basis(M, N), M.algebra.field, M.dim, budget)
+    return _iso_verdict(hom_basis(M, N), M.algebra.field, M.dim)
 
 
-def _iso_verdict(mats, fld, dim: int, budget: int):
+def _iso_verdict(mats, fld, dim: int):
     """True / False / None from a Hom basis between two modules of
     dimension ``dim``: is some combination invertible?"""
     if not mats:
         return False
-    witness, complete = _find_invertible(mats, fld, dim, budget)
+    witness, complete = _find_invertible(mats, fld, dim)
     if witness is not None:
         return True
     return False if complete else None
@@ -753,13 +744,13 @@ def dual_regular(table: AlgebraTable) -> Representation:
     return rep
 
 
-def enveloping(table: AlgebraTable, size_limit: int = DEFAULT_SIZE_LIMIT):
+def enveloping(table: AlgebraTable):
     """A (x) A^op, together with the regular bimodule as a right module
     over it: (u (x) v) acts by m -> v*m*u.
 
     Returns (enveloping table, Representation of the regular bimodule).
     """
-    env = tensor_algebra(table, _op_table(table), size_limit=size_limit)
+    env = tensor_algebra(table, _op_table(table))
     env.provenance.update({"kind": "enveloping"})
     d = table.dim
     actions = []
@@ -772,14 +763,14 @@ def enveloping(table: AlgebraTable, size_limit: int = DEFAULT_SIZE_LIMIT):
     return env, rep
 
 
-def _injective_is_projective(table: AlgebraTable, vertex: int, budget: int) -> bool:
+def _injective_is_projective(table: AlgebraTable, vertex: int) -> bool:
     """Is the injective at ``vertex`` isomorphic to some indecomposable projective?"""
     inj = injective(table, vertex)
     for j in range(table.n_vertices):
         P = projective(table, j)
         if P.dim != inj.dim:
             continue
-        verdict = modules_isomorphic(inj, P, budget=budget)
+        verdict = modules_isomorphic(inj, P)
         if verdict is True:
             return True
         if verdict is None:
@@ -789,30 +780,28 @@ def _injective_is_projective(table: AlgebraTable, vertex: int, budget: int) -> b
     return False
 
 
-def projective_injective_vertices(table: AlgebraTable,
-                                  budget: int = DEFAULT_SEARCH_BUDGET) -> set[int]:
+def projective_injective_vertices(table: AlgebraTable) -> set[int]:
     """Vertices whose injective is also projective."""
     cached = table._cache.get("pi_vertices")
     if cached is not None:
         return cached
-    out = {i for i in range(table.n_vertices) if _injective_is_projective(table, i, budget)}
+    out = {i for i in range(table.n_vertices) if _injective_is_projective(table, i)}
     table._cache["pi_vertices"] = out
     return out
 
 
-def is_selfinjective(table: AlgebraTable, budget: int = DEFAULT_SEARCH_BUDGET) -> bool:
+def is_selfinjective(table: AlgebraTable) -> bool:
     """Every injective is projective (stops at the first that is not)."""
-    return all(_injective_is_projective(table, i, budget) for i in range(table.n_vertices))
+    return all(_injective_is_projective(table, i) for i in range(table.n_vertices))
 
 
-def domdim(table: AlgebraTable, cutoff: int,
-           budget: int = DEFAULT_SEARCH_BUDGET) -> BoundedValue:
+def domdim(table: AlgebraTable, cutoff: int) -> BoundedValue:
     """Dominant dimension via the dual of a minimal projective resolution
     of D(A) over the opposite algebra."""
     if cutoff < 1:
         raise PreconditionError("cutoff must be >= 1")
     require_not_semisimple(table)
-    PI = projective_injective_vertices(table, budget)
+    PI = projective_injective_vertices(table)
     op = _op_table(table)
     co_reg = dual_representation(regular(table), op)
     co_reg.name = "D(A_A)"
@@ -860,14 +849,13 @@ def resolution_report(M: Representation, t: int) -> dict:
     }
 
 
-def injective_coresolution(M: Representation, t: int,
-                           budget: int = DEFAULT_SEARCH_BUDGET) -> CoresolutionReport:
+def injective_coresolution(M: Representation, t: int) -> CoresolutionReport:
     """First t terms of the minimal injective coresolution, by dualising."""
     table = M.algebra
     op = _op_table(table)
     dual = dual_representation(M, op)
     res = _resolution(dual, t)
-    PI = projective_injective_vertices(table, budget)
+    PI = projective_injective_vertices(table)
     # the opposite algebra has the same vertex labels
     terms = [{**_term_summary(op, verts), "projective": all(v in PI for v in verts)}
              for verts in (res.levels + [[]] * t)[:t]]
@@ -993,15 +981,13 @@ class IdealRigidityReport:
         }
 
 
-def check_ideal_rigidity(table: AlgebraTable, X: IdealModule,
-                         strict: bool = True,
-                         budget: int = DEFAULT_SEARCH_BUDGET) -> IdealRigidityReport:
+def check_ideal_rigidity(table: AlgebraTable, X: IdealModule) -> IdealRigidityReport:
     """For a symmetric algebra and a nontrivial proper two-sided ideal X:
     report dim Hom(X, A/X) and dim Ext^1(X, X) and check that the first
     being nonzero forces the second nonzero (and, for local algebras,
     that the first is nonzero unconditionally)."""
     require_not_semisimple(table)
-    sym = is_symmetric(table, budget=budget)
+    sym = is_symmetric(table)
     if sym is None:
         raise UndeterminedError("could not certify the algebra symmetric")
     if sym is False:
@@ -1017,10 +1003,7 @@ def check_ideal_rigidity(table: AlgebraTable, X: IdealModule,
         holds = False
     if hom != 0 and ext1 == 0:
         holds = False
-    report = IdealRigidityReport(table.describe(), X.dim, hom, ext1, local, holds)
-    if strict and not holds:
-        raise FalsificationError(f"ideal rigidity failed: {report.to_json()}")
-    return report
+    return IdealRigidityReport(table.describe(), X.dim, hom, ext1, local, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1040,7 @@ def _local_scalar(T, fld, dim):
     return lam if nilpotent(shifted(lam)) else None
 
 
-def is_indecomposable(M: Representation, budget: int = DEFAULT_SEARCH_BUDGET):
+def is_indecomposable(M: Representation):
     """True / False / None, by Fitting splittings and an End-locality certificate.
 
     A stable power of any endomorphism with rank strictly between 0 and
@@ -1077,7 +1060,7 @@ def is_indecomposable(M: Representation, budget: int = DEFAULT_SEARCH_BUDGET):
                 [fld.add(ends[i][r][c], ends[j][r][c]) for c in range(M.dim)]
                 for r in range(M.dim)
             ])
-    candidates = candidates[:budget]
+    candidates = candidates[:qa.SEARCH_BUDGET]
     for T in candidates:
         power = [list(r) for r in T]
         steps = 1
@@ -1129,8 +1112,7 @@ def is_indecomposable(M: Representation, budget: int = DEFAULT_SEARCH_BUDGET):
     return True
 
 
-def endomorphism_algebra(summands: list[Representation],
-                         budget: int = DEFAULT_SEARCH_BUDGET) -> AlgebraTable:
+def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
     """End(M) for M the direct sum of pairwise non-isomorphic verified
     indecomposables, as an algebra table.
 
@@ -1143,7 +1125,7 @@ def endomorphism_algebra(summands: list[Representation],
     table = summands[0].algebra
     fld = table.field
     for M in summands:
-        verdict = is_indecomposable(M, budget)
+        verdict = is_indecomposable(M)
         if verdict is False:
             raise PreconditionError(f"summand {M.name or '?'} is decomposable")
         if verdict is None:
@@ -1152,7 +1134,7 @@ def endomorphism_algebra(summands: list[Representation],
             )
     for i in range(len(summands)):
         for j in range(i + 1, len(summands)):
-            verdict = modules_isomorphic(summands[i], summands[j], budget)
+            verdict = modules_isomorphic(summands[i], summands[j])
             if verdict is True:
                 raise PreconditionError("summands must be pairwise non-isomorphic")
             if verdict is None:
@@ -1262,8 +1244,7 @@ def _solve_coords(fld, basis_rows, target):
 # gendo-symmetric test
 # ---------------------------------------------------------------------------
 
-def is_gendo_symmetric(table: AlgebraTable, cutoff: int,
-                       budget: int = DEFAULT_SEARCH_BUDGET):
+def is_gendo_symmetric(table: AlgebraTable, cutoff: int):
     """True / False / None: dominant dimension >= 2 together with the
     bimodule isomorphism D(Ae) = eA over eAe (x) A^op, for e the sum of
     idempotents spanning the minimal faithful projective-injective.
@@ -1274,11 +1255,11 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int,
     if cutoff < 2:
         raise PreconditionError("cutoff must be >= 2 to settle domdim >= 2")
     require_not_semisimple(table)
-    dd = domdim(table, cutoff, budget)
+    dd = domdim(table, cutoff)
     if dd.is_finite and dd.value < 2:
         return False
     fld = table.field
-    PI = sorted(projective_injective_vertices(table, budget))
+    PI = sorted(projective_injective_vertices(table))
     labels = [table.idempotents[i][0] for i in PI]
     corner, corner_rows = corner_algebra(table, labels)
 
@@ -1328,7 +1309,7 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int,
     for h in table.generators:
         pairs.append(pair(lambda m: table.mult_elements(h, m),
                           lambda m: table.mult_elements(m, h)))
-    return _iso_verdict(_intertwiners(fld, pairs, dim, dim), fld, dim, budget)
+    return _iso_verdict(_intertwiners(fld, pairs, dim, dim), fld, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,6 @@ def simple(A: NakAlgebra, i: int) -> NakModule:
     return NakModule(A.vertex(i), 1)
 
 
-def top_vertex(M: NakModule) -> int:
-    return M.vertex
-
-
 def socle_vertex(A: NakAlgebra, M: NakModule) -> int:
     return A.vertex(M.vertex + M.length - 1)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 
 from . import nakayama as nak
 from .exactmath import (
@@ -31,8 +31,8 @@ from .exactmath import (
     reduce_against,
 )
 
-DEFAULT_SIZE_LIMIT = 4096
-DEFAULT_SEARCH_BUDGET = 20000
+SIZE_LIMIT = 4096  # largest table dimension (paths, corner or tensor basis) built
+SEARCH_BUDGET = 20000  # coefficient tuples tried before a witness search gives up
 
 
 class RelationSyntaxError(ValueError):
@@ -536,7 +536,7 @@ def is_semisimple(table: AlgebraTable) -> bool:
 # compilation of bounded quiver algebras
 # ---------------------------------------------------------------------------
 
-def compile_quiver(spec: QuiverSpec, size_limit: int = DEFAULT_SIZE_LIMIT) -> AlgebraTable:
+def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
     """Compile KQ/I truncated at the certified Loewy bound L.
 
     The working space is spanned by the paths of length <= L; the image of
@@ -565,8 +565,8 @@ def compile_quiver(spec: QuiverSpec, size_limit: int = DEFAULT_SIZE_LIMIT) -> Al
                 nxt.append((src, arr + (a.name,)))
         paths.extend(nxt)
         frontier = nxt
-        if len(paths) > size_limit:
-            raise SizeLimitError(f"more than {size_limit} paths below the Loewy bound")
+        if len(paths) > SIZE_LIMIT:
+            raise SizeLimitError(f"more than {SIZE_LIMIT} paths below the Loewy bound")
 
     def sort_key(p):
         src, arr = p
@@ -729,14 +729,13 @@ def compile_quiver(spec: QuiverSpec, size_limit: int = DEFAULT_SIZE_LIMIT) -> Al
 # presets and the Nakayama bridge
 # ---------------------------------------------------------------------------
 
-def nakayama_to_table(A: nak.NakAlgebra, field: FieldSpec,
-                      size_limit: int = DEFAULT_SIZE_LIMIT) -> AlgebraTable:
+def nakayama_to_table(A: nak.NakAlgebra, field: FieldSpec) -> AlgebraTable:
     """The basic algebra with the given Kupisch series, as a monomial
     bounded quiver algebra over ``field``.  Basis size is sum(c_i)."""
     n = A.n
     total = sum(A.kupisch)
-    if total > size_limit:
-        raise SizeLimitError(f"Nakayama table of dimension {total} exceeds limit {size_limit}")
+    if total > SIZE_LIMIT:
+        raise SizeLimitError(f"Nakayama table of dimension {total} exceeds limit {SIZE_LIMIT}")
     vertices = tuple(f"v{i}" for i in range(n))
     if A.is_cycle:
         arrows = tuple(Arrow(f"a{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n))
@@ -754,7 +753,7 @@ def nakayama_to_table(A: nak.NakAlgebra, field: FieldSpec,
                 relations.append(rel)
     L = max(A.kupisch) + 1
     spec = QuiverSpec(vertices, arrows, tuple(relations), L, field)
-    table = compile_quiver(spec, size_limit=size_limit)
+    table = compile_quiver(spec)
     table.provenance.update({"kind": "nakayama", "nakayama": A.to_json()})
     assert table.dim == total, "bridge dimension bookkeeping failed"
     return table
@@ -846,7 +845,7 @@ def _quaternion8_table(field: FieldSpec) -> AlgebraTable:
 _TRUNCPOLY = re.compile(r"truncated-poly\((\d+),(F(\d+)|Q)\)$")
 
 
-def preset(name: str, size_limit: int = DEFAULT_SIZE_LIMIT) -> AlgebraTable:
+def preset(name: str) -> AlgebraTable:
     """Fixed example algebras addressable by name.
 
     hopf-a5-f2        the 8-dimensional local algebra K<a,b>/(a^2, b^2-aba), char 2
@@ -864,7 +863,7 @@ def preset(name: str, size_limit: int = DEFAULT_SIZE_LIMIT) -> AlgebraTable:
             loewy_bound=5,
             field=f2,
         )
-        table = compile_quiver(spec, size_limit)
+        table = compile_quiver(spec)
         table.provenance.update({"kind": "preset", "preset": name})
         return table
     if name == "dihedral8-f2":
@@ -872,7 +871,7 @@ def preset(name: str, size_limit: int = DEFAULT_SIZE_LIMIT) -> AlgebraTable:
     if name == "quaternion8-f2":
         return _quaternion8_table(f2)
     if name == "preproj-a2":
-        table = nakayama_to_table(nak.validate(nak.CYCLE, (2, 2)), f2, size_limit)
+        table = nakayama_to_table(nak.validate(nak.CYCLE, (2, 2)), f2)
         table.provenance.update({"kind": "preset", "preset": name})
         return table
     m = _TRUNCPOLY.match(name)
@@ -881,7 +880,7 @@ def preset(name: str, size_limit: int = DEFAULT_SIZE_LIMIT) -> AlgebraTable:
         if npow < 2:
             raise CompileError("truncated-poly needs exponent >= 2")
         fld = FieldSpec.rational() if m.group(2) == "Q" else FieldSpec.prime(int(m.group(3)))
-        table = nakayama_to_table(nak.validate(nak.CYCLE, (npow,)), fld, size_limit)
+        table = nakayama_to_table(nak.validate(nak.CYCLE, (npow,)), fld)
         table.provenance.update({"kind": "preset", "preset": name})
         return table
     raise KeyError(f"unknown preset {name!r}")
@@ -908,13 +907,12 @@ def opposite(table: AlgebraTable) -> AlgebraTable:
     )
 
 
-def tensor_algebra(a: AlgebraTable, b: AlgebraTable,
-                   size_limit: int = DEFAULT_SIZE_LIMIT) -> AlgebraTable:
+def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
     if a.field != b.field:
         raise ValueError("tensor factors must share the field")
     d = a.dim * b.dim
-    if d > size_limit:
-        raise SizeLimitError(f"tensor algebra of dimension {d} exceeds limit {size_limit}")
+    if d > SIZE_LIMIT:
+        raise SizeLimitError(f"tensor algebra of dimension {d} exceeds limit {SIZE_LIMIT}")
     fld = a.field
     zero = fld.zero()
 
@@ -973,8 +971,7 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable,
     )
 
 
-def corner_algebra(table: AlgebraTable, idem_labels: list[str],
-                   size_limit: int = DEFAULT_SIZE_LIMIT):
+def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
     """e*A*e for e the sum of the named idempotents.
 
     Returns (corner table, basis rows of eAe inside A).
@@ -994,7 +991,7 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str],
             span.add(ebe)
     rows, pivots = span.finish()
     dim_c = len(rows)
-    if dim_c > size_limit:
+    if dim_c > SIZE_LIMIT:
         raise SizeLimitError("corner algebra too large")
 
     def coords(vec):
@@ -1073,8 +1070,9 @@ def _gram(table: AlgebraTable, lam: list) -> list[list]:
     return out
 
 
-def _coeff_tuples(field: FieldSpec, h: int, budget: int, degree_bound: int | None = None):
-    """Deterministic enumeration of coefficient tuples, cheap ones first.
+def _coeff_tuples(field: FieldSpec, h: int, degree_bound: int):
+    """Deterministic enumeration of at most ``SEARCH_BUDGET`` nonzero
+    coefficient tuples, cheap ones first.
 
     The scan is *complete* (second return value) in two situations, and the
     caller may then read exhaustion as a definitive "no witness":
@@ -1088,45 +1086,20 @@ def _coeff_tuples(field: FieldSpec, h: int, budget: int, degree_bound: int | Non
       identically zero, so no witness exists over any extension either.
     """
     if field.kind == "prime":
-        p = field.p
-        total = p ** h
-        if total <= budget:
-            def gen():
-                for tup in iter_product(range(p), repeat=h):
-                    if any(tup):
-                        yield [field.of_int(x) for x in tup]
-            return gen(), True
-
-        def gen_partial():
-            count = 0
-            for tup in iter_product(range(p), repeat=h):
-                if any(tup):
-                    yield [field.of_int(x) for x in tup]
-                    count += 1
-                    if count >= budget:
-                        return
-        return gen_partial(), False
-
-    if degree_bound is not None and (degree_bound + 1) ** h <= budget:
-        def gen_grid():
-            for tup in iter_product(range(degree_bound + 1), repeat=h):
-                if any(tup):
-                    yield [field.of_int(x) for x in tup]
-        return gen_grid(), True
-
-    def gen_q():
-        count = 0
-        for radius in (1, 2, 3):
-            for tup in iter_product(range(-radius, radius + 1), repeat=h):
-                if any(tup) and max(abs(x) for x in tup) == radius:
-                    yield [field.of_int(x) for x in tup]
-                    count += 1
-                    if count >= budget:
-                        return
-    return gen_q(), False
+        tuples = (t for t in iter_product(range(field.p), repeat=h) if any(t))
+        complete = field.p ** h <= SEARCH_BUDGET
+    elif (degree_bound + 1) ** h <= SEARCH_BUDGET:
+        tuples = (t for t in iter_product(range(degree_bound + 1), repeat=h) if any(t))
+        complete = True
+    else:
+        tuples = (t for radius in (1, 2, 3)
+                  for t in iter_product(range(-radius, radius + 1), repeat=h)
+                  if max(abs(x) for x in t) == radius)
+        complete = False
+    return ([field.of_int(x) for x in t] for t in islice(tuples, SEARCH_BUDGET)), complete
 
 
-def _find_invertible(mats, fld, dim, budget):
+def _find_invertible(mats, fld, dim):
     """Search the span of ``mats`` for an invertible matrix.
 
     Returns (witness or None, search_complete).  Complete exhaustion rules
@@ -1138,7 +1111,7 @@ def _find_invertible(mats, fld, dim, budget):
     for T in mats:
         if rank_rows(fld, T) == dim:
             return T, False
-    tuples, complete = _coeff_tuples(fld, len(mats), budget, degree_bound=dim)
+    tuples, complete = _coeff_tuples(fld, len(mats), dim)
     for coeffs in tuples:
         acc = [[fld.zero()] * dim for _ in range(dim)]
         for c, T in zip(coeffs, mats):
@@ -1154,18 +1127,18 @@ def _find_invertible(mats, fld, dim, budget):
     return None, complete
 
 
-def is_symmetric(table: AlgebraTable, budget: int = DEFAULT_SEARCH_BUDGET):
+def is_symmetric(table: AlgebraTable):
     """True / False / None (undetermined).
 
     Searches for a symmetrising functional whose induced bilinear form
     b(x, y) = lam(xy) is nondegenerate.  The Gram matrix is linear in lam,
     so this is a search for an invertible matrix in the span of the Gram
     matrices of a basis of symmetrising functionals.  Over F_p the scan is
-    exhaustive whenever p^dim(space) fits the budget, making False
+    exhaustive whenever p^dim(space) fits ``SEARCH_BUDGET``, making False
     definitive; over Q a found witness gives True and exhaustion gives None.
     """
     grams = [_gram(table, lam) for lam in symmetric_functional_space(table)]
-    witness, complete = _find_invertible(grams, table.field, table.dim, budget)
+    witness, complete = _find_invertible(grams, table.field, table.dim)
     if witness is not None:
         return True
     return False if complete else None

@@ -16,12 +16,16 @@ from . import quivalg as qa
 from . import rigidity as rg
 from .exactmath import F2, F3
 
+CUTOFF = 64  # search cutoff of every bounded invariant in the suites
+ORACLE_N_MAX, ORACLE_C_MAX, ORACLE_T_MAX = 3, 6, 4  # oracle-cross: n, entries, Ext degree
+SWEEP_N_MAX, SWEEP_C_MAX = 5, 10  # rigidity-sweep: n, entries
 
-def cyclic_series(n_min: int, n_max: int, c_max: int, c_min: int = 2):
+
+def cyclic_series(n_min: int, n_max: int, c_max: int):
     """All valid cyclic Kupisch series with n_min <= n <= n_max entries in
-    [c_min, c_max], in lexicographic order."""
+    [2, c_max], in lexicographic order (2 is the least entry on a cycle)."""
     for n in range(n_min, n_max + 1):
-        for c in iter_product(range(c_min, c_max + 1), repeat=n):
+        for c in iter_product(range(2, c_max + 1), repeat=n):
             if all(c[(i + 1) % n] >= c[i] - 1 for i in range(n)):
                 yield c
 
@@ -40,9 +44,9 @@ def _result(items):
 # paper-core: the fast pinned-value checks
 # ---------------------------------------------------------------------------
 
-def _family_item(n, cutoff):
+def _family_item(n):
     A = nak.validate(nak.CYCLE, (n,) + (n + 1,) * (n - 1))
-    got = nak.domdim(A, cutoff)
+    got = nak.domdim(A, CUTOFF)
     want = 2 * n - 2
     return _item(f"family-domdim-n{n}", got.is_finite and got.value == want,
                  expected=want, got=got.to_json())
@@ -87,14 +91,14 @@ def _quaternion_periodic_item():
     return _item("quaternion-omega4-selfiso", verdict is True, got_dim=om.dim)
 
 
-def _mueller_item(cutoff):
+def _mueller_item():
     B = nak.validate(nak.CYCLE, (3, 3))
     table = qa.nakayama_to_table(B, F2)
     P0 = hml.projective(table, 0); P0.name = "P0"
     P1 = hml.projective(table, 1); P1.name = "P1"
     S0 = hml.bridged_module(table, 0, 1); S0.name = "S0"
     end = hml.endomorphism_algebra([P0, P1, S0])
-    dd = hml.domdim(end, cutoff)
+    dd = hml.domdim(end, CUTOFF)
     phi_comb = nak.phi(B, [nak.projective(B, 0), nak.projective(B, 1),
                            nak.simple(B, 0)], 12)
     ok = (dd.is_finite and phi_comb.is_finite
@@ -110,7 +114,7 @@ def _ideal_rigidity_item():
         table = qa.preset(f"truncated-poly({n},Q)")
         for k in range(1, n):
             X = hml.radical_power(table, k)
-            rep = hml.check_ideal_rigidity(table, X, strict=False)
+            rep = hml.check_ideal_rigidity(table, X)
             details.append(rep.to_json())
             ok = ok and rep.holds and rep.ext1_self > 0
     return _item("ideal-rigidity-truncated-poly", ok, instances=details)
@@ -125,7 +129,7 @@ def _ideal_rigidity_group_algebras_item():
             X = hml.radical_power(table, k)
             if not 0 < X.dim < table.dim:
                 continue
-            rep = hml.check_ideal_rigidity(table, X, strict=False)
+            rep = hml.check_ideal_rigidity(table, X)
             details.append(rep.to_json())
             ok = ok and rep.holds and rep.ext1_self > 0
     return _item("ideal-rigidity-group-algebras", ok, instances=details)
@@ -152,8 +156,8 @@ def _extsym_item():
     return _item("extsym-preproj-a2", ok, report=rep.to_json())
 
 
-def suite_paper_core(cutoff: int = 64):
-    items = [_family_item(n, cutoff) for n in range(2, 9)]
+def suite_paper_core():
+    items = [_family_item(n) for n in range(2, 9)]
     items.append(_rigid_witness_item())
     items.append(_delta_item((3,), 1))       # one simple
     items.append(_delta_item((3, 3), 3))     # two simples
@@ -162,7 +166,7 @@ def suite_paper_core(cutoff: int = 64):
     items.append(_fingerprint_item("dihedral8-f2", (7, 9, 15, 17)))
     items.append(_fingerprint_item("quaternion8-f2", (7, 9, 7, 1)))
     items.append(_quaternion_periodic_item())
-    items.append(_mueller_item(cutoff))
+    items.append(_mueller_item())
     items.append(_ideal_rigidity_item())
     items.append(_ideal_rigidity_group_algebras_item())
     items.append(_enveloping_ext_item())
@@ -174,7 +178,7 @@ def suite_paper_core(cutoff: int = 64):
 # oracle-cross: combinatorial vs linear-algebra engines
 # ---------------------------------------------------------------------------
 
-def _oracle_item(kup, fld, t_max):
+def _oracle_item(kup, fld):
     A = nak.validate(nak.CYCLE, kup)
     table = qa.nakayama_to_table(A, fld)
     mods = rg.indecomposables_sorted(A)
@@ -182,11 +186,11 @@ def _oracle_item(kup, fld, t_max):
     mismatches = []
     for M in mods:
         for N in mods:
-            ext = hml.ext_dims(bridged[M], bridged[N], t_max, include_hom=True)
+            ext = hml.ext_dims(bridged[M], bridged[N], ORACLE_T_MAX, include_hom=True)
             if ext.hom != nak.dim_hom(A, M, N):
                 mismatches.append(["hom", M.to_json(), N.to_json(),
                                    ext.hom, nak.dim_hom(A, M, N)])
-            for t in range(1, t_max + 1):
+            for t in range(1, ORACLE_T_MAX + 1):
                 comb = nak.dim_ext(A, t, M, N)
                 if ext.dim(t) != comb:
                     mismatches.append(["ext", t, M.to_json(), N.to_json(),
@@ -196,9 +200,9 @@ def _oracle_item(kup, fld, t_max):
                  mismatches=mismatches)
 
 
-def suite_oracle_cross(n_max: int = 3, c_max: int = 6, t_max: int = 4):
-    return _result([_oracle_item(kup, fld, t_max)
-                    for kup in cyclic_series(1, n_max, c_max)
+def suite_oracle_cross():
+    return _result([_oracle_item(kup, fld)
+                    for kup in cyclic_series(1, ORACLE_N_MAX, ORACLE_C_MAX)
                     for fld in (F2, F3)])
 
 
@@ -237,8 +241,8 @@ def _brute_o1_22_item():
                  brute=best, clique=rep.o_k)
 
 
-def suite_rigidity_sweep(n_max: int = 5, c_max: int = 10):
-    series = list(cyclic_series(2, n_max, c_max))
+def suite_rigidity_sweep():
+    series = list(cyclic_series(2, SWEEP_N_MAX, SWEEP_C_MAX))
     size = 128
     items = [_rigidity_chunk_item(series[i:i + size], f"{i:05d}")
              for i in range(0, len(series), size)]
@@ -262,11 +266,11 @@ MAIN_INEQUALITY_CORPUS = (
 )
 
 
-def _confirmed_item(kup, cutoff):
+def _confirmed_item(kup):
     A = nak.validate(nak.CYCLE, kup)
     name = f"main-ineq-{'-'.join(map(str, kup))}"
     table = qa.nakayama_to_table(A, F2)
-    verdict = hml.is_gendo_symmetric(table, max(cutoff, 2))
+    verdict = hml.is_gendo_symmetric(table, CUTOFF)
     if verdict is False:
         return _item(name + "-skipped", True, gendo=False,
                      note="not gendo-symmetric; outside the theorem's hypothesis")
@@ -275,15 +279,15 @@ def _confirmed_item(kup, cutoff):
     reports = []
     ok = True
     for k in (1, 2):
-        rep = rg.verify_main_inequality(A, k, cutoff, gendo="assert")
+        rep = rg.verify_main_inequality(A, k, CUTOFF, gendo="assert")
         rep.gendo_provenance = "bimodule-test"
         reports.append(rep.to_json())
         ok = ok and rep.verdict
     return _item(name, ok, reports=reports)
 
 
-def suite_main_inequality(cutoff: int = 64):
-    return _result([_confirmed_item(kup, cutoff) for kup in MAIN_INEQUALITY_CORPUS])
+def suite_main_inequality():
+    return _result([_confirmed_item(kup) for kup in MAIN_INEQUALITY_CORPUS])
 
 
 def suite_all():

@@ -31,7 +31,7 @@ def _announce(num, label, detail=""):
 @pytest.fixture(scope="module")
 def rigidity_sweep():
     """One run of the rigidity-sweep suite, shared by criteria 03 and 04."""
-    return suites.suite_rigidity_sweep(n_max=5, c_max=10)
+    return suites.suite_rigidity_sweep()
 
 
 def _sweep_chunks(items):
@@ -92,7 +92,7 @@ def test_criterion_05_main_inequality():
     """(o_k + 2 - w)(k + 2) - 1 >= domdim for k in {1, 2} on every
     non-selfinjective corpus instance the bimodule test confirms
     gendo-symmetric.  Any failing verdict is a falsification event."""
-    items, failures = suites.suite_main_inequality(cutoff=64)
+    items, failures = suites.suite_main_inequality()
     assert failures == [], ("FALSIFICATION", failures)
     by_name = {it["name"]: it for it in items}
     confirmed = []
@@ -144,7 +144,7 @@ def test_criterion_08_dual_oracle_sweep():
     """dim Ext^t (t <= 4) and dim Hom agree between the combinatorial and
     the linear-algebra engine for every pair of indecomposables, over all
     cyclic Kupisch series with n <= 3, entries <= 6, fields F_2 and F_3."""
-    items, failures = suites.suite_oracle_cross(n_max=3, c_max=6, t_max=4)
+    items, failures = suites.suite_oracle_cross()
     assert failures == [], [(it["name"], it["mismatches"]) for it in items
                             if not it["pass"]]
     pairs = sum(it["pairs"] for it in items)

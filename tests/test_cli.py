@@ -193,6 +193,18 @@ BAD_NUMBERS = {
 }
 
 
+def test_exhausted_search_exits_3(runner, monkeypatch):
+    monkeypatch.setattr(qa, "SEARCH_BUDGET", 1)
+    result = runner.invoke(main, ["quiver", "predicates", "--preset", "preproj-a2"])
+    assert result.exit_code == 3, result.output
+    assert json.loads(result.stdout)["items"][0]["symmetric"] == "undetermined"
+    assert "Traceback" not in result.output
+    result = runner.invoke(main, ["quiver", "domdim", "--preset", "preproj-a2"])
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("args, env", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
 def test_out_of_range_numbers_exit_2(runner, args, env):
     result = runner.invoke(main, args, env=env)

@@ -148,8 +148,9 @@ def test_rref_pivot_count_matches_rank(m):
                 assert not data.entry(rr, c)
 
 
-@given(matrices(field=F2, min_rows=8, max_rows=16, min_cols=9, max_cols=14))
+@given(matrices(field=F2, min_rows=8, max_rows=16, min_cols=9, max_cols=80))
 def test_f2_bitpacked_path_matches_generic(m):
+    # up to 80 columns, so packed rows also exceed one 64-bit word
     from domdimlab.exactmath import _rref_f2, _rref_mod
 
     a = m.row_lists()

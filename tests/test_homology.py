@@ -403,6 +403,22 @@ def test_nonisomorphism_certified_over_q():
     assert hml.modules_isomorphic(P0, P1) is False  # decided, not undetermined
 
 
+def test_nonisomorphism_undetermined_when_budget_runs_out(monkeypatch):
+    # one tuple over Q cannot cover the degree grid, so the answer is open
+    monkeypatch.setattr(qa, "SEARCH_BUDGET", 1)
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ)
+    P0 = hml.projective(table, 0)
+    P1 = hml.projective(table, 1)
+    assert hml.modules_isomorphic(P0, P1) is None
+
+
+def test_domdim_undetermined_when_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(qa, "SEARCH_BUDGET", 1)
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), F2)
+    with pytest.raises(hml.UndeterminedError):
+        hml.domdim(table, 8)
+
+
 def test_end_rejects_duplicate_summands(bridged33):
     P0 = hml.projective(bridged33, 0)
     P0bis = hml.projective(bridged33, 0)

@@ -261,6 +261,11 @@ def test_symmetric_decision_over_q():
     assert hml.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ))
 
 
+def test_symmetric_undetermined_when_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(qa, "SEARCH_BUDGET", 1)
+    assert qa.is_symmetric(qa.preset("preproj-a2")) is None
+
+
 def test_selfinjective_bridge_cross_validation():
     assert hml.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (4, 4)), F2))
     assert not hml.is_selfinjective(
@@ -294,9 +299,11 @@ def test_enveloping_bimodule_is_a_module():
     bimod.verify()
 
 
-def test_tensor_size_limit():
+def test_tensor_size_limit(monkeypatch):
+    table = qa.preset("hopf-a5-f2")
+    monkeypatch.setattr(qa, "SIZE_LIMIT", 32)
     with pytest.raises(qa.SizeLimitError):
-        hml.enveloping(qa.preset("hopf-a5-f2"), size_limit=32)
+        hml.enveloping(table)  # 8 x 8 = 64 > 32
 
 
 def test_corner_algebra_of_unit_recovers_dimension():
