@@ -179,7 +179,9 @@ _INPUT_ERRORS = (
 
 
 class _Command(click.Command):
-    """Maps input errors to exit 2 and exhausted searches to exit 3."""
+    """Maps input errors to exit 2, exhausted searches to exit 3 and failed
+    internal re-checks (``AssertionError``) to exit 4, so that exit 1 means
+    falsification only."""
 
     def invoke(self, ctx):
         try:
@@ -189,6 +191,9 @@ class _Command(click.Command):
         except hml.UndeterminedError as exc:
             click.echo(str(exc), err=True)
             sys.exit(3)
+        except AssertionError as exc:
+            click.echo(f"internal error: {str(exc) or 'assertion failed'}", err=True)
+            sys.exit(4)
 
 
 class _Group(click.Group):

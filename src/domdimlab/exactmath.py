@@ -141,12 +141,23 @@ def rref_rows(field: FieldSpec, rows: list[list]) -> tuple[int, list[int]]:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# byte b -> the ASCII digit of its parity, "0" or "1"
+_PARITY = bytes(48 + (b & 1) for b in range(256))
+
+
+def _pack_f2(row: list[int]) -> int:
+    """The row as an int whose bit j is the parity of entry j."""
+    try:
+        # one C-level pass: entries as bytes, last entry first, each to its parity digit
+        return int(bytes(row[::-1]).translate(_PARITY), 2)
+    except ValueError:  # an entry outside 0..255, or an empty row
+        return sum(1 << j for j, x in enumerate(row) if x & 1)
 
 
 def _rref_f2(rows: list[list[int]]) -> tuple[int, list[int]]:
     nrows = len(rows)
     ncols = len(rows[0])
-    packed = [sum(1 << j for j, x in enumerate(row) if x & 1) for row in rows]
+    packed = [_pack_f2(row) for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):

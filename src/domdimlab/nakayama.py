@@ -275,6 +275,46 @@ def dim_ext(A: NakAlgebra, t: int, M: NakModule, N: NakModule) -> int:
     return val
 
 
+def ext_table(A: NakAlgebra, kmax: int) -> list[list[list[int]]]:
+    """``tab[t-1][a][b] = dim Ext^t(mods[a], mods[b])`` for t = 1..kmax,
+    with ``mods = indecomposables(A)``.
+
+    The rank bookkeeping of :func:`dim_ext`, with each module's syzygy
+    chain computed once up to Omega^kmax and every weight read from one
+    table ``wt[v][j][cmax + l] = _weight(A, j, l, v)``, l = -cmax..cmax with
+    cmax = max(c).  The weight of a length l <= 0 is 0, so the shifted
+    reads ``l - y`` need no clamping.
+    """
+    if kmax < 1:
+        raise NakInputError("ext degree must be >= 1")
+    n, c = A.n, A.kupisch
+    cmax = max(c)
+    wt = [[[0] * cmax + [_weight(A, j, l, v) for l in range(cmax + 1)] for j in range(n)]
+          for v in range(n)]
+    mods = indecomposables(A)
+    targets = [(N.vertex, cmax + N.length) for N in mods]  # (j, index of l in wt[v][j])
+    tab = [[[0] * len(mods) for _ in mods] for _ in range(kmax)]
+    for a, M in enumerate(mods):
+        # chain[s] = Omega^s M as (top vertex, length), up to the first
+        # projective or Omega^kmax; Ext^t(M, -) = 0 once chain[t] is missing
+        chain = [(M.vertex, M.length)]
+        while len(chain) <= kmax and chain[-1][1] < c[chain[-1][0]]:
+            i, k = chain[-1]
+            chain.append(((i + k) % n if A.is_cycle else i + k, c[i] - k))
+        for t in range(1, len(chain)):
+            u, y_in = chain[t - 1]
+            v, y_out = chain[t]
+            w_in, w_out = wt[u], wt[v]
+            if y_out == c[v]:  # Omega^t M is projective: no outgoing map
+                row = [w_out[j][l] - w_in[j][l - y_in] for j, l in targets]
+            else:
+                row = [w_out[j][l] - w_in[j][l - y_in] - w_out[j][l - y_out]
+                       for j, l in targets]
+            assert min(row) >= 0, "rank bookkeeping broke rank-nullity"
+            tab[t - 1][a] = row
+    return tab
+
+
 def one_rigid_indecomposables(A: NakAlgebra) -> list[NakModule]:
     """All indecomposables with vanishing first self-extension, for a cyclic
     quiver with at least two simples: ``M(i,k)`` qualifies iff

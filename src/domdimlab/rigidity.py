@@ -62,30 +62,26 @@ class RigidityReport:
         return obj
 
 
-def _pair_rigid(A: nak.NakAlgebra, k: int, X: nak.NakModule, Y: nak.NakModule) -> bool:
-    for t in range(1, k + 1):
-        if nak.dim_ext(A, t, X, Y) or nak.dim_ext(A, t, Y, X):
-            return False
-    return True
-
-
 def compat_graph(A: nak.NakAlgebra, k: int) -> CompatGraph:
     """Vertices: indecomposables with Ext^t(X,X) = 0 for t <= k; edges:
     pairs with Ext^t vanishing both ways for t <= k."""
     if k < 1:
         raise nak.NakInputError("rigidity degree must be >= 1")
-    verts = [
-        M for M in indecomposables_sorted(A)
-        if all(nak.dim_ext(A, t, M, M) == 0 for t in range(1, k + 1))
-    ]
-    n = len(verts)
+    mods = nak.indecomposables(A)  # already in sorted order
+    # ext[a]: bit b set iff Ext^t(mods[a], mods[b]) != 0 for some t <= k
+    ext = [0] * len(mods)
+    for layer in nak.ext_table(A, k):
+        for a, row in enumerate(layer):
+            ext[a] |= sum(1 << b for b, x in enumerate(row) if x)
+    idx = [a for a in range(len(mods)) if not ext[a] >> a & 1]
+    n = len(idx)
     adj = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if _pair_rigid(A, k, verts[i], verts[j]):
+            if not (ext[idx[i]] >> idx[j] & 1 or ext[idx[j]] >> idx[i] & 1):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return CompatGraph(A, k, tuple(verts), tuple(adj))
+    return CompatGraph(A, k, tuple(mods[a] for a in idx), tuple(adj))
 
 
 def indecomposables_sorted(A: nak.NakAlgebra) -> list[nak.NakModule]:
@@ -114,13 +110,7 @@ def _max_clique(adj: Sequence[int], n: int) -> tuple[int, int]:
     Returns (size, vertex mask)."""
     if n == 0:
         return 0, 0
-    # degeneracy order, smallest remaining degree first, index tie-break
-    remaining = set(range(n))
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda x: (bin(adj[x] & _mask(remaining)).count("1"), x))
-        order.append(v)
-        remaining.remove(v)
+    order = _degeneracy_order(adj, n)
     order.reverse()  # high-degeneracy vertices first
     pos = {v: i for i, v in enumerate(order)}
 
@@ -167,11 +157,20 @@ def _max_clique(adj: Sequence[int], n: int) -> tuple[int, int]:
     return best_size, best_mask
 
 
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+def _degeneracy_order(adj: Sequence[int], n: int) -> list[int]:
+    """Repeatedly remove a vertex of least degree among those remaining
+    (lowest index on ties); the removal order.  Each vertex's remaining
+    degree is kept as a running count, decremented when a neighbour goes."""
+    deg = [bin(adj[v]).count("1") for v in range(n)]
+    remaining = list(range(n))  # ascending, so min() returns the lowest index on ties
+    order = []
+    while remaining:
+        v = min(remaining, key=deg.__getitem__)
+        order.append(v)
+        remaining.remove(v)
+        for u in _bits(adj[v]):
+            deg[u] -= 1
+    return order
 
 
 def _bits(mask: int):
@@ -297,12 +296,9 @@ def is_ext1_symmetric(A, modules: Optional[list] = None) -> bool:
     if isinstance(A, nak.NakAlgebra):
         if not nak.is_selfinjective(A):
             raise nak.NakInputError("1-Extsymmetry is defined for selfinjective algebras")
-        mods = indecomposables_sorted(A)
-        for X in mods:
-            for Y in mods:
-                if (nak.dim_ext(A, 1, X, Y) != 0) != (nak.dim_ext(A, 1, Y, X) != 0):
-                    return False
-        return True
+        (ext1,) = nak.ext_table(A, 1)
+        return all((x != 0) == (ext1[b][a] != 0)
+                   for a, row in enumerate(ext1) for b, x in enumerate(row))
     if modules is None:
         raise ValueError("a table input needs its complete indecomposable list")
     ext1 = {}

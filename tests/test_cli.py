@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from domdimlab import quivalg as qa
+from domdimlab import rigidity as rg
 from domdimlab.cli import main
 
 
@@ -203,6 +204,16 @@ def test_exhausted_search_exits_3(runner, monkeypatch):
     assert result.exit_code == 3, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+def test_failed_internal_recheck_exits_4(runner, monkeypatch):
+    monkeypatch.setattr(rg, "is_k_rigid", lambda A, modules, k: False)
+    result = runner.invoke(main, ["nakayama", "ok", "--k", "1", "--cycle", "--kupisch", "2,2"])
+    assert result.exit_code == 4, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stderr.strip() == (
+        "internal error: clique witness failed the direct rigidity re-check")
 
 
 @pytest.mark.parametrize("args, env", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())

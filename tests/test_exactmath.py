@@ -159,3 +159,19 @@ def test_f2_bitpacked_path_matches_generic(m):
     r2 = _rref_mod(b, 2)
     assert r1 == r2
     assert a == b
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 255, 256, -1]), min_size=1, max_size=90))
+def test_f2_row_packing_matches_per_entry_generator(row):
+    # 256 and -1 are outside a byte, so they take the fallback path
+    from domdimlab.exactmath import _pack_f2
+
+    assert _pack_f2(row) == sum(1 << j for j, x in enumerate(row) if x & 1)
+
+
+def test_f2_row_packing_fixed_rows():
+    from domdimlab.exactmath import _pack_f2
+
+    assert _pack_f2([0, 1, 2, 255]) == 0b1010
+    assert _pack_f2([0, 1, 2, 255, 256, -1]) == 0b101010
+    assert _pack_f2([]) == 0

@@ -16,6 +16,17 @@ def cyclic_algebras(draw, n_max=4, c_max=6):
     return nak.validate(C, kup)
 
 
+@st.composite
+def line_algebras(draw, n_max=6):
+    # built from the sink backwards, so c_i <= n - i and c_i <= c_{i+1} + 1 hold
+    n = draw(st.integers(2, n_max))
+    kup = [1]
+    for i in range(n - 2, -1, -1):
+        kup.insert(0, draw(st.integers(1, min(n - i, kup[0] + 1))))
+    assume(any(x > 1 for x in kup))
+    return nak.validate(L, kup)
+
+
 # -- validation --------------------------------------------------------------
 
 def test_validate_family_instance():
@@ -309,6 +320,22 @@ def test_delta_symmetric_33():
 
 def test_delta_line21():
     assert nak.delta(nak.validate(L, (2, 1)), 12) == BoundedValue.finite(1)
+
+
+# -- the Ext table ------------------------------------------------------------
+
+@given(st.one_of(cyclic_algebras(n_max=4, c_max=8), line_algebras()))
+def test_ext_table_matches_dim_ext(A):
+    mods = nak.indecomposables(A)
+    tab = nak.ext_table(A, 3)
+    assert len(tab) == 3
+    for t in (1, 2, 3):
+        assert tab[t - 1] == [[nak.dim_ext(A, t, M, N) for N in mods] for M in mods]
+
+
+def test_ext_table_rejects_degree_0():
+    with pytest.raises(nak.NakInputError):
+        nak.ext_table(nak.validate(C, (2, 2)), 0)
 
 
 # -- structural invariants ---------------------------------------------------

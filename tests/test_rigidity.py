@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab import rigidity as rg
+from domdimlab.suites import cyclic_series
 
 
 C = nak.CYCLE
@@ -46,6 +49,57 @@ def test_compat_vertices_match_one_rigid(kup):
     A = nak.validate(C, kup)
     g = rg.compat_graph(A, 1)
     assert set(g.vertices) == set(nak.one_rigid_indecomposables(A))
+
+
+def pairwise_compat_graph(A, k):
+    """The graph built pair by pair from scalar dim_ext."""
+    def rigid(X, Y):
+        return all(nak.dim_ext(A, t, X, Y) == 0 and nak.dim_ext(A, t, Y, X) == 0
+                   for t in range(1, k + 1))
+
+    verts = [M for M in sorted(nak.indecomposables(A)) if rigid(M, M)]
+    adj = [0] * len(verts)
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if rigid(verts[i], verts[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(verts), tuple(adj)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compat_graph_matches_pairwise_dim_ext(k):
+    for kup in cyclic_series(1, 4, 6):
+        A = nak.validate(C, kup)
+        g = rg.compat_graph(A, k)
+        assert (g.vertices, g.adjacency) == pairwise_compat_graph(A, k), kup
+
+
+# -- clique search -------------------------------------------------------------
+
+def set_based_degeneracy_order(adj, n):
+    remaining = set(range(n))
+    order = []
+    while remaining:
+        mask = sum(1 << v for v in remaining)
+        v = min(remaining, key=lambda x: (bin(adj[x] & mask).count("1"), x))
+        order.append(v)
+        remaining.remove(v)
+    return order
+
+
+def test_degeneracy_order_matches_set_based_definition():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(0, 40)
+        density = rng.random()
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        assert rg._degeneracy_order(adj, n) == set_based_degeneracy_order(adj, n)
 
 
 # -- is_k_rigid ----------------------------------------------------------------
@@ -113,6 +167,23 @@ def test_o_k_witness_revalidates():
         rep = rg.o_k(A, k)
         assert rg.is_k_rigid(A, rep.witness, k)
         assert len(rep.witness) == rep.o_k
+
+
+# the search and its tie-breaks must keep returning exactly these witnesses
+PINNED_WITNESSES = [
+    (C, (3, 4, 4), 1, [(0, 1), (0, 2), (1, 4), (2, 3), (2, 4)]),
+    (C, (3, 4, 4), 2, [(0, 3), (1, 3), (1, 4), (2, 4)]),
+    (C, (5, 6, 6, 6, 6), 2, [(0, 5), (1, 5), (1, 6), (2, 6), (3, 5), (3, 6), (4, 6)]),
+    (nak.LINE, (3, 3, 2, 1), 1, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 2), (3, 1)]),
+    (C, (4, 4, 5), 3, [(0, 1), (0, 4), (1, 4), (2, 5)]),
+]
+
+
+@pytest.mark.parametrize("orientation, kup, k, witness", PINNED_WITNESSES)
+def test_o_k_pinned_witnesses(orientation, kup, k, witness):
+    rep = rg.o_k(nak.validate(orientation, kup), k)
+    assert rep.o_k == len(witness)
+    assert [(m.vertex, m.length) for m in rep.witness] == witness
 
 
 def test_o1_bound_small_corpus():
