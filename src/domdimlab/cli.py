@@ -462,19 +462,15 @@ def predicates(algebra, preset, cutoff, report, fmt):
     cutoff = _resolve_cutoff(cutoff)
     sym = qa.is_symmetric(table)
     try:
-        selfinj = hml.is_selfinjective(table)
-    except hml.UndeterminedError:
-        selfinj = None
-    try:
         gendo = hml.is_gendo_symmetric(table, max(cutoff, 2))
     except hml.UndeterminedError:
         gendo = None
-    undetermined = sym is None or gendo is None or selfinj is None
+    undetermined = sym is None or gendo is None
     item = {
         "name": "predicates",
         "pass": True,
         "local": qa.is_local(table),
-        "selfinjective": "undetermined" if selfinj is None else selfinj,
+        "selfinjective": hml.is_selfinjective(table),
         "symmetric": "undetermined" if sym is None else sym,
         "gendo_symmetric": "undetermined" if gendo is None else gendo,
     }

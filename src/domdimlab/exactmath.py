@@ -236,11 +236,12 @@ def _rref_frac(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
         if inv != 1:
             for j in range(c, ncols):
                 row[j] = row[j] * inv
+        support = [j for j in range(c, ncols) if row[j]]  # no Fraction arithmetic on zeros
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 ri = rows[i]
-                for j in range(c, ncols):
+                for j in support:
                     ri[j] = ri[j] - f * row[j]
         pivots.append(c)
         r += 1
@@ -264,7 +265,8 @@ def reduce_against(field: FieldSpec, rref: list[list], pivots: list[int], vec: l
             f = v[c]
             if f:
                 for j in range(c, len(v)):
-                    v[j] = v[j] - f * row[j]
+                    if row[j]:
+                        v[j] = v[j] - f * row[j]
     return v
 
 
@@ -330,7 +332,8 @@ class SpanBuilder:
                     row = self.rows[k]
                     f = v[c]
                     for j in range(c, self.ncols):
-                        v[j] = v[j] - f * row[j]
+                        if row[j]:
+                            v[j] = v[j] - f * row[j]
         return v
 
     def contains(self, vec) -> bool:

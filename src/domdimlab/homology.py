@@ -763,36 +763,21 @@ def enveloping(table: AlgebraTable):
     return env, rep
 
 
-def _injective_is_projective(table: AlgebraTable, vertex: int) -> bool:
-    """Is the injective at ``vertex`` isomorphic to some indecomposable projective?"""
-    inj = injective(table, vertex)
-    for j in range(table.n_vertices):
-        P = projective(table, j)
-        if P.dim != inj.dim:
-            continue
-        verdict = modules_isomorphic(inj, P)
-        if verdict is True:
-            return True
-        if verdict is None:
-            raise UndeterminedError(
-                "isomorphism search exhausted while locating projective-injectives"
-            )
-    return False
-
-
 def projective_injective_vertices(table: AlgebraTable) -> set[int]:
-    """Vertices whose injective is also projective."""
+    """Vertices whose injective is also projective.  An indecomposable
+    injective is isomorphic to some P_j exactly when it is projective,
+    i.e. when its projective cover is no larger than itself."""
     cached = table._cache.get("pi_vertices")
-    if cached is not None:
-        return cached
-    out = {i for i in range(table.n_vertices) if _injective_is_projective(table, i)}
-    table._cache["pi_vertices"] = out
-    return out
+    if cached is None:
+        cached = {v for v in range(table.n_vertices)
+                  if is_projective_rep(injective(table, v))}
+        table._cache["pi_vertices"] = cached
+    return cached
 
 
 def is_selfinjective(table: AlgebraTable) -> bool:
-    """Every injective is projective (stops at the first that is not)."""
-    return all(_injective_is_projective(table, i) for i in range(table.n_vertices))
+    """Every injective is projective."""
+    return len(projective_injective_vertices(table)) == table.n_vertices
 
 
 def domdim(table: AlgebraTable, cutoff: int) -> BoundedValue:

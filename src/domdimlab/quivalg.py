@@ -511,14 +511,23 @@ def _verify_associativity(table: AlgebraTable) -> None:
             if not (lhs == rhs).all():
                 raise CompileError(f"associativity fails around basis element {u}")
         return
+    fld = table.field
+    # b_i b_j as its nonzero (index, coefficient) pairs
+    sparse = [[[(t, c) for t, c in enumerate(prod) if c] for prod in row] for row in table.mult]
+
+    def combine(terms):
+        """Sum of c * p over the (c, p) in ``terms``, p sparse, as a dict."""
+        acc = {}
+        for c, prod in terms:
+            for s, x in prod:
+                acc[s] = fld.add(acc.get(s, fld.zero()), fld.mul(c, x))
+        return {s: x for s, x in acc.items() if x}
+
     for i in range(d):
-        bi = table.basis_vec(i)
         for j in range(d):
-            bij = list(table.mult[i][j])
             for k in range(d):
-                bk = table.basis_vec(k)
-                left = table.mult_elements(bij, bk)
-                right = table.mult_elements(bi, list(table.mult[j][k]))
+                left = combine((c, sparse[t][k]) for t, c in sparse[i][j])  # (b_i b_j) b_k
+                right = combine((c, sparse[i][t]) for t, c in sparse[j][k])  # b_i (b_j b_k)
                 if left != right:
                     raise CompileError(f"associativity fails on triple ({i},{j},{k})")
 

@@ -84,10 +84,6 @@ def compat_graph(A: nak.NakAlgebra, k: int) -> CompatGraph:
     return CompatGraph(A, k, tuple(mods[a] for a in idx), tuple(adj))
 
 
-def indecomposables_sorted(A: nak.NakAlgebra) -> list[nak.NakModule]:
-    return sorted(nak.indecomposables(A))
-
-
 def is_k_rigid(A: nak.NakAlgebra, modules: Sequence[nak.NakModule], k: int) -> bool:
     """Ext^t vanishes between all ordered pairs of summands (self pairs
     included) for t = 1..k.  Multiplicities are irrelevant."""
@@ -112,40 +108,35 @@ def _max_clique(adj: Sequence[int], n: int) -> tuple[int, int]:
         return 0, 0
     order = _degeneracy_order(adj, n)
     order.reverse()  # high-degeneracy vertices first
+    # relabel once: bit i of a mask below is vertex order[i]
     pos = {v: i for i, v in enumerate(order)}
+    radj = [sum(1 << pos[u] for u in _bits(adj[v])) for v in order]
 
     best_size = 0
     best_mask = 0
 
-    def colour_bound(cand_list) -> list[int]:
-        colours: dict[int, int] = {}
+    def expand(cur_mask: int, cur_size: int, cand: int) -> None:
+        nonlocal best_size, best_mask
+        # greedy colouring in search order, then candidates in ascending
+        # colour order: once the colour bound fails for the last remaining
+        # one it fails for all earlier ones too
         classes: list[int] = []  # bitmask per colour class
-        for v in cand_list:
+        ordered = []
+        for v in _bits(cand):
             for ci, cmask in enumerate(classes):
-                if not (adj[v] & cmask):
-                    colours[v] = ci + 1
+                if not radj[v] & cmask:
                     classes[ci] = cmask | (1 << v)
+                    ordered.append((ci + 1, v))
                     break
             else:
                 classes.append(1 << v)
-                colours[v] = len(classes)
-        return [colours[v] for v in cand_list]
-
-    def expand(cur_mask: int, cur_size: int, cand: int) -> None:
-        nonlocal best_size, best_mask
-        cand_list = sorted((v for v in _bits(cand)), key=lambda v: pos[v])
-        colours = colour_bound(cand_list)
-        # candidates in ascending colour order: once the colour bound fails
-        # for the last remaining one it fails for all earlier ones too
-        by_colour = sorted(range(len(cand_list)),
-                           key=lambda i: (colours[i], pos[cand_list[i]]))
-        ordered = [(cand_list[i], colours[i]) for i in by_colour]
-        for idx in range(len(ordered) - 1, -1, -1):
-            v, col = ordered[idx]
+                ordered.append((len(classes), v))
+        ordered.sort()
+        for col, v in reversed(ordered):
             if cur_size + col <= best_size:
                 return
             new_mask = cur_mask | (1 << v)
-            new_cand = cand & adj[v]
+            new_cand = cand & radj[v]
             if cur_size + 1 > best_size:
                 best_size = cur_size + 1
                 best_mask = new_mask
@@ -154,7 +145,7 @@ def _max_clique(adj: Sequence[int], n: int) -> tuple[int, int]:
             cand &= ~(1 << v)
 
     expand(0, 0, (1 << n) - 1)
-    return best_size, best_mask
+    return best_size, sum(1 << order[i] for i in _bits(best_mask))
 
 
 def _degeneracy_order(adj: Sequence[int], n: int) -> list[int]:

@@ -147,7 +147,7 @@ def _extsym_item():
     A = nak.validate(nak.CYCLE, (2, 2))
     table = qa.preset("preproj-a2")
     mods = [hml.bridged_module(table, M.vertex, M.length)
-            for M in rg.indecomposables_sorted(A)]
+            for M in nak.indecomposables(A)]
     table_sym = rg.is_ext1_symmetric(table, mods)
     rep = rg.verify_extsym_bound(A, 12)
     ok = (table_sym and rep.extsymmetric and rep.holds
@@ -181,7 +181,7 @@ def suite_paper_core():
 def _oracle_item(kup, fld):
     A = nak.validate(nak.CYCLE, kup)
     table = qa.nakayama_to_table(A, fld)
-    mods = rg.indecomposables_sorted(A)
+    mods = nak.indecomposables(A)
     bridged = {M: hml.bridged_module(table, M.vertex, M.length) for M in mods}
     mismatches = []
     for M in mods:
@@ -195,9 +195,16 @@ def _oracle_item(kup, fld):
                 if ext.dim(t) != comb:
                     mismatches.append(["ext", t, M.to_json(), N.to_json(),
                                        ext.dim(t), comb])
+    dd, dd_comb = hml.domdim(table, CUTOFF), nak.domdim(A, CUTOFF)
+    if dd != dd_comb:
+        mismatches.append(["domdim", dd.to_json(), dd_comb.to_json()])
+    selfinj, selfinj_comb = hml.is_selfinjective(table), nak.is_selfinjective(A)
+    if selfinj != selfinj_comb:
+        mismatches.append(["selfinjective", selfinj, selfinj_comb])
     name = f"oracle-{'-'.join(map(str, kup))}-{fld.describe()}"
     return _item(name, not mismatches, pairs=len(mods) ** 2,
-                 mismatches=mismatches)
+                 mismatches=mismatches, domdim=dd_comb.to_json(),
+                 selfinjective=selfinj_comb)
 
 
 def suite_oracle_cross():
@@ -230,7 +237,7 @@ def _rigidity_chunk_item(series_chunk, tag):
 
 def _brute_o1_22_item():
     A = nak.validate(nak.CYCLE, (2, 2))
-    mods = rg.indecomposables_sorted(A)
+    mods = nak.indecomposables(A)
     best = 0
     for bits in range(1, 2 ** len(mods)):
         sub = [m for i, m in enumerate(mods) if bits >> i & 1]

@@ -200,10 +200,16 @@ def test_exhausted_search_exits_3(runner, monkeypatch):
     assert result.exit_code == 3, result.output
     assert json.loads(result.stdout)["items"][0]["symmetric"] == "undetermined"
     assert "Traceback" not in result.output
+    assert json.loads(result.stdout)["items"][0]["selfinjective"] is True
+    # projective-injectives are found without a search, so domdim is decided
     result = runner.invoke(main, ["quiver", "domdim", "--preset", "preproj-a2"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["quiver", "ideal", "--preset", "preproj-a2",
+                                  "--generators", "a1"])
     assert result.exit_code == 3, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+    assert "could not certify the algebra symmetric" in result.stderr
 
 
 def test_failed_internal_recheck_exits_4(runner, monkeypatch):

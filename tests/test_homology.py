@@ -412,11 +412,49 @@ def test_nonisomorphism_undetermined_when_budget_runs_out(monkeypatch):
     assert hml.modules_isomorphic(P0, P1) is None
 
 
-def test_domdim_undetermined_when_budget_runs_out(monkeypatch):
+def test_domdim_decided_when_budget_runs_out(monkeypatch):
+    # projective-injectives are found from projective covers, not by search
     monkeypatch.setattr(qa, "SEARCH_BUDGET", 1)
     table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), F2)
-    with pytest.raises(hml.UndeterminedError):
-        hml.domdim(table, 8)
+    assert hml.domdim(table, 8) == BoundedValue.finite(2)
+    assert hml.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ))
+
+
+def test_domdim_auslander_algebra_of_truncated_polynomial_over_q():
+    # the Auslander algebra of Q[x]/(x^5): 1 <-> 2 <-> ... <-> 5, with
+    # a_i: i -> i+1, b_i: i+1 -> i, a_1 b_1 = 0 and a_i b_i = b_{i-1} a_{i-1};
+    # its Loewy length is 2n - 1 = 9, which the compiler certifies
+    n = 5
+    vertices = tuple(f"v{i}" for i in range(1, n + 1))
+    arrows = tuple(qa.Arrow(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(1, n))
+    arrows += tuple(qa.Arrow(f"b{i}", f"v{i + 1}", f"v{i}") for i in range(1, n))
+    relations = ("a1*b1",) + tuple(f"a{i}*b{i} - b{i - 1}*a{i - 1}" for i in range(2, n))
+    table = qa.compile_quiver(qa.QuiverSpec(vertices, arrows, relations, 2 * n - 1,
+                                            qa.FieldSpec.rational()))
+    assert table.dim == 55
+    assert hml.domdim(table, 16) == BoundedValue.finite(2)
+
+
+def test_projective_injectives_need_no_isomorphism_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a witness search ran")
+
+    monkeypatch.setattr(hml, "modules_isomorphic", refuse)
+    monkeypatch.setattr(qa, "_coeff_tuples", refuse)  # the coefficient search of _find_invertible
+    for name in ("hopf-a5-f2", "dihedral8-f2", "quaternion8-f2", "preproj-a2",
+                 "truncated-poly(4,Q)"):
+        table = qa.preset(name)
+        assert hml.projective_injective_vertices(table) == set(range(table.n_vertices))
+        assert hml.is_selfinjective(table)
+        assert not hml.domdim(table, 16).is_finite
+    for orient, kup, fld in ((nak.CYCLE, (2, 3), F2), (nak.CYCLE, (3, 4, 4), F3),
+                             (nak.CYCLE, (3, 3), QQ), (nak.LINE, (3, 2, 1), QQ)):
+        A = nak.validate(orient, kup)
+        table = qa.nakayama_to_table(A, fld)
+        want = {v for v in range(A.n) if nak.is_projective(A, nak.injective_of_socle(A, v))}
+        assert hml.projective_injective_vertices(table) == want
+        assert hml.is_selfinjective(table) == nak.is_selfinjective(A)
+        assert hml.domdim(table, 16) == nak.domdim(A, 16)
 
 
 def test_end_rejects_duplicate_summands(bridged33):

@@ -77,6 +77,8 @@ def test_indecomposables_cycle_22():
 def test_indecomposable_counts():
     assert len(nak.indecomposables(nak.validate(C, (3, 3)))) == 6
     assert len(nak.indecomposables(nak.validate(L, (2, 1)))) == 3
+    mods = nak.indecomposables(nak.validate(C, (3, 4, 4)))
+    assert mods == sorted(mods)  # compat_graph and the suites rely on this order
 
 
 def test_syzygy_33():

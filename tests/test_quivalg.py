@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import random
+import re
 
 import pytest
 
@@ -322,6 +325,43 @@ def test_verify_catches_broken_associativity():
     with pytest.raises(qa.CompileError):
         qa.make_table(table.field, table.basis_names, mult, table.unit,
                       list(table.idempotents), list(table.radical))
+
+
+def _first_nonassociative_triple(table):
+    """Oracle: the first (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), from
+    dense products."""
+    d = table.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                left = table.mult_elements(list(table.mult[i][j]), table.basis_vec(k))
+                right = table.mult_elements(table.basis_vec(i), list(table.mult[j][k]))
+                if left != right:
+                    return (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qa.preset("truncated-poly(3,Q)"),
+    lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), QQ),
+    lambda: qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 1)), F3),
+    lambda: qa.preset("hopf-a5-f2"),
+], ids=["truncpoly3-Q", "cycle23-Q", "line321-F3", "hopf-F2"])
+def test_associativity_check_matches_dense_products(make):
+    table = make()
+    fld, d = table.field, table.dim
+    rng = random.Random(d)
+    qa._verify_associativity(table)  # the unperturbed table passes
+    for _ in range(12):
+        mult = [[list(cell) for cell in row] for row in table.mult]
+        mult[rng.randrange(d)][rng.randrange(d)][rng.randrange(d)] = fld.of_int(rng.randint(1, 2))
+        broken = dataclasses.replace(table, mult=tuple(tuple(map(tuple, row)) for row in mult))
+        want = _first_nonassociative_triple(broken)
+        if want is None:
+            qa._verify_associativity(broken)
+        else:
+            with pytest.raises(qa.CompileError, match=re.escape("triple ({},{},{})".format(*want))):
+                qa._verify_associativity(broken)
 
 
 def test_verify_catches_wrong_radical():
