@@ -6,8 +6,8 @@ and ``verify`` (batch suites).  Reports are deterministic JSON: byte
 identical across runs with identical inputs and cutoffs.  Wall time is
 printed to stderr only, so it never perturbs the report bytes.
 
-Exit codes: 0 success, 1 falsification or assertion failure, 2 usage
-error, 3 undetermined predicate.
+Exit codes: 0 success, 1 falsification, 2 usage error, 3 undetermined
+predicate, 4 failed internal re-check.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _load_table(preset: str | None, algebra: str | None) -> qa.AlgebraTable:
         loaded = qa.load_algebra(algebra)
     except KeyError as exc:
         raise click.UsageError(str(exc))
-    except (qa.CompileError, ValueError) as exc:
+    except (ValueError, TypeError) as exc:
         raise click.UsageError(f"cannot load algebra: {exc}")
     if isinstance(loaded, nak.NakAlgebra):
         return qa.nakayama_to_table(loaded, FieldSpec.prime(2))

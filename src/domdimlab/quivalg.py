@@ -3,8 +3,8 @@
 A table records a field, a named basis, the full multiplication tensor,
 the unit, a complete set of orthogonal primitive idempotents (with
 vertex labels) and a basis of the Jacobson radical.  Every constructor
-re-verifies the algebra axioms plus the split-basic certificate
-(``dim A = dim J + #idempotents``), which is what licenses the
+but ``opposite`` re-verifies the algebra axioms plus the split-basic
+certificate (``dim A = dim J + #idempotents``), which is what licenses the
 homological machinery downstream (one-dimensional simple tops,
 projective covers through idempotents, ...).
 
@@ -364,6 +364,8 @@ class AlgebraTable:
         d = len(basis)
         mult = [[[fld.zero()] * d for _ in range(d)] for _ in range(d)]
         for i, j, k, c in obj["structure"]:
+            if not all(0 <= x < d for x in (i, j, k)):
+                raise ValueError(f"structure index outside 0..{d - 1}: {[i, j, k]}")
             mult[i][j][k] = fld.parse(c)
         parse_vec = lambda v: tuple(fld.parse(x) for x in v)
         return make_table(
@@ -379,8 +381,7 @@ class AlgebraTable:
 
 
 def make_table(field, basis_names, mult, unit, idempotents, radical,
-               generators=None, provenance=None, verify: bool = True,
-               check_associativity: bool = True) -> AlgebraTable:
+               generators=None, provenance=None) -> AlgebraTable:
     mult = tuple(tuple(tuple(cell) for cell in row) for row in mult)
     table = AlgebraTable(
         field=field,
@@ -395,8 +396,7 @@ def make_table(field, basis_names, mult, unit, idempotents, radical,
     if generators is None:
         generators = _default_generators(table)
     table.generators = tuple(tuple(v) for v in generators)
-    if verify:
-        verify_table(table, check_associativity=check_associativity)
+    verify_table(table)
     return table
 
 
@@ -438,15 +438,10 @@ def _default_generators(table: AlgebraTable) -> list[list]:
     return gens
 
 
-def verify_table(table: AlgebraTable, check_associativity: bool = True) -> None:
+def verify_table(table: AlgebraTable) -> None:
     """Re-check every table axiom: unit, associativity, the idempotent set,
     and that the declared radical is a nilpotent two-sided ideal with a
-    split-basic quotient.
-
-    ``check_associativity=False`` is reserved for constructions whose
-    associativity is a consequence of verified inputs (tensor products:
-    the identity on the tensor factors through the two factor identities).
-    """
+    split-basic quotient."""
     d = table.dim
     fld = table.field
     unit = list(table.unit)
@@ -454,8 +449,7 @@ def verify_table(table: AlgebraTable, check_associativity: bool = True) -> None:
         b = table.basis_vec(i)
         if table.mult_elements(unit, b) != b or table.mult_elements(b, unit) != b:
             raise CompileError(f"unit axiom fails on basis element {table.basis_names[i]}")
-    if check_associativity:
-        _verify_associativity(table)
+    _verify_associativity(table)
     # idempotents: orthogonal, idempotent, complete
     acc = table.zero_vec()
     for label, e in table.idempotents:
@@ -500,17 +494,6 @@ def verify_table(table: AlgebraTable, check_associativity: bool = True) -> None:
 
 def _verify_associativity(table: AlgebraTable) -> None:
     d = table.dim
-    if table.field.kind == "prime" and d > 12:
-        import numpy as np
-
-        p = table.field.p
-        C = np.array(table.mult, dtype=np.int64)  # C[i,j,:] = b_i b_j
-        for u in range(d):
-            lhs = np.einsum("ij,jvk->ivk", C[:, u, :], C) % p  # (b_i b_u) b_v
-            rhs = np.einsum("vw,iwk->ivk", C[u], C) % p  # b_i (b_u b_v)
-            if not (lhs == rhs).all():
-                raise CompileError(f"associativity fails around basis element {u}")
-        return
     fld = table.field
     # b_i b_j as its nonzero (index, coefficient) pairs
     sparse = [[[(t, c) for t, c in enumerate(prod) if c] for prod in row] for row in table.mult]
@@ -526,6 +509,8 @@ def _verify_associativity(table: AlgebraTable) -> None:
     for i in range(d):
         for j in range(d):
             for k in range(d):
+                if not sparse[i][j] and not sparse[j][k]:
+                    continue  # both sides are 0
                 left = combine((c, sparse[t][k]) for t, c in sparse[i][j])  # (b_i b_j) b_k
                 right = combine((c, sparse[i][t]) for t, c in sparse[j][k])  # b_i (b_j b_k)
                 if left != right:
@@ -902,17 +887,16 @@ def preset(name: str) -> AlgebraTable:
 def opposite(table: AlgebraTable) -> AlgebraTable:
     """Same space, reversed multiplication.  Involutive on the nose."""
     d = table.dim
-    mult = [[table.mult[j][i] for j in range(d)] for i in range(d)]
-    return make_table(
+    # not re-verified: its axioms are mirror images of the verified ones
+    return AlgebraTable(
         field=table.field,
         basis_names=table.basis_names,
-        mult=mult,
+        mult=tuple(tuple(table.mult[j][i] for j in range(d)) for i in range(d)),
         unit=table.unit,
         idempotents=table.idempotents,
         radical=table.radical,
         generators=table.generators,
         provenance={"kind": "opposite", "of": table.provenance},
-        verify=False,  # axioms are mirror images of the verified ones
     )
 
 
@@ -965,8 +949,6 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
             radical.append(kron(e, r))
     generators = [kron(g, b.unit) for g in a.generators]
     generators += [kron(a.unit, g) for g in b.generators]
-    # associativity of the tensor product is inherited from the verified
-    # factors: the identity splits into the two factor identities
     return make_table(
         field=fld,
         basis_names=basis_names,
@@ -976,7 +958,6 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
         radical=radical,
         generators=generators,
         provenance={"kind": "tensor"},
-        check_associativity=False,
     )
 
 
@@ -1168,6 +1149,8 @@ def load_algebra(path_or_obj):
             obj = json.load(fh)
     else:
         obj = path_or_obj
+    if not isinstance(obj, dict):
+        raise ValueError("an algebra description must be a JSON object")
     kind = obj.get("kind")
     if kind == "nakayama":
         return nak.validate(obj["orientation"], obj["kupisch"])

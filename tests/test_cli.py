@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -235,11 +238,29 @@ OUT_OF_SCOPE_FILES = {
     "semisimple-resolve": ("semisimple", "resolve"),
     "semisimple-predicates": ("semisimple", "predicates"),
     "nakayama-over-size-limit": ("large", "compile"),
+    "kupisch-not-a-list": ("kupisch-int", "compile"),
+    "vertices-not-a-list": ("vertices-int", "compile"),
+    "arrow-with-two-fields": ("short-arrow", "compile"),
+    "top-level-array": ("array", "compile"),
+    "structure-index-too-large": ("index-5", "compile"),
+    "structure-index-negative": ("index-minus-1", "compile"),
 }
 ALGEBRA_FILES = {
     "semisimple": {"kind": "quiver", "vertices": ["v0"], "arrows": [], "relations": [],
                    "loewy_bound": 2, "field": {"kind": "prime", "p": 2}},
     "large": {"kind": "nakayama", "orientation": "cycle", "kupisch": [5000]},
+    "kupisch-int": {"kind": "nakayama", "orientation": "cycle", "kupisch": 5},
+    "vertices-int": {"kind": "quiver", "vertices": 5, "arrows": [], "relations": [],
+                     "loewy_bound": 2, "field": {"kind": "prime", "p": 2}},
+    "short-arrow": {"kind": "quiver", "vertices": ["v0"], "arrows": [["a", "v0"]],
+                    "relations": [], "loewy_bound": 2, "field": {"kind": "prime", "p": 2}},
+    "array": [{"kind": "nakayama", "orientation": "cycle", "kupisch": [2]}],
+    "index-5": {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": ["e"],
+                "unit": ["1"], "structure": [[0, 0, 5, "1"]],
+                "idempotents": [["v0", ["1"]]], "radical": []},
+    "index-minus-1": {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": ["e"],
+                      "unit": ["1"], "structure": [[0, 0, -1, "1"]],
+                      "idempotents": [["v0", ["1"]]], "radical": []},
 }
 
 
@@ -252,3 +273,20 @@ def test_out_of_scope_algebra_file_exit_2(runner, tmp_path, algebra, command):
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+def test_package_imports_no_numpy():
+    code = (
+        "import sys\n"
+        "import domdimlab.cli\n"
+        "from domdimlab import homology as hml, nakayama as nak, quivalg as qa\n"
+        "from domdimlab.exactmath import F3\n"
+        "table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3, 3, 4)), F3)\n"
+        "hml.domdim(table, 16)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qa.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -346,7 +346,8 @@ def _first_nonassociative_triple(table):
     lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), QQ),
     lambda: qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 1)), F3),
     lambda: qa.preset("hopf-a5-f2"),
-], ids=["truncpoly3-Q", "cycle23-Q", "line321-F3", "hopf-F2"])
+    lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3, 3, 4)), F3),
+], ids=["truncpoly3-Q", "cycle23-Q", "line321-F3", "hopf-F2", "cycle3334-F3"])
 def test_associativity_check_matches_dense_products(make):
     table = make()
     fld, d = table.field, table.dim
