@@ -28,8 +28,7 @@ def main():
         gendo = "-"
         if n <= args.bimodule_up_to:
             table = qa.nakayama_to_table(A, F2)
-            verdict = hml.is_gendo_symmetric(table, args.cutoff)
-            gendo = {True: "yes", False: "no", None: "?"}[verdict]
+            gendo = "yes" if hml.is_gendo_symmetric(table, args.cutoff) else "no"
         flag = "" if dd.is_finite and dd.value == 2 * n - 2 else "  <-- MISMATCH"
         print(f"{n:>3} {A.describe():<22} {str(dd):>7} {2 * n - 2:>5} {gendo:>7}{flag}")
 

@@ -7,14 +7,13 @@ identical across runs with identical inputs and cutoffs.  Wall time is
 printed to stderr only, so it never perturbs the report bytes.
 
 Exit codes: 0 success, 1 falsification, 2 usage error, 3 undetermined
-predicate, 4 failed internal re-check.
+certificate, 4 failed internal re-check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -27,25 +26,6 @@ from . import quivalg as qa
 from . import rigidity as rg
 from .exactmath import FieldSpec
 from .suites import SUITES
-
-DEFAULT_CUTOFF = 64
-
-
-def _resolve_cutoff(cutoff: int | None) -> int:
-    """``--cutoff`` if given, else ``DOMDIMLAB_CUTOFF``, else the default."""
-    if cutoff is not None:
-        return cutoff
-    env = os.environ.get("DOMDIMLAB_CUTOFF")
-    if not env:
-        return DEFAULT_CUTOFF
-    try:
-        value = int(env)
-    except ValueError:
-        raise click.UsageError(f"DOMDIMLAB_CUTOFF is not an integer: {env!r}")
-    if value < 1:
-        raise click.UsageError(f"DOMDIMLAB_CUTOFF must be >= 1: {env!r}")
-    return value
-
 
 def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
@@ -161,8 +141,8 @@ def shared_options(fn):
 
 
 _cutoff_option = click.option(
-    "--cutoff", type=click.IntRange(min=1), default=None,
-    help="search cutoff for bounded invariants (default 64; env DOMDIMLAB_CUTOFF)")
+    "--cutoff", type=click.IntRange(min=1), default=64, show_default=True,
+    help="search cutoff for bounded invariants")
 _degree_option = click.option("--degree", type=click.IntRange(min=1), default=4,
                               show_default=True)
 
@@ -179,7 +159,7 @@ _INPUT_ERRORS = (
 
 
 class _Command(click.Command):
-    """Maps input errors to exit 2, exhausted searches to exit 3 and failed
+    """Maps input errors to exit 2, undetermined certificates to exit 3 and failed
     internal re-checks (``AssertionError``) to exit 4, so that exit 1 means
     falsification only."""
 
@@ -274,7 +254,6 @@ def domdim(cycle, line, kupisch, cutoff, report, fmt):
     """Dominant dimension (bounded search)."""
     started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
-    cutoff = _resolve_cutoff(cutoff)
     value = nak.domdim(A, cutoff)
     item = {"name": "domdim", "pass": True, "cutoff": cutoff,
             "domdim": value.to_json()}
@@ -329,7 +308,6 @@ def verify_main(cycle, line, kupisch, kdeg, cutoff, assume_gendo, report, fmt):
     """Check the dominant-dimension inequality on one instance."""
     started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
-    cutoff = _resolve_cutoff(cutoff)
     rep = rg.verify_main_inequality(A, kdeg, cutoff,
                                     gendo="assert" if assume_gendo else "bimodule")
     item = {"name": "main-inequality", "pass": bool(rep.verdict)}
@@ -421,7 +399,6 @@ def quiver_domdim(algebra, preset, cutoff, report, fmt):
     """Dominant dimension of a table algebra (bounded search)."""
     started = time.perf_counter()
     table = _load_table(preset, algebra)
-    cutoff = _resolve_cutoff(cutoff)
     value = hml.domdim(table, cutoff)
     item = {"name": "domdim", "pass": True, "cutoff": cutoff,
             "domdim": value.to_json()}
@@ -459,26 +436,17 @@ def predicates(algebra, preset, cutoff, report, fmt):
     """Structural predicates: local, selfinjective, symmetric, gendo-symmetric."""
     started = time.perf_counter()
     table = _load_table(preset, algebra)
-    cutoff = _resolve_cutoff(cutoff)
-    sym = qa.is_symmetric(table)
-    try:
-        gendo = hml.is_gendo_symmetric(table, max(cutoff, 2))
-    except hml.UndeterminedError:
-        gendo = None
-    undetermined = sym is None or gendo is None
     item = {
         "name": "predicates",
         "pass": True,
         "local": qa.is_local(table),
         "selfinjective": hml.is_selfinjective(table),
-        "symmetric": "undetermined" if sym is None else sym,
-        "gendo_symmetric": "undetermined" if gendo is None else gendo,
+        "symmetric": qa.is_symmetric(table),
+        "gendo_symmetric": hml.is_gendo_symmetric(table, max(cutoff, 2)),
     }
     _emit("quiver predicates",
           {"preset": preset, "algebra": algebra, "cutoff": cutoff},
           [item], [], report, fmt, started)
-    if undetermined:
-        sys.exit(3)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ algebra, so there is a single code path to test.
 
 Every potentially infinite search (dominant dimension, first
 non-vanishing self-extension, their suprema) takes a cutoff and returns
-a :class:`BoundedValue`.  Searches that can only be settled by finding a
-witness (module isomorphism, nondegenerate form) return True/False/None
-with None meaning the bounded search was exhausted.
+a :class:`BoundedValue`.  Isomorphism questions (of modules, of the
+bimodules in the gendo-symmetric test, and of A with D(A) in
+``quivalg.is_symmetric``) are decided by rank checks on the basis maps of
+a Hom space, one per block (``quivalg._has_isomorphism``); no coefficient
+search runs.  Only ``is_indecomposable``, and ``modules_isomorphic`` on a
+module without a split local endomorphism ring, can answer None.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from . import quivalg as qa
 from .bounded import BoundedValue
 from .exactmath import (
     SpanBuilder,
@@ -35,9 +37,11 @@ from .exactmath import (
 )
 from .quivalg import (
     AlgebraTable,
-    _find_invertible,
+    _has_isomorphism,
     _radical_powers,
+    blocks,
     corner_algebra,
+    idempotent_sum,
     is_local,
     is_semisimple,
     is_symmetric,
@@ -56,7 +60,7 @@ class PreconditionError(ValueError):
 
 
 class UndeterminedError(RuntimeError):
-    """A bounded witness search was exhausted without a verdict."""
+    """A certificate the computation needs could not be established."""
 
 
 def require_not_semisimple(table: AlgebraTable) -> None:
@@ -118,8 +122,7 @@ class Representation:
         fld = A.field
         d = self.dim
         unit_mat = self.element_action(list(A.unit))
-        ident = [[fld.one() if i == j else fld.zero() for j in range(d)] for i in range(d)]
-        if unit_mat != ident:
+        if unit_mat != _identity(fld, d):
             raise ValueError("unit does not act as the identity")
         for u in range(A.dim):
             mu = self.act_raw(u)
@@ -166,6 +169,10 @@ def _unit_row(fld, n, j):
     v = [fld.zero()] * n
     v[j] = fld.one()
     return v
+
+
+def _identity(fld, dim: int) -> list[list]:
+    return [_unit_row(fld, dim, i) for i in range(dim)]
 
 
 def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, list[list]]:
@@ -573,8 +580,7 @@ def ext_dims(M: Representation, N: Representation, t: int,
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if M.algebra is not N.algebra:
-        raise ValueError("modules live over different algebras")
+    _require_same_algebra(M, N)
     fld = M.algebra.field
     res = _resolution(M, t + 2)  # the outgoing differential needs level t+1
 
@@ -645,9 +651,15 @@ def ext_dims(M: Representation, N: Representation, t: int,
     return ExtTable(M.name or "M", N.name or "N", tuple(degrees), hom)
 
 
+def _require_same_algebra(M: Representation, N: Representation) -> None:
+    if M.algebra is not N.algebra:
+        raise ValueError("modules live over different algebras")
+
+
 def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
     """Basis of Hom_A(M, N) as dM x dN matrices, solved against the
     algebra's generator set."""
+    _require_same_algebra(M, N)
     pairs = ((M.element_action(g), N.element_action(g)) for g in M.algebra.generators)
     return _intertwiners(M.algebra.field, pairs, M.dim, N.dim)
 
@@ -693,26 +705,21 @@ def dim_hom(M: Representation, N: Representation) -> int:
 def modules_isomorphic(M: Representation, N: Representation):
     """True / False / None: does an invertible intertwiner exist?
 
-    Equality of dimensions and a nonzero Hom space are necessary; the
-    witness search is exhaustive over F_p whenever p^dim Hom fits
-    ``quivalg.SEARCH_BUDGET``, making False definitive there.
+    True when some basis map of Hom(M, N) is invertible.  When End(M) is
+    split local (``is_indecomposable``'s certificate), the maps M -> N that
+    are not isomorphisms form a proper subspace whenever M = N, so no
+    invertible basis map means False.  None only for a module without
+    that certificate: a decomposable M, or one whose End is not split.
     """
+    _require_same_algebra(M, N)
     if M.dim != N.dim:
         return False
     if M.dim == 0:
         return True
-    return _iso_verdict(hom_basis(M, N), M.algebra.field, M.dim)
-
-
-def _iso_verdict(mats, fld, dim: int):
-    """True / False / None from a Hom basis between two modules of
-    dimension ``dim``: is some combination invertible?"""
-    if not mats:
-        return False
-    witness, complete = _find_invertible(mats, fld, dim)
-    if witness is not None:
+    fld = M.algebra.field
+    if _has_isomorphism(hom_basis(M, N), [_identity(fld, M.dim)], fld):
         return True
-    return False if complete else None
+    return False if _local_end(hom_basis(M, M), fld, M.dim) else None
 
 
 # ---------------------------------------------------------------------------
@@ -972,10 +979,7 @@ def check_ideal_rigidity(table: AlgebraTable, X: IdealModule) -> IdealRigidityRe
     being nonzero forces the second nonzero (and, for local algebras,
     that the first is nonzero unconditionally)."""
     require_not_semisimple(table)
-    sym = is_symmetric(table)
-    if sym is None:
-        raise UndeterminedError("could not certify the algebra symmetric")
-    if sym is False:
+    if not is_symmetric(table):
         raise PreconditionError("ideal rigidity check requires a symmetric algebra")
     if not 0 < X.dim < table.dim:
         raise PreconditionError("ideal must be nontrivial and proper")
@@ -995,98 +999,59 @@ def check_ideal_rigidity(table: AlgebraTable, X: IdealModule) -> IdealRigidityRe
 # endomorphism algebras
 # ---------------------------------------------------------------------------
 
-def _local_scalar(T, fld, dim):
-    """The unique lambda with T - lambda*I nilpotent, for endomorphisms of
-    modules with (split) local endomorphism ring; None when absent."""
-    def nilpotent(mat):
-        power = [list(r) for r in mat]
-        steps = 1
-        while steps < dim:
-            power = matmul_rows(fld, power, power)
-            steps *= 2
-        return all(not x for row in power for x in row)
+def _stable_power(T, fld, dim: int) -> list[list]:
+    """T^(2^s) for the least 2^s >= dim: zero iff T is nilpotent, and of
+    rank strictly between 0 and dim iff its Fitting decomposition splits
+    the module."""
+    power = [list(r) for r in T]
+    steps = 1
+    while steps < dim:
+        power = matmul_rows(fld, power, power)
+        steps *= 2
+    return power
 
-    def shifted(lam):
-        return [
-            [fld.sub(T[i][j], lam) if i == j else T[i][j] for j in range(dim)]
-            for i in range(dim)
-        ]
 
-    if fld.kind == "prime":
-        for lam_int in range(fld.p):
-            lam = fld.of_int(lam_int)
-            if nilpotent(shifted(lam)):
-                return lam
-        return None
+def _nilpotent_part(T, fld, dim: int):
+    """T - lambda*I for the scalar lambda that makes it nilpotent, or None
+    when there is none (T has no single eigenvalue in the field).  Such a
+    lambda is trace(T)/dim whenever dim is invertible in the field."""
     trace = fld.zero()
     for i in range(dim):
         trace = fld.add(trace, T[i][i])
-    lam = fld.mul(trace, fld.inv(fld.of_int(dim)))
-    return lam if nilpotent(shifted(lam)) else None
+    if fld.kind == "prime" and dim % fld.p == 0:
+        lambdas = [fld.of_int(x) for x in range(fld.p)]
+    else:
+        lambdas = [fld.mul(trace, fld.inv(fld.of_int(dim)))]
+    for lam in lambdas:
+        nil = [[fld.sub(T[i][j], lam) if i == j else T[i][j] for j in range(dim)]
+               for i in range(dim)]
+        if not any(any(row) for row in _stable_power(nil, fld, dim)):
+            return nil
+    return None
 
 
-def is_indecomposable(M: Representation):
-    """True / False / None, by Fitting splittings and an End-locality certificate.
-
-    A stable power of any endomorphism with rank strictly between 0 and
-    dim splits M.  If no candidate splits and the endomorphism ring is
-    certified local (scalars plus a nilpotent ideal), M is indecomposable.
-    """
-    if M.dim == 0:
-        raise ValueError("zero module")
-    fld = M.algebra.field
-    ends = hom_basis(M, M)
-    if len(ends) == 1:
-        return True
-    candidates = list(ends)
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            candidates.append([
-                [fld.add(ends[i][r][c], ends[j][r][c]) for c in range(M.dim)]
-                for r in range(M.dim)
-            ])
-    candidates = candidates[:qa.SEARCH_BUDGET]
-    for T in candidates:
-        power = [list(r) for r in T]
-        steps = 1
-        while steps < M.dim:
-            power = matmul_rows(fld, power, power)
-            steps *= 2
-        r = rank_rows(fld, power)
-        if 0 < r < M.dim:
-            return False
-    lambdas = []
-    for T in ends:
-        lam = _local_scalar(T, fld, M.dim)
-        if lam is None:
-            return None
-        lambdas.append(lam)
-    nil = []
-    for T, lam in zip(ends, lambdas):
-        nil.append([
-            [fld.sub(T[i][j], lam) if i == j else T[i][j] for j in range(M.dim)]
-            for i in range(M.dim)
-        ])
+def _local_end(ends, fld, dim: int) -> bool:
+    """Certificate that the endomorphism ring spanned by ``ends`` is split
+    local: every basis element is a scalar plus a nilpotent, and the
+    nilpotent parts span a nilpotent subspace I (I^m = 0) of codimension
+    one.  Such an I is a two-sided ideal: a product of its elements is
+    nilpotent, and a nilpotent element of k*1 + I lies in I."""
+    nil = [_nilpotent_part(T, fld, dim) for T in ends]
+    if any(N is None for N in nil):
+        return False
     flat = lambda mat: [x for row in mat for x in row]
-    span = SpanBuilder(fld, M.dim * M.dim)
-    for Nl in nil:
-        span.add(flat(Nl))
+    span = SpanBuilder(fld, dim * dim)
+    for N in nil:
+        span.add(flat(N))
     if span.rank != len(ends) - 1:
-        return None
-    # two-sided ideal inside End, and nilpotent
-    for Nl in nil:
-        for T in ends:
-            if not span.contains(flat(matmul_rows(fld, Nl, T))):
-                return None
-            if not span.contains(flat(matmul_rows(fld, T, Nl))):
-                return None
-    current = list(nil)
+        return False
+    current = nil
     steps = 0
     while current:
         steps += 1
         if steps > len(ends) + 1:
-            return None
-        nxt = SpanBuilder(fld, M.dim * M.dim)
+            return False
+        nxt = SpanBuilder(fld, dim * dim)
         keep = []
         for U in current:
             for V in nil:
@@ -1095,6 +1060,33 @@ def is_indecomposable(M: Representation):
                     keep.append(W)
         current = keep
     return True
+
+
+def is_indecomposable(M: Representation):
+    """True / False / None, by an End-locality certificate and Fitting splittings.
+
+    A split local endomorphism ring (``_local_end``) makes M indecomposable.
+    Otherwise a stable power of an endomorphism with rank strictly between
+    0 and dim splits M; the candidates are the basis endomorphisms and
+    their pairwise sums.  None when neither settles it.
+    """
+    if M.dim == 0:
+        raise ValueError("zero module")
+    fld = M.algebra.field
+    ends = hom_basis(M, M)
+    if _local_end(ends, fld, M.dim):
+        return True
+    candidates = list(ends)
+    for i in range(len(ends)):
+        for j in range(i + 1, len(ends)):
+            candidates.append([
+                [fld.add(ends[i][r][c], ends[j][r][c]) for c in range(M.dim)]
+                for r in range(M.dim)
+            ])
+    for T in candidates:
+        if 0 < rank_rows(fld, _stable_power(T, fld, M.dim)) < M.dim:
+            return False
+    return None
 
 
 def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
@@ -1117,13 +1109,11 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
             raise UndeterminedError(
                 f"indecomposability of summand {M.name or '?'} is undetermined"
             )
+    # each summand has a split local End now, so these verdicts are decided
     for i in range(len(summands)):
         for j in range(i + 1, len(summands)):
-            verdict = modules_isomorphic(summands[i], summands[j])
-            if verdict is True:
+            if modules_isomorphic(summands[i], summands[j]):
                 raise PreconditionError("summands must be pairwise non-isomorphic")
-            if verdict is None:
-                raise UndeterminedError("summand isomorphism test undetermined")
     k = len(summands)
     homs = [[hom_basis(summands[a], summands[b]) for b in range(k)] for a in range(k)]
     basis = []  # (a, b, matrix)
@@ -1160,15 +1150,11 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
             row.append(tuple(vec))
         mult.append(tuple(row))
 
-    def ident(a):
-        d = summands[a].dim
-        return [[fld.one() if i == j else fld.zero() for j in range(d)] for i in range(d)]
-
     unit = [fld.zero()] * dim_e
     idem = []
     for a in range(k):
         e = [fld.zero()] * dim_e
-        sol = coords_of(a, a, ident(a))
+        sol = coords_of(a, a, _identity(fld, summands[a].dim))
         base = offsets[(a, a)]
         for idx, c in enumerate(sol):
             e[base + idx] = c
@@ -1183,12 +1169,7 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
             radical.append(v)
     for a in range(k):
         for T in homs[a][a]:
-            lam = _local_scalar(T, fld, summands[a].dim)
-            if lam is None:
-                raise UndeterminedError("endomorphism scalar not found; non-split input?")
-            d = summands[a].dim
-            nil = [[fld.sub(T[i][j], lam) if i == j else T[i][j] for j in range(d)]
-                   for i in range(d)]
+            nil = _nilpotent_part(T, fld, summands[a].dim)  # exists: End is local
             if not any(any(r) for r in nil):
                 continue
             v = [fld.zero()] * dim_e
@@ -1229,14 +1210,17 @@ def _solve_coords(fld, basis_rows, target):
 # gendo-symmetric test
 # ---------------------------------------------------------------------------
 
-def is_gendo_symmetric(table: AlgebraTable, cutoff: int):
-    """True / False / None: dominant dimension >= 2 together with the
-    bimodule isomorphism D(Ae) = eA over eAe (x) A^op, for e the sum of
+def is_gendo_symmetric(table: AlgebraTable, cutoff: int) -> bool:
+    """True or False: dominant dimension >= 2 together with the bimodule
+    isomorphism D(Ae) = eA over eAe (x) A^op, for e the sum of
     idempotents spanning the minimal faithful projective-injective.
 
     Both bimodules are presented by the actions of generators (those of
     eAe, lifted to A, and those of A), and Hom is solved once against
-    them, so no tensor algebra is built."""
+    them, so no tensor algebra is built.  The bimodule endomorphism ring
+    of eA is the centre of eAe, local on each block of eAe, so the
+    isomorphism is decided by rank checks of the Hom basis against the
+    action of each block idempotent on D(Ae) (``_has_isomorphism``)."""
     if cutoff < 2:
         raise PreconditionError("cutoff must be >= 2 to settle domdim >= 2")
     require_not_semisimple(table)
@@ -1247,10 +1231,7 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int):
     PI = sorted(projective_injective_vertices(table))
     labels = [table.idempotents[i][0] for i in PI]
     corner, corner_rows = corner_algebra(table, labels)
-
-    e = table.zero_vec()
-    for i in PI:
-        e = [fld.add(a, b) for a, b in zip(e, table.idempotents[i][1])]
+    e = idempotent_sum(table, PI)
 
     def span(side):
         builder = SpanBuilder(fld, table.dim)
@@ -1276,25 +1257,29 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int):
     if len(Ae[0]) != dim:
         return False
 
-    def pair(on_Ae, on_eA):
-        # eA is a right module by m . (x (x) a) = x*m*a; D(Ae) acts by the
-        # transpose of m -> a*m*x on Ae
+    def dual_action(on_Ae):
+        # D(Ae) acts by the transpose of the action on Ae
         mat = action(Ae, on_Ae, "Ae")
-        return ([[mat[i][j] for i in range(dim)] for j in range(dim)],
-                action(eA, on_eA, "eA"))
+        return [[mat[i][j] for i in range(dim)] for j in range(dim)]
 
+    # eA is a right module by m . (x (x) a) = x*m*a; on D(Ae) the same
+    # element acts through m -> a*m*x on Ae
     pairs = []
     for g in corner.generators:
         x = table.zero_vec()
         for c, row in zip(g, corner_rows):
             if c:
                 x = [fld.add(a, fld.mul(c, b)) for a, b in zip(x, row)]
-        pairs.append(pair(lambda m: table.mult_elements(m, x),
-                          lambda m: table.mult_elements(x, m)))
+        pairs.append((dual_action(lambda m: table.mult_elements(m, x)),
+                      action(eA, lambda m: table.mult_elements(x, m), "eA")))
     for h in table.generators:
-        pairs.append(pair(lambda m: table.mult_elements(h, m),
-                          lambda m: table.mult_elements(m, h)))
-    return _iso_verdict(_intertwiners(fld, pairs, dim, dim), fld, dim)
+        pairs.append((dual_action(lambda m: table.mult_elements(h, m)),
+                      action(eA, lambda m: table.mult_elements(m, h), "eA")))
+    projectors = []
+    for block in blocks(corner):
+        eps = idempotent_sum(table, [PI[i] for i in block])
+        projectors.append(dual_action(lambda m: table.mult_elements(m, eps)))
+    return _has_isomorphism(_intertwiners(fld, pairs, dim, dim), projectors, fld)
 
 
 # ---------------------------------------------------------------------------

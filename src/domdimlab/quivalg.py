@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
-from itertools import islice, product as iter_product
 
 from . import nakayama as nak
 from .exactmath import (
@@ -27,12 +26,12 @@ from .exactmath import (
     SpanBuilder,
     coords_against,
     kernel_rows,
+    matmul_rows,
     rank_rows,
     reduce_against,
 )
 
 SIZE_LIMIT = 4096  # largest table dimension (paths, corner or tensor basis) built
-SEARCH_BUDGET = 20000  # coefficient tuples tried before a witness search gives up
 
 
 class RelationSyntaxError(ValueError):
@@ -968,12 +967,10 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
     """
     fld = table.field
     d = table.dim
-    chosen = [(l, list(v)) for l, v in table.idempotents if l in set(idem_labels)]
+    chosen = [i for i, (l, _) in enumerate(table.idempotents) if l in set(idem_labels)]
     if len(chosen) != len(idem_labels):
         raise KeyError("unknown idempotent label")
-    e = table.zero_vec()
-    for _, v in chosen:
-        e = [fld.add(a, b) for a, b in zip(e, v)]
+    e = idempotent_sum(table, chosen)
     span = SpanBuilder(fld, d)
     for i in range(d):
         ebe = table.mult_elements(e, table.mult_elements(table.basis_vec(i), e))
@@ -997,7 +994,8 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
             r.append(tuple(coords(table.mult_elements(list(u), list(v)))))
         mult.append(tuple(r))
     unit = coords(e)
-    idem = [(l, tuple(coords(list(v)))) for l, v in chosen]
+    idem = [(table.idempotents[i][0], tuple(coords(list(table.idempotents[i][1]))))
+            for i in chosen]
     rad = SpanBuilder(fld, d)
     for v in table.radical:
         eve = table.mult_elements(e, table.mult_elements(list(v), e))
@@ -1060,78 +1058,64 @@ def _gram(table: AlgebraTable, lam: list) -> list[list]:
     return out
 
 
-def _coeff_tuples(field: FieldSpec, h: int, degree_bound: int):
-    """Deterministic enumeration of at most ``SEARCH_BUDGET`` nonzero
-    coefficient tuples, cheap ones first.
-
-    The scan is *complete* (second return value) in two situations, and the
-    caller may then read exhaustion as a definitive "no witness":
-
-    * over F_p when p^h fits the budget: every point of the search space
-      is visited;
-    * over Q when the witness condition is the non-vanishing of a
-      polynomial of total degree <= ``degree_bound`` in the coefficients
-      (a determinant of a matrix depending linearly on them): such a
-      polynomial vanishing on the whole grid {0..degree_bound}^h is
-      identically zero, so no witness exists over any extension either.
-    """
-    if field.kind == "prime":
-        tuples = (t for t in iter_product(range(field.p), repeat=h) if any(t))
-        complete = field.p ** h <= SEARCH_BUDGET
-    elif (degree_bound + 1) ** h <= SEARCH_BUDGET:
-        tuples = (t for t in iter_product(range(degree_bound + 1), repeat=h) if any(t))
-        complete = True
-    else:
-        tuples = (t for radius in (1, 2, 3)
-                  for t in iter_product(range(-radius, radius + 1), repeat=h)
-                  if max(abs(x) for x in t) == radius)
-        complete = False
-    return ([field.of_int(x) for x in t] for t in islice(tuples, SEARCH_BUDGET)), complete
+def blocks(table: AlgebraTable) -> list[list[int]]:
+    """The blocks of the algebra: the connected components of its vertices
+    under e_i A e_j != 0, each an ascending list of vertex indices."""
+    idem = [list(e) for _, e in table.idempotents]
+    label = list(range(len(idem)))
+    for t in range(table.dim):
+        for i, ei in enumerate(idem):
+            left = table.mult_elements(ei, table.basis_vec(t))
+            if not any(left):
+                continue
+            for j, ej in enumerate(idem):
+                a, b = label[i], label[j]
+                if a != b and any(table.mult_elements(left, ej)):
+                    label = [a if x == b else x for x in label]
+    groups: dict[int, list[int]] = {}
+    for v, lab in enumerate(label):
+        groups.setdefault(lab, []).append(v)
+    return list(groups.values())
 
 
-def _find_invertible(mats, fld, dim):
-    """Search the span of ``mats`` for an invertible matrix.
-
-    Returns (witness or None, search_complete).  Complete exhaustion rules
-    out a witness: over F_p all points are tried; over Q the determinant of
-    the generic combination has total degree <= dim, so vanishing on the
-    whole {0..dim}^h grid makes it the zero polynomial."""
-    if not mats:
-        return None, True
-    for T in mats:
-        if rank_rows(fld, T) == dim:
-            return T, False
-    tuples, complete = _coeff_tuples(fld, len(mats), dim)
-    for coeffs in tuples:
-        acc = [[fld.zero()] * dim for _ in range(dim)]
-        for c, T in zip(coeffs, mats):
-            if c:
-                for i in range(dim):
-                    row = T[i]
-                    ai = acc[i]
-                    for j in range(dim):
-                        if row[j]:
-                            ai[j] = fld.add(ai[j], fld.mul(c, row[j]))
-        if rank_rows(fld, acc) == dim:
-            return acc, complete
-    return None, complete
+def idempotent_sum(table: AlgebraTable, vertices) -> list:
+    """The sum of the idempotents at ``vertices``."""
+    fld = table.field
+    e = table.zero_vec()
+    for v in vertices:
+        e = [fld.add(a, b) for a, b in zip(e, table.idempotents[v][1])]
+    return e
 
 
-def is_symmetric(table: AlgebraTable):
-    """True / False / None (undetermined).
+def _has_isomorphism(mats, projectors, fld) -> bool:
+    """True iff for every projector P some T in ``mats`` is injective on the
+    image of P: rank(P @ T) == rank(P).
 
-    Searches for a symmetrising functional whose induced bilinear form
-    b(x, y) = lam(xy) is nondegenerate.  The Gram matrix is linear in lam,
-    so this is a search for an invertible matrix in the span of the Gram
-    matrices of a basis of symmetrising functionals.  Over F_p the scan is
-    exhaustive whenever p^dim(space) fits ``SEARCH_BUDGET``, making False
-    definitive; over Q a found witness gives True and exhaustion gives None.
-    """
+    Each P is the action of one block idempotent, and the span of ``mats``
+    a Hom space over a ring that is local on each block.  Where the span
+    contains an isomorphism, the maps that fail on a block form a proper
+    subspace, so some basis map is an isomorphism on that block; the sum
+    of those maps cut down to their blocks is then an isomorphism.  So the
+    answer is exact, and no combination needs to be searched."""
+    for P in projectors:
+        rank = rank_rows(fld, P)
+        if not any(rank_rows(fld, matmul_rows(fld, P, T)) == rank for T in mats):
+            return False
+    return True
+
+
+def is_symmetric(table: AlgebraTable) -> bool:
+    """True or False: is there a symmetrising functional lam whose bilinear
+    form b(x, y) = lam(xy) is nondegenerate?
+
+    The Gram matrices of a basis of the symmetrising functionals span
+    Hom(A, D(A)) as bimodules, a module over the centre of A, which is
+    local on each block.  So A is symmetric iff, for each block, some
+    basis Gram matrix is nondegenerate on it (``_has_isomorphism`` with the
+    left multiplication by each block idempotent)."""
     grams = [_gram(table, lam) for lam in symmetric_functional_space(table)]
-    witness, complete = _find_invertible(grams, table.field, table.dim)
-    if witness is not None:
-        return True
-    return False if complete else None
+    projectors = [table.left_mult_matrix(idempotent_sum(table, b)) for b in blocks(table)]
+    return _has_isomorphism(grams, projectors, table.field)
 
 
 # ---------------------------------------------------------------------------

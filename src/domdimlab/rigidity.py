@@ -250,10 +250,7 @@ def verify_main_inequality(A: nak.NakAlgebra, k: int, cutoff: int,
         raise nak.NakInputError("the inequality concerns non-selfinjective algebras")
     if gendo == "bimodule":
         table = qa.nakayama_to_table(A, F2)
-        verdict = hml.is_gendo_symmetric(table, max(cutoff, 2))
-        if verdict is None:
-            raise hml.UndeterminedError("gendo-symmetric status undetermined")
-        if verdict is False:
+        if not hml.is_gendo_symmetric(table, max(cutoff, 2)):
             raise hml.PreconditionError(f"{A.describe()} is not gendo-symmetric")
         provenance = "bimodule-test"
     elif gendo == "assert":

@@ -16,8 +16,8 @@ def runner():
     return CliRunner()
 
 
-def run_json(runner, args, env=None, expect_exit=0):
-    result = runner.invoke(main, args, env=env, catch_exceptions=False)
+def run_json(runner, args, expect_exit=0):
+    result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == expect_exit, result.output
     return json.loads(result.stdout) if result.stdout.strip().startswith("{") else None
 
@@ -27,13 +27,6 @@ def test_domdim_family(runner):
                             "--kupisch", "5,6,6,6,6", "--cutoff", "64"])
     assert doc["items"][0]["domdim"] == {"kind": "finite", "value": 8}
     assert doc["failures"] == []
-
-
-def test_domdim_env_cutoff(runner):
-    doc = run_json(runner, ["nakayama", "domdim", "--cycle", "--kupisch", "3,3"],
-                   env={"DOMDIMLAB_CUTOFF": "7"})
-    assert doc["items"][0]["domdim"] == {"kind": "at_least", "bound": 7}
-    assert doc["items"][0]["cutoff"] == 7
 
 
 def test_ok_command(runner):
@@ -170,49 +163,41 @@ def test_verify_suite_jobs(runner):
 
 
 BAD_NUMBERS = {
-    "cutoff-0": (["nakayama", "domdim", "--cycle", "--kupisch", "3,3",
-                  "--cutoff", "0"], None),
-    "cutoff-negative": (["nakayama", "domdim", "--cycle", "--kupisch", "3,3",
-                         "--cutoff", "-1"], None),
-    "env-cutoff-0": (["nakayama", "domdim", "--cycle", "--kupisch", "3,3"],
-                     {"DOMDIMLAB_CUTOFF": "0"}),
-    "env-cutoff-text": (["nakayama", "domdim", "--cycle", "--kupisch", "3,3"],
-                        {"DOMDIMLAB_CUTOFF": "x"}),
-    "quiver-cutoff-0": (["quiver", "domdim", "--preset", "preproj-a2",
-                         "--cutoff", "0"], None),
-    "degree-0": (["nakayama", "ext", "--cycle", "--kupisch", "3,3",
-                  "--module", "0,1", "--degree", "0"], None),
-    "quiver-degree-0": (["quiver", "ext", "--preset", "hopf-a5-f2",
-                         "--module", "simple", "--degree", "0"], None),
-    "length-0": (["quiver", "resolve", "--preset", "hopf-a5-f2",
-                  "--length", "0"], None),
-    "omega-negative": (["nakayama", "rigid", "--k", "1", "--cycle", "--kupisch",
-                        "3,3", "--module", "omega:-1:simple"], None),
-    "simple-vertex-negative": (["quiver", "resolve", "--preset", "hopf-a5-f2",
-                                "--module", "simple:-1"], None),
-    "projective-vertex-negative": (["quiver", "ext", "--preset", "preproj-a2",
-                                    "--module", "projective:-1"], None),
-    "ideal-zero-generator": (["quiver", "ideal", "--preset", "truncated-poly(4,Q)",
-                              "--generators", "a0 - a0"], None),
+    "cutoff-0": ["nakayama", "domdim", "--cycle", "--kupisch", "3,3",
+                 "--cutoff", "0"],
+    "cutoff-negative": ["nakayama", "domdim", "--cycle", "--kupisch", "3,3",
+                        "--cutoff", "-1"],
+    "quiver-cutoff-0": ["quiver", "domdim", "--preset", "preproj-a2",
+                        "--cutoff", "0"],
+    "degree-0": ["nakayama", "ext", "--cycle", "--kupisch", "3,3",
+                 "--module", "0,1", "--degree", "0"],
+    "quiver-degree-0": ["quiver", "ext", "--preset", "hopf-a5-f2",
+                        "--module", "simple", "--degree", "0"],
+    "length-0": ["quiver", "resolve", "--preset", "hopf-a5-f2",
+                 "--length", "0"],
+    "omega-negative": ["nakayama", "rigid", "--k", "1", "--cycle", "--kupisch",
+                       "3,3", "--module", "omega:-1:simple"],
+    "simple-vertex-negative": ["quiver", "resolve", "--preset", "hopf-a5-f2",
+                               "--module", "simple:-1"],
+    "projective-vertex-negative": ["quiver", "ext", "--preset", "preproj-a2",
+                                   "--module", "projective:-1"],
+    "ideal-zero-generator": ["quiver", "ideal", "--preset", "truncated-poly(4,Q)",
+                             "--generators", "a0 - a0"],
 }
 
 
-def test_exhausted_search_exits_3(runner, monkeypatch):
-    monkeypatch.setattr(qa, "SEARCH_BUDGET", 1)
-    result = runner.invoke(main, ["quiver", "predicates", "--preset", "preproj-a2"])
-    assert result.exit_code == 3, result.output
-    assert json.loads(result.stdout)["items"][0]["symmetric"] == "undetermined"
-    assert "Traceback" not in result.output
-    assert json.loads(result.stdout)["items"][0]["selfinjective"] is True
-    # projective-injectives are found without a search, so domdim is decided
-    result = runner.invoke(main, ["quiver", "domdim", "--preset", "preproj-a2"])
-    assert result.exit_code == 0, result.output
+def test_symmetry_decided_on_preproj_a2(runner):
+    # (2,2) is selfinjective but not symmetric: 2 != 1 (mod 2)
+    doc = run_json(runner, ["quiver", "predicates", "--preset", "preproj-a2"])
+    item = doc["items"][0]
+    assert item["symmetric"] is False
+    assert item["selfinjective"] is True and item["gendo_symmetric"] is False
     result = runner.invoke(main, ["quiver", "ideal", "--preset", "preproj-a2",
                                   "--generators", "a1"])
-    assert result.exit_code == 3, result.output
+    assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-    assert "could not certify the algebra symmetric" in result.stderr
+    assert "requires a symmetric algebra" in result.stderr
 
 
 def test_failed_internal_recheck_exits_4(runner, monkeypatch):
@@ -225,9 +210,9 @@ def test_failed_internal_recheck_exits_4(runner, monkeypatch):
         "internal error: clique witness failed the direct rigidity re-check")
 
 
-@pytest.mark.parametrize("args, env", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
-def test_out_of_range_numbers_exit_2(runner, args, env):
-    result = runner.invoke(main, args, env=env)
+@pytest.mark.parametrize("args", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_out_of_range_numbers_exit_2(runner, args):
+    result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output

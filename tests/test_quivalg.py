@@ -8,7 +8,8 @@ import pytest
 from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
-from domdimlab.exactmath import F2, F3, QQ
+from domdimlab.exactmath import F2, F3, QQ, rank_rows
+from domdimlab.suites import cyclic_series
 
 LOOPS = qa.QuiverSpec(
     vertices=("v0",),
@@ -249,11 +250,16 @@ def test_nakayama_to_table_dims():
 
 
 def test_symmetric_rule_cross_validation():
-    # the form search must reproduce the c = 1 (mod n) classification
+    # the Gram rank checks must reproduce the c = 1 (mod n) classification
     for kup in [(2, 2), (3, 3), (4, 4), (5, 5), (3, 3, 3), (4, 4, 4)]:
         A = nak.validate(nak.CYCLE, kup)
         table = qa.nakayama_to_table(A, F3)
         assert qa.is_symmetric(table) is nak.is_symmetric(A)
+    for kup in cyclic_series(1, 3, 5):
+        A = nak.validate(nak.CYCLE, kup)
+        for fld in (F2, F3, QQ):
+            table = qa.nakayama_to_table(A, fld)
+            assert qa.is_symmetric(table) is nak.is_symmetric(A), (kup, fld)
 
 
 def test_symmetric_decision_over_q():
@@ -264,9 +270,51 @@ def test_symmetric_decision_over_q():
     assert hml.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ))
 
 
-def test_symmetric_undetermined_when_budget_runs_out(monkeypatch):
-    monkeypatch.setattr(qa, "SEARCH_BUDGET", 1)
-    assert qa.is_symmetric(qa.preset("preproj-a2")) is None
+DISCONNECTED = qa.QuiverSpec(  # k[x]/(x^2) x k[y]/(y^2): two blocks
+    vertices=("v0", "v1"),
+    arrows=(qa.Arrow("x", "v0", "v0"), qa.Arrow("y", "v1", "v1")),
+    relations=("x*x", "y*y"),
+    loewy_bound=2,
+    field=F2,
+)
+
+
+MIXED = qa.QuiverSpec(  # k[x]/(x^2) x (the Nakayama algebra (2,2)) x k[y]/(y^2)
+    vertices=("v0", "v1", "v2", "v3"),
+    arrows=(qa.Arrow("x", "v0", "v0"), qa.Arrow("a", "v1", "v2"),
+            qa.Arrow("b", "v2", "v1"), qa.Arrow("y", "v3", "v3")),
+    relations=("x*x", "a*b", "b*a", "y*y"),
+    loewy_bound=2,
+    field=F2,
+)
+
+
+@pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_disconnected_algebra_decided_per_block(fld, monkeypatch):
+    # the middle block of MIXED is selfinjective but not symmetric, so
+    # every block must be checked
+    mixed = qa.compile_quiver(dataclasses.replace(MIXED, field=fld))
+    assert qa.blocks(mixed) == [[0], [1, 2], [3]]
+    assert qa.is_symmetric(mixed) is False
+    assert hml.is_gendo_symmetric(mixed, 16) is False
+    # both isomorphism tests hold although no single basis map is invertible
+    table = qa.compile_quiver(dataclasses.replace(DISCONNECTED, field=fld))
+    assert qa.blocks(table) == [[0], [1]]
+    calls = []
+    real = qa._has_isomorphism
+
+    def record(mats, projectors, field):
+        calls.append((mats, projectors))
+        return real(mats, projectors, field)
+
+    monkeypatch.setattr(qa, "_has_isomorphism", record)
+    monkeypatch.setattr(hml, "_has_isomorphism", record)
+    assert qa.is_symmetric(table) is True
+    assert hml.is_gendo_symmetric(table, 16) is True
+    assert len(calls) == 2
+    for mats, projectors in calls:
+        assert len(projectors) == 2 and mats
+        assert all(rank_rows(fld, T) < len(T) for T in mats)
 
 
 def test_selfinjective_bridge_cross_validation():
