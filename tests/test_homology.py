@@ -473,6 +473,16 @@ def test_projective_injectives_need_no_isomorphism_search(monkeypatch):
         assert hml.domdim(table, 16) == nak.domdim(A, 16)
 
 
+def test_domdim_decided_when_budget_runs_out():
+    # there is no search budget left to run out: projective-injectives come
+    # from projective covers and isomorphisms from rank checks, so the
+    # dominant dimension is always decided
+    assert not hasattr(qa, "SEARCH_BUDGET")
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), F2)
+    assert hml.domdim(table, 8) == BoundedValue.finite(2)
+    assert hml.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ))
+
+
 def test_end_rejects_duplicate_summands(bridged33):
     P0 = hml.projective(bridged33, 0)
     P0bis = hml.projective(bridged33, 0)

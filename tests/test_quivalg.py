@@ -262,6 +262,13 @@ def test_symmetric_rule_cross_validation():
             assert qa.is_symmetric(table) is nak.is_symmetric(A), (kup, fld)
 
 
+def test_symmetric_undetermined_when_budget_runs_out():
+    # no search budget exists any more, so the verdict on preproj-a2 that a
+    # budget of one tuple used to leave open is now decided
+    assert not hasattr(qa, "SEARCH_BUDGET")
+    assert qa.is_symmetric(qa.preset("preproj-a2")) is False
+
+
 def test_symmetric_decision_over_q():
     # over Q the negative answer is certified by the determinant polynomial
     # vanishing on the whole degree grid
