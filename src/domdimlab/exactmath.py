@@ -9,7 +9,8 @@ freeze into test fixtures.
 
 The raw-row helpers (``rref_rows``, ``reduce_against`` ...) operate on
 mutable lists of lists and exist for the hot loops of the algebra and
-homology engines; the ``Matrix`` class is the stable public surface.
+homology engines; ``coords_against`` takes its basis as sparse rows
+(``sparse_row``).  The ``Matrix`` class is the stable public surface.
 """
 
 from __future__ import annotations
@@ -270,8 +271,15 @@ def reduce_against(field: FieldSpec, rref: list[list], pivots: list[int], vec: l
     return v
 
 
-def coords_against(field: FieldSpec, rref: list[list], pivots: list[int], vec: list) -> list | None:
-    """Coordinates of ``vec`` in the span of an RREF basis, or None if outside."""
+def sparse_row(row) -> tuple:
+    """The (column, entry) pairs of the nonzero entries of a dense row."""
+    return tuple((j, x) for j, x in enumerate(row) if x)
+
+
+def coords_against(field: FieldSpec, rref: list, pivots: list[int], vec: list) -> list | None:
+    """Coordinates of ``vec`` (entries in canonical form) in the span of
+    an RREF basis, or None if outside.  Each basis row is given by its
+    nonzero entries (``sparse_row``), and only those are visited."""
     v = list(vec)
     coords = [field.zero()] * len(rref)
     if field.kind == "prime":
@@ -280,16 +288,16 @@ def coords_against(field: FieldSpec, rref: list[list], pivots: list[int], vec: l
             f = v[c] % p
             if f:
                 coords[k] = f
-                for j in range(c, len(v)):
-                    v[j] = (v[j] - f * row[j]) % p
+                for j, x in row:
+                    v[j] = (v[j] - f * x) % p
     else:
         for k, (row, c) in enumerate(zip(rref, pivots)):
             f = v[c]
             if f:
                 coords[k] = f
-                for j in range(c, len(v)):
-                    v[j] = v[j] - f * row[j]
-    if any(x for x in v):
+                for j, x in row:
+                    v[j] = v[j] - f * x
+    if any(v):
         return None
     return coords
 
@@ -421,14 +429,15 @@ def matmul_rows(field: FieldSpec, a: list[list], b: list[list]) -> list[list]:
                         acc[j] += f * bk[j]
             out.append([x % p for x in acc])
     else:
+        # no Fraction arithmetic on the zeros of b
+        support = [[(j, x) for j, x in enumerate(bk) if x] for bk in b]
         for row in a:
             acc = [zero] * ncols
             for k in range(inner):
                 f = row[k]
                 if f:
-                    bk = b[k]
-                    for j in range(ncols):
-                        acc[j] = acc[j] + f * bk[j]
+                    for j, x in support[k]:
+                        acc[j] = acc[j] + f * x
             out.append(acc)
     return out
 

@@ -3,10 +3,12 @@
 Right modules are row-vector representations: a module of dimension d
 assigns to each basis element of the algebra a d x d matrix, acting by
 ``m -> m @ act(b)``; multiplicativity ``act(u) @ act(v) = act(uv)`` is
-the module axiom.  All functors here are computed through minimal
-projective resolutions built from explicit projective covers; injective
-constructions are obtained exclusively by dualising over the opposite
-algebra, so there is a single code path to test.
+the module axiom.  The matrices are stored as sparse rows: most entries
+are zero in the modules a resolution builds.  All functors here are
+computed through minimal projective resolutions built from explicit
+projective covers; injective constructions are obtained exclusively by
+dualising over the opposite algebra, so there is a single code path to
+test.
 
 Every potentially infinite search (dominant dimension, first
 non-vanishing self-extension, their suprema) takes a cutoff and returns
@@ -34,11 +36,13 @@ from .exactmath import (
     rank_rows,
     reduce_against,
     rref_rows,
+    sparse_row,
 )
 from .quivalg import (
     AlgebraTable,
     _has_isomorphism,
     _radical_powers,
+    _radical_top,
     blocks,
     corner_algebra,
     idempotent_sum,
@@ -73,63 +77,83 @@ def require_not_semisimple(table: AlgebraTable) -> None:
 # ---------------------------------------------------------------------------
 
 class Representation:
-    """A right module over an AlgebraTable, given by one action matrix per
-    algebra basis element (row-vector convention)."""
+    """A right module over an AlgebraTable: for each algebra basis element
+    b_u, the matrix of m -> m @ act(b_u) (row-vector convention).
+
+    The actions are stored only as sparse rows: ``rows[u][i]`` is row i of
+    the action of b_u, a tuple of (column, coefficient) pairs with nonzero
+    coefficients.  The constructor takes dense matrices and converts them
+    once; ``from_rows`` takes sparse rows as they are.  ``apply`` and
+    ``apply_element`` compute every vec @ action product; ``actions`` is a
+    dense view built on each access, for serialisation and tests."""
 
     def __init__(self, algebra: AlgebraTable, dim: int, actions, name: str = ""):
+        if len(actions) != algebra.dim or any(
+                len(m) != dim or any(len(r) != dim for r in m) for m in actions):
+            raise ValueError(f"expected {algebra.dim} action matrices of size {dim} x {dim}")
         self.algebra = algebra
         self.dim = dim
-        self.actions = tuple(tuple(tuple(r) for r in m) for m in actions)
+        self.rows = tuple(tuple(sparse_row(r) for r in m) for m in actions)
         self.name = name
         self._cache: dict = {}
+
+    @classmethod
+    def from_rows(cls, algebra: AlgebraTable, dim: int, rows, name: str = "") -> "Representation":
+        """The module whose sparse action rows are ``rows``."""
+        rep = cls.__new__(cls)
+        rep.algebra, rep.dim, rep.name, rep._cache = algebra, dim, name, {}
+        rep.rows = tuple(tuple(m) for m in rows)
+        return rep
 
     def __repr__(self):
         label = self.name or "module"
         return f"<{label}: dim {self.dim} over {self.algebra.describe()}>"
 
-    def act_raw(self, idx: int) -> list[list]:
-        return [list(r) for r in self.actions[idx]]
+    @property
+    def actions(self) -> tuple:
+        """Dense action matrices, one per basis element, built on each access."""
+        zero = self.algebra.field.zero()
+        return tuple(tuple(tuple(_dense(r, self.dim, zero)) for r in m) for m in self.rows)
+
+    def _combine(self, terms) -> list:
+        """Sum of f * row over the (f, sparse row) pairs, as a dense row
+        reduced once."""
+        fld = self.algebra.field
+        acc = [fld.zero()] * self.dim
+        for f, row in terms:
+            for j, c in row:
+                acc[j] += f * c
+        if fld.kind == "prime":
+            p = fld.p
+            return [x % p for x in acc]
+        return acc
+
+    def apply(self, vec, u: int) -> list:
+        """vec @ act(b_u)."""
+        rows = self.rows[u]
+        return self._combine((x, rows[i]) for i, x in enumerate(vec) if x)
+
+    def apply_element(self, vec, a) -> list:
+        """vec @ act(a) for an algebra element a (coordinate vector)."""
+        support = [(i, x) for i, x in enumerate(vec) if x]
+        return self._combine((c * x, self.rows[u][i])
+                             for u, c in enumerate(a) if c for i, x in support)
 
     def element_action(self, vec) -> list[list]:
-        """Action matrix of an arbitrary algebra element (coordinate vector)."""
-        fld = self.algebra.field
-        d = self.dim
-        zero = fld.zero()
-        acc = [[zero] * d for _ in range(d)]
-        for u, c in enumerate(vec):
-            if c:
-                m = self.actions[u]
-                if fld.kind == "prime":
-                    p = fld.p
-                    for i in range(d):
-                        row = m[i]
-                        ai = acc[i]
-                        for j in range(d):
-                            if row[j]:
-                                ai[j] = (ai[j] + c * row[j]) % p
-                else:
-                    for i in range(d):
-                        row = m[i]
-                        ai = acc[i]
-                        for j in range(d):
-                            if row[j]:
-                                ai[j] = ai[j] + c * row[j]
-        return acc
+        """Dense action matrix of an arbitrary algebra element (coordinate vector)."""
+        terms = [(c, self.rows[u]) for u, c in enumerate(vec) if c]
+        return [self._combine((c, rows[i]) for c, rows in terms) for i in range(self.dim)]
 
     def verify(self) -> None:
         """Re-check the module axioms against the structure constants."""
         A = self.algebra
-        fld = A.field
-        d = self.dim
-        unit_mat = self.element_action(list(A.unit))
-        if unit_mat != _identity(fld, d):
+        if self.element_action(A.unit) != _identity(A.field, self.dim):
             raise ValueError("unit does not act as the identity")
         for u in range(A.dim):
-            mu = self.act_raw(u)
             for v in range(A.dim):
-                lhs = matmul_rows(fld, mu, self.act_raw(v))
-                rhs = self.element_action(list(A.mult[u][v]))
-                if lhs != rhs:
+                # row i of act(b_u) @ act(b_v) against act(b_u b_v)
+                lhs = [self._combine((c, self.rows[v][j]) for j, c in row) for row in self.rows[u]]
+                if lhs != self.element_action(A.mult[u][v]):
                     raise ValueError(
                         f"action violates structure constants on pair "
                         f"({A.basis_names[u]}, {A.basis_names[v]})"
@@ -142,8 +166,8 @@ class Representation:
             "name": self.name,
             "field": fld.to_json(),
             "actions": {
-                self.algebra.basis_names[u]: [[fld.fmt(x) for x in row] for row in self.actions[u]]
-                for u in range(self.algebra.dim)
+                name: [[fld.fmt(x) for x in row] for row in m]
+                for name, m in zip(self.algebra.basis_names, self.actions)
             },
         }
 
@@ -165,14 +189,16 @@ def regular(table: AlgebraTable) -> Representation:
     return Representation(table, d, actions, name="regular")
 
 
-def _unit_row(fld, n, j):
-    v = [fld.zero()] * n
-    v[j] = fld.one()
-    return v
+def _dense(row, n: int, zero) -> list:
+    out = [zero] * n
+    for j, x in row:
+        out[j] = x
+    return out
 
 
 def _identity(fld, dim: int) -> list[list]:
-    return [_unit_row(fld, dim, i) for i in range(dim)]
+    zero, one = fld.zero(), fld.one()
+    return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
 
 
 def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, list[list]]:
@@ -184,19 +210,17 @@ def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, 
     for r in rows:
         span.add(list(r))
     basis, pivots = span.finish()
-    k = len(basis)
-    actions = []
+    support = [sparse_row(b) for b in basis]
+    rows = []
     for u in range(M.algebra.dim):
-        act = M.act_raw(u)
         mat = []
         for b in basis:
-            img = matmul_rows(fld, [b], act)[0]
-            coeffs = coords_against(fld, basis, pivots, img)
+            coeffs = coords_against(fld, support, pivots, M.apply(b, u))
             if coeffs is None:
                 raise ValueError("rows are not action-stable")
-            mat.append(coeffs)
-        actions.append(mat)
-    return Representation(M.algebra, k, actions, name=name), basis
+            mat.append(sparse_row(coeffs))
+        rows.append(mat)
+    return Representation.from_rows(M.algebra, len(basis), rows, name=name), basis
 
 
 def quotient(M: Representation, rows, name: str = "") -> tuple[Representation, dict]:
@@ -222,27 +246,27 @@ def quotient(M: Representation, rows, name: str = "") -> tuple[Representation, d
             out[j] = c
         return out
 
-    actions = []
-    for u in range(M.algebra.dim):
-        act = M.act_raw(u)
-        mat = []
-        for j in comp:
-            img = matmul_rows(fld, [_unit_row(fld, M.dim, j)], act)[0]
-            mat.append(project(img))
-        actions.append(mat)
-    rep = Representation(M.algebra, len(comp), actions, name=name)
+    # a unit row times an action is that row of the action
+    zero = fld.zero()
+    actions = [[sparse_row(project(_dense(M.rows[u][j], M.dim, zero))) for j in comp]
+               for u in range(M.algebra.dim)]
+    rep = Representation.from_rows(M.algebra, len(comp), actions, name=name)
     return rep, {"project": project, "lift": lift, "sub_basis": basis, "sub_pivots": pivots}
 
 
-def radical_rows(M: Representation) -> list[list]:
-    """Rows spanning M*J (images of the declared radical basis)."""
+def _radical_span(M: Representation) -> SpanBuilder:
+    """M*J, spanned by the images of the lifts of a basis of J/J^2."""
     span = SpanBuilder(M.algebra.field, M.dim)
-    for r in M.algebra.radical:
-        act = M.element_action(list(r))
-        for row in act:
+    for r in _radical_top(M.algebra):
+        for row in M.element_action(r):
             if any(row):
-                span.add(list(row))
-    return [list(r) for r in span.rows]
+                span.add(row)
+    return span
+
+
+def radical_rows(M: Representation) -> list[list]:
+    """Rows spanning M*J."""
+    return [list(r) for r in _radical_span(M).rows]
 
 
 def radical_submodule(M: Representation) -> Representation:
@@ -271,16 +295,12 @@ def _projective_data(table: AlgebraTable, vertex: int):
         if any(r):
             span.add(r)
     basis, pivots = span.finish()
-    k = len(basis)
-    actions = []
-    for u in range(table.dim):
-        mat = []
-        for b in basis:
-            img = table.mult_elements(list(b), table.basis_vec(u))
-            coeffs = coords_against(fld, basis, pivots, img)
-            mat.append(coeffs)
-        actions.append(mat)
-    rep = Representation(table, k, actions, name=f"P({label})")
+    support = [sparse_row(b) for b in basis]
+    actions = [[sparse_row(coords_against(fld, support, pivots,
+                                          table.mult_elements(list(b), table.basis_vec(u))))
+                for b in basis]
+               for u in range(table.dim)]
+    rep = Representation.from_rows(table, len(basis), actions, name=f"P({label})")
     cache[key] = (rep, basis, pivots)
     return cache[key]
 
@@ -307,10 +327,14 @@ def dual_representation(M: Representation, target: AlgebraTable) -> Representati
     if target.dim != M.algebra.dim:
         raise ValueError("dual target has the wrong dimension")
     actions = []
-    for u in range(M.algebra.dim):
-        m = M.actions[u]
-        actions.append([[m[i][j] for i in range(M.dim)] for j in range(M.dim)])
-    return Representation(target, M.dim, actions, name=f"D({M.name})" if M.name else "dual")
+    for mat in M.rows:
+        cols = [[] for _ in range(M.dim)]
+        for i, row in enumerate(mat):
+            for j, c in row:
+                cols[j].append((i, c))
+        actions.append([tuple(col) for col in cols])
+    return Representation.from_rows(target, M.dim, actions,
+                                    name=f"D({M.name})" if M.name else "dual")
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +355,7 @@ def _cover_generators(M: Representation) -> list[tuple[int, list]]:
     """Pick top generators aligned with idempotents: pairs (vertex, m-row)."""
     A = M.algebra
     fld = A.field
-    span = SpanBuilder(fld, M.dim)
-    for r in radical_rows(M):
-        span.add(r)
-    basis, pivots = span.finish()
+    basis, pivots = _radical_span(M).finish()
     pivset = set(pivots)
     comp = [j for j in range(M.dim) if j not in pivset]
 
@@ -344,13 +365,12 @@ def _cover_generators(M: Representation) -> list[tuple[int, list]]:
 
     gens: list[tuple[int, list]] = []
     sel = SpanBuilder(fld, len(comp))
-    idem_actions = [M.element_action(list(e)) for _, e in A.idempotents]
+    idem_actions = [M.element_action(e) for _, e in A.idempotents]
     for j in range(M.dim):
         if len(gens) == len(comp):
             break
-        u = _unit_row(fld, M.dim, j)
         for vi in range(len(A.idempotents)):
-            m = matmul_rows(fld, [u], idem_actions[vi])[0]
+            m = idem_actions[vi][j]  # the unit row j times the idempotent
             if not any(m):
                 continue
             if sel.add(proj(m)):
@@ -368,23 +388,12 @@ def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Represent
     for d in dims:
         offsets.append(offsets[-1] + d)
     total = offsets[-1]
-    fld = table.field
-    zero = fld.zero()
     actions = []
     for u in range(table.dim):
-        mat = [[zero] * total for _ in range(total)]
-        for bi, (rep, _, _) in enumerate(blocks):
-            off = offsets[bi]
-            act = rep.actions[u]
-            for i in range(rep.dim):
-                row = act[i]
-                target = mat[off + i]
-                for j in range(rep.dim):
-                    if row[j]:
-                        target[off + j] = row[j]
-        actions.append(mat)
+        actions.append([tuple((off + j, c) for j, c in row)
+                        for (Pv, _, _), off in zip(blocks, offsets) for row in Pv.rows[u]])
     name = "(+)".join(f"P{v}" for v in vertices)
-    rep = Representation(table, total, actions, name=name)
+    rep = Representation.from_rows(table, total, actions, name=name)
     block_data = [(v, b[1]) for v, b in zip(vertices, blocks)]
     return rep, block_data, offsets
 
@@ -400,9 +409,10 @@ def projective_cover(M: Representation) -> Cover:
     P, blocks, offsets = _projective_sum(A, vertices)
     matrix = []
     for (vi, m), (v2, rows) in zip(gens, blocks):
-        act_cache = [M.element_action(list(r)) for r in rows]
-        for act in act_cache:
-            matrix.append(matmul_rows(fld, [m], act)[0])
+        # the image of the block row r is m @ act(r) = sum_u r_u (m @ act(b_u))
+        images = [sparse_row(M.apply(m, u)) for u in range(A.dim)]
+        for r in rows:
+            matrix.append(M._combine((c, images[u]) for u, c in enumerate(r) if c))
     # surjectivity (covers the top, hence everything)
     if rank_rows(fld, matrix) != M.dim:
         raise AssertionError("projective cover failed to surject")
@@ -416,9 +426,7 @@ def _cover_and_kernel(M: Representation) -> tuple[Cover, list[list]]:
     cov = projective_cover(M)
     ker = left_kernel_rows(fld, cov.matrix)
     if ker:
-        radP = SpanBuilder(fld, cov.P.dim)
-        for r in radical_rows(cov.P):
-            radP.add(r)
+        radP = _radical_span(cov.P)
         for row in ker:
             if not radP.contains(row):
                 raise AssertionError("cover is not minimal: kernel escapes the radical")
@@ -539,11 +547,10 @@ def _weight_basis(N: Representation, vertex: int):
         return N._cache[key]
     fld = N.algebra.field
     _, e = N.algebra.idempotents[vertex]
-    act = N.element_action(list(e))
     span = SpanBuilder(fld, N.dim)
-    for row in act:
+    for row in N.element_action(e):
         if any(row):
-            span.add(list(row))
+            span.add(row)
     N._cache[key] = span.finish()
     return N._cache[key]
 
@@ -611,16 +618,16 @@ def ext_dims(M: Representation, N: Representation, t: int,
         for _, _, rows, _ in tgt:
             tgt_offsets.append(off)
             off += len(rows)
+        tgt_support = [[sparse_row(t) for t in trows] for _, _, trows, _ in tgt]
         images = []
         for c, v, rows, _ in src:
-            act_cache = [N.element_action(emat[c][c2]) for c2 in range(len(tgt))]
             for r in rows:
                 img = [fld.zero()] * tgt_dim
                 for c2, (_, _, trows, tpivots) in enumerate(tgt):
                     if not trows:
                         continue
-                    piece = matmul_rows(fld, [list(r)], act_cache[c2])[0]
-                    coeffs = coords_against(fld, trows, tpivots, piece)
+                    piece = N.apply_element(r, emat[c][c2])
+                    coeffs = coords_against(fld, tgt_support[c2], tpivots, piece)
                     if coeffs is None:
                         raise AssertionError("differential image left its weight space")
                     base = tgt_offsets[c2]
@@ -732,6 +739,7 @@ def _op_table(table: AlgebraTable) -> AlgebraTable:
         op = opposite(table)
         table._cache["opposite"] = op
         op._cache["opposite"] = table
+        op._cache["radical_top"] = _radical_top(table)  # same J and J^2 as the table
     return op
 
 
@@ -760,14 +768,13 @@ def enveloping(table: AlgebraTable):
     env = tensor_algebra(table, _op_table(table))
     env.provenance.update({"kind": "enveloping"})
     d = table.dim
+    R = regular(table)  # row k of R.rows[u] is b_k * b_u
     actions = []
     for i in range(d):
-        R_u = table.right_mult_matrix(table.basis_vec(i))
         for j in range(d):
-            L_v = table.left_mult_matrix(table.basis_vec(j))
-            actions.append(tuple(tuple(r) for r in matmul_rows(table.field, L_v, R_u)))
-    rep = Representation(env, d, tuple(actions), name="regular-bimodule")
-    return env, rep
+            # row k: b_j * b_k * b_i
+            actions.append([sparse_row(R.apply(table.mult[j][k], i)) for k in range(d)])
+    return env, Representation.from_rows(env, d, actions, name="regular-bimodule")
 
 
 def projective_injective_vertices(table: AlgebraTable) -> set[int]:
@@ -1243,9 +1250,10 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int) -> bool:
 
     def action(basis, act, label):
         rows, pivots = basis
+        support = [sparse_row(r) for r in rows]
         mat = []
         for r in rows:
-            coeffs = coords_against(fld, rows, pivots, act(r))
+            coeffs = coords_against(fld, support, pivots, act(r))
             if coeffs is None:
                 raise AssertionError(f"{label} is not stable under the bimodule action")
             mat.append(coeffs)
@@ -1291,19 +1299,18 @@ def bridged_module(table: AlgebraTable, vertex: int, length: int) -> Representat
     bridged Nakayama table."""
     P = projective(table, vertex)
     fld = table.field
-    rad_actions = [P.element_action(list(r)) for r in table.radical]
-    rows = [_unit_row(fld, P.dim, j) for j in range(P.dim)]
+    rows = _identity(fld, P.dim)
     for _ in range(length):
         span = SpanBuilder(fld, P.dim)
         for r in rows:
-            for act in rad_actions:
-                img = matmul_rows(fld, [r], act)[0]
+            for x in _radical_top(table):
+                img = P.apply_element(r, x)
                 if any(img):
                     span.add(img)
         rows = [list(x) for x in span.rows]
         if not rows:
             break
     if not rows:
-        return Representation(table, P.dim, P.actions, name=f"M({vertex},{length})")
+        return Representation.from_rows(table, P.dim, P.rows, name=f"M({vertex},{length})")
     rep, _ = quotient(P, rows, name=f"M({vertex},{length})")
     return rep

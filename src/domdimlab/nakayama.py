@@ -253,11 +253,20 @@ def dim_ext(A: NakAlgebra, t: int, M: NakModule, N: NakModule) -> int:
     """
     if t < 1:
         raise NakInputError("ext degree must be >= 1")
-    if is_projective(A, M):
-        return 0
+    return ext_on_chain(A, t, syzygy_chain(A, M, t), N)
+
+
+def syzygy_chain(A: NakAlgebra, M: NakModule, t: int) -> list[NakModule]:
+    """Omega^0 M, Omega^1 M, ... up to Omega^t M or the first projective."""
     chain: list[NakModule] = [M]
     while len(chain) <= t and not is_projective(A, chain[-1]):
         chain.append(syzygy(A, chain[-1]))  # type: ignore[arg-type]
+    return chain
+
+
+def ext_on_chain(A: NakAlgebra, t: int, chain: list[NakModule], N: NakModule) -> int:
+    """dim Ext^t(M, N) for t >= 1, read from ``chain = syzygy_chain(A, M, s)``
+    with s >= t, so that one chain serves every N and every degree up to s."""
     if len(chain) <= t:
         return 0  # projective dimension < t
     j, l = N.vertex, N.length

@@ -29,6 +29,7 @@ from .exactmath import (
     matmul_rows,
     rank_rows,
     reduce_against,
+    sparse_row,
 )
 
 SIZE_LIMIT = 4096  # largest table dimension (paths, corner or tensor basis) built
@@ -301,13 +302,6 @@ class AlgebraTable:
                                     acc[k] = acc[k] + f * row[k]
         return acc
 
-    def right_mult_matrix(self, v) -> list[list]:
-        """Matrix of x -> x*v on row vectors."""
-        out = []
-        for i in range(self.dim):
-            out.append(self.mult_elements(self.basis_vec(i), v))
-        return out
-
     def left_mult_matrix(self, v) -> list[list]:
         """Matrix of x -> v*x on row vectors."""
         out = []
@@ -423,18 +417,24 @@ def _radical_powers(table: AlgebraTable, rad=None):
         current = [list(r) for r in nxt.rows]
 
 
+def _radical_top(table: AlgebraTable) -> list[list]:
+    """The radical basis vectors whose classes form a basis of J/J^2.
+    They generate J as a left ideal (J = AX + J^2 forces J = AX, since J
+    is nilpotent), so M J is the sum of the M x."""
+    top = table._cache.get("radical_top")
+    if top is None:
+        powers = _radical_powers(table)
+        next(powers, None)  # J
+        mod = SpanBuilder(table.field, table.dim)
+        for r in next(powers, []):  # J^2
+            mod.add(r)
+        top = table._cache["radical_top"] = [list(v) for v in table.radical if mod.add(list(v))]
+    return top
+
+
 def _default_generators(table: AlgebraTable) -> list[list]:
     """Idempotents plus lifts of a basis of J/J^2: a unital generating set."""
-    powers = _radical_powers(table)
-    next(powers, None)  # J
-    mod = SpanBuilder(table.field, table.dim)
-    for r in next(powers, []):  # J^2
-        mod.add(r)
-    gens = [list(vec) for _, vec in table.idempotents]
-    for v in table.radical:
-        if mod.add(list(v)):
-            gens.append(list(v))
-    return gens
+    return [list(vec) for _, vec in table.idempotents] + _radical_top(table)
 
 
 def verify_table(table: AlgebraTable) -> None:
@@ -980,9 +980,10 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
     dim_c = len(rows)
     if dim_c > SIZE_LIMIT:
         raise SizeLimitError("corner algebra too large")
+    support = [sparse_row(r) for r in rows]
 
     def coords(vec):
-        c = coords_against(fld, rows, pivots, vec)
+        c = coords_against(fld, support, pivots, vec)
         if c is None:
             raise CompileError("corner multiplication left the corner span")
         return c

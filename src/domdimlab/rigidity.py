@@ -90,10 +90,11 @@ def is_k_rigid(A: nak.NakAlgebra, modules: Sequence[nak.NakModule], k: int) -> b
     if k < 1:
         raise nak.NakInputError("rigidity degree must be >= 1")
     summands = sorted(set(modules))
+    chains = [nak.syzygy_chain(A, X, k) for X in summands]  # one per summand, not per pair
     for t in range(1, k + 1):
-        for X in summands:
+        for chain in chains:
             for Y in summands:
-                if nak.dim_ext(A, t, X, Y):
+                if nak.ext_on_chain(A, t, chain, Y):
                     return False
     return True
 

@@ -175,3 +175,32 @@ def test_f2_row_packing_fixed_rows():
     assert _pack_f2([0, 1, 2, 255]) == 0b1010
     assert _pack_f2([0, 1, 2, 255, 256, -1]) == 0b101010
     assert _pack_f2([]) == 0
+
+
+@given(matrices(min_rows=1, min_cols=1), st.data())
+def test_coords_against_sparse_basis(m, data):
+    # a vector in the row space gets its coordinates back; one outside gets None
+    from domdimlab.exactmath import coords_against, matmul_rows, sparse_row
+
+    fld = m.field
+    res = m.rref()
+    basis = res.matrix.row_lists()[:res.rank]
+    support = [sparse_row(r) for r in basis]
+    coeffs = [fld.of_int(x) for x in data.draw(st.lists(
+        st.integers(-4, 4), min_size=res.rank, max_size=res.rank))]
+    vec = matmul_rows(fld, [coeffs], basis)[0] if basis else [fld.zero()] * m.cols
+    assert coords_against(fld, support, list(res.pivots), vec) == coeffs
+    free = [c for c in range(m.cols) if c not in res.pivots]
+    if free:
+        vec[free[0]] = fld.add(vec[free[0]], fld.one())
+        assert coords_against(fld, support, list(res.pivots), vec) is None
+
+
+@given(matrices(field=QQ, max_rows=4, max_cols=4), st.data())
+def test_matmul_rows_q_skips_zeros_exactly(a, data):
+    from domdimlab.exactmath import matmul_rows
+
+    b = data.draw(matrices(field=QQ, min_rows=a.cols, max_rows=a.cols, max_cols=4))
+    want = [[sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+    assert matmul_rows(QQ, a.row_lists(), b.row_lists()) == want

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from domdimlab import homology as hml
@@ -577,3 +580,86 @@ def test_representation_verify_catches_bad_action(bridged33):
     bad = hml.Representation(bridged33, M.dim, broken)
     with pytest.raises(ValueError):
         bad.verify()
+    short = [[list(r)[:-1] for r in m] for m in M.actions]  # one column missing
+    with pytest.raises(ValueError):
+        hml.Representation(bridged33, M.dim, short).verify()
+
+
+# -- sparse action rows --------------------------------------------------------
+
+FIELDS = pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+
+
+def sparse_builders(fld):
+    """One module from every builder, over the bridged cyclic (3, 4)."""
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4)), fld)
+    R = hml.regular(table)
+    P0 = hml.projective(table, 0)
+    return {
+        "regular": R,
+        "projective": P0,
+        "simple": hml.simple(table, 1),
+        "submodule": hml.submodule(R, hml.radical_rows(R))[0],
+        "quotient": hml.quotient(R, hml.radical_rows(R))[0],
+        "projective-sum": hml._projective_sum(table, [0, 1, 0])[0],
+        "bridged": hml.bridged_module(table, 1, 2),
+        "dual": hml.dual_representation(P0, hml._op_table(table)),
+        "syzygy": hml.syzygy(hml.bridged_module(table, 0, 2)),
+    }
+
+
+@FIELDS
+def test_every_module_builder_verifies(fld):
+    for name, M in sparse_builders(fld).items():
+        M.verify()
+        back = hml.representation_from_json(M.algebra, M.to_json())  # verifies again
+        assert (back.dim, back.rows, back.actions) == (M.dim, M.rows, M.actions), name
+        # sparse rows hold exactly the nonzero entries of the dense view
+        for mat, dense in zip(M.rows, M.actions):
+            assert [[(j, x) for j, x in enumerate(r) if x] for r in dense] == [list(r) for r in mat]
+
+
+def test_regular_bimodule_verifies():
+    env, bimod = hml.enveloping(qa.preset("truncated-poly(3,F3)"))
+    bimod.verify()
+    assert bimod.algebra is env
+
+
+def test_hopf_syzygies_verify(hopf):
+    M = hml.simple(hopf, 0)
+    dims = []
+    for _ in range(8):
+        M = hml.syzygy(M)
+        M.verify()
+        dims.append(M.dim)
+    assert dims == hml.syzygy_dims(hml.simple(hopf, 0), 8)
+
+
+def random_scalar(fld, rng):
+    if rng.random() < 0.5:
+        return fld.zero()  # sparse vectors, as in the resolutions
+    if fld.kind == "prime":
+        return rng.randrange(fld.p)
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+@FIELDS
+def test_apply_matches_dense_product(fld):
+    from domdimlab.exactmath import matmul_rows
+
+    rng = random.Random(f"apply:{fld.describe()}")
+    for name, M in sparse_builders(fld).items():
+        A = M.algebra
+        dense = [[list(r) for r in mat] for mat in M.actions]
+        for _ in range(10):
+            vec = [random_scalar(fld, rng) for _ in range(M.dim)]
+            a = [random_scalar(fld, rng) for _ in range(A.dim)]
+            for u in range(A.dim):
+                assert M.apply(vec, u) == matmul_rows(fld, [vec], dense[u])[0], (name, u)
+            act = [[fld.zero()] * M.dim for _ in range(M.dim)]
+            for u, c in enumerate(a):
+                for i in range(M.dim):
+                    for j in range(M.dim):
+                        act[i][j] = fld.add(act[i][j], fld.mul(c, dense[u][i][j]))
+            assert M.element_action(a) == act, name
+            assert M.apply_element(vec, a) == matmul_rows(fld, [vec], act)[0], name

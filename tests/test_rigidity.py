@@ -7,7 +7,7 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab import rigidity as rg
-from domdimlab.suites import cyclic_series
+from domdimlab.suites import SWEEP_C_MAX, cyclic_series
 
 
 C = nak.CYCLE
@@ -125,6 +125,31 @@ def test_paper_witness_is_2_rigid():
 def test_non_rigid_module_55():
     A = nak.validate(C, (5, 5))
     assert not rg.is_k_rigid(A, [nak.NakModule(0, 2)], 1)
+
+
+def rigid_by_definition(A, modules, k):
+    """Ext^t(X, Y) = 0 for t = 1..k over all ordered pairs, by scalar dim_ext."""
+    summands = set(modules)
+    return all(nak.dim_ext(A, t, X, Y) == 0
+               for t in range(1, k + 1) for X in summands for Y in summands)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_is_k_rigid_matches_definition(k):
+    """The witness of o_k is rigid; adding any module outside it is not
+    (the witness is maximal); a random subset may be either."""
+    rng = random.Random(k)
+    seen = {True: 0, False: 0}
+    for kup in cyclic_series(2, 4, SWEEP_C_MAX):
+        A = nak.validate(C, kup)
+        witness = rg.o_k(A, k).witness
+        mods = nak.indecomposables(A)
+        extra = rng.choice([M for M in mods if M not in witness] or mods)
+        for sub in (witness, witness + (extra,), rng.sample(mods, min(3, len(mods)))):
+            verdict = rg.is_k_rigid(A, sub, k)
+            assert verdict == rigid_by_definition(A, sub, k), (kup, sub)
+            seen[verdict] += 1
+    assert seen[True] > 360 and seen[False] > 300  # both verdicts well exercised
 
 
 def test_multiset_input_equals_set_input():
