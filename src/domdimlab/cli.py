@@ -6,8 +6,9 @@ and ``verify`` (batch suites).  Reports are deterministic JSON: byte
 identical across runs with identical inputs and cutoffs.  Wall time is
 printed to stderr only, so it never perturbs the report bytes.
 
-Exit codes: 0 success, 1 falsification, 2 usage error, 3 undetermined
-certificate, 4 failed internal re-check.
+Exit codes: 0 success, 1 falsification, 2 usage error or unmet
+precondition, 4 failed internal re-check.  Every verdict is decided, so
+no code reports an open answer.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ _INPUT_ERRORS = (
 
 
 class _Command(click.Command):
-    """Maps input errors to exit 2, undetermined certificates to exit 3 and failed
+    """Maps input errors and unmet preconditions to exit 2 and failed
     internal re-checks (``AssertionError``) to exit 4, so that exit 1 means
     falsification only."""
 
@@ -168,9 +169,6 @@ class _Command(click.Command):
             return super().invoke(ctx)
         except _INPUT_ERRORS as exc:
             raise click.UsageError(str(exc), ctx)
-        except hml.UndeterminedError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(3)
         except AssertionError as exc:
             click.echo(f"internal error: {str(exc) or 'assertion failed'}", err=True)
             sys.exit(4)

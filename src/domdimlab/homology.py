@@ -16,8 +16,10 @@ a :class:`BoundedValue`.  Isomorphism questions (of modules, of the
 bimodules in the gendo-symmetric test, and of A with D(A) in
 ``quivalg.is_symmetric``) are decided by rank checks on the basis maps of
 a Hom space, one per block (``quivalg._has_isomorphism``); no coefficient
-search runs.  Only ``is_indecomposable``, and ``modules_isomorphic`` on a
-module without a split local endomorphism ring, can answer None.
+search runs.  Where a verdict needs End(M) to be split local (a module
+isomorphism with no invertible basis map, and every summand of an
+endomorphism algebra), that certificate is checked (``_local_end``) and
+its absence raises :class:`PreconditionError`; no verdict is left open.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .exactmath import (
     matmul_rows,
     rank_rows,
     reduce_against,
-    rref_rows,
     sparse_row,
 )
 from .quivalg import (
@@ -61,10 +62,6 @@ class SemisimpleInputError(ValueError):
 
 class PreconditionError(ValueError):
     pass
-
-
-class UndeterminedError(RuntimeError):
-    """A certificate the computation needs could not be established."""
 
 
 def require_not_semisimple(table: AlgebraTable) -> None:
@@ -709,14 +706,14 @@ def dim_hom(M: Representation, N: Representation) -> int:
     return len(hom_basis(M, N))
 
 
-def modules_isomorphic(M: Representation, N: Representation):
-    """True / False / None: does an invertible intertwiner exist?
+def modules_isomorphic(M: Representation, N: Representation) -> bool:
+    """True or False: does an invertible intertwiner exist?
 
     True when some basis map of Hom(M, N) is invertible.  When End(M) is
-    split local (``is_indecomposable``'s certificate), the maps M -> N that
-    are not isomorphisms form a proper subspace whenever M = N, so no
-    invertible basis map means False.  None only for a module without
-    that certificate: a decomposable M, or one whose End is not split.
+    split local (``_require_local_end``), the maps M -> N that are not
+    isomorphisms form a proper subspace whenever M = N, so no invertible
+    basis map means False.  Without that certificate (a decomposable M,
+    or one whose End is not split) the call raises PreconditionError.
     """
     _require_same_algebra(M, N)
     if M.dim != N.dim:
@@ -726,7 +723,8 @@ def modules_isomorphic(M: Representation, N: Representation):
     fld = M.algebra.field
     if _has_isomorphism(hom_basis(M, N), [_identity(fld, M.dim)], fld):
         return True
-    return False if _local_end(hom_basis(M, M), fld, M.dim) else None
+    _require_local_end(M)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1007,9 +1005,7 @@ def check_ideal_rigidity(table: AlgebraTable, X: IdealModule) -> IdealRigidityRe
 # ---------------------------------------------------------------------------
 
 def _stable_power(T, fld, dim: int) -> list[list]:
-    """T^(2^s) for the least 2^s >= dim: zero iff T is nilpotent, and of
-    rank strictly between 0 and dim iff its Fitting decomposition splits
-    the module."""
+    """T^(2^s) for the least 2^s >= dim: zero iff T is nilpotent."""
     power = [list(r) for r in T]
     steps = 1
     while steps < dim:
@@ -1069,122 +1065,84 @@ def _local_end(ends, fld, dim: int) -> bool:
     return True
 
 
-def is_indecomposable(M: Representation):
-    """True / False / None, by an End-locality certificate and Fitting splittings.
-
-    A split local endomorphism ring (``_local_end``) makes M indecomposable.
-    Otherwise a stable power of an endomorphism with rank strictly between
-    0 and dim splits M; the candidates are the basis endomorphisms and
-    their pairwise sums.  None when neither settles it.
-    """
-    if M.dim == 0:
-        raise ValueError("zero module")
-    fld = M.algebra.field
+def _require_local_end(M: Representation) -> list[list[list]]:
+    """A basis of End(M), certified split local (``_local_end``), which
+    makes M indecomposable.  Raises PreconditionError naming M without the
+    certificate: M is decomposable, or End(M) is local with a top larger
+    than the field."""
     ends = hom_basis(M, M)
-    if _local_end(ends, fld, M.dim):
-        return True
-    candidates = list(ends)
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            candidates.append([
-                [fld.add(ends[i][r][c], ends[j][r][c]) for c in range(M.dim)]
-                for r in range(M.dim)
-            ])
-    for T in candidates:
-        if 0 < rank_rows(fld, _stable_power(T, fld, M.dim)) < M.dim:
-            return False
-    return None
+    if not _local_end(ends, M.algebra.field, M.dim):
+        name = M.name or "?"
+        raise PreconditionError(
+            f"End({name}) is not split local: {name} is decomposable "
+            "or its endomorphism ring is not split"
+        )
+    return ends
 
 
 def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
-    """End(M) for M the direct sum of pairwise non-isomorphic verified
-    indecomposables, as an algebra table.
+    """End(M) for M the direct sum of pairwise non-isomorphic summands,
+    each with a split local endomorphism ring, as an algebra table.
 
-    Basis elements are homomorphisms between summands; the product u*v is
-    "u then v" (composition read left to right), so the summand identity
-    maps are the complete set of orthogonal primitive idempotents.
+    Basis elements are homomorphisms between summands, the RREF basis of
+    each Hom block; the product u*v is "u then v" (composition read left
+    to right), so the summand identity maps are the complete set of
+    orthogonal primitive idempotents.
     """
     if not summands:
         raise ValueError("empty summand list")
-    table = summands[0].algebra
-    fld = table.field
-    for M in summands:
-        verdict = is_indecomposable(M)
-        if verdict is False:
-            raise PreconditionError(f"summand {M.name or '?'} is decomposable")
-        if verdict is None:
-            raise UndeterminedError(
-                f"indecomposability of summand {M.name or '?'} is undetermined"
-            )
+    fld = summands[0].algebra.field
+    ends = [_require_local_end(M) for M in summands]
     # each summand has a split local End now, so these verdicts are decided
     for i in range(len(summands)):
         for j in range(i + 1, len(summands)):
             if modules_isomorphic(summands[i], summands[j]):
                 raise PreconditionError("summands must be pairwise non-isomorphic")
     k = len(summands)
-    homs = [[hom_basis(summands[a], summands[b]) for b in range(k)] for a in range(k)]
+    dims = [M.dim for M in summands]
+    flat = lambda mat: [x for row in mat for x in row]
+    hom_rref = {}  # (a, b) -> (offset in the basis, sparse RREF rows, pivots)
     basis = []  # (a, b, matrix)
     names = []
     for a in range(k):
         for b in range(k):
-            for idx, T in enumerate(homs[a][b]):
-                basis.append((a, b, T))
+            span = SpanBuilder(fld, dims[a] * dims[b])
+            for T in ends[a] if a == b else hom_basis(summands[a], summands[b]):
+                span.add(flat(T))
+            rows, pivots = span.finish()
+            hom_rref[(a, b)] = (len(basis), [sparse_row(r) for r in rows], pivots)
+            for idx, r in enumerate(rows):
+                basis.append((a, b, [r[i * dims[b]:(i + 1) * dims[b]] for i in range(dims[a])]))
                 names.append(f"h{a}to{b}_{idx}")
     dim_e = len(basis)
-    flat = lambda mat: [x for row in mat for x in row]
-    offsets = {}
-    pos = 0
-    for a in range(k):
-        for b in range(k):
-            offsets[(a, b)] = pos
-            pos += len(homs[a][b])
+    zero = [fld.zero()] * dim_e
 
-    def coords_of(a, b, T):
-        return _solve_coords(fld, [flat(X) for X in homs[a][b]], flat(T))
+    def element(a, b, T):
+        """The map T: M_a -> M_b as a vector in the basis."""
+        offset, rows, pivots = hom_rref[(a, b)]
+        coeffs = coords_against(fld, rows, pivots, flat(T))
+        if coeffs is None:
+            raise AssertionError(f"a map outside Hom(m{a}, m{b})")
+        vec = list(zero)
+        vec[offset:offset + len(coeffs)] = coeffs
+        return vec
 
     mult = []
     for (a1, b1, T1) in basis:
-        row = []
-        for (a2, b2, T2) in basis:
-            vec = [fld.zero()] * dim_e
-            if b1 == a2:
-                comp = matmul_rows(fld, T1, T2)  # "T1 then T2"
-                if any(any(r) for r in comp):
-                    sol = coords_of(a1, b2, comp)
-                    base = offsets[(a1, b2)]
-                    for idx, c in enumerate(sol):
-                        vec[base + idx] = c
-            row.append(tuple(vec))
-        mult.append(tuple(row))
-
-    unit = [fld.zero()] * dim_e
-    idem = []
-    for a in range(k):
-        e = [fld.zero()] * dim_e
-        sol = coords_of(a, a, _identity(fld, summands[a].dim))
-        base = offsets[(a, a)]
-        for idx, c in enumerate(sol):
-            e[base + idx] = c
-            unit[base + idx] = fld.add(unit[base + idx], c)
-        label = summands[a].name or f"m{a}"
-        idem.append((label, e))
+        mult.append([element(a1, b2, matmul_rows(fld, T1, T2))  # "T1 then T2"
+                     if b1 == a2 else zero for (a2, b2, T2) in basis])
+    idem = [(M.name or f"m{a}", element(a, a, _identity(fld, M.dim)))
+            for a, M in enumerate(summands)]
+    unit = list(zero)
+    for _, e in idem:
+        unit = [fld.add(x, y) for x, y in zip(unit, e)]
     radical = []
-    for pos, (a, b, T) in enumerate(basis):
-        if a != b:
-            v = [fld.zero()] * dim_e
-            v[pos] = fld.one()
-            radical.append(v)
-    for a in range(k):
-        for T in homs[a][a]:
-            nil = _nilpotent_part(T, fld, summands[a].dim)  # exists: End is local
-            if not any(any(r) for r in nil):
-                continue
-            v = [fld.zero()] * dim_e
-            sol = coords_of(a, a, nil)
-            base = offsets[(a, a)]
-            for idx, c in enumerate(sol):
-                v[base + idx] = c
-            radical.append(v)
+    for a, b, T in basis:
+        # off the diagonal every map is radical; on it, the nilpotent part
+        # exists because End(M_a) is split local
+        R = T if a != b else _nilpotent_part(T, fld, dims[a])
+        if any(any(r) for r in R):
+            radical.append(element(a, b, R))
     return make_table(
         field=fld,
         basis_names=names,
@@ -1196,21 +1154,6 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
         provenance={"kind": "endomorphism",
                     "summands": [M.name or f"m{i}" for i, M in enumerate(summands)]},
     )
-
-
-def _solve_coords(fld, basis_rows, target):
-    """Coordinates of ``target`` in the (independent) raw basis rows."""
-    n = len(basis_rows)
-    width = len(target)
-    aug = [[basis_rows[i][j] for i in range(n)] + [target[j]] for j in range(width)]
-    work = [list(r) for r in aug]
-    _, pivots = rref_rows(fld, work)
-    sol = [fld.zero()] * n
-    for row, c in zip(work, pivots):
-        if c >= n:
-            raise AssertionError("target outside the span")
-        sol[c] = row[n]
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,8 @@ def _quaternion_periodic_item():
     om = S
     for _ in range(4):
         om = hml.syzygy(om)
-    verdict = hml.modules_isomorphic(om, S)
-    return _item("quaternion-omega4-selfiso", verdict is True, got_dim=om.dim)
+    return _item("quaternion-omega4-selfiso", hml.modules_isomorphic(om, S),
+                 got_dim=om.dim)
 
 
 def _mueller_item():
