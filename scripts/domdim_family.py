@@ -3,9 +3,11 @@
 
 Tabulates domdim against 2n - 2 and, for small n, confirms the
 gendo-symmetric hypothesis with the bimodule test on the bridged table.
+Exits 1 when some row is a MISMATCH or the bimodule test says no.
 """
 
 import argparse
+import sys
 
 from domdimlab import homology as hml
 from domdimlab import nakayama as nak
@@ -22,6 +24,7 @@ def main():
     args = parser.parse_args()
 
     print(f"{'n':>3} {'kupisch':<22} {'domdim':>7} {'2n-2':>5} {'gendo':>7}")
+    failed = False
     for n in range(2, args.n_max + 1):
         A = nak.validate(nak.CYCLE, (n,) + (n + 1,) * (n - 1))
         dd = nak.domdim(A, args.cutoff)
@@ -31,7 +34,9 @@ def main():
             gendo = "yes" if hml.is_gendo_symmetric(table, args.cutoff) else "no"
         flag = "" if dd.is_finite and dd.value == 2 * n - 2 else "  <-- MISMATCH"
         print(f"{n:>3} {A.describe():<22} {str(dd):>7} {2 * n - 2:>5} {gendo:>7}{flag}")
+        failed = failed or bool(flag) or gendo == "no"
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -662,43 +662,80 @@ def _require_same_algebra(M: Representation, N: Representation) -> None:
 
 def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
     """Basis of Hom_A(M, N) as dM x dN matrices, solved against the
-    algebra's generator set."""
+    algebra's generator set one weight space at a time (``_intertwiners``):
+    where the vertex idempotents act diagonally, as on a path basis, only
+    the entries between basis vectors at the same vertex are unknowns."""
     _require_same_algebra(M, N)
     pairs = ((M.element_action(g), N.element_action(g)) for g in M.algebra.generators)
     return _intertwiners(M.algebra.field, pairs, M.dim, N.dim)
 
 
+def _diagonal(act) -> Optional[tuple]:
+    """The diagonal of the square matrix ``act`` if it is a diagonal matrix."""
+    diag = []
+    for i, row in enumerate(act):
+        if any(row[:i]) or any(row[i + 1:]):
+            return None
+        diag.append(row[i])
+    return tuple(diag)
+
+
 def _intertwiners(fld, pairs, dm: int, dn: int) -> list[list[list]]:
     """Basis of the dm x dn matrices T with actM @ T = T @ actN for every
     (actM, actN) in ``pairs``, the actions of one generator on the two
-    modules; ``pairs`` is read only when both dimensions are nonzero."""
+    modules; ``pairs`` is read only when both dimensions are nonzero.
+
+    Hom is solved one weight space at a time.  Each pair whose two actions
+    are diagonal (a vertex idempotent on a path basis, say) adds one
+    coordinate to the weight of every basis vector of M and of N.  As
+    (d_j - d'_k) T[j][k] = 0, an entry T[j][k] can be nonzero only when
+    weight_M(j) == weight_N(k), so only those entries are unknowns; the
+    other pairs give sparse equations in them, solved by one kernel.  With
+    no diagonal pair every weight is () and every entry is an unknown.
+    The unknowns keep the row-major order of T, so the basis is the one
+    the full dm * dn system has: both are the reduced kernel basis of the
+    same solution space in the same column order."""
     if dm == 0 or dn == 0:
         return []
-    rows = []
+    weight_m, weight_n = [()] * dm, [()] * dn
+    general = []
     for actM, actN in pairs:
-        for i in range(dm):
-            for k in range(dn):
-                row = [fld.zero()] * (dm * dn)
-                # sum_j actM[i][j] T[j][k] - T[i][j'] actN[j'][k] = 0
-                for j in range(dm):
-                    if actM[i][j]:
-                        row[j * dn + k] = fld.add(row[j * dn + k], actM[i][j])
-                for jp in range(dn):
-                    if actN[jp][k]:
-                        row[i * dn + jp] = fld.sub(row[i * dn + jp], actN[jp][k])
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        flat = []
-        one, zero = fld.one(), fld.zero()
-        for pos in range(dm * dn):
-            flat.append([one if q == pos else zero for q in range(dm * dn)])
-        sols = flat
-    else:
-        sols = kernel_rows(fld, rows, dm * dn)
+        dM, dN = _diagonal(actM), _diagonal(actN)
+        if dM is None or dN is None:
+            general.append((actM, actN))
+        else:
+            weight_m = [w + (x,) for w, x in zip(weight_m, dM)]
+            weight_n = [w + (x,) for w, x in zip(weight_n, dN)]
+    same_weight: dict = {}
+    for k, w in enumerate(weight_n):
+        same_weight.setdefault(w, []).append(k)
+    unknowns = [(j, k) for j in range(dm) for k in same_weight.get(weight_m[j], ())]
+    zero = fld.zero()
+    rows = []
+    for actM, actN in general:
+        col_m = [[(i, row[j]) for i, row in enumerate(actM) if row[j]] for j in range(dm)]
+        row_n = [[(kp, x) for kp, x in enumerate(row) if x] for row in actN]
+        # equation (i, k') is entry (i, k') of actM @ T - T @ actN
+        eqs: dict = {}
+        for q, (j, k) in enumerate(unknowns):
+            for i, c in col_m[j]:
+                eq = eqs.setdefault((i, k), {})
+                eq[q] = fld.add(eq.get(q, zero), c)
+            for kp, c in row_n[k]:
+                eq = eqs.setdefault((j, kp), {})
+                eq[q] = fld.sub(eq.get(q, zero), c)
+        for eq in eqs.values():
+            if any(eq.values()):
+                row = [zero] * len(unknowns)
+                for q, c in eq.items():
+                    row[q] = c
+                rows.append(row)
     mats = []
-    for sol in sols:
-        mats.append([[sol[i * dn + k] for k in range(dn)] for i in range(dm)])
+    for sol in kernel_rows(fld, rows, len(unknowns)):
+        T = [[zero] * dn for _ in range(dm)]
+        for (j, k), x in zip(unknowns, sol):
+            T[j][k] = x
+        mats.append(T)
     return mats
 
 
@@ -1167,10 +1204,14 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int) -> bool:
 
     Both bimodules are presented by the actions of generators (those of
     eAe, lifted to A, and those of A), and Hom is solved once against
-    them, so no tensor algebra is built.  The bimodule endomorphism ring
-    of eA is the centre of eAe, local on each block of eAe, so the
-    isomorphism is decided by rank checks of the Hom basis against the
-    action of each block idempotent on D(Ae) (``_has_isomorphism``)."""
+    them, so no tensor algebra is built.  The solve goes one weight space
+    at a time (``_intertwiners``): on a path basis the idempotents of eAe
+    and of A act diagonally, so only the entries between basis vectors
+    with the same two end vertices are unknowns.  The bimodule
+    endomorphism ring of eA is the centre of eAe, local on each block of
+    eAe, so the isomorphism is decided by rank checks of the Hom basis
+    against the action of each block idempotent on D(Ae)
+    (``_has_isomorphism``)."""
     if cutoff < 2:
         raise PreconditionError("cutoff must be >= 2 to settle domdim >= 2")
     require_not_semisimple(table)

@@ -7,7 +7,7 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab.bounded import BoundedValue
-from domdimlab.exactmath import F2, F3, QQ
+from domdimlab.exactmath import F2, F3, QQ, matmul_rows
 from domdimlab.suites import cyclic_series
 
 
@@ -163,13 +163,52 @@ def test_ext_pattern_simple_33(bridged33):
     assert table.degrees[2] > 0
 
 
-def test_hom_dims_match_combinatorial(bridged33):
-    A = nak.validate(nak.CYCLE, (3, 3))
+HOM_CROSS_CASES = [(nak.CYCLE, (3, 3)), (nak.CYCLE, (2, 3)), (nak.CYCLE, (3, 4, 4)),
+                   (nak.LINE, (3, 2, 1))]
+
+
+def test_hom_dims_match_combinatorial():
+    for fld in (F2, F3, QQ):
+        for orientation, kup in HOM_CROSS_CASES:
+            A = nak.validate(orientation, kup)
+            table = qa.nakayama_to_table(A, fld)
+            mods = nak.indecomposables(A)
+            bridged = {M: hml.bridged_module(table, M.vertex, M.length) for M in mods}
+            for M in mods:
+                for N in mods:
+                    rm, rn = bridged[M], bridged[N]
+                    basis = hml.hom_basis(rm, rn)
+                    assert len(basis) == nak.dim_hom(A, M, N), (fld, kup, M, N)
+                    for g in table.generators:
+                        act_m, act_n = rm.element_action(g), rn.element_action(g)
+                        for T in basis:
+                            assert (matmul_rows(fld, act_m, T)
+                                    == matmul_rows(fld, T, act_n)), (fld, kup, M, N)
+
+
+@pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_hom_without_diagonal_idempotents(fld):
+    # X = P_0 in the basis m -> m @ S, S unitriangular with every entry 1
+    # above the diagonal: no vertex idempotent acts diagonally on X, so
+    # the Hom solve has no weights to split by
+    A = nak.validate(nak.CYCLE, (3, 4, 4))
+    table = qa.nakayama_to_table(A, fld)
+    P = hml.projective(table, 0)
+    d, one, zero = P.dim, fld.one(), fld.zero()
+    S = [[one if j >= i else zero for j in range(d)] for i in range(d)]
+    S_inv = [[one if j == i else fld.neg(one) if j == i + 1 else zero for j in range(d)]
+             for i in range(d)]
+    X = hml.Representation(table, d, [matmul_rows(fld, matmul_rows(fld, S_inv, act), S)
+                                      for act in P.actions], name="X")
+    X.verify()
+    for _, e in table.idempotents:
+        assert hml._diagonal(X.element_action(e)) is None
     for M in nak.indecomposables(A):
-        for N in nak.indecomposables(A):
-            rm = hml.bridged_module(bridged33, M.vertex, M.length)
-            rn = hml.bridged_module(bridged33, N.vertex, N.length)
-            assert hml.dim_hom(rm, rn) == nak.dim_hom(A, M, N)
+        N = hml.bridged_module(table, M.vertex, M.length)
+        assert hml.dim_hom(X, N) == hml.dim_hom(P, N) == nak.dim_hom(A, nak.projective(A, 0), M)
+        assert hml.dim_hom(N, X) == hml.dim_hom(N, P)
+    assert hml.modules_isomorphic(X, P) is True
+    assert hml.modules_isomorphic(P, X) is True
 
 
 def test_line_algebra_oracle_agreement():
@@ -556,8 +595,10 @@ def test_indecomposability_certificates(bridged33):
 # -- gendo-symmetric ----------------------------------------------------------------
 
 def test_gendo_symmetric_family():
-    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4, 4)), F2)
-    assert hml.is_gendo_symmetric(table, 16) is True
+    # the family (n, n+1, ..., n+1), decided by the bimodule test itself
+    for n in range(2, 8):
+        A = nak.validate(nak.CYCLE, (n,) + (n + 1,) * (n - 1))
+        assert hml.is_gendo_symmetric(qa.nakayama_to_table(A, F2), 64) is True, n
 
 
 def test_gendo_symmetric_line_false():
