@@ -671,7 +671,8 @@ def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
 
 
 def _diagonal(act) -> Optional[tuple]:
-    """The diagonal of the square matrix ``act`` if it is a diagonal matrix."""
+    """The diagonal of the square matrix ``act``, or None if an entry off
+    the diagonal is nonzero."""
     diag = []
     for i, row in enumerate(act):
         if any(row[:i]) or any(row[i + 1:]):
