@@ -6,9 +6,11 @@ assigns to each basis element of the algebra a d x d matrix, acting by
 the module axiom.  The matrices are stored as sparse rows: most entries
 are zero in the modules a resolution builds.  All functors here are
 computed through minimal projective resolutions built from explicit
-projective covers; injective constructions are obtained exclusively by
-dualising over the opposite algebra, so there is a single code path to
-test.
+projective covers.  A resolution keeps each syzygy as rows of the
+projective term that contains it and covers it there, so no syzygy is
+built as a module of its own.  Injective constructions are obtained
+exclusively by dualising over the opposite algebra, so there is a single
+code path to test.
 
 Every potentially infinite search (dominant dimension, first
 non-vanishing self-extension, their suprema) takes a cutoff and returns
@@ -348,34 +350,23 @@ class Cover:
     generators: list[tuple[int, list]]  # (vertex, image row in M) per summand
 
 
-def _cover_generators(M: Representation) -> list[tuple[int, list]]:
-    """Pick top generators aligned with idempotents: pairs (vertex, m-row)."""
-    A = M.algebra
-    fld = A.field
-    basis, pivots = _radical_span(M).finish()
+def _reduced_basis(fld, rows) -> tuple[list[list], list[int]]:
+    """A basis of the span of ``rows`` in which row k is 1 at column
+    pivots[k] and every other row is 0 there.  Rows that already have this
+    form at their last nonzero entries, as unit rows and the kernel rows of
+    ``left_kernel_rows`` do, are kept as they are; others are brought to
+    RREF."""
+    rows = [list(r) for r in rows if any(r)]
+    support = [sparse_row(r) for r in rows]
+    pivots = [s[-1][0] for s in support]
     pivset = set(pivots)
-    comp = [j for j in range(M.dim) if j not in pivset]
-
-    def proj(vec):
-        red = reduce_against(fld, basis, pivots, vec)
-        return [red[j] for j in comp]
-
-    gens: list[tuple[int, list]] = []
-    sel = SpanBuilder(fld, len(comp))
-    idem_actions = [M.element_action(e) for _, e in A.idempotents]
-    for j in range(M.dim):
-        if len(gens) == len(comp):
-            break
-        for vi in range(len(A.idempotents)):
-            m = idem_actions[vi][j]  # the unit row j times the idempotent
-            if not any(m):
-                continue
-            if sel.add(proj(m)):
-                gens.append((vi, m))
-                if len(gens) == len(comp):
-                    break
-    assert len(gens) == len(comp), "top generators do not split by idempotents"
-    return gens
+    if (len(pivset) == len(rows) and all(s[-1][1] == 1 for s in support)
+            and not any(j in pivset for s in support for j, _ in s[:-1])):
+        return rows, pivots
+    span = SpanBuilder(fld, len(rows[0]) if rows else 0)
+    for r in rows:
+        span.add(r)
+    return span.finish()
 
 
 def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list, list]:
@@ -395,38 +386,96 @@ def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Represent
     return rep, block_data, offsets
 
 
-def projective_cover(M: Representation) -> Cover:
-    """Minimal projective cover of a nonzero module; kernel inside the radical."""
-    if M.dim == 0:
-        raise ValueError("projective cover of the zero module")
+def projective_cover(M: Representation, rows=None) -> Cover:
+    """Minimal projective cover of the submodule U of M spanned by ``rows``
+    (default: all of M), which must be nonzero.
+
+    Everything is computed in the coordinates of M, and U is never built
+    as a module of its own.  U*J is spanned by the images of the rows
+    under ``_radical_top``; the top generators are rows times vertex
+    idempotents, picked while independent modulo U*J; the cover matrix
+    (dim P x dim M) maps each summand e_vA onto the submodule its
+    generator spans, and its rank must be dim U (surjectivity).  Each
+    generator is returned as its row in M.  ValueError: U is not
+    action-stable, that is a row of U*J or an idempotent image of a row
+    leaves span(U)."""
     A = M.algebra
     fld = A.field
-    gens = _cover_generators(M)
+    basis, pivots = _reduced_basis(fld, _identity(fld, M.dim) if rows is None else rows)
+    if not basis:
+        raise ValueError("projective cover of the zero module")
+    support = [sparse_row(b) for b in basis]
+
+    def coords(vec):
+        """Coordinates of a row of M in the basis of U."""
+        c = coords_against(fld, support, pivots, vec)
+        if c is None:
+            raise ValueError("rows are not action-stable")
+        return c
+
+    # U*J, in the coordinates of U; the top generators extend it to U
+    span = SpanBuilder(fld, len(basis))
+    for x in _radical_top(A):
+        for b in basis:
+            img = M.apply_element(b, x)
+            if any(img):
+                span.add(coords(img))
+    need = len(basis) - span.rank
+    gens: list[tuple[int, list]] = []
+    for b in basis:
+        for vi, (_, e) in enumerate(A.idempotents):
+            m = M.apply_element(b, e)
+            if any(m):
+                c = coords(m)  # every image is checked, also once the top is full
+                if len(gens) < need and span.add(c):
+                    gens.append((vi, m))
+    assert len(gens) == need, "top generators do not split by idempotents"
     vertices = [vi for vi, _ in gens]
     P, blocks, offsets = _projective_sum(A, vertices)
     matrix = []
-    for (vi, m), (v2, rows) in zip(gens, blocks):
+    for (vi, m), (v2, brows) in zip(gens, blocks):
         # the image of the block row r is m @ act(r) = sum_u r_u (m @ act(b_u))
         images = [sparse_row(M.apply(m, u)) for u in range(A.dim)]
-        for r in rows:
+        for r in brows:
             matrix.append(M._combine((c, images[u]) for u, c in enumerate(r) if c))
-    # surjectivity (covers the top, hence everything)
-    if rank_rows(fld, matrix) != M.dim:
+    # the images lie in U, which the generators cover modulo U*J
+    if rank_rows(fld, matrix) != len(basis):
         raise AssertionError("projective cover failed to surject")
     return Cover(vertices, P, blocks, offsets, matrix, gens)
 
 
-def _cover_and_kernel(M: Representation) -> tuple[Cover, list[list]]:
-    """Projective cover of M and rows spanning its kernel inside the cover,
-    certified to lie in the radical of the cover (minimality)."""
-    fld = M.algebra.field
-    cov = projective_cover(M)
+def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
+    """Sparse linear forms on P_vertex whose common kernel is rad(P_vertex):
+    for each non-pivot column j of the RREF basis of the radical, the entry
+    at j of a vector reduced against that basis.  Cached on the table
+    beside the projective."""
+    key = ("projective-radical", vertex)
+    if key not in table._cache:
+        fld = table.field
+        P = projective(table, vertex)
+        rows, pivots = _radical_span(P).finish()
+        pivset = set(pivots)
+        table._cache[key] = [
+            ((j, fld.one()),) + tuple((c, fld.neg(row[j])) for row, c in zip(rows, pivots) if row[j])
+            for j in range(P.dim) if j not in pivset]
+    return table._cache[key]
+
+
+def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list[list]]:
+    """Projective cover of M, or of its submodule spanned by ``rows``, and
+    rows spanning the kernel inside the cover, certified to lie in the
+    radical of the cover (minimality).  As rad(P) is the sum of the
+    rad(P_v), each block of a kernel row is checked on its own."""
+    A = M.algebra
+    fld = A.field
+    cov = projective_cover(M, rows)
     ker = left_kernel_rows(fld, cov.matrix)
-    if ker:
-        radP = _radical_span(cov.P)
-        for row in ker:
-            if not radP.contains(row):
-                raise AssertionError("cover is not minimal: kernel escapes the radical")
+    for (v, _), off in zip(cov.blocks, cov.offsets):
+        for form in _top_forms(A, v):
+            for row in ker:
+                val = sum(row[off + j] * c for j, c in form)
+                if val % fld.p if fld.kind == "prime" else val:
+                    raise AssertionError("cover is not minimal: kernel escapes the radical")
     return cov, ker
 
 
@@ -452,6 +501,11 @@ class MinimalResolution:
     an element matrix: entry [c][c'] is the algebra element carrying the
     c'-th generator of P_s into the c-th summand of P_{s-1}.
     ``kernel_dims[s]`` is dim of the (s+1)-st syzygy.
+
+    Each syzygy is kept as the kernel rows inside the projective term it
+    lies in, and covered there (``projective_cover`` with rows), so no
+    syzygy is built as a module of its own.  The generators of P_s are
+    then rows of P_{s-1}, and ``maps[s]`` is read from their blocks.
     """
 
     def __init__(self, M: Representation):
@@ -460,9 +514,11 @@ class MinimalResolution:
         self.levels: list[list[int]] = []
         self.maps: list[Optional[list[list]]] = [None]
         self.kernel_dims: list[int] = []
-        self._prev_cover: Optional[Cover] = None
-        self._current: Optional[Representation] = M
-        self._sub_basis: Optional[list] = None  # rows of the current kernel inside its ambient P
+        # the next syzygy: rows (None for all of it) of its ambient module,
+        # M and then the last projective term; None once a kernel is zero
+        self._ambient: Optional[Representation] = M if M.dim else None
+        self._rows: Optional[list[list]] = None
+        self._prev: Optional[tuple[list, list]] = None  # (blocks, offsets) of the last cover
         self.finished = False
 
     def extend_to(self, length: int) -> None:
@@ -470,45 +526,34 @@ class MinimalResolution:
             self._extend_once()
 
     def _extend_once(self) -> None:
-        cur = self._current
-        if cur is None or cur.dim == 0:
+        if self._ambient is None:
             self.finished = True
             return
+        cov, ker = _cover_and_kernel(self._ambient, self._rows)
+        self.levels.append(list(cov.vertices))
+        if self._prev is not None:
+            self.maps.append(self._element_matrix(cov.generators))
+        self._prev = (cov.blocks, cov.offsets)
+        self.kernel_dims.append(len(ker))
+        self._ambient, self._rows = (cov.P, ker) if ker else (None, None)
+
+    def _element_matrix(self, gens) -> list[list]:
+        """Entry [c][gi]: the block c of the generator gi, a row of the
+        previous projective term, as an element of e_vA."""
         A = self.M.algebra
         fld = A.field
-        cov, ker = _cover_and_kernel(cur)
-        self.levels.append(list(cov.vertices))
-        prev, self._prev_cover = self._prev_cover, cov
-        if prev is not None:
-            gens = cov.generators
-            # rows of the new generators inside the previous projective sum
-            assert self._sub_basis is not None
-            elem_matrix = [
-                [None] * len(cov.vertices) for _ in range(len(prev.vertices))
-            ]
-            for gi, (vi, m) in enumerate(gens):
-                prow = matmul_rows(fld, [m], self._sub_basis)[0]
-                for c in range(len(prev.vertices)):
-                    off = prev.offsets[c]
-                    rows = prev.blocks[c][1]
-                    block = prow[off:off + len(rows)]
-                    elem = A.zero_vec()
-                    for coeff, brow in zip(block, rows):
-                        if coeff:
-                            for k in range(A.dim):
-                                if brow[k]:
-                                    elem[k] = fld.add(elem[k], fld.mul(coeff, brow[k]))
-                    elem_matrix[c][gi] = elem
-            self.maps.append(elem_matrix)
-        krep, kbasis = submodule(cov.P, ker, name="") if ker else (None, [])
-        if krep is None or krep.dim == 0:
-            self.kernel_dims.append(0)
-            self._current = None
-            self._sub_basis = None
-        else:
-            self.kernel_dims.append(krep.dim)
-            self._current = krep
-            self._sub_basis = kbasis
+        blocks, offsets = self._prev
+        elem_matrix = [[None] * len(gens) for _ in blocks]
+        for gi, (_, m) in enumerate(gens):
+            for c, ((_, brows), off) in enumerate(zip(blocks, offsets)):
+                elem = A.zero_vec()
+                for coeff, brow in zip(m[off:off + len(brows)], brows):
+                    if coeff:
+                        for k in range(A.dim):
+                            if brow[k]:
+                                elem[k] = fld.add(elem[k], fld.mul(coeff, brow[k]))
+                elem_matrix[c][gi] = elem
+        return elem_matrix
 
 
 def _resolution(M: Representation, length: int) -> MinimalResolution:

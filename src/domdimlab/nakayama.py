@@ -395,13 +395,8 @@ def phi(A: NakAlgebra, modules: Iterable[NakModule], cutoff: int) -> BoundedValu
         raise NakInputError("phi of the zero module")
     if all(is_projective(A, X) for X in summands):
         raise NakInputError("phi is undefined on projective modules")
-    sources = [X for X in summands if not is_projective(A, X)]
-    for r in range(1, cutoff + 1):
-        for X in sources:
-            for Y in summands:
-                if dim_ext(A, r, X, Y) > 0:
-                    return BoundedValue.finite(r)
-    return BoundedValue.at_least(cutoff)
+    return _first_nonzero_ext(A, [X for X in summands if not is_projective(A, X)],
+                              summands, cutoff)
 
 
 def delta(A: NakAlgebra, cutoff: int) -> BoundedValue:
@@ -424,12 +419,23 @@ def delta(A: NakAlgebra, cutoff: int) -> BoundedValue:
                 return BoundedValue.at_least(cutoff)
             best = max(best, r.value)
         return BoundedValue.finite(best)
-    injectives = [I for I in dual_regular(A) if not is_projective(A, I)]
-    projectives = [projective(A, i) for i in range(A.n)]
+    return _first_nonzero_ext(A, [I for I in dual_regular(A) if not is_projective(A, I)],
+                              [projective(A, i) for i in range(A.n)], cutoff)
+
+
+def _first_nonzero_ext(A: NakAlgebra, sources: list[NakModule], targets: list[NakModule],
+                       cutoff: int) -> BoundedValue:
+    """First degree r in [1, cutoff] with Ext^r(X, Y) nonzero for some X in
+    ``sources`` and Y in ``targets``.  Each source has one syzygy chain,
+    grown by one step per degree, so that no chain is built further than
+    the answer needs; every Ext is read from it by ``ext_on_chain``."""
+    chains = [[X] for X in sources]
     for r in range(1, cutoff + 1):
-        for I in injectives:
-            for P in projectives:
-                if dim_ext(A, r, I, P) > 0:
+        for chain in chains:
+            if len(chain) == r and not is_projective(A, chain[-1]):
+                chain.append(syzygy(A, chain[-1]))  # type: ignore[arg-type]
+            for Y in targets:
+                if ext_on_chain(A, r, chain, Y) > 0:
                     return BoundedValue.finite(r)
     return BoundedValue.at_least(cutoff)
 

@@ -418,9 +418,12 @@ def _radical_powers(table: AlgebraTable, rad=None):
 
 
 def _radical_top(table: AlgebraTable) -> list[list]:
-    """The radical basis vectors whose classes form a basis of J/J^2.
-    They generate J as a left ideal (J = AX + J^2 forces J = AX, since J
-    is nilpotent), so M J is the sum of the M x."""
+    """Elements that generate J as a left and as a right ideal, so that
+    M J is the sum of the M x.  ``compile_quiver`` stores the nonzero
+    arrow images, as every path is a product of arrows; for any other
+    table they are the radical basis vectors whose classes form a basis
+    of J/J^2 (J = AX + J^2 forces J = AX, and J = XA + J^2 forces
+    J = XA, since J is nilpotent)."""
     top = table._cache.get("radical_top")
     if top is None:
         powers = _radical_powers(table)
@@ -699,23 +702,27 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
             radical.append(v)
     # idempotents plus the image of every arrow generate: each basis path
     # is a product of arrow images (arrows rewritten by relations included)
-    generators = [vec for _, vec in idem]
+    arrow_images = []
     for a in spec.arrows:
         vec = [fld.zero()] * ncols
         vec[col_of[(a.source, (a.name,))]] = fld.one()
         img = normal_form(vec)
         if any(img):
-            generators.append(img)
-    return make_table(
+            arrow_images.append(img)
+    table = make_table(
         field=fld,
         basis_names=basis_names,
         mult=mult,
         unit=unit,
         idempotents=idem,
         radical=radical,
-        generators=generators,
+        generators=[vec for _, vec in idem] + arrow_images,
         provenance={"kind": "quiver", "spec": spec.to_json()},
     )
+    # J is spanned by the paths of length >= 1, each a product of arrows, so
+    # the arrow images generate J as a left and as a right ideal: no J^2 needed
+    table._cache["radical_top"] = arrow_images
+    return table
 
 
 # ---------------------------------------------------------------------------

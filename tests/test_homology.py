@@ -744,3 +744,81 @@ def test_apply_matches_dense_product(fld):
                         act[i][j] = fld.add(act[i][j], fld.mul(c, dense[u][i][j]))
             assert M.element_action(a) == act, name
             assert M.apply_element(vec, a) == matmul_rows(fld, [vec], act)[0], name
+
+
+# -- resolutions kept inside their projective covers --------------------------
+
+def dual_numbers_off_the_path_basis(fld):
+    """k[x]/(x^2) in the basis 1, 1 + x: the radical x = b1 - b0 is no basis
+    vector, so rad(P) is not spanned by unit rows."""
+    one, zero = fld.one(), fld.zero()
+    mult = [[(one, zero), (zero, one)],
+            [(zero, one), (fld.neg(one), fld.of_int(2))]]  # (1+x)^2 = -1 + 2(1+x)
+    return qa.make_table(fld, ["1", "1+x"], mult, (one, zero), [("v", (one, zero))],
+                         [(fld.neg(one), one)], None)
+
+
+def resolution_cases():
+    """(module, length) with an id: the local presets over F_2, bridged
+    uniserial modules of cycle and line algebras over F_2, F_3 and Q, and
+    the simple module of k[x]/(x^2) off the path basis over F_3 and Q."""
+    for name in ("hopf-a5-f2", "dihedral8-f2", "quaternion8-f2"):
+        table = qa.preset(name)
+        yield pytest.param(hml.simple(table, 0), 6, id=f"{name}-simple")
+        yield pytest.param(hml.radical_power(table, 2).rep, 4, id=f"{name}-J2")
+    for fld in (F3, QQ):
+        yield pytest.param(hml.simple(dual_numbers_off_the_path_basis(fld), 0), 4,
+                           id=f"dual-numbers-{fld.describe()}")
+    for fld in (F2, F3, QQ):
+        for orientation, kup, v, length in ((nak.CYCLE, (3, 4, 4), 0, 2), (nak.CYCLE, (2, 3), 1, 1),
+                                            (nak.LINE, (3, 3, 2, 1), 0, 1), (nak.LINE, (2, 2, 1), 1, 1)):
+            table = qa.nakayama_to_table(nak.validate(orientation, kup), fld)
+            yield pytest.param(hml.bridged_module(table, v, length), 6,
+                               id=f"{orientation}{''.join(map(str, kup))}-M{v}{length}-{fld.describe()}")
+
+
+@pytest.mark.parametrize("M, t", list(resolution_cases()))
+def test_resolution_matches_iterated_syzygies_and_composes_to_zero(M, t):
+    dims, om = [], M
+    for _ in range(t):
+        om = hml.syzygy(om) if om.dim else om
+        dims.append(om.dim)
+    assert hml.syzygy_dims(M, t) == dims
+    res = hml._resolution(M, t)
+    table = M.algebra
+    for s in range(1, len(res.maps) - 1):
+        d_s, d_next = res.maps[s], res.maps[s + 1]
+        for c in range(len(res.levels[s - 1])):
+            for c2 in range(len(res.levels[s + 1])):
+                total = table.zero_vec()
+                for c1 in range(len(res.levels[s])):
+                    prod = table.mult_elements(d_s[c][c1], d_next[c1][c2])
+                    total = [table.field.add(x, y) for x, y in zip(total, prod)]
+                assert not any(total), (s, c, c2)
+
+
+def test_cover_of_rows_that_are_not_action_stable_raises(hopf, bridged33):
+    # span{1} in the regular module: 1 * J leaves it
+    R = hml.regular(hopf)
+    with pytest.raises(ValueError, match="not action-stable"):
+        hml.projective_cover(R, [list(hopf.unit)])
+    with pytest.raises(ValueError, match="not action-stable"):
+        hml.submodule(R, [list(hopf.unit)])
+    # span{a0*a1 + a1*a0} over the cycle (3, 3): J kills it, e_0 does not keep it
+    R = hml.regular(bridged33)
+    names = bridged33.basis_names
+    row = [1 if n in ("a0*a1", "a1*a0") else 0 for n in names]
+    assert not any(any(R.apply_element(row, x)) for x in qa._radical_top(bridged33))
+    with pytest.raises(ValueError, match="not action-stable"):
+        hml.projective_cover(R, [row])
+
+
+def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
+    # the radical of the regular module, as rows and as a module of its own
+    R = hml.regular(hopf)
+    rows = hml.radical_rows(R)
+    inside = hml.projective_cover(R, rows)
+    alone = hml.projective_cover(hml.submodule(R, rows)[0])
+    assert inside.vertices == alone.vertices == [0, 0]
+    assert inside.P.dim == alone.P.dim == 16
+    assert len(inside.matrix[0]) == R.dim

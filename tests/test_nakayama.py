@@ -324,6 +324,28 @@ def test_delta_line21():
     assert nak.delta(nak.validate(L, (2, 1)), 12) == BoundedValue.finite(1)
 
 
+def first_nonzero_dim_ext(A, sources, targets, cutoff):
+    """The search phi and delta make, with scalar dim_ext as the oracle."""
+    for r in range(1, cutoff + 1):
+        if any(nak.dim_ext(A, r, X, Y) for X in sources for Y in targets):
+            return BoundedValue.finite(r)
+    return BoundedValue.at_least(cutoff)
+
+
+@given(st.one_of(cyclic_algebras(n_max=4, c_max=7), line_algebras()), st.sampled_from([1, 3, 12]))
+def test_phi_and_delta_match_dim_ext(A, cutoff):
+    mods = nak.indecomposables(A)
+    projectives = [nak.projective(A, i) for i in range(A.n)]
+    for X in mods:
+        if not nak.is_projective(A, X):
+            pair = sorted({X, mods[0]})
+            sources = [Y for Y in pair if not nak.is_projective(A, Y)]
+            assert nak.phi(A, pair, cutoff) == first_nonzero_dim_ext(A, sources, pair, cutoff)
+    if not nak.is_selfinjective(A):
+        injectives = [I for I in nak.dual_regular(A) if not nak.is_projective(A, I)]
+        assert nak.delta(A, cutoff) == first_nonzero_dim_ext(A, injectives, projectives, cutoff)
+
+
 # -- the Ext table ------------------------------------------------------------
 
 @given(st.one_of(cyclic_algebras(n_max=4, c_max=8), line_algebras()))

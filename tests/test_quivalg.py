@@ -8,7 +8,7 @@ import pytest
 from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
-from domdimlab.exactmath import F2, F3, QQ, rank_rows
+from domdimlab.exactmath import F2, F3, QQ, SpanBuilder, rank_rows
 from domdimlab.suites import cyclic_series
 
 LOOPS = qa.QuiverSpec(
@@ -455,3 +455,39 @@ def test_quiver_file_compiles_on_load(tmp_path):
         json.dump(LOOPS.to_json(), fh)
     table = qa.load_algebra(str(path))
     assert table.dim == 8
+
+
+@pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+@pytest.mark.parametrize("orientation, kup", [
+    (nak.CYCLE, (3,)), (nak.CYCLE, (2, 3)), (nak.CYCLE, (3, 3, 4)), (nak.CYCLE, (4, 3, 2)),
+    (nak.LINE, (2, 1)), (nak.LINE, (3, 2, 2, 1)), (nak.LINE, (2, 2, 1, 1)),
+])
+def test_radical_top_of_a_bridge_is_its_arrows(orientation, kup, fld):
+    # the arrows compile_quiver hands over are the basis vectors of J that
+    # a basis of J/J^2 picks, in the same order
+    table = qa.nakayama_to_table(nak.validate(orientation, kup), fld)
+    powers = qa._radical_powers(table)
+    next(powers)
+    j2 = SpanBuilder(fld, table.dim)
+    for r in next(powers, []):
+        j2.add(r)
+    expected = [list(v) for v in table.radical if j2.add(list(v))]
+    assert qa._radical_top(table) == expected
+
+
+def test_arrow_images_generate_the_radical_on_both_sides():
+    # b = a*c is not admissible: the image of b lies in J^2, and the arrow
+    # images still generate J as a left and as a right ideal
+    spec = qa.QuiverSpec(
+        vertices=("v0",),
+        arrows=(qa.Arrow("a", "v0", "v0"), qa.Arrow("b", "v0", "v0"), qa.Arrow("c", "v0", "v0")),
+        relations=("b - a*c", "a*a", "c*c", "c*a"),
+        loewy_bound=3,
+        field=F3,
+    )
+    table = qa.compile_quiver(spec)
+    top = qa._radical_top(table)
+    assert len(top) == 3
+    for side in (lambda x, a: table.mult_elements(a, x), lambda x, a: table.mult_elements(x, a)):
+        ideal = [side(x, table.basis_vec(i)) for x in top for i in range(table.dim)]
+        assert rank_rows(F3, ideal) == len(table.radical)
