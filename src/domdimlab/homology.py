@@ -183,9 +183,15 @@ def representation_from_json(table: AlgebraTable, obj) -> Representation:
 
 
 def regular(table: AlgebraTable) -> Representation:
-    d = table.dim
-    actions = [[table.mult[i][u] for i in range(d)] for u in range(d)]
-    return Representation(table, d, actions, name="regular")
+    """A as a right module over itself: row k of the action of b_u is
+    b_k * b_u.  The sparse rows are read from ``mult`` once per table; each
+    call wraps them in a fresh module, so renaming one renames no other."""
+    rows = table._cache.get("regular")
+    if rows is None:
+        d = table.dim
+        rows = table._cache["regular"] = tuple(
+            tuple(sparse_row(table.mult[k][u]) for k in range(d)) for u in range(d))
+    return Representation.from_rows(table, table.dim, rows, name="regular")
 
 
 def _dense(row, n: int, zero) -> list:
@@ -222,11 +228,9 @@ def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, 
     return Representation.from_rows(M.algebra, len(basis), rows, name=name), basis
 
 
-def quotient(M: Representation, rows, name: str = "") -> tuple[Representation, dict]:
-    """Quotient of M by the span of ``rows`` (must be action-stable).
-
-    Returns (representation, data) where data carries ``project`` (M row ->
-    quotient coords) and ``lift`` (quotient coords -> M row)."""
+def quotient(M: Representation, rows, name: str = "") -> Representation:
+    """Quotient of M by the span of ``rows`` (must be action-stable), on
+    the unit rows of M at the non-pivot columns of the span's RREF basis."""
     fld = M.algebra.field
     span = SpanBuilder(fld, M.dim)
     for r in rows:
@@ -234,33 +238,32 @@ def quotient(M: Representation, rows, name: str = "") -> tuple[Representation, d
     basis, pivots = span.finish()
     pivset = set(pivots)
     comp = [j for j in range(M.dim) if j not in pivset]
-
-    def project(vec):
-        red = reduce_against(fld, basis, pivots, list(vec))
-        return [red[j] for j in comp]
-
-    def lift(qvec):
-        out = [fld.zero()] * M.dim
-        for c, j in zip(qvec, comp):
-            out[j] = c
-        return out
-
     # a unit row times an action is that row of the action
     zero = fld.zero()
-    actions = [[sparse_row(project(_dense(M.rows[u][j], M.dim, zero))) for j in comp]
-               for u in range(M.algebra.dim)]
-    rep = Representation.from_rows(M.algebra, len(comp), actions, name=name)
-    return rep, {"project": project, "lift": lift, "sub_basis": basis, "sub_pivots": pivots}
+
+    def project(row):
+        red = reduce_against(fld, basis, pivots, _dense(row, M.dim, zero))
+        return sparse_row([red[j] for j in comp])
+
+    actions = [[project(M.rows[u][j]) for j in comp] for u in range(M.algebra.dim)]
+    return Representation.from_rows(M.algebra, len(comp), actions, name=name)
+
+
+def _image_span(M: Representation, rows, elements) -> SpanBuilder:
+    """The span of r @ act(a) over the rows r of M and the algebra
+    elements a, elements on the outside and rows on the inside."""
+    span = SpanBuilder(M.algebra.field, M.dim)
+    for a in elements:
+        for r in rows:
+            img = M.apply_element(r, a)
+            if any(img):
+                span.add(img)
+    return span
 
 
 def _radical_span(M: Representation) -> SpanBuilder:
     """M*J, spanned by the images of the lifts of a basis of J/J^2."""
-    span = SpanBuilder(M.algebra.field, M.dim)
-    for r in _radical_top(M.algebra):
-        for row in M.element_action(r):
-            if any(row):
-                span.add(row)
-    return span
+    return _image_span(M, _identity(M.algebra.field, M.dim), _radical_top(M.algebra))
 
 
 def radical_rows(M: Representation) -> list[list]:
@@ -274,8 +277,7 @@ def radical_submodule(M: Representation) -> Representation:
 
 
 def top(M: Representation) -> Representation:
-    rep, _ = quotient(M, radical_rows(M), name=f"top({M.name})" if M.name else "top")
-    return rep
+    return quotient(M, radical_rows(M), name=f"top({M.name})" if M.name else "top")
 
 
 def _projective_data(table: AlgebraTable, vertex: int):
@@ -587,13 +589,8 @@ def _weight_basis(N: Representation, vertex: int):
     key = ("weight", vertex)
     if key in N._cache:
         return N._cache[key]
-    fld = N.algebra.field
     _, e = N.algebra.idempotents[vertex]
-    span = SpanBuilder(fld, N.dim)
-    for row in N.element_action(e):
-        if any(row):
-            span.add(row)
-    N._cache[key] = span.finish()
+    N._cache[key] = _image_span(N, _identity(N.algebra.field, N.dim), [e]).finish()
     return N._cache[key]
 
 
@@ -619,85 +616,52 @@ class ExtTable:
         return obj
 
 
+def _differential_rank(N: Representation, emat, src, tgt) -> int:
+    """Rank of Hom(P_{s-1}, N) -> Hom(P_s, N), the right multiplication by
+    the element matrix ``emat`` of P_s -> P_{s-1}.  ``src`` and ``tgt``
+    hold the weight bases (rows, pivots) of N at the summands of P_{s-1}
+    and of P_s; an image is written as its coordinates in each target
+    weight basis in turn."""
+    if not any(rows for rows, _ in src) or not any(rows for rows, _ in tgt):
+        return 0
+    fld = N.algebra.field
+    tgt_support = [([sparse_row(r) for r in rows], pivots) for rows, pivots in tgt]
+    images = []
+    for c, (rows, _) in enumerate(src):
+        for r in rows:
+            img = []
+            for c2, (support, pivots) in enumerate(tgt_support):
+                if support:
+                    coeffs = coords_against(fld, support, pivots, N.apply_element(r, emat[c][c2]))
+                    if coeffs is None:
+                        raise AssertionError("differential image left its weight space")
+                    img.extend(coeffs)
+            images.append(img)
+    return rank_rows(fld, images)
+
+
 def ext_dims(M: Representation, N: Representation, t: int,
              include_hom: bool = False) -> ExtTable:
     """Dimensions of Ext^1..Ext^t(M, N) via Hom(-, N) on the minimal resolution.
 
     Hom(P_s, N) is split into weight spaces N e_i along the summands of
     P_s; the induced differentials are right multiplications by the
-    element matrices of the resolution.
+    element matrices of the resolution.  Levels 0..t+1 are read once, and
+    levels past the end of a finite resolution count as zero.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     _require_same_algebra(M, N)
-    fld = M.algebra.field
     res = _resolution(M, t + 2)  # the outgoing differential needs level t+1
-
-    def h_basis(s):
-        if s >= len(res.levels):
-            return []
-        out = []
-        for c, v in enumerate(res.levels[s]):
-            rows, pivots = _weight_basis(N, v)
-            out.append((c, v, rows, pivots))
-        return out
-
-    def h_dim(basis):
-        return sum(len(rows) for _, _, rows, _ in basis)
-
-    def delta_rank(s):
-        """Rank of Hom(P_{s-1}, N) -> Hom(P_s, N)."""
-        if s >= len(res.levels) or s < 1:
-            return 0
-        src = h_basis(s - 1)
-        tgt = h_basis(s)
-        tgt_dim = h_dim(tgt)
-        if tgt_dim == 0 or h_dim(src) == 0:
-            return 0
-        emat = res.maps[s]
-        tgt_offsets = []
-        off = 0
-        for _, _, rows, _ in tgt:
-            tgt_offsets.append(off)
-            off += len(rows)
-        tgt_support = [[sparse_row(t) for t in trows] for _, _, trows, _ in tgt]
-        images = []
-        for c, v, rows, _ in src:
-            for r in rows:
-                img = [fld.zero()] * tgt_dim
-                for c2, (_, _, trows, tpivots) in enumerate(tgt):
-                    if not trows:
-                        continue
-                    piece = N.apply_element(r, emat[c][c2])
-                    coeffs = coords_against(fld, tgt_support[c2], tpivots, piece)
-                    if coeffs is None:
-                        raise AssertionError("differential image left its weight space")
-                    base = tgt_offsets[c2]
-                    for k, cf in enumerate(coeffs):
-                        img[base + k] = cf
-                images.append(img)
-        return rank_rows(fld, images)
-
-    degrees = []
-    ranks: dict[int, int] = {}
-
-    def rk(s):
-        if s not in ranks:
-            ranks[s] = delta_rank(s)
-        return ranks[s]
-
-    for deg in range(1, t + 1):
-        if deg >= len(res.levels):
-            degrees.append(0)
-            continue
-        h = h_dim(h_basis(deg))
-        val = h - rk(deg) - rk(deg + 1)
-        assert val >= 0
-        degrees.append(val)
-    hom = None
-    if include_hom:
-        hom = h_dim(h_basis(0)) - rk(1)
-    return ExtTable(M.name or "M", N.name or "N", tuple(degrees), hom)
+    bases = [[_weight_basis(N, v) for v in verts] for verts in res.levels[:t + 2]]
+    dims = [sum(len(rows) for rows, _ in b) for b in bases] + [0] * (t + 2 - len(bases))
+    ranks = [0] * (t + 3)  # ranks[s]: rank of Hom(P_{s-1}, N) -> Hom(P_s, N)
+    for s in range(1, len(bases)):
+        ranks[s] = _differential_rank(N, res.maps[s], bases[s - 1], bases[s])
+    degrees = tuple(dims[s] - ranks[s] - ranks[s + 1] for s in range(1, t + 1))
+    assert all(x >= 0 for x in degrees)
+    hom = dims[0] - ranks[1] if include_hom else None
+    return ExtTable(M.name or "M", N.name or "N", degrees, hom)
 
 
 def _require_same_algebra(M: Representation, N: Representation) -> None:
@@ -1071,7 +1035,7 @@ def check_ideal_rigidity(table: AlgebraTable, X: IdealModule) -> IdealRigidityRe
         raise PreconditionError("ideal rigidity check requires a symmetric algebra")
     if not 0 < X.dim < table.dim:
         raise PreconditionError("ideal must be nontrivial and proper")
-    quot, _ = quotient(regular(table), X.rows, name="A/X")
+    quot = quotient(regular(table), X.rows, name="A/X")
     hom = dim_hom(X.rep, quot)
     ext1 = ext_dims(X.rep, X.rep, 1).dim(1)
     local = is_local(table)
@@ -1270,14 +1234,6 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int) -> bool:
     corner, corner_rows = corner_algebra(table, labels)
     e = idempotent_sum(table, PI)
 
-    def span(side):
-        builder = SpanBuilder(fld, table.dim)
-        for j in range(table.dim):
-            r = side(table.basis_vec(j))
-            if any(r):
-                builder.add(r)
-        return builder.finish()
-
     def action(basis, act, label):
         rows, pivots = basis
         support = [sparse_row(r) for r in rows]
@@ -1289,8 +1245,9 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int) -> bool:
             mat.append(coeffs)
         return mat
 
-    eA = span(lambda a: table.mult_elements(e, a))
-    Ae = span(lambda a: table.mult_elements(a, e))
+    R = regular(table)
+    eA = _image_span(R, [e], [table.basis_vec(j) for j in range(table.dim)]).finish()
+    Ae = _image_span(R, _identity(fld, table.dim), [e]).finish()
     dim = len(eA[0])
     if len(Ae[0]) != dim:
         return False
@@ -1328,19 +1285,9 @@ def bridged_module(table: AlgebraTable, vertex: int, length: int) -> Representat
     """The uniserial module P_vertex / (its length-th radical power) over a
     bridged Nakayama table."""
     P = projective(table, vertex)
-    fld = table.field
-    rows = _identity(fld, P.dim)
+    rows = _identity(table.field, P.dim)
     for _ in range(length):
-        span = SpanBuilder(fld, P.dim)
-        for r in rows:
-            for x in _radical_top(table):
-                img = P.apply_element(r, x)
-                if any(img):
-                    span.add(img)
-        rows = [list(x) for x in span.rows]
+        rows = _image_span(P, rows, _radical_top(table)).rows
         if not rows:
-            break
-    if not rows:
-        return Representation.from_rows(table, P.dim, P.rows, name=f"M({vertex},{length})")
-    rep, _ = quotient(P, rows, name=f"M({vertex},{length})")
-    return rep
+            return Representation.from_rows(table, P.dim, P.rows, name=f"M({vertex},{length})")
+    return quotient(P, rows, name=f"M({vertex},{length})")

@@ -107,32 +107,17 @@ def _mueller_item():
                  phi=phi_comb.to_json())
 
 
-def _ideal_rigidity_item():
+def _ideal_rigidity_item(name, presets):
+    """Every J^k with 1 <= k < the Loewy length is a nonzero proper ideal."""
     details = []
     ok = True
-    for n in range(3, 7):
-        table = qa.preset(f"truncated-poly({n},Q)")
-        for k in range(1, n):
-            X = hml.radical_power(table, k)
-            rep = hml.check_ideal_rigidity(table, X)
+    for preset in presets:
+        table = qa.preset(preset)
+        for k in range(1, qa.loewy_length(table)):
+            rep = hml.check_ideal_rigidity(table, hml.radical_power(table, k))
             details.append(rep.to_json())
             ok = ok and rep.holds and rep.ext1_self > 0
-    return _item("ideal-rigidity-truncated-poly", ok, instances=details)
-
-
-def _ideal_rigidity_group_algebras_item():
-    details = []
-    ok = True
-    for name in ("dihedral8-f2", "quaternion8-f2"):
-        table = qa.preset(name)
-        for k in range(1, 5):
-            X = hml.radical_power(table, k)
-            if not 0 < X.dim < table.dim:
-                continue
-            rep = hml.check_ideal_rigidity(table, X)
-            details.append(rep.to_json())
-            ok = ok and rep.holds and rep.ext1_self > 0
-    return _item("ideal-rigidity-group-algebras", ok, instances=details)
+    return _item(name, ok, instances=details)
 
 
 def _enveloping_ext_item():
@@ -167,8 +152,10 @@ def suite_paper_core():
     items.append(_fingerprint_item("quaternion8-f2", (7, 9, 7, 1)))
     items.append(_quaternion_periodic_item())
     items.append(_mueller_item())
-    items.append(_ideal_rigidity_item())
-    items.append(_ideal_rigidity_group_algebras_item())
+    items.append(_ideal_rigidity_item(
+        "ideal-rigidity-truncated-poly", [f"truncated-poly({n},Q)" for n in range(3, 7)]))
+    items.append(_ideal_rigidity_item(
+        "ideal-rigidity-group-algebras", ["dihedral8-f2", "quaternion8-f2"]))
     items.append(_enveloping_ext_item())
     items.append(_extsym_item())
     return _result(items)

@@ -37,6 +37,21 @@ def test_regular_dimension(hopf):
     R.verify()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: qa.preset("hopf-a5-f2"),
+    lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4)), QQ),
+], ids=["hopf-a5-f2", "bridged-3-4-Q"])
+def test_regular_matches_the_dense_construction(make):
+    table = make()
+    d = table.dim
+    dense = hml.Representation(table, d, [[table.mult[i][u] for i in range(d)] for u in range(d)])
+    R = hml.regular(table)
+    assert (R.dim, R.rows) == (d, dense.rows)
+    # every call is a module of its own: renaming one renames no other
+    R.name = "B"
+    assert hml.regular(table).name == "regular"
+
+
 def test_bridged_simples_and_projectives(bridged33):
     for v in range(2):
         assert hml.simple(bridged33, v).dim == 1
@@ -161,6 +176,29 @@ def test_ext_pattern_simple_33(bridged33):
     table = hml.ext_dims(S0, S0, 3)
     assert table.degrees[:2] == (0, 0)
     assert table.degrees[2] > 0
+
+
+def _hopf_simples():
+    S = hml.simple(qa.preset("hopf-a5-f2"), 0)
+    return S, S
+
+
+def _bridged_pair_f3():
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4)), F3)
+    return hml.bridged_module(table, 0, 2), hml.bridged_module(table, 1, 2)
+
+
+@pytest.mark.parametrize("make", [_hopf_simples, _bridged_pair_f3],
+                         ids=["hopf-a5-f2-simple", "bridged-3-4-F3"])
+def test_ext_dims_reads_the_first_levels_of_a_deeper_resolution(make):
+    fresh = hml.ext_dims(*make(), 2, include_hom=True)
+    M, N = make()
+    deep = hml.ext_dims(M, N, 6)
+    assert len(M._cache["resolution"].levels) == 8
+    again = hml.ext_dims(M, N, 2, include_hom=True)
+    assert again.degrees == deep.degrees[:2] == fresh.degrees
+    assert again.hom == fresh.hom
+    assert all(fresh.degrees) and fresh.hom
 
 
 HOM_CROSS_CASES = [(nak.CYCLE, (3, 3)), (nak.CYCLE, (2, 3)), (nak.CYCLE, (3, 4, 4)),
@@ -681,7 +719,7 @@ def sparse_builders(fld):
         "projective": P0,
         "simple": hml.simple(table, 1),
         "submodule": hml.submodule(R, hml.radical_rows(R))[0],
-        "quotient": hml.quotient(R, hml.radical_rows(R))[0],
+        "quotient": hml.quotient(R, hml.radical_rows(R)),
         "projective-sum": hml._projective_sum(table, [0, 1, 0])[0],
         "bridged": hml.bridged_module(table, 1, 2),
         "dual": hml.dual_representation(P0, hml._op_table(table)),
