@@ -88,7 +88,7 @@ def _parse_nak_modules(A: nak.NakAlgebra, spec: str) -> list[nak.NakModule]:
                 if om is not None:
                     out.append(om)
             return out
-        if spec.startswith("simple"):
+        if spec == "simple" or spec.startswith("simple:"):
             v = int(spec.split(":", 1)[1]) if ":" in spec else 0
             return [nak.simple(A, v)]
         if spec.startswith("projective:"):
@@ -117,13 +117,13 @@ def _load_table(preset: str | None, algebra: str | None) -> qa.AlgebraTable:
 
 
 def _parse_table_module(table: qa.AlgebraTable, spec: str) -> hml.Representation:
+    """Module spec grammar: simple[:v] | projective:v"""
+    kind, colon, vertex = spec.partition(":")
     try:
-        if spec.startswith("simple"):
-            v = int(spec.split(":", 1)[1]) if ":" in spec else 0
-            return hml.simple(table, v)
-        if spec.startswith("projective"):
-            v = int(spec.split(":", 1)[1]) if ":" in spec else 0
-            return hml.projective(table, v)
+        if spec == "simple" or (colon and kind == "simple"):
+            return hml.simple(table, int(vertex) if colon else 0)
+        if colon and kind == "projective":
+            return hml.projective(table, int(vertex))
     except ValueError as exc:
         raise click.UsageError(f"bad module spec {spec!r}: {exc}")
     raise click.UsageError(f"bad module spec {spec!r} (want simple[:v] or projective:v)")
@@ -146,6 +146,17 @@ _cutoff_option = click.option(
     help="search cutoff for bounded invariants")
 _degree_option = click.option("--degree", type=click.IntRange(min=1), default=4,
                               show_default=True)
+
+
+def _one_or_two(ctx, param, modules):
+    if len(modules) > 2:
+        raise click.BadParameter(f"got {len(modules)} module specs, want one or two")
+    return modules
+
+
+_ext_modules_option = click.option(
+    "--module", "modules", multiple=True, required=True, callback=_one_or_two,
+    help="one or two module specs; Ext is from the first to the last")
 
 
 # Input the engines reject as malformed, out of range or out of scope.
@@ -225,8 +236,7 @@ def info(cycle, line, kupisch, report, fmt):
 
 @nakayama.command()
 @_nak_flags
-@click.option("--module", "modules", multiple=True, required=True,
-              help="one or two module specs; Ext is from the first to the last")
+@_ext_modules_option
 @_degree_option
 @shared_options
 def ext(cycle, line, kupisch, modules, degree, report, fmt):
@@ -370,7 +380,7 @@ def resolve(algebra, preset, module_spec, length, report, fmt):
 @quiver.command("ext")
 @click.option("--algebra", type=click.Path(exists=True), default=None)
 @click.option("--preset", default=None)
-@click.option("--module", "modules", multiple=True, required=True)
+@_ext_modules_option
 @_degree_option
 @shared_options
 def quiver_ext(algebra, preset, modules, degree, report, fmt):

@@ -7,10 +7,11 @@ matrix.  Pivoting is deterministic -- the pivot of a column is the first
 nonzero entry in row order -- so reduced forms are canonical and safe to
 freeze into test fixtures.
 
-The raw-row helpers (``rref_rows``, ``reduce_against`` ...) operate on
+The raw-row helpers (``rref_rows``, ``kernel_rows`` ...) operate on
 mutable lists of lists and exist for the hot loops of the algebra and
 homology engines; ``coords_against`` takes its basis as sparse rows
-(``sparse_row``).  The ``Matrix`` class is the stable public surface.
+(``sparse_row``), and ``SpanBuilder.residue`` reduces a vector against a
+span.  The ``Matrix`` class is the stable public surface.
 """
 
 from __future__ import annotations
@@ -251,26 +252,6 @@ def _rref_frac(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
     return r, pivots
 
 
-def reduce_against(field: FieldSpec, rref: list[list], pivots: list[int], vec: list) -> list:
-    """Reduce ``vec`` against an RREF basis; returns the remainder (a new list)."""
-    v = list(vec)
-    if field.kind == "prime":
-        p = field.p
-        for row, c in zip(rref, pivots):
-            f = v[c] % p
-            if f:
-                for j in range(c, len(v)):
-                    v[j] = (v[j] - f * row[j]) % p
-    else:
-        for row, c in zip(rref, pivots):
-            f = v[c]
-            if f:
-                for j in range(c, len(v)):
-                    if row[j]:
-                        v[j] = v[j] - f * row[j]
-    return v
-
-
 def sparse_row(row) -> tuple:
     """The (column, entry) pairs of the nonzero entries of a dense row."""
     return tuple((j, x) for j, x in enumerate(row) if x)
@@ -321,7 +302,9 @@ class SpanBuilder:
         return len(self.rows)
 
     def residue(self, vec) -> list:
-        """Forward-reduce ``vec`` against the stored rows (returns remainder)."""
+        """The remainder of ``vec`` modulo the span, zero at every pivot
+        column.  Only one vector of vec + span is zero there, so this is
+        also its reduction against the RREF basis of ``finish``."""
         # pivot columns in increasing order: reducing by a row only changes
         # entries at or right of its pivot, so later pivots are read afresh
         field = self.field

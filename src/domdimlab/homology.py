@@ -4,13 +4,16 @@ Right modules are row-vector representations: a module of dimension d
 assigns to each basis element of the algebra a d x d matrix, acting by
 ``m -> m @ act(b)``; multiplicativity ``act(u) @ act(v) = act(uv)`` is
 the module axiom.  The matrices are stored as sparse rows: most entries
-are zero in the modules a resolution builds.  All functors here are
-computed through minimal projective resolutions built from explicit
-projective covers.  A resolution keeps each syzygy as rows of the
-projective term that contains it and covers it there, so no syzygy is
-built as a module of its own.  Injective constructions are obtained
-exclusively by dualising over the opposite algebra, so there is a single
-code path to test.
+are zero in the modules a resolution builds.  Modules are cut out of the
+regular module: the projectives e_vA are its submodules, the powers J^k
+and the uniserial bridges P_v / P_v J^k are read from one radical
+filtration M > MJ > MJ^2 > ... per module, computed once and cached on
+it.  All functors here are computed through minimal projective
+resolutions built from explicit projective covers.  A resolution keeps
+each syzygy as rows of the projective term that contains it and covers
+it there, so no syzygy is built as a module of its own.  Injective
+constructions are obtained exclusively by dualising over the opposite
+algebra, so there is a single code path to test.
 
 Every potentially infinite search (dominant dimension, first
 non-vanishing self-extension, their suprema) takes a cutoff and returns
@@ -27,7 +30,6 @@ its absence raises :class:`PreconditionError`; no verdict is left open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 from .bounded import BoundedValue
@@ -38,13 +40,11 @@ from .exactmath import (
     left_kernel_rows,
     matmul_rows,
     rank_rows,
-    reduce_against,
     sparse_row,
 )
 from .quivalg import (
     AlgebraTable,
     _has_isomorphism,
-    _radical_powers,
     _radical_top,
     blocks,
     corner_algebra,
@@ -230,19 +230,17 @@ def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, 
 
 def quotient(M: Representation, rows, name: str = "") -> Representation:
     """Quotient of M by the span of ``rows`` (must be action-stable), on
-    the unit rows of M at the non-pivot columns of the span's RREF basis."""
-    fld = M.algebra.field
-    span = SpanBuilder(fld, M.dim)
+    the unit rows of M at the columns that are not pivots of the span."""
+    span = SpanBuilder(M.algebra.field, M.dim)
     for r in rows:
         span.add(list(r))
-    basis, pivots = span.finish()
-    pivset = set(pivots)
+    pivset = set(span.pivots)
     comp = [j for j in range(M.dim) if j not in pivset]
     # a unit row times an action is that row of the action
-    zero = fld.zero()
+    zero = M.algebra.field.zero()
 
     def project(row):
-        red = reduce_against(fld, basis, pivots, _dense(row, M.dim, zero))
+        red = span.residue(_dense(row, M.dim, zero))
         return sparse_row([red[j] for j in comp])
 
     actions = [[project(M.rows[u][j]) for j in comp] for u in range(M.algebra.dim)]
@@ -261,14 +259,24 @@ def _image_span(M: Representation, rows, elements) -> SpanBuilder:
     return span
 
 
-def _radical_span(M: Representation) -> SpanBuilder:
-    """M*J, spanned by the images of the lifts of a basis of J/J^2."""
-    return _image_span(M, _identity(M.algebra.field, M.dim), _radical_top(M.algebra))
+def _radical_layer(M: Representation, k: int) -> tuple[list[list], list[int]]:
+    """The RREF basis (rows, pivots) of M*J^k.  Layer 0 is M itself, and
+    each further layer is the image span of the one before under the
+    radical top (``_radical_top``), as N*J is the sum of the N*x.  The
+    layers are computed once per module, as deep as asked or up to the
+    first zero layer, and cached."""
+    layers = M._cache.get("radical-layers")
+    if layers is None:
+        layers = M._cache["radical-layers"] = [
+            (_identity(M.algebra.field, M.dim), list(range(M.dim)))]
+    while len(layers) <= k and layers[-1][0]:
+        layers.append(_image_span(M, layers[-1][0], _radical_top(M.algebra)).finish())
+    return layers[min(k, len(layers) - 1)]
 
 
 def radical_rows(M: Representation) -> list[list]:
     """Rows spanning M*J."""
-    return [list(r) for r in _radical_span(M).rows]
+    return [list(r) for r in _radical_layer(M, 1)[0]]
 
 
 def radical_submodule(M: Representation) -> Representation:
@@ -280,30 +288,19 @@ def top(M: Representation) -> Representation:
     return quotient(M, radical_rows(M), name=f"top({M.name})" if M.name else "top")
 
 
-def _projective_data(table: AlgebraTable, vertex: int):
+def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, list[list]]:
+    """(P, basis): the projective e_vA cut out of the regular module by the
+    rows e_v * b_u, with its RREF basis inside A.  Cached on the table."""
     if not 0 <= vertex < table.n_vertices:
         raise PreconditionError(
             f"vertex {vertex} out of range 0..{table.n_vertices - 1}")
     key = ("projective", vertex)
-    cache = table._cache
-    if key in cache:
-        return cache[key]
-    fld = table.field
-    label, e = table.idempotents[vertex]
-    span = SpanBuilder(fld, table.dim)
-    for j in range(table.dim):
-        r = table.mult_elements(list(e), table.basis_vec(j))
-        if any(r):
-            span.add(r)
-    basis, pivots = span.finish()
-    support = [sparse_row(b) for b in basis]
-    actions = [[sparse_row(coords_against(fld, support, pivots,
-                                          table.mult_elements(list(b), table.basis_vec(u))))
-                for b in basis]
-               for u in range(table.dim)]
-    rep = Representation.from_rows(table, len(basis), actions, name=f"P({label})")
-    cache[key] = (rep, basis, pivots)
-    return cache[key]
+    if key not in table._cache:
+        label, e = table.idempotents[vertex]
+        R = regular(table)
+        rows = (R.apply(e, u) for u in range(table.dim))
+        table._cache[key] = submodule(R, [r for r in rows if any(r)], name=f"P({label})")
+    return table._cache[key]
 
 
 def projective(table: AlgebraTable, vertex: int) -> Representation:
@@ -381,7 +378,7 @@ def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Represent
     actions = []
     for u in range(table.dim):
         actions.append([tuple((off + j, c) for j, c in row)
-                        for (Pv, _, _), off in zip(blocks, offsets) for row in Pv.rows[u]])
+                        for (Pv, _), off in zip(blocks, offsets) for row in Pv.rows[u]])
     name = "(+)".join(f"P{v}" for v in vertices)
     rep = Representation.from_rows(table, total, actions, name=name)
     block_data = [(v, b[1]) for v, b in zip(vertices, blocks)]
@@ -449,18 +446,17 @@ def projective_cover(M: Representation, rows=None) -> Cover:
 def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
     """Sparse linear forms on P_vertex whose common kernel is rad(P_vertex):
     for each non-pivot column j of the RREF basis of the radical, the entry
-    at j of a vector reduced against that basis.  Cached on the table
-    beside the projective."""
-    key = ("projective-radical", vertex)
-    if key not in table._cache:
+    at j of a vector reduced against that basis.  Cached on the projective."""
+    P = projective(table, vertex)
+    forms = P._cache.get("top-forms")
+    if forms is None:
         fld = table.field
-        P = projective(table, vertex)
-        rows, pivots = _radical_span(P).finish()
+        rows, pivots = _radical_layer(P, 1)
         pivset = set(pivots)
-        table._cache[key] = [
+        forms = P._cache["top-forms"] = [
             ((j, fld.one()),) + tuple((c, fld.neg(row[j])) for row, c in zip(rows, pivots) if row[j])
             for j in range(P.dim) if j not in pivset]
-    return table._cache[key]
+    return forms
 
 
 def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list[list]]:
@@ -994,14 +990,12 @@ def ideal_module(table: AlgebraTable, generator_vectors) -> IdealModule:
 
 
 def radical_power(table: AlgebraTable, k: int) -> IdealModule:
-    """J^k with its right module structure (dim 0 above the Loewy length)."""
+    """J^k with its right module structure (dim 0 above the Loewy length):
+    layer k of the radical filtration of the regular module."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    current = next(islice(_radical_powers(table), k - 1, None), [])
-    if not current:
-        zero_rep = Representation(table, 0, [[] for _ in range(table.dim)], name=f"J^{k}")
-        return IdealModule(zero_rep, [])
-    rep, basis = submodule(regular(table), current, name=f"J^{k}")
+    R = regular(table)
+    rep, basis = submodule(R, _radical_layer(R, k)[0], name=f"J^{k}")
     return IdealModule(rep, basis)
 
 
@@ -1285,9 +1279,4 @@ def bridged_module(table: AlgebraTable, vertex: int, length: int) -> Representat
     """The uniserial module P_vertex / (its length-th radical power) over a
     bridged Nakayama table."""
     P = projective(table, vertex)
-    rows = _identity(table.field, P.dim)
-    for _ in range(length):
-        rows = _image_span(P, rows, _radical_top(table)).rows
-        if not rows:
-            return Representation.from_rows(table, P.dim, P.rows, name=f"M({vertex},{length})")
-    return quotient(P, rows, name=f"M({vertex},{length})")
+    return quotient(P, _radical_layer(P, length)[0], name=f"M({vertex},{length})")

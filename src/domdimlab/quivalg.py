@@ -28,7 +28,6 @@ from .exactmath import (
     kernel_rows,
     matmul_rows,
     rank_rows,
-    reduce_against,
     sparse_row,
 )
 
@@ -621,15 +620,14 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
                 if hit and any(row):
                     span.add(row)
 
-    rref, pivots = span.finish()
-    pivset = set(pivots)
+    pivset = set(span.pivots)
 
     # Loewy certificate: every path of length exactly L lies in the span
     for p in paths:
         if len(p[1]) == L:
             vec = [fld.zero()] * ncols
             vec[col_of[p]] = fld.one()
-            if any(reduce_against(fld, rref, pivots, vec)):
+            if not span.contains(vec):
                 raise LoewyBoundError(
                     f"path {'*'.join(p[1])} of length {L} does not lie in the "
                     "relation ideal; the declared Loewy bound is not certified"
@@ -642,7 +640,7 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
     d = len(basis_paths)
 
     def normal_form(col_vec) -> list:
-        red = reduce_against(fld, rref, pivots, col_vec)
+        red = span.residue(col_vec)
         out = [fld.zero()] * d
         for p, i in basis_col.items():
             c = red[col_of[p]]

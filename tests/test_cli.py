@@ -218,6 +218,45 @@ def test_out_of_range_numbers_exit_2(runner, args):
     assert "Traceback" not in result.output
 
 
+# module specs outside the grammar, and more than two modules for Ext
+BAD_MODULE_SPECS = {
+    "quiver-simplest": ["quiver", "resolve", "--preset", "preproj-a2", "--module", "simplest"],
+    "quiver-projective-suffix": ["quiver", "resolve", "--preset", "preproj-a2",
+                                 "--module", "projectiveXYZ"],
+    "quiver-projective-no-vertex": ["quiver", "ext", "--preset", "preproj-a2",
+                                    "--module", "projective"],
+    "quiver-simple-empty-vertex": ["quiver", "resolve", "--preset", "preproj-a2",
+                                   "--module", "simple:"],
+    "quiver-ext-three-modules": ["quiver", "ext", "--preset", "preproj-a2", "--module",
+                                 "simple:0", "--module", "garbage", "--module", "simple:1"],
+    "nakayama-simplest": ["nakayama", "ext", "--cycle", "--kupisch", "3,3",
+                          "--module", "simplest"],
+    "nakayama-rigid-simplest": ["nakayama", "rigid", "--k", "1", "--cycle", "--kupisch", "3,3",
+                                "--module", "simplest"],
+    "nakayama-ext-three-modules": ["nakayama", "ext", "--cycle", "--kupisch", "3,3", "--module",
+                                   "0,1", "--module", "garbage", "--module", "0,2"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_MODULE_SPECS.values(), ids=BAD_MODULE_SPECS.keys())
+def test_bad_module_specs_exit_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def test_module_specs_of_the_grammar_run(runner):
+    doc = run_json(runner, ["quiver", "ext", "--preset", "preproj-a2", "--module", "projective:0",
+                            "--module", "simple:1", "--degree", "2"])
+    assert doc["items"][0]["degrees"] == [0, 0]  # a projective has no higher Ext
+    doc = run_json(runner, ["quiver", "resolve", "--preset", "preproj-a2",
+                            "--module", "simple:1", "--length", "2"])
+    assert doc["items"][0]["module_dim"] == 1
+    doc = run_json(runner, ["nakayama", "ext", "--cycle", "--kupisch", "3,3", "--module",
+                            "simple:1", "--module", "simple", "--degree", "1"])
+    assert [it["dim"] for it in doc["items"]] == [1]
+
 OUT_OF_SCOPE_FILES = {
     "semisimple-domdim": ("semisimple", "domdim"),
     "semisimple-resolve": ("semisimple", "resolve"),

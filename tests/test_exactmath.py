@@ -204,3 +204,59 @@ def test_matmul_rows_q_skips_zeros_exactly(a, data):
     want = [[sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), Fraction(0))
              for j in range(b.cols)] for i in range(a.rows)]
     assert matmul_rows(QQ, a.row_lists(), b.row_lists()) == want
+
+
+
+def reduce_against_rref(fld, rref, pivots, vec):
+    """Reference remainder of ``vec`` modulo an RREF basis: clear each
+    pivot column in turn with its basis row."""
+    v = list(vec)
+    for row, c in zip(rref, pivots):
+        f = v[c]
+        if f:
+            v = [fld.sub(x, fld.mul(f, y)) for x, y in zip(v, row)]
+    return v
+
+
+def combination(fld, coeffs, rows, ncols):
+    out = [fld.zero()] * ncols
+    for c, r in zip(coeffs, rows):
+        out = [fld.add(x, fld.mul(c, y)) for x, y in zip(out, r)]
+    return out
+
+
+@st.composite
+def spans_with_dependent_rows(draw):
+    """(field, rows, vec, in_span): drawn rows mixed with zero rows and with
+    combinations of the others, in a drawn order; a vector to reduce; and a
+    combination of the rows."""
+    fld = draw(st.sampled_from([F2, F3, QQ]))
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3).map(fld.of_int)
+    vector = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(vector, max_size=4))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        rows.append(combination(fld, coeffs, rows, ncols))
+    rows += [[fld.zero()] * ncols for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return fld, rows, draw(vector), combination(fld, coeffs, rows, ncols)
+
+
+@given(spans_with_dependent_rows())
+def test_span_residue_matches_reduction_against_the_rref(case):
+    # the remainder modulo a span with zeros at the pivot columns is unique,
+    # so the forward-reduced rows give the same one as the RREF basis
+    from domdimlab.exactmath import SpanBuilder
+
+    fld, rows, vec, in_span = case
+    span = SpanBuilder(fld, len(vec))
+    for r in rows:
+        span.add(r)
+    rref, pivots = span.finish()
+    want = reduce_against_rref(fld, rref, pivots, vec)
+    assert span.residue(vec) == want
+    assert sorted(span.pivots) == pivots
+    assert not any(want[c] for c in pivots)
+    assert not any(span.residue(in_span))

@@ -7,7 +7,7 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab.bounded import BoundedValue
-from domdimlab.exactmath import F2, F3, QQ, matmul_rows
+from domdimlab.exactmath import F2, F3, QQ, SpanBuilder, coords_against, matmul_rows, sparse_row
 from domdimlab.suites import cyclic_series
 
 
@@ -860,3 +860,92 @@ def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
     assert inside.vertices == alone.vertices == [0, 0]
     assert inside.P.dim == alone.P.dim == 16
     assert len(inside.matrix[0]) == R.dim
+
+
+# -- modules cut from the regular module, against the dense constructions ------
+
+def dense_projective(table, v):
+    """e_vA built from dense products: the RREF basis of the span of the
+    e_v * b_j, and each action row b * b_u in that basis."""
+    fld = table.field
+    e = list(table.idempotents[v][1])
+    span = SpanBuilder(fld, table.dim)
+    for j in range(table.dim):
+        span.add(table.mult_elements(e, table.basis_vec(j)))
+    basis, pivots = span.finish()
+    support = [sparse_row(b) for b in basis]
+    rows = tuple(tuple(sparse_row(coords_against(fld, support, pivots,
+                                                 table.mult_elements(b, table.basis_vec(u))))
+                       for b in basis) for u in range(table.dim))
+    return basis, rows
+
+
+def iterated_quotient(table, v, length):
+    """(dim, rows) of P_v / P_v J^length: the radical power spanned by
+    repeated image spans from the identity rows, and each action row
+    reduced against the RREF basis of that span."""
+    P = hml.projective(table, v)
+    fld = table.field
+    rows = hml._identity(fld, P.dim)
+    for _ in range(length):
+        rows = hml._image_span(P, rows, qa._radical_top(table)).rows
+    span = SpanBuilder(fld, P.dim)
+    for r in rows:
+        span.add(r)
+    basis, pivots = span.finish()
+    comp = [j for j in range(P.dim) if j not in pivots]
+
+    def project(row):
+        vec = [fld.zero()] * P.dim
+        for j, x in row:
+            vec[j] = x
+        for b, c in zip(basis, pivots):
+            if vec[c]:
+                vec = [fld.sub(x, fld.mul(vec[c], y)) for x, y in zip(vec, b)]
+        return tuple((k, vec[j]) for k, j in enumerate(comp) if vec[j])
+
+    return len(comp), tuple(tuple(project(P.rows[u][j]) for j in comp) for u in range(table.dim))
+
+
+CUT_TABLES = {
+    "hopf-a5-f2": lambda: qa.preset("hopf-a5-f2"),
+    "truncated-poly-4-Q": lambda: qa.preset("truncated-poly(4,Q)"),
+    "bridged-3-4-F3": lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4)), F3),
+    "bridged-3-4-Q": lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4)), QQ),
+}
+
+
+@pytest.mark.parametrize("make", CUT_TABLES.values(), ids=CUT_TABLES.keys())
+def test_projective_matches_the_dense_construction(make):
+    table = make()
+    for v in range(table.n_vertices):
+        basis, rows = dense_projective(table, v)
+        P, cut_basis = hml._projective_data(table, v)
+        assert (P.dim, P.rows, cut_basis) == (len(basis), rows, basis)
+        assert P.name == f"P({table.idempotents[v][0]})"
+
+
+@pytest.mark.parametrize("make", CUT_TABLES.values(), ids=CUT_TABLES.keys())
+def test_bridged_module_matches_the_iterated_quotient(make):
+    table = make()
+    for v in range(table.n_vertices):
+        for length in range(qa.loewy_length(table) + 2):
+            M = hml.bridged_module(table, v, length)
+            assert (M.dim, M.rows) == iterated_quotient(table, v, length), (v, length)
+            assert M.name == f"M({v},{length})"
+        assert hml.bridged_module(table, v, 0).dim == 0
+
+
+@pytest.mark.parametrize("make", CUT_TABLES.values(), ids=CUT_TABLES.keys())
+def test_radical_power_matches_the_powers_of_the_declared_radical(make):
+    table = make()
+    powers = list(qa._radical_powers(table))
+    for k in range(1, qa.loewy_length(table) + 2):
+        X = hml.radical_power(table, k)
+        if k <= len(powers):
+            rep, basis = hml.submodule(hml.regular(table), powers[k - 1])
+            assert (X.rep.dim, X.rep.rows, X.rows) == (rep.dim, rep.rows, basis), k
+        else:
+            assert (X.rep.dim, X.rows) == (0, [])
+            assert X.rep.rows == ((),) * table.dim
+        assert X.rep.name == f"J^{k}"
