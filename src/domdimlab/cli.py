@@ -308,16 +308,12 @@ def ok(cycle, line, kupisch, kdeg, report, fmt):
 @_nak_flags
 @click.option("--k", "kdeg", type=int, required=True)
 @_cutoff_option
-@click.option("--assume-gendo", is_flag=True,
-              help="record the gendo-symmetric hypothesis as caller-asserted "
-                   "instead of running the bimodule test")
 @shared_options
-def verify_main(cycle, line, kupisch, kdeg, cutoff, assume_gendo, report, fmt):
+def verify_main(cycle, line, kupisch, kdeg, cutoff, report, fmt):
     """Check the dominant-dimension inequality on one instance."""
     started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
-    rep = rg.verify_main_inequality(A, kdeg, cutoff,
-                                    gendo="assert" if assume_gendo else "bimodule")
+    rep = rg.verify_main_inequality(A, kdeg, cutoff)
     item = {"name": "main-inequality", "pass": bool(rep.verdict)}
     item.update(rep.to_json())
     failures = [] if rep.verdict else ["main-inequality"]

@@ -17,9 +17,9 @@ algebra, so there is a single code path to test.
 
 Every potentially infinite search (dominant dimension, first
 non-vanishing self-extension, their suprema) takes a cutoff and returns
-a :class:`BoundedValue`.  Isomorphism questions (of modules, of the
-bimodules in the gendo-symmetric test, and of A with D(A) in
-``quivalg.is_symmetric``) are decided by rank checks on the basis maps of
+a :class:`BoundedValue`.  Isomorphism questions (of modules, and of A
+with D(A) in ``quivalg.is_symmetric``, which the gendo-symmetric test
+asks of the corner eAe) are decided by rank checks on the basis maps of
 a Hom space, one per block (``quivalg._has_isomorphism``); no coefficient
 search runs.  Where a verdict needs End(M) to be split local (a module
 isomorphism with no invertible basis map, and every summand of an
@@ -46,9 +46,7 @@ from .quivalg import (
     AlgebraTable,
     _has_isomorphism,
     _radical_top,
-    blocks,
     corner_algebra,
-    idempotent_sum,
     is_local,
     is_semisimple,
     is_symmetric,
@@ -304,13 +302,16 @@ def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, 
 
 
 def projective(table: AlgebraTable, vertex: int) -> Representation:
-    """The indecomposable projective e_v A with its right regular action."""
-    return _projective_data(table, vertex)[0]
+    """The indecomposable projective e_v A with its right regular action.
+    Each call wraps the cached rows in a fresh module, so renaming one
+    renames no other."""
+    P = _projective_data(table, vertex)[0]
+    return Representation.from_rows(table, P.dim, P.rows, name=P.name)
 
 
 def simple(table: AlgebraTable, vertex: int) -> Representation:
     """Simple top of the projective at ``vertex``; one-dimensional in scope."""
-    P = projective(table, vertex)
+    P = _projective_data(table, vertex)[0]
     S = top(P)
     if S.dim != 1:
         label = table.idempotents[vertex][0]
@@ -447,7 +448,7 @@ def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
     """Sparse linear forms on P_vertex whose common kernel is rad(P_vertex):
     for each non-pivot column j of the RREF basis of the radical, the entry
     at j of a vector reduced against that basis.  Cached on the projective."""
-    P = projective(table, vertex)
+    P = _projective_data(table, vertex)[0]
     forms = P._cache.get("top-forms")
     if forms is None:
         fld = table.field
@@ -1202,73 +1203,24 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
 # ---------------------------------------------------------------------------
 
 def is_gendo_symmetric(table: AlgebraTable, cutoff: int) -> bool:
-    """True or False: dominant dimension >= 2 together with the bimodule
-    isomorphism D(Ae) = eA over eAe (x) A^op, for e the sum of
-    idempotents spanning the minimal faithful projective-injective.
+    """True or False: is A gendo-symmetric, i.e. End_B(M) for a symmetric
+    algebra B and a generator M?  Let e be the sum of the idempotents at
+    the projective-injective vertices.
 
-    Both bimodules are presented by the actions of generators (those of
-    eAe, lifted to A, and those of A), and Hom is solved once against
-    them, so no tensor algebra is built.  The solve goes one weight space
-    at a time (``_intertwiners``): on a path basis the idempotents of eAe
-    and of A act diagonally, so only the entries between basis vectors
-    with the same two end vertices are unknowns.  The bimodule
-    endomorphism ring of eA is the centre of eAe, local on each block of
-    eAe, so the isomorphism is decided by rank checks of the Hom basis
-    against the action of each block idempotent on D(Ae)
-    (``_has_isomorphism``)."""
+    By Morita-Tachikawa, domdim A >= 2 holds exactly when A = End_{eAe}(Ae)
+    with Ae a generator of eAe, and then B = eAe up to Morita equivalence;
+    so A is gendo-symmetric iff domdim A >= 2 and eAe is symmetric
+    (Fang-Koenig's D(Ae) = eA as bimodules is the same condition).
+    ``quivalg.is_symmetric`` decides eAe = D(eAe) by rank checks on Gram
+    matrices."""
     if cutoff < 2:
         raise PreconditionError("cutoff must be >= 2 to settle domdim >= 2")
     require_not_semisimple(table)
     dd = domdim(table, cutoff)
     if dd.is_finite and dd.value < 2:
         return False
-    fld = table.field
-    PI = sorted(projective_injective_vertices(table))
-    labels = [table.idempotents[i][0] for i in PI]
-    corner, corner_rows = corner_algebra(table, labels)
-    e = idempotent_sum(table, PI)
-
-    def action(basis, act, label):
-        rows, pivots = basis
-        support = [sparse_row(r) for r in rows]
-        mat = []
-        for r in rows:
-            coeffs = coords_against(fld, support, pivots, act(r))
-            if coeffs is None:
-                raise AssertionError(f"{label} is not stable under the bimodule action")
-            mat.append(coeffs)
-        return mat
-
-    R = regular(table)
-    eA = _image_span(R, [e], [table.basis_vec(j) for j in range(table.dim)]).finish()
-    Ae = _image_span(R, _identity(fld, table.dim), [e]).finish()
-    dim = len(eA[0])
-    if len(Ae[0]) != dim:
-        return False
-
-    def dual_action(on_Ae):
-        # D(Ae) acts by the transpose of the action on Ae
-        mat = action(Ae, on_Ae, "Ae")
-        return [[mat[i][j] for i in range(dim)] for j in range(dim)]
-
-    # eA is a right module by m . (x (x) a) = x*m*a; on D(Ae) the same
-    # element acts through m -> a*m*x on Ae
-    pairs = []
-    for g in corner.generators:
-        x = table.zero_vec()
-        for c, row in zip(g, corner_rows):
-            if c:
-                x = [fld.add(a, fld.mul(c, b)) for a, b in zip(x, row)]
-        pairs.append((dual_action(lambda m: table.mult_elements(m, x)),
-                      action(eA, lambda m: table.mult_elements(x, m), "eA")))
-    for h in table.generators:
-        pairs.append((dual_action(lambda m: table.mult_elements(h, m)),
-                      action(eA, lambda m: table.mult_elements(m, h), "eA")))
-    projectors = []
-    for block in blocks(corner):
-        eps = idempotent_sum(table, [PI[i] for i in block])
-        projectors.append(dual_action(lambda m: table.mult_elements(m, eps)))
-    return _has_isomorphism(_intertwiners(fld, pairs, dim, dim), projectors, fld)
+    labels = [table.idempotents[v][0] for v in sorted(projective_injective_vertices(table))]
+    return is_symmetric(corner_algebra(table, labels)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1278,5 +1230,5 @@ def is_gendo_symmetric(table: AlgebraTable, cutoff: int) -> bool:
 def bridged_module(table: AlgebraTable, vertex: int, length: int) -> Representation:
     """The uniserial module P_vertex / (its length-th radical power) over a
     bridged Nakayama table."""
-    P = projective(table, vertex)
+    P = _projective_data(table, vertex)[0]
     return quotient(P, _radical_layer(P, length)[0], name=f"M({vertex},{length})")

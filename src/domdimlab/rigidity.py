@@ -242,8 +242,9 @@ def verify_main_inequality(A: nak.NakAlgebra, k: int, cutoff: int,
     """Check (o_k + 2 - w)(k + 2) - 1 >= domdim on a non-selfinjective
     gendo-symmetric algebra.
 
-    ``gendo="bimodule"`` confirms the hypothesis with the bimodule
-    isomorphism test on the table bridged over F_2; ``gendo="assert"``
+    ``gendo="bimodule"`` confirms the hypothesis with
+    ``hml.is_gendo_symmetric`` (domdim >= 2 and the bimodule isomorphism
+    eAe = D(eAe)) on the table bridged over F_2; ``gendo="assert"``
     records that the caller vouches for it.  A failing verdict on a
     confirmed instance is a falsification event for the suites.
     """

@@ -117,6 +117,11 @@ def test_verify_main_cli(runner):
     doc = run_json(runner, ["nakayama", "verify-main", "--k", "1", "--cycle",
                             "--kupisch", "3,4,4", "--cutoff", "32"])
     assert doc["items"][0]["verdict"] == "holds"
+    assert doc["items"][0]["gendo_provenance"] == "bimodule-test"
+    # the hypothesis is always decided: there is no flag to assert it instead
+    result = runner.invoke(main, ["nakayama", "verify-main", "--k", "1", "--cycle",
+                                  "--kupisch", "3,4,4", "--assume-gendo"])
+    assert result.exit_code == 2 and "--assume-gendo" in result.output
 
 
 def test_report_determinism(runner, tmp_path):

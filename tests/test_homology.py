@@ -58,6 +58,17 @@ def test_bridged_simples_and_projectives(bridged33):
         assert hml.projective(bridged33, v).dim == 3
 
 
+def test_projective_is_a_fresh_module_per_call():
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), F2)
+    P = hml.projective(table, 0)
+    P.name = "P0"
+    again = hml.projective(table, 0)
+    assert again is not P and again.name == "P(v0)" and again.rows == P.rows
+    # the radical filtration stays cached on the one module kept on the table
+    assert hml.simple(table, 0).dim == 1
+    assert "radical-layers" in hml._projective_data(table, 0)[0]._cache
+
+
 def test_radical_of_regular_hopf(hopf):
     R = hml.regular(hopf)
     assert hml.radical_submodule(R).dim == 7
@@ -548,17 +559,20 @@ def test_end_locality_certificate_needs_a_nilpotent_ideal():
     assert hml._local_end(ends[:2], F3, 2) is True  # F_3[t]/(t^2)
 
 
-def test_domdim_auslander_algebra_of_truncated_polynomial_over_q():
-    # the Auslander algebra of Q[x]/(x^5): 1 <-> 2 <-> ... <-> 5, with
-    # a_i: i -> i+1, b_i: i+1 -> i, a_1 b_1 = 0 and a_i b_i = b_{i-1} a_{i-1};
-    # its Loewy length is 2n - 1 = 9, which the compiler certifies
-    n = 5
+def auslander_algebra(n, fld):
+    """The Auslander algebra of k[x]/(x^n): 1 <-> 2 <-> ... <-> n, with
+    a_i: i -> i+1, b_i: i+1 -> i, a_1 b_1 = 0 and a_i b_i = b_{i-1} a_{i-1};
+    its Loewy length is 2n - 1."""
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
     arrows = tuple(qa.Arrow(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(1, n))
     arrows += tuple(qa.Arrow(f"b{i}", f"v{i + 1}", f"v{i}") for i in range(1, n))
     relations = ("a1*b1",) + tuple(f"a{i}*b{i} - b{i - 1}*a{i - 1}" for i in range(2, n))
-    table = qa.compile_quiver(qa.QuiverSpec(vertices, arrows, relations, 2 * n - 1,
-                                            qa.FieldSpec.rational()))
+    return qa.compile_quiver(qa.QuiverSpec(vertices, arrows, relations, 2 * n - 1, fld))
+
+
+def test_domdim_auslander_algebra_of_truncated_polynomial_over_q():
+    # the compiler certifies the Loewy length 2n - 1 = 9
+    table = auslander_algebra(5, QQ)
     assert table.dim == 55
     assert hml.domdim(table, 16) == BoundedValue.finite(2)
 
@@ -661,7 +675,7 @@ GENDO_TRUE_SMALL = {(2,), (3,), (4,), (2, 3), (3, 2), (3, 3),
                     (3, 4, 4), (4, 3, 4), (4, 4, 3), (4, 4, 4)}
 
 
-@pytest.mark.parametrize("fld", [F3, QQ], ids=["F3", "Q"])
+@pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
 def test_gendo_symmetric_small_cycles_pinned(fld):
     verdicts = {}
     for c in cyclic_series(1, 3, 4):
@@ -669,6 +683,23 @@ def test_gendo_symmetric_small_cycles_pinned(fld):
         verdicts[c] = hml.is_gendo_symmetric(table, 16)
     assert {c for c, v in verdicts.items() if v is True} == GENDO_TRUE_SMALL
     assert all(v is False for c, v in verdicts.items() if c not in GENDO_TRUE_SMALL)
+
+
+def test_gendo_symmetric_both_signs_off_the_nakayama_bridges():
+    # End(B + M) has domdim >= 2 for every selfinjective B (Morita-Tachikawa),
+    # so its verdict is that of B: False over the non-symmetric (2, 2) and
+    # (3, 3, 3), for M a non-projective uniserial
+    for kup, length in (((2, 2), 1), ((3, 3, 3), 1), ((3, 3, 3), 2)):
+        B = qa.nakayama_to_table(nak.validate(nak.CYCLE, kup), F2)
+        summands = [hml.projective(B, v) for v in range(len(kup))]
+        end = hml.endomorphism_algebra(summands + [hml.bridged_module(B, 0, length)])
+        assert hml.domdim(end, 16).value >= 2
+        assert hml.is_gendo_symmetric(end, 16) is False, (kup, length)
+    # the Auslander algebra of k[x]/(x^n) is End of a generator over the
+    # symmetric k[x]/(x^n)
+    for n in range(2, 5):
+        for fld in (F2, F3):
+            assert hml.is_gendo_symmetric(auslander_algebra(n, fld), 16) is True, (n, fld)
 
 
 @pytest.mark.parametrize("name", ["dihedral8-f2", "quaternion8-f2"])
