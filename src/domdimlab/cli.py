@@ -469,3 +469,7 @@ def verify(suite, report, fmt):
             f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
     items, failures = runner()
     _emit(f"verify {suite}", {"suite": suite}, items, failures, report, fmt, started)
+
+
+if __name__ == "__main__":
+    main()

@@ -44,6 +44,7 @@ from .exactmath import (
 )
 from .quivalg import (
     AlgebraTable,
+    _dense,
     _has_isomorphism,
     _radical_top,
     corner_algebra,
@@ -148,9 +149,11 @@ class Representation:
             raise ValueError("unit does not act as the identity")
         for u in range(A.dim):
             for v in range(A.dim):
-                # row i of act(b_u) @ act(b_v) against act(b_u b_v)
+                # row i of act(b_u) @ act(b_v) against row i of act(b_u b_v)
                 lhs = [self._combine((c, self.rows[v][j]) for j, c in row) for row in self.rows[u]]
-                if lhs != self.element_action(A.mult[u][v]):
+                rhs = [self._combine((c, self.rows[k][i]) for k, c in A.mult[u][v])
+                       for i in range(self.dim)]
+                if lhs != rhs:
                     raise ValueError(
                         f"action violates structure constants on pair "
                         f"({A.basis_names[u]}, {A.basis_names[v]})"
@@ -182,21 +185,11 @@ def representation_from_json(table: AlgebraTable, obj) -> Representation:
 
 def regular(table: AlgebraTable) -> Representation:
     """A as a right module over itself: row k of the action of b_u is
-    b_k * b_u.  The sparse rows are read from ``mult`` once per table; each
-    call wraps them in a fresh module, so renaming one renames no other."""
-    rows = table._cache.get("regular")
-    if rows is None:
-        d = table.dim
-        rows = table._cache["regular"] = tuple(
-            tuple(sparse_row(table.mult[k][u]) for k in range(d)) for u in range(d))
-    return Representation.from_rows(table, table.dim, rows, name="regular")
-
-
-def _dense(row, n: int, zero) -> list:
-    out = [zero] * n
-    for j, x in row:
-        out[j] = x
-    return out
+    b_k * b_u, the pairs ``mult[k][u]`` as they are.  Each call wraps them
+    in a fresh module, so renaming one renames no other."""
+    d = table.dim
+    rows = tuple(tuple(table.mult[k][u] for k in range(d)) for u in range(d))
+    return Representation.from_rows(table, d, rows, name="regular")
 
 
 def _identity(fld, dim: int) -> list[list]:
@@ -275,11 +268,6 @@ def _radical_layer(M: Representation, k: int) -> tuple[list[list], list[int]]:
 def radical_rows(M: Representation) -> list[list]:
     """Rows spanning M*J."""
     return [list(r) for r in _radical_layer(M, 1)[0]]
-
-
-def radical_submodule(M: Representation) -> Representation:
-    rep, _ = submodule(M, radical_rows(M), name=f"rad({M.name})" if M.name else "radical")
-    return rep
 
 
 def top(M: Representation) -> Representation:
@@ -810,12 +798,13 @@ def enveloping(table: AlgebraTable):
     env = tensor_algebra(table, _op_table(table))
     env.provenance.update({"kind": "enveloping"})
     d = table.dim
-    R = regular(table)  # row k of R.rows[u] is b_k * b_u
+    R = regular(table)
     actions = []
     for i in range(d):
         for j in range(d):
-            # row k: b_j * b_k * b_i
-            actions.append([sparse_row(R.apply(table.mult[j][k], i)) for k in range(d)])
+            # row k: b_j * b_k * b_i, the sum of c * b_t b_i over the (t, c) of b_j b_k
+            actions.append([sparse_row(R._combine((c, R.rows[i][t]) for t, c in cell))
+                            for cell in table.mult[j]])
     return env, Representation.from_rows(env, d, actions, name="regular-bimodule")
 
 
@@ -875,19 +864,6 @@ def _term_summary(table: AlgebraTable, vertices) -> dict:
         counts[label] = counts.get(label, 0) + 1
         dim_s += projective(table, v).dim
     return {"vertices": dict(sorted(counts.items())), "dim": dim_s}
-
-
-def resolution_report(M: Representation, t: int) -> dict:
-    """First t terms of the minimal projective resolution as a JSON-ready
-    dict: vertex multiset and dimension per step, syzygy dims, minimality flag."""
-    res = _resolution(M, t)
-    terms = [_term_summary(M.algebra, verts) for verts in (res.levels + [[]] * t)[:t]]
-    return {
-        "module": M.name or "M",
-        "terms": terms,
-        "syzygy_dims": syzygy_dims(M, t),
-        "minimal": True,  # covers are minimal by construction and certified per step
-    }
 
 
 def injective_coresolution(M: Representation, t: int) -> CoresolutionReport:
@@ -1157,25 +1133,21 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
                 basis.append((a, b, [r[i * dims[b]:(i + 1) * dims[b]] for i in range(dims[a])]))
                 names.append(f"h{a}to{b}_{idx}")
     dim_e = len(basis)
-    zero = [fld.zero()] * dim_e
 
-    def element(a, b, T):
-        """The map T: M_a -> M_b as a vector in the basis."""
+    def element(a, b, T) -> tuple:
+        """The map T: M_a -> M_b as (index, coefficient) pairs in the basis."""
         offset, rows, pivots = hom_rref[(a, b)]
         coeffs = coords_against(fld, rows, pivots, flat(T))
         if coeffs is None:
             raise AssertionError(f"a map outside Hom(m{a}, m{b})")
-        vec = list(zero)
-        vec[offset:offset + len(coeffs)] = coeffs
-        return vec
+        return tuple((offset + t, c) for t, c in enumerate(coeffs) if c)
 
-    mult = []
-    for (a1, b1, T1) in basis:
-        mult.append([element(a1, b2, matmul_rows(fld, T1, T2))  # "T1 then T2"
-                     if b1 == a2 else zero for (a2, b2, T2) in basis])
-    idem = [(M.name or f"m{a}", element(a, a, _identity(fld, M.dim)))
+    vector = lambda a, b, T: _dense(element(a, b, T), dim_e, fld.zero())
+    mult = [[element(a1, b2, matmul_rows(fld, T1, T2))  # "T1 then T2"
+             if b1 == a2 else () for (a2, b2, T2) in basis] for (a1, b1, T1) in basis]
+    idem = [(M.name or f"m{a}", vector(a, a, _identity(fld, M.dim)))
             for a, M in enumerate(summands)]
-    unit = list(zero)
+    unit = [fld.zero()] * dim_e
     for _, e in idem:
         unit = [fld.add(x, y) for x, y in zip(unit, e)]
     radical = []
@@ -1184,7 +1156,7 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
         # exists because End(M_a) is split local
         R = T if a != b else _nilpotent_part(T, fld, dims[a])
         if any(any(r) for r in R):
-            radical.append(element(a, b, R))
+            radical.append(vector(a, b, R))
     return make_table(
         field=fld,
         basis_names=names,

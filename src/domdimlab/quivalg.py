@@ -1,7 +1,8 @@
 """Finite-dimensional algebras as explicit basis/structure-constant tables.
 
-A table records a field, a named basis, the full multiplication tensor,
-the unit, a complete set of orthogonal primitive idempotents (with
+A table records a field, a named basis, the product of every two basis
+elements as (index, coefficient) pairs (nonzero coefficients only), the
+unit, a complete set of orthogonal primitive idempotents (with
 vertex labels) and a basis of the Jacobson radical.  Every constructor
 but ``opposite`` re-verifies the algebra axioms plus the split-basic
 certificate (``dim A = dim J + #idempotents``), which is what licenses the
@@ -240,7 +241,8 @@ def parse_relation(text: str, spec: QuiverSpec) -> RelationExpr:
 class AlgebraTable:
     field: FieldSpec
     basis_names: tuple[str, ...]
-    mult: tuple[tuple[tuple, ...], ...]  # mult[i][j] = coordinate vector of b_i * b_j
+    # mult[i][j] = b_i * b_j as (k, c) pairs: k strictly ascending, every c nonzero
+    mult: tuple[tuple[tuple, ...], ...]
     unit: tuple
     idempotents: tuple[tuple[str, tuple], ...]  # (vertex label, coordinate vector)
     radical: tuple[tuple, ...]  # vectors spanning the Jacobson radical
@@ -274,31 +276,21 @@ class AlgebraTable:
         return v
 
     def mult_elements(self, u, v) -> list:
+        """u * v for coordinate vectors: the sum of u_i v_j b_i b_j over the
+        stored products, reduced once."""
         fld = self.field
         acc = self.zero_vec()
+        support = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if x:
+                mi = self.mult[i]
+                for j, y in support:
+                    f = x * y
+                    for k, c in mi[j]:
+                        acc[k] += f * c
         if fld.kind == "prime":
             p = fld.p
-            for i, ui in enumerate(u):
-                if ui:
-                    mi = self.mult[i]
-                    for j, vj in enumerate(v):
-                        if vj:
-                            f = ui * vj % p
-                            row = mi[j]
-                            for k in range(self.dim):
-                                if row[k]:
-                                    acc[k] = (acc[k] + f * row[k]) % p
-        else:
-            for i, ui in enumerate(u):
-                if ui:
-                    mi = self.mult[i]
-                    for j, vj in enumerate(v):
-                        if vj:
-                            f = ui * vj
-                            row = mi[j]
-                            for k in range(self.dim):
-                                if row[k]:
-                                    acc[k] = acc[k] + f * row[k]
+            return [a % p for a in acc]
         return acc
 
     def left_mult_matrix(self, v) -> list[list]:
@@ -330,12 +322,9 @@ class AlgebraTable:
         return acc
 
     def to_json(self):
-        structure = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in enumerate(self.mult[i][j]):
-                    if c:
-                        structure.append([i, j, k, self.field.fmt(c)])
+        structure = [[i, j, k, self.field.fmt(c)]
+                     for i, row in enumerate(self.mult)
+                     for j, cell in enumerate(row) for k, c in cell]
         fmt_vec = lambda v: [self.field.fmt(x) for x in v]
         return {
             "kind": "table",
@@ -354,16 +343,24 @@ class AlgebraTable:
         fld = FieldSpec.from_json(obj["field"])
         basis = tuple(obj["basis"])
         d = len(basis)
-        mult = [[[fld.zero()] * d for _ in range(d)] for _ in range(d)]
+        if d > SIZE_LIMIT:
+            raise SizeLimitError(f"table of dimension {d} exceeds limit {SIZE_LIMIT}")
+        cells: dict[tuple, dict] = {}  # (i, j) -> {k: c}; a repeated entry overrides
         for i, j, k, c in obj["structure"]:
             if not all(0 <= x < d for x in (i, j, k)):
                 raise ValueError(f"structure index outside 0..{d - 1}: {[i, j, k]}")
-            mult[i][j][k] = fld.parse(c)
-        parse_vec = lambda v: tuple(fld.parse(x) for x in v)
+            cells.setdefault((i, j), {})[k] = fld.parse(c)
+
+        def parse_vec(v):
+            if len(v) != d:
+                raise ValueError(f"vector of length {len(v)} in a table of dimension {d}")
+            return tuple(fld.parse(x) for x in v)
+
         return make_table(
             field=fld,
             basis_names=basis,
-            mult=[[tuple(cell) for cell in row] for row in mult],
+            mult=[[tuple(sorted((k, c) for k, c in cells.get((i, j), {}).items() if c))
+                   for j in range(d)] for i in range(d)],
             unit=parse_vec(obj["unit"]),
             idempotents=[(label, parse_vec(vec)) for label, vec in obj["idempotents"]],
             radical=[parse_vec(v) for v in obj["radical"]],
@@ -374,6 +371,8 @@ class AlgebraTable:
 
 def make_table(field, basis_names, mult, unit, idempotents, radical,
                generators=None, provenance=None) -> AlgebraTable:
+    """A verified table; ``mult[i][j]`` is b_i * b_j as (k, c) pairs, k
+    strictly ascending and every c nonzero."""
     mult = tuple(tuple(tuple(cell) for cell in row) for row in mult)
     table = AlgebraTable(
         field=field,
@@ -385,11 +384,19 @@ def make_table(field, basis_names, mult, unit, idempotents, radical,
         generators=(),
         provenance=provenance or {},
     )
+    verify_table(table)
     if generators is None:
         generators = _default_generators(table)
     table.generators = tuple(tuple(v) for v in generators)
-    verify_table(table)
     return table
+
+
+def _dense(pairs, n: int, zero) -> list:
+    """The length-n vector with the (index, entry) ``pairs``."""
+    out = [zero] * n
+    for j, x in pairs:
+        out[j] = x
+    return out
 
 
 def _radical_powers(table: AlgebraTable, rad=None):
@@ -440,11 +447,22 @@ def _default_generators(table: AlgebraTable) -> list[list]:
 
 
 def verify_table(table: AlgebraTable) -> None:
-    """Re-check every table axiom: unit, associativity, the idempotent set,
-    and that the declared radical is a nilpotent two-sided ideal with a
-    split-basic quotient."""
+    """Re-check the storage format of the products and every table axiom:
+    unit, associativity, the idempotent set, and that the declared radical
+    is a nilpotent two-sided ideal with a split-basic quotient."""
     d = table.dim
     fld = table.field
+    if len(table.mult) != d or any(len(row) != d for row in table.mult):
+        raise CompileError(f"structure constants are not {d} x {d} cells")
+    for i, row in enumerate(table.mult):
+        for j, cell in enumerate(row):
+            last = -1
+            for pair in cell:
+                if not (isinstance(pair, tuple) and len(pair) == 2 and last < pair[0] < d
+                        and pair[1]):
+                    raise CompileError(f"product ({i},{j}) is not (k, c) pairs with k "
+                                       "strictly ascending and c nonzero")
+                last = pair[0]
     unit = list(table.unit)
     for i in range(d):
         b = table.basis_vec(i)
@@ -496,11 +514,10 @@ def verify_table(table: AlgebraTable) -> None:
 def _verify_associativity(table: AlgebraTable) -> None:
     d = table.dim
     fld = table.field
-    # b_i b_j as its nonzero (index, coefficient) pairs
-    sparse = [[[(t, c) for t, c in enumerate(prod) if c] for prod in row] for row in table.mult]
+    mult = table.mult
 
     def combine(terms):
-        """Sum of c * p over the (c, p) in ``terms``, p sparse, as a dict."""
+        """Sum of c * p over the (c, p) in ``terms``, p as (k, c) pairs, as a dict."""
         acc = {}
         for c, prod in terms:
             for s, x in prod:
@@ -510,10 +527,10 @@ def _verify_associativity(table: AlgebraTable) -> None:
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                if not sparse[i][j] and not sparse[j][k]:
+                if not mult[i][j] and not mult[j][k]:
                     continue  # both sides are 0
-                left = combine((c, sparse[t][k]) for t, c in sparse[i][j])  # (b_i b_j) b_k
-                right = combine((c, sparse[i][t]) for t, c in sparse[j][k])  # b_i (b_j b_k)
+                left = combine((c, mult[t][k]) for t, c in mult[i][j])  # (b_i b_j) b_k
+                right = combine((c, mult[i][t]) for t, c in mult[j][k])  # b_i (b_j b_k)
                 if left != right:
                     raise CompileError(f"associativity fails on triple ({i},{j},{k})")
 
@@ -637,45 +654,29 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
     if not basis_paths:
         raise CompileError("empty quotient")
     basis_col = {p: i for i, p in enumerate(basis_paths)}
+    basis_cols = [col_of[p] for p in basis_paths]
     d = len(basis_paths)
 
-    def normal_form(col_vec) -> list:
-        red = span.residue(col_vec)
-        out = [fld.zero()] * d
-        for p, i in basis_col.items():
-            c = red[col_of[p]]
-            if c:
-                out[i] = c
-        return out
+    def normal_form(p) -> tuple:
+        """The path p in the basis, as (index, coefficient) pairs."""
+        vec = [fld.zero()] * ncols
+        vec[col_of[p]] = fld.one()
+        red = span.residue(vec)
+        return tuple((i, red[c]) for i, c in enumerate(basis_cols) if red[c])
 
     nf_cache: dict[tuple, tuple] = {}
-
-    def concat_nf(p, q):
-        if path_target(p) != q[0]:
-            return None
-        total = len(p[1]) + len(q[1])
-        if total > L:
-            return None  # lands in J^L = 0
-        key = (p[0], p[1] + q[1])
-        if key in nf_cache:
-            return nf_cache[key]
-        vec = [fld.zero()] * ncols
-        vec[col_of[key]] = fld.one()
-        nf = tuple(normal_form(vec))
-        nf_cache[key] = nf
-        return nf
-
-    zero_row = tuple(fld.zero() for _ in range(d))
     mult = []
     for p in basis_paths:
         row = []
         for q in basis_paths:
             if path_target(p) != q[0] or len(p[1]) + len(q[1]) > L:
-                row.append(zero_row)
-            else:
-                nf = concat_nf(p, q)
-                row.append(nf if nf is not None else zero_row)
-        mult.append(tuple(row))
+                row.append(())  # incomposable, or in J^L = 0
+                continue
+            pq = (p[0], p[1] + q[1])
+            if pq not in nf_cache:
+                nf_cache[pq] = normal_form(pq)
+            row.append(nf_cache[pq])
+        mult.append(row)
 
     def name_of(p):
         src, arr = p
@@ -700,13 +701,8 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
             radical.append(v)
     # idempotents plus the image of every arrow generate: each basis path
     # is a product of arrow images (arrows rewritten by relations included)
-    arrow_images = []
-    for a in spec.arrows:
-        vec = [fld.zero()] * ncols
-        vec[col_of[(a.source, (a.name,))]] = fld.one()
-        img = normal_form(vec)
-        if any(img):
-            arrow_images.append(img)
+    arrow_images = [_dense(img, d, fld.zero()) for img in
+                    (normal_form((a.source, (a.name,))) for a in spec.arrows) if img]
     table = make_table(
         field=fld,
         basis_names=basis_names,
@@ -766,14 +762,7 @@ def _group_algebra(names: list[str], mult_map: dict[tuple[str, str], str],
     d = len(names)
     index = {g: i for i, g in enumerate(names)}
     zero, one = field.zero(), field.one()
-    mult = []
-    for g in names:
-        row = []
-        for h in names:
-            vec = [zero] * d
-            vec[index[mult_map[(g, h)]]] = one
-            row.append(tuple(vec))
-        mult.append(tuple(row))
+    mult = [[((index[mult_map[(g, h)]], one),) for h in names] for g in names]
     unit = [zero] * d
     unit[index[identity]] = one
     radical = []
@@ -923,14 +912,11 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
                         out[base + j] = fld.mul(ui, vj)
         return out
 
-    mult = []
-    for i1 in range(a.dim):
-        for j1 in range(b.dim):
-            row = []
-            for i2 in range(a.dim):
-                for j2 in range(b.dim):
-                    row.append(tuple(kron(a.mult[i1][i2], b.mult[j1][j2])))
-            mult.append(tuple(row))
+    # (b_i1 (x) b_j1)(b_i2 (x) b_j2) = b_i1 b_i2 (x) b_j1 b_j2; k_a outer keeps k ascending
+    mult = [[tuple((ka * b.dim + kb, fld.mul(ca, cb)) for ka, ca in a.mult[i1][i2]
+                   for kb, cb in b.mult[j1][j2])
+             for i2 in range(a.dim) for j2 in range(b.dim)]
+            for i1 in range(a.dim) for j1 in range(b.dim)]
     basis_names = tuple(
         f"{na}(x){nb}" for na in a.basis_names for nb in b.basis_names
     )
@@ -993,12 +979,7 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
             raise CompileError("corner multiplication left the corner span")
         return c
 
-    mult = []
-    for u in rows:
-        r = []
-        for v in rows:
-            r.append(tuple(coords(table.mult_elements(list(u), list(v)))))
-        mult.append(tuple(r))
+    mult = [[sparse_row(coords(table.mult_elements(u, v))) for v in rows] for u in rows]
     unit = coords(e)
     idem = [(table.idempotents[i][0], tuple(coords(list(table.idempotents[i][1]))))
             for i in chosen]
@@ -1032,14 +1013,14 @@ def is_local(table: AlgebraTable) -> bool:
 
 def symmetric_functional_space(table: AlgebraTable) -> list[list]:
     """Basis of the functionals lam with lam(uv) = lam(vu) for all u, v."""
-
-
     d = table.dim
     fld = table.field
     rows = []
     for i in range(d):
         for j in range(i + 1, d):
-            row = [fld.sub(table.mult[i][j][k], table.mult[j][i][k]) for k in range(d)]
+            row = _dense(table.mult[i][j], d, fld.zero())
+            for k, c in table.mult[j][i]:
+                row[k] = fld.sub(row[k], c)
             if any(row):
                 rows.append(row)
     if not rows:
@@ -1048,20 +1029,17 @@ def symmetric_functional_space(table: AlgebraTable) -> list[list]:
 
 
 def _gram(table: AlgebraTable, lam: list) -> list[list]:
-    d = table.dim
     fld = table.field
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            cell = fld.zero()
-            m = table.mult[i][j]
-            for k in range(d):
-                if m[k] and lam[k]:
-                    cell = fld.add(cell, fld.mul(m[k], lam[k]))
-            row.append(cell)
-        out.append(row)
-    return out
+
+    def form(cell):
+        """lam of the product stored in ``cell``."""
+        x = fld.zero()
+        for k, c in cell:
+            if lam[k]:
+                x = fld.add(x, fld.mul(c, lam[k]))
+        return x
+
+    return [[form(cell) for cell in row] for row in table.mult]
 
 
 def blocks(table: AlgebraTable) -> list[list[int]]:

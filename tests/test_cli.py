@@ -273,7 +273,19 @@ OUT_OF_SCOPE_FILES = {
     "top-level-array": ("array", "compile"),
     "structure-index-too-large": ("index-5", "compile"),
     "structure-index-negative": ("index-minus-1", "compile"),
+    "radical-too-short-compile": ("radical-short", "compile"),
+    "radical-too-short-domdim": ("radical-short", "domdim"),
+    "radical-too-short-predicates": ("radical-short", "predicates"),
+    "radical-too-short-resolve": ("radical-short", "resolve"),
+    "radical-too-long": ("radical-long", "compile"),
+    "generator-too-long": ("generator-long", "compile"),
+    "unit-too-short": ("unit-short", "compile"),
+    "idempotent-too-long": ("idempotent-long", "compile"),
 }
+# k[x]/(x^2) over F_2, with one vector of the wrong length
+DUAL_NUMBERS = {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": ["1", "x"],
+                "unit": ["1", "0"], "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+                "idempotents": [["v0", ["1", "0"]]], "radical": [["0", "1"]]}
 ALGEBRA_FILES = {
     "semisimple": {"kind": "quiver", "vertices": ["v0"], "arrows": [], "relations": [],
                    "loewy_bound": 2, "field": {"kind": "prime", "p": 2}},
@@ -290,6 +302,11 @@ ALGEBRA_FILES = {
     "index-minus-1": {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": ["e"],
                       "unit": ["1"], "structure": [[0, 0, -1, "1"]],
                       "idempotents": [["v0", ["1"]]], "radical": []},
+    "radical-short": {**DUAL_NUMBERS, "radical": [["0"]]},
+    "radical-long": {**DUAL_NUMBERS, "radical": [["0", "1", "0"]]},
+    "generator-long": {**DUAL_NUMBERS, "generators": [["1", "0"], ["0", "1", "0"]]},
+    "unit-short": {**DUAL_NUMBERS, "unit": ["1"]},
+    "idempotent-long": {**DUAL_NUMBERS, "idempotents": [["v0", ["1", "0", "0"]]]},
 }
 
 
@@ -302,6 +319,16 @@ def test_out_of_scope_algebra_file_exit_2(runner, tmp_path, algebra, command):
     assert result.exit_code == 2, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+def test_module_entry_point_runs_the_cli():
+    # python -m domdimlab.cli must run the command, so an unknown suite is a usage error
+    src = os.path.dirname(os.path.dirname(qa.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "domdimlab.cli", "verify", "--suite", "nonsense"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert "unknown suite 'nonsense'" in out.stderr
 
 
 def test_package_imports_no_numpy():

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -375,8 +377,9 @@ def test_corner_algebra_of_unit_recovers_dimension():
 
 def test_verify_catches_broken_associativity():
     table = qa.preset("truncated-poly(3,F3)")
-    mult = [[list(cell) for cell in row] for row in table.mult]
-    mult[2][2][0] = 1  # x^2 * x^2 = 1 breaks associativity/nilpotency
+    mult = [list(row) for row in table.mult]
+    assert mult[2][2] == ()
+    mult[2][2] = ((0, 1),)  # x^2 * x^2 = 1 breaks associativity/nilpotency
     with pytest.raises(qa.CompileError):
         qa.make_table(table.field, table.basis_names, mult, table.unit,
                       list(table.idempotents), list(table.radical))
@@ -386,11 +389,12 @@ def _first_nonassociative_triple(table):
     """Oracle: the first (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), from
     dense products."""
     d = table.dim
+    prod = lambda i, j: table.mult_elements(table.basis_vec(i), table.basis_vec(j))
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                left = table.mult_elements(list(table.mult[i][j]), table.basis_vec(k))
-                right = table.mult_elements(table.basis_vec(i), list(table.mult[j][k]))
+                left = table.mult_elements(prod(i, j), table.basis_vec(k))
+                right = table.mult_elements(table.basis_vec(i), prod(j, k))
                 if left != right:
                     return (i, j, k)
     return None
@@ -409,9 +413,12 @@ def test_associativity_check_matches_dense_products(make):
     rng = random.Random(d)
     qa._verify_associativity(table)  # the unperturbed table passes
     for _ in range(12):
-        mult = [[list(cell) for cell in row] for row in table.mult]
-        mult[rng.randrange(d)][rng.randrange(d)][rng.randrange(d)] = fld.of_int(rng.randint(1, 2))
-        broken = dataclasses.replace(table, mult=tuple(tuple(map(tuple, row)) for row in mult))
+        mult = [list(row) for row in table.mult]
+        i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+        cell = dict(mult[i][j])
+        cell[k] = fld.of_int(rng.randint(1, 2))  # over F_2, 2 = 0 drops the entry
+        mult[i][j] = tuple(sorted((t, c) for t, c in cell.items() if c))
+        broken = dataclasses.replace(table, mult=tuple(map(tuple, mult)))
         want = _first_nonassociative_triple(broken)
         if want is None:
             qa._verify_associativity(broken)
@@ -491,3 +498,125 @@ def test_arrow_images_generate_the_radical_on_both_sides():
     for side in (lambda x, a: table.mult_elements(a, x), lambda x, a: table.mult_elements(x, a)):
         ideal = [side(x, table.basis_vec(i)) for x in top for i in range(table.dim)]
         assert rank_rows(F3, ideal) == len(table.radical)
+
+
+# -- storage of the structure constants ---------------------------------------
+
+def assert_canonical(table):
+    """Every product b_i * b_j is stored as (k, c) pairs, k strictly
+    ascending in 0..dim-1 and every c nonzero."""
+    assert len(table.mult) == table.dim
+    for row in table.mult:
+        assert len(row) == table.dim
+        for cell in row:
+            ks = [k for k, _ in cell]
+            assert ks == sorted(set(ks)) and all(0 <= k < table.dim for k in ks), cell
+            assert all(c for _, c in cell), cell
+
+
+def _end_of_b_plus_j2(name):
+    B = qa.preset(name)
+    R = hml.regular(B)
+    R.name = "B"
+    return hml.endomorphism_algebra([R, hml.radical_power(B, 2).rep])
+
+
+def _json_with_zero_and_repeated_entries():
+    # a "0" coefficient and a repeated [i, j, k] entry (the last one counts)
+    obj = qa.preset("truncated-poly(3,F3)").to_json()
+    obj["structure"] = [[2, 2, 0, "0"], [1, 1, 2, "2"]] + obj["structure"] + [[1, 1, 2, "1"]]
+    return qa.AlgebraTable.from_json(obj)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qa.compile_quiver(LOOPS),
+    lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4, 4)), QQ),
+    lambda: qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 1)), F3),
+    lambda: qa.preset("dihedral8-f2"),
+    lambda: qa.preset("quaternion8-f2"),
+    lambda: hml.enveloping(qa.preset("truncated-poly(3,F3)"))[0],
+    lambda: qa.tensor_algebra(qa.preset("preproj-a2"), qa.preset("truncated-poly(2,F2)")),
+    lambda: qa.corner_algebra(qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), QQ), ["v1"])[0],
+    lambda: _end_of_b_plus_j2("hopf-a5-f2"),
+    lambda: qa.opposite(qa.preset("hopf-a5-f2")),
+    _json_with_zero_and_repeated_entries,
+], ids=["compile", "bridge-Q", "bridge-line-F3", "dihedral8", "quaternion8", "enveloping",
+        "tensor", "corner-Q", "end-b-plus-j2", "opposite", "from-json"])
+def test_structure_constants_are_canonical_pairs(make):
+    assert_canonical(make())
+
+
+def test_from_json_drops_zeros_and_keeps_the_last_repeated_entry():
+    table = _json_with_zero_and_repeated_entries()
+    assert table.mult == qa.preset("truncated-poly(3,F3)").mult
+    assert table.mult[1][1] == ((2, 1),) and table.mult[2][2] == ()
+
+
+def test_make_table_rejects_dense_cells():
+    table = qa.preset("truncated-poly(3,F3)")
+    dense = [[tuple(table.mult_elements(table.basis_vec(i), table.basis_vec(j)))
+              for j in range(3)] for i in range(3)]
+    with pytest.raises(qa.CompileError, match="not \\(k, c\\) pairs"):
+        qa.make_table(table.field, table.basis_names, dense, table.unit,
+                      list(table.idempotents), list(table.radical))
+
+
+# sha256 of json.dumps(table.to_json(), sort_keys=True): the table file
+# format does not depend on how the products are held in memory
+TABLE_DIGESTS = {
+    "hopf-a5-f2": "5a48b117aacf4fe3281838cff89ae5d780199f9d8b89e4645bf79d3430db814a",
+    "dihedral8-f2": "35dea9beb2491645dd0a9c95f5ab7d8202a132a1b4c0707cf3d6aafcfdda2618",
+    "quaternion8-f2": "a4a66639dc38bd20fb0b7c87610edca5f2533925028a6b2d859b24e313da9e59",
+    "preproj-a2": "a044aa14e7f6c7441b654bc558d17ff786a1170a8eb13db147a6e5da958538db",
+    "truncated-poly(3,F2)": "a956aa122dd0ff4013ffc99d36ed9c76ece5fee297dc32560085d714da94741c",
+    "truncated-poly(3,F3)": "1636661ea70ff4b9568f8494be879b6753fe0dc69918607e732e847ffe934c5c",
+    "truncated-poly(4,Q)": "69b33a9c89ad4457e4ea654fe1c54b9c9097d1d7b95755799d1a7b8ad0718f60",
+    "end-hopf-b-plus-j2": "7b01a0cd3b08fb9538c66527bb0b33462bb692fe9827683a94c7df34d037075b",
+}
+
+
+@pytest.mark.parametrize("name", TABLE_DIGESTS)
+def test_table_files_are_pinned(name):
+    table = _end_of_b_plus_j2("hopf-a5-f2") if name.startswith("end-") else qa.preset(name)
+    text = json.dumps(table.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[name]
+
+
+def test_from_json_checks_the_size_limit(monkeypatch):
+    monkeypatch.setattr(qa, "SIZE_LIMIT", 8)
+    obj = {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": [f"b{i}" for i in range(9)],
+           "unit": [], "structure": [], "idempotents": [], "radical": []}
+    with pytest.raises(qa.SizeLimitError):
+        qa.load_algebra(obj)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("unit", ["1", "0", "0"]), ("idempotents", [["v0", ["1"]]]),
+    ("radical", [["0"]]), ("radical", [["0", "1", "0"]]),
+    ("generators", [["1", "0"], ["0", "1", "0"]]),
+], ids=["unit-long", "idempotent-short", "radical-short", "radical-long", "generator-long"])
+def test_from_json_checks_vector_lengths(key, value):
+    obj = qa.preset("truncated-poly(2,F2)").to_json()
+    qa.load_algebra(obj)  # the unchanged file loads
+    with pytest.raises(ValueError, match="vector of length"):
+        qa.load_algebra({**obj, key: value})
+
+
+def test_loading_a_large_table_file_allocates_no_cube(tmp_path):
+    # 200 basis elements and no products: the unit axiom fails, and the
+    # load must not have allocated d^3 coefficients before that check
+    d = 200
+    vec = lambda i: ["1" if t == i else "0" for t in range(d)]
+    obj = {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": [f"b{i}" for i in range(d)],
+           "unit": vec(0), "structure": [], "idempotents": [["v0", vec(0)]],
+           "radical": [vec(i) for i in range(1, d)]}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(obj))
+    tracemalloc.start()
+    try:
+        with pytest.raises(qa.CompileError, match="unit axiom"):
+            qa.load_algebra(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
