@@ -93,11 +93,17 @@ class FieldSpec:
         return 1 / Fraction(a)
 
     def parse(self, text: str):
-        """Parse a scalar string: an integer, or "a/b" over the rationals."""
+        """Parse a scalar string: an integer, or "a/b" over the rationals.
+        ValueError for anything else, a zero denominator included."""
+        if not isinstance(text, str):
+            raise ValueError(f"scalar {text!r} is not a string")
         text = text.strip()
         if self.kind == "prime":
             return int(text) % self.p
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {text!r} has a zero denominator") from None
 
     def fmt(self, a) -> str:
         return str(a)

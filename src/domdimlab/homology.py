@@ -36,14 +36,15 @@ from .bounded import BoundedValue
 from .exactmath import (
     SpanBuilder,
     coords_against,
-    kernel_rows,
     left_kernel_rows,
     matmul_rows,
     rank_rows,
+    rref_rows,
     sparse_row,
 )
 from .quivalg import (
     AlgebraTable,
+    _default_generators,
     _dense,
     _has_isomorphism,
     _radical_top,
@@ -655,83 +656,38 @@ def _require_same_algebra(M: Representation, N: Representation) -> None:
 
 
 def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
-    """Basis of Hom_A(M, N) as dM x dN matrices, solved against the
-    algebra's generator set one weight space at a time (``_intertwiners``):
-    where the vertex idempotents act diagonally, as on a path basis, only
-    the entries between basis vectors at the same vertex are unknowns."""
+    """Basis of Hom_A(M, N) as dM x dN matrices, read from the projective
+    cover P -> M and its kernel K (``_cover_and_kernel``), as Ext is.
+
+    A map P -> N sends the top generator of each summand e_vA to some n in
+    N e_v (``_weight_basis``) and so a basis row r of that summand to
+    n @ act(r); these maps Phi span Hom(P, N).  Those that vanish on K,
+    one left kernel, are the maps that factor through M.  The cover matrix
+    C has rank dM, so each such Phi is C @ T for exactly one T: one
+    elimination of C augmented by every Phi reads them all."""
     _require_same_algebra(M, N)
-    pairs = ((M.element_action(g), N.element_action(g)) for g in M.algebra.generators)
-    return _intertwiners(M.algebra.field, pairs, M.dim, N.dim)
-
-
-def _diagonal(act) -> Optional[tuple]:
-    """The diagonal of the square matrix ``act``, or None if an entry off
-    the diagonal is nonzero."""
-    diag = []
-    for i, row in enumerate(act):
-        if any(row[:i]) or any(row[i + 1:]):
-            return None
-        diag.append(row[i])
-    return tuple(diag)
-
-
-def _intertwiners(fld, pairs, dm: int, dn: int) -> list[list[list]]:
-    """Basis of the dm x dn matrices T with actM @ T = T @ actN for every
-    (actM, actN) in ``pairs``, the actions of one generator on the two
-    modules; ``pairs`` is read only when both dimensions are nonzero.
-
-    Hom is solved one weight space at a time.  Each pair whose two actions
-    are diagonal (a vertex idempotent on a path basis, say) adds one
-    coordinate to the weight of every basis vector of M and of N.  As
-    (d_j - d'_k) T[j][k] = 0, an entry T[j][k] can be nonzero only when
-    weight_M(j) == weight_N(k), so only those entries are unknowns; the
-    other pairs give sparse equations in them, solved by one kernel.  With
-    no diagonal pair every weight is () and every entry is an unknown.
-    The unknowns keep the row-major order of T, so the basis is the one
-    the full dm * dn system has: both are the reduced kernel basis of the
-    same solution space in the same column order."""
-    if dm == 0 or dn == 0:
+    if M.dim == 0 or N.dim == 0:
         return []
-    weight_m, weight_n = [()] * dm, [()] * dn
-    general = []
-    for actM, actN in pairs:
-        dM, dN = _diagonal(actM), _diagonal(actN)
-        if dM is None or dN is None:
-            general.append((actM, actN))
-        else:
-            weight_m = [w + (x,) for w, x in zip(weight_m, dM)]
-            weight_n = [w + (x,) for w, x in zip(weight_n, dN)]
-    same_weight: dict = {}
-    for k, w in enumerate(weight_n):
-        same_weight.setdefault(w, []).append(k)
-    unknowns = [(j, k) for j in range(dm) for k in same_weight.get(weight_m[j], ())]
-    zero = fld.zero()
-    rows = []
-    for actM, actN in general:
-        col_m = [[(i, row[j]) for i, row in enumerate(actM) if row[j]] for j in range(dm)]
-        row_n = [[(kp, x) for kp, x in enumerate(row) if x] for row in actN]
-        # equation (i, k') is entry (i, k') of actM @ T - T @ actN
-        eqs: dict = {}
-        for q, (j, k) in enumerate(unknowns):
-            for i, c in col_m[j]:
-                eq = eqs.setdefault((i, k), {})
-                eq[q] = fld.add(eq.get(q, zero), c)
-            for kp, c in row_n[k]:
-                eq = eqs.setdefault((j, kp), {})
-                eq[q] = fld.sub(eq.get(q, zero), c)
-        for eq in eqs.values():
-            if any(eq.values()):
-                row = [zero] * len(unknowns)
-                for q, c in eq.items():
-                    row[q] = c
-                rows.append(row)
-    mats = []
-    for sol in kernel_rows(fld, rows, len(unknowns)):
-        T = [[zero] * dn for _ in range(dm)]
-        for (j, k), x in zip(unknowns, sol):
-            T[j][k] = x
-        mats.append(T)
-    return mats
+    fld = M.algebra.field
+    dm, dn = M.dim, N.dim
+    if "cover" not in M._cache:  # every Hom out of M reads the same cover
+        M._cache["cover"] = _cover_and_kernel(M)
+    cov, ker = M._cache["cover"]
+    zero_row = [fld.zero()] * dn
+    phis = []  # Hom(P, N), each map a dim P x dN matrix
+    for (v, brows), off in zip(cov.blocks, cov.offsets):
+        for n in _weight_basis(N, v)[0]:
+            block = [N.apply_element(n, r) for r in brows]
+            phis.append([zero_row] * off + block + [zero_row] * (cov.P.dim - off - len(brows)))
+    flat = lambda mat: [x for row in mat for x in row]
+    through_m = left_kernel_rows(fld, [flat(matmul_rows(fld, ker, phi)) for phi in phis])
+    maps = matmul_rows(fld, through_m, [flat(phi) for phi in phis])
+    aug = [list(c) + [x for phi in maps for x in phi[p * dn:(p + 1) * dn]]
+           for p, c in enumerate(cov.matrix)]
+    _, pivots = rref_rows(fld, aug)
+    if pivots[dm:]:
+        raise AssertionError("a map that vanishes on the kernel does not factor through M")
+    return [[row[dm + h * dn:dm + (h + 1) * dn] for row in aug[:dm]] for h in range(len(maps))]
 
 
 def dim_hom(M: Representation, N: Representation) -> int:
@@ -945,7 +901,9 @@ class IdealModule:
 
 
 def ideal_module(table: AlgebraTable, generator_vectors) -> IdealModule:
-    """Smallest two-sided ideal containing the generators, as a right module."""
+    """Smallest two-sided ideal containing the generators, as a right module.
+    It is closed under products with the idempotents and the radical top
+    (``_default_generators``), which generate A by the verified axioms."""
     gens = [list(v) for v in generator_vectors if any(v)]
     if not gens:
         raise PreconditionError("ideal generators are all zero")
@@ -957,8 +915,8 @@ def ideal_module(table: AlgebraTable, generator_vectors) -> IdealModule:
             work.append(g)
     while work:
         v = work.pop()
-        for g in table.generators:
-            for prod in (table.mult_elements(v, list(g)), table.mult_elements(list(g), v)):
+        for g in _default_generators(table):
+            for prod in (table.mult_elements(v, g), table.mult_elements(g, v)):
                 if any(prod) and span.add(prod):
                     work.append(prod)
     rows = [list(r) for r in span.rows]

@@ -93,6 +93,20 @@ def test_quiver_ideal_from_file(runner, tmp_path):
     assert item["pass"] is True
 
 
+def test_quiver_ideal_reads_no_file_generators(runner, tmp_path):
+    # "generators" that do not generate A (the unit alone) change neither the
+    # ideal closure nor Hom(X, A/X): the report is the one of the preset's file
+    obj = qa.preset("truncated-poly(4,Q)").to_json()
+    own, unit_only = tmp_path / "own.json", tmp_path / "unit-only.json"
+    own.write_text(json.dumps(obj))
+    unit_only.write_text(json.dumps({**obj, "generators": [obj["unit"]]}))
+    for gen, hom in (("a0*a0", 2), ("a0*a0*a0", 1)):
+        items = [run_json(runner, ["quiver", "ideal", "--algebra", str(path), "--generators", gen])
+                 ["items"] for path in (own, unit_only)]
+        assert items[0] == items[1]
+        assert items[0][0]["dim_hom_X_AmodX"] == hom
+
+
 def test_quiver_predicates(runner):
     doc = run_json(runner, ["quiver", "predicates", "--preset", "hopf-a5-f2",
                             "--cutoff", "8"])
@@ -281,6 +295,8 @@ OUT_OF_SCOPE_FILES = {
     "generator-too-long": ("generator-long", "compile"),
     "unit-too-short": ("unit-short", "compile"),
     "idempotent-too-long": ("idempotent-long", "compile"),
+    "scalar-not-a-string": ("scalar-number", "compile"),
+    "scalar-zero-denominator": ("zero-denominator", "compile"),
 }
 # k[x]/(x^2) over F_2, with one vector of the wrong length
 DUAL_NUMBERS = {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": ["1", "x"],
@@ -307,6 +323,9 @@ ALGEBRA_FILES = {
     "generator-long": {**DUAL_NUMBERS, "generators": [["1", "0"], ["0", "1", "0"]]},
     "unit-short": {**DUAL_NUMBERS, "unit": ["1"]},
     "idempotent-long": {**DUAL_NUMBERS, "idempotents": [["v0", ["1", "0", "0"]]]},
+    "scalar-number": {**DUAL_NUMBERS, "structure": [[0, 0, 0, 1], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
+    "zero-denominator": {**DUAL_NUMBERS, "field": {"kind": "rational"},
+                         "structure": [[0, 0, 0, "1/0"], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
 }
 
 

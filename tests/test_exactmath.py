@@ -38,6 +38,12 @@ def test_scalar_canonical_forms():
     assert QQ.inv(Fraction(2)) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("fld, scalar", [(F2, 1), (QQ, 1), (QQ, "1/0"), (F3, "1/2")])
+def test_parse_rejects_what_is_not_a_scalar_string(fld, scalar):
+    with pytest.raises(ValueError):
+        fld.parse(scalar)
+
+
 def test_rref_identity_f2():
     res = Matrix.identity(F2, 3).rref()
     assert res.rank == 3

@@ -7,7 +7,8 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab.bounded import BoundedValue
-from domdimlab.exactmath import F2, F3, QQ, SpanBuilder, coords_against, matmul_rows, sparse_row
+from domdimlab.exactmath import (F2, F3, QQ, SpanBuilder, coords_against, kernel_rows, matmul_rows,
+                                 rank_rows, sparse_row)
 from domdimlab.suites import cyclic_series
 
 
@@ -237,11 +238,47 @@ def test_hom_dims_match_combinatorial():
                                     == matmul_rows(fld, T, act_n)), (fld, kup, M, N)
 
 
+def _intertwiner_oracle(M, N):
+    """Basis of the dM x dN matrices T, flattened row by row, with
+    act_M(g) @ T == T @ act_N(g) for every generator g of the table: the
+    full system in dM * dN unknowns, solved by one kernel."""
+    fld, dm, dn = M.algebra.field, M.dim, N.dim
+    rows = []
+    for g in M.algebra.generators:
+        act_m, act_n = M.element_action(g), N.element_action(g)
+        for i in range(dm):
+            for k in range(dn):
+                # entry (i, k) of act_m @ T - T @ act_n; T[j][l] is unknown j * dn + l
+                row = [fld.zero()] * (dm * dn)
+                for j in range(dm):
+                    row[j * dn + k] = fld.add(row[j * dn + k], act_m[i][j])
+                for l in range(dn):
+                    row[i * dn + l] = fld.sub(row[i * dn + l], act_n[l][k])
+                rows.append(row)
+    return kernel_rows(fld, rows, dm * dn)
+
+
+def _assert_hom_matches_oracle(M, N):
+    fld = M.algebra.field
+    basis = hml.hom_basis(M, N)
+    flat = [[x for row in T for x in row] for T in basis]
+    oracle = _intertwiner_oracle(M, N)
+    assert rank_rows(fld, flat) == len(basis), (M.name, N.name)  # a basis, not a spanning set
+    assert _rref(fld, flat, M.dim * N.dim) == _rref(fld, oracle, M.dim * N.dim), (M.name, N.name)
+
+
+def _rref(fld, rows, ncols):
+    span = SpanBuilder(fld, ncols)
+    for r in rows:
+        span.add(r)
+    return span.finish()
+
+
 @pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
 def test_hom_without_diagonal_idempotents(fld):
     # X = P_0 in the basis m -> m @ S, S unitriangular with every entry 1
-    # above the diagonal: no vertex idempotent acts diagonally on X, so
-    # the Hom solve has no weights to split by
+    # above the diagonal: no vertex idempotent acts diagonally on X, so no
+    # weight space of X is spanned by basis vectors
     A = nak.validate(nak.CYCLE, (3, 4, 4))
     table = qa.nakayama_to_table(A, fld)
     P = hml.projective(table, 0)
@@ -253,13 +290,35 @@ def test_hom_without_diagonal_idempotents(fld):
                                       for act in P.actions], name="X")
     X.verify()
     for _, e in table.idempotents:
-        assert hml._diagonal(X.element_action(e)) is None
+        act = X.element_action(e)
+        assert any(x for i, row in enumerate(act) for j, x in enumerate(row) if i != j)
     for M in nak.indecomposables(A):
         N = hml.bridged_module(table, M.vertex, M.length)
         assert hml.dim_hom(X, N) == hml.dim_hom(P, N) == nak.dim_hom(A, nak.projective(A, 0), M)
         assert hml.dim_hom(N, X) == hml.dim_hom(N, P)
+        _assert_hom_matches_oracle(X, N)
+        _assert_hom_matches_oracle(N, X)
+    _assert_hom_matches_oracle(X, X)
     assert hml.modules_isomorphic(X, P) is True
     assert hml.modules_isomorphic(P, X) is True
+
+
+@pytest.mark.parametrize("name", ["hopf-a5-f2", "dihedral8-f2", "quaternion8-f2"])
+def test_hom_matches_the_intertwiner_oracle_on_radical_layers(name):
+    # B, J^k and A/J^k over the local presets, every pair, against the full
+    # generator-intertwiner system; B and J^2 are the summands of End(B + J^2)
+    B = qa.preset(name)
+    R = hml.regular(B)
+    mods = [R]
+    for k in range(1, 8):
+        J = hml.radical_power(B, k)
+        if J.dim == 0:
+            break
+        J.rep.name = f"J^{k}"
+        mods += [J.rep, hml.quotient(R, J.rows, name=f"A/J^{k}")]
+    for M in mods:
+        for N in mods:
+            _assert_hom_matches_oracle(M, N)
 
 
 def test_line_algebra_oracle_agreement():
