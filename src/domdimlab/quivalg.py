@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
+from heapq import heapify, heappop, heappush
 
 from . import nakayama as nak
 from .exactmath import (
     FieldSpec,
     SpanBuilder,
-    coords_against,
     kernel_rows,
     matmul_rows,
     rank_rows,
@@ -275,23 +275,31 @@ class AlgebraTable:
         v[i] = self.field.one()
         return v
 
-    def mult_elements(self, u, v) -> list:
-        """u * v for coordinate vectors: the sum of u_i v_j b_i b_j over the
-        stored products, reduced once."""
-        fld = self.field
-        acc = self.zero_vec()
-        support = [(j, y) for j, y in enumerate(v) if y]
-        for i, x in enumerate(u):
-            if x:
-                mi = self.mult[i]
-                for j, y in support:
+    def _mul(self, u, v) -> tuple:
+        """u * v for elements given as (k, c) pairs, as (k, c) pairs with k
+        ascending and c nonzero: the one product of the table engine, the
+        sum of u_i v_j b_i b_j over the stored products, reduced once."""
+        mult = self.mult
+        acc = {}
+        for i, x in u:
+            row = mult[i]
+            for j, y in v:
+                cell = row[j]
+                if cell:
                     f = x * y
-                    for k, c in mi[j]:
-                        acc[k] += f * c
-        if fld.kind == "prime":
-            p = fld.p
-            return [a % p for a in acc]
-        return acc
+                    for k, c in cell:
+                        acc[k] = acc.get(k, 0) + f * c
+        p = self.field.p
+        if p is None:
+            out = [(k, a) for k, a in acc.items() if a]
+        else:
+            out = [(k, a % p) for k, a in acc.items() if a % p]
+        out.sort()
+        return tuple(out)
+
+    def mult_elements(self, u, v) -> list:
+        """u * v for coordinate vectors: ``_mul`` on their nonzero entries."""
+        return _dense(self._mul(sparse_row(u), sparse_row(v)), self.dim, self.field.zero())
 
     def left_mult_matrix(self, v) -> list[list]:
         """Matrix of x -> v*x on row vectors."""
@@ -399,28 +407,93 @@ def _dense(pairs, n: int, zero) -> list:
     return out
 
 
+class _Span:
+    """A row space in echelon form, each row (k, c) pairs with entry 1 at
+    its pivot, its first column.  A vector is reduced by the rows in the
+    order of their pivots, as ``exactmath.SpanBuilder`` reduces it, so the
+    two hold the same rows; here only nonzero entries are visited."""
+
+    def __init__(self, fld: FieldSpec):
+        self.fld = fld
+        self.rows: list[tuple] = []  # in insertion order
+        self._at: dict[int, tuple] = {}  # pivot -> row
+
+    def residue(self, vec) -> dict:
+        """``vec`` ((k, c) pairs) modulo the span, as {column: nonzero
+        entry} with no pivot column."""
+        at = self._at
+        p = self.fld.p
+        v = dict(vec)
+        todo = [k for k in v if k in at]
+        heapify(todo)
+        while todo:  # a row only reaches columns right of its pivot
+            c = heappop(todo)
+            f = v.pop(c)
+            if not f:
+                continue
+            for j, x in at[c][1:]:
+                old = v.get(j)
+                if old is None:
+                    old = 0
+                    if j in at:
+                        heappush(todo, j)
+                new = old - f * x
+                v[j] = new if p is None else new % p
+        return {k: x for k, x in v.items() if x}
+
+    def contains(self, vec) -> bool:
+        return not self.residue(vec)
+
+    def add(self, vec) -> bool:
+        """Insert ``vec``; True when it enlarged the span."""
+        r = self.residue(vec)
+        if not r:
+            return False
+        lead = min(r)
+        inv = self.fld.inv(r[lead])
+        if inv != self.fld.one():
+            r = {k: self.fld.mul(x, inv) for k, x in r.items()}
+        row = tuple(sorted(r.items()))
+        self.rows.append(row)
+        self._at[lead] = row
+        return True
+
+    def rref(self) -> list[tuple]:
+        """The reduced echelon basis, in the order of the pivots."""
+        done = _Span(self.fld)
+        for c in sorted(self._at, reverse=True):
+            row = self._at[c]
+            done._at[c] = row[:1] + tuple(sorted(done.residue(row[1:]).items()))
+        return [done._at[c] for c in sorted(done._at)]
+
+
 def _radical_powers(table: AlgebraTable, rad=None):
-    """Rows spanning J, J^2, J^3, ... in turn, stopping before the first
-    zero power.  ``rad`` spans J (default: the declared radical basis);
-    each higher power comes as echelon rows.  Raises ``CompileError``
-    when the powers do not reach 0 within dim + 1 steps."""
-    fld = table.field
+    """Dense rows spanning J, J^2, J^3, ... in turn, stopping before the
+    first zero power.  ``rad`` spans J as (k, c) pairs (default: the
+    declared radical basis); each higher power comes as echelon rows.
+    Raises ``CompileError`` when the powers do not reach 0 within dim + 1
+    steps."""
     d = table.dim
-    rad = [list(v) for v in table.radical] if rad is None else rad
+    zero = table.field.zero()
+    rad = [sparse_row(v) for v in table.radical] if rad is None else rad
+    # reach[i]: the rows v of rad with b_i v possibly nonzero
+    at_column: list[list[int]] = [[] for _ in range(d)]
+    for r, v in enumerate(rad):
+        for j, _ in v:
+            at_column[j].append(r)
+    reach = [{r for j in range(d) if row[j] for r in at_column[j]} for row in table.mult]
     current = rad
     steps = 0
     while current:
         steps += 1
         if steps > d + 1:
             raise CompileError("declared radical is not nilpotent")
-        yield current
-        nxt = SpanBuilder(fld, d)
+        yield [_dense(r, d, zero) for r in current]
+        nxt = _Span(table.field)
         for u in current:
-            for v in rad:
-                w = table.mult_elements(u, v)
-                if any(w):
-                    nxt.add(w)
-        current = [list(r) for r in nxt.rows]
+            for r in sorted(set().union(*(reach[i] for i, _ in u))):
+                nxt.add(table._mul(u, rad[r]))
+        current = nxt.rows
 
 
 def _radical_top(table: AlgebraTable) -> list[list]:
@@ -446,12 +519,54 @@ def _default_generators(table: AlgebraTable) -> list[list]:
     return [list(vec) for _, vec in table.idempotents] + _radical_top(table)
 
 
+def _generating_basis(table: AlgebraTable) -> list[int]:
+    """Basis indices G, each the first basis element outside the span of 1
+    and the left-nested products (..((b_g b_g') b_g'')..) of those before
+    it, until that span is A.  Needs only the unit axiom.
+
+    Checks with a middle factor in G then cover all of A.  Let S be the y
+    with (xy)z = x(yz) for all x, z.  S is a subspace, 1 is in S by the
+    unit axiom, and S is closed under products: for y1, y2 in S,
+    (x(y1 y2))z = ((x y1)y2)z = (x y1)(y2 z) = x(y1(y2 z)) = x((y1 y2)z).
+    So G in S gives S = A.  Once A is associative, the same argument for
+    {y : Jy in J} and {y : yJ in J} lets the right and left ideal checks
+    of J run over G alone."""
+    one = table.field.one()
+    span = _Span(table.field)
+    span.add(sparse_row(table.unit))
+    gens: list[int] = []
+    i = 0
+    while len(span.rows) < table.dim:
+        while span.contains(((i, one),)):
+            i += 1
+        gens.append(i)
+        todo = [(w, i) for w in span.rows]  # the span so far times the new b_i
+        while todo:
+            w, g = todo.pop()
+            if span.add(table._mul(w, ((g, one),))):
+                todo.extend((span.rows[-1], h) for h in gens)
+    return gens
+
+
+def _check_over(middle, check, *args) -> None:
+    """``check(*args, middle)``; when it fails, ``check(*args)`` over every
+    middle factor, so that the message names the first failure in A."""
+    try:
+        check(*args, middle)
+    except CompileError:
+        check(*args)
+        raise
+
+
 def verify_table(table: AlgebraTable) -> None:
     """Re-check the storage format of the products and every table axiom:
     unit, associativity, the idempotent set, and that the declared radical
-    is a nilpotent two-sided ideal with a split-basic quotient."""
+    is a nilpotent two-sided ideal with a split-basic quotient.
+    Associativity and the ideal checks take their middle factor from
+    ``_generating_basis``, which is enough (see there)."""
     d = table.dim
     fld = table.field
+    one = fld.one()
     if len(table.mult) != d or any(len(row) != d for row in table.mult):
         raise CompileError(f"structure constants are not {d} x {d} cells")
     for i, row in enumerate(table.mult):
@@ -463,76 +578,75 @@ def verify_table(table: AlgebraTable) -> None:
                     raise CompileError(f"product ({i},{j}) is not (k, c) pairs with k "
                                        "strictly ascending and c nonzero")
                 last = pair[0]
-    unit = list(table.unit)
+    unit = sparse_row(table.unit)
     for i in range(d):
-        b = table.basis_vec(i)
-        if table.mult_elements(unit, b) != b or table.mult_elements(b, unit) != b:
+        b = ((i, one),)
+        if table._mul(unit, b) != b or table._mul(b, unit) != b:
             raise CompileError(f"unit axiom fails on basis element {table.basis_names[i]}")
-    _verify_associativity(table)
+    gens = _generating_basis(table)
+    _check_over(gens, _verify_associativity, table)
     # idempotents: orthogonal, idempotent, complete
-    acc = table.zero_vec()
-    for label, e in table.idempotents:
-        e = list(e)
-        if table.mult_elements(e, e) != e:
+    idem = [(label, sparse_row(e)) for label, e in table.idempotents]
+    for label, e in idem:
+        if table._mul(e, e) != e:
             raise CompileError(f"idempotent {label} is not idempotent")
-        acc = [fld.add(a, b) for a, b in zip(acc, e)]
-    if acc != unit:
+    if idempotent_sum(table, range(len(idem))) != list(table.unit):
         raise CompileError("idempotents do not sum to the unit")
-    for (la, ea), (lb, eb) in [
-        (x, y) for x in table.idempotents for y in table.idempotents if x is not y
-    ]:
-        if any(table.mult_elements(list(ea), list(eb))):
+    for (la, ea), (lb, eb) in [(x, y) for x in idem for y in idem if x is not y]:
+        if table._mul(ea, eb):
             raise CompileError(f"idempotents {la} and {lb} are not orthogonal")
     # radical: two-sided ideal, nilpotent, complement spanned by idempotents
-    rad = SpanBuilder(fld, d)
-    for v in table.radical:
-        rad.add(list(v))
-    rad_rank = rad.rank
-    for v in table.radical:
-        for j in range(d):
-            b = table.basis_vec(j)
-            if not rad.contains(table.mult_elements(list(v), b)):
-                raise CompileError("declared radical is not a right ideal")
-            if not rad.contains(table.mult_elements(b, list(v))):
-                raise CompileError("declared radical is not a left ideal")
-    if rad_rank + len(table.idempotents) != d:
+    rad_rows = [sparse_row(v) for v in table.radical]
+    rad = _Span(fld)
+    for v in rad_rows:
+        rad.add(v)
+    _check_over(gens, _verify_ideal, table, rad, rad_rows)
+    rad_rank = len(rad.rows)
+    if rad_rank + len(idem) != d:
         raise CompileError(
             f"split-basic certificate fails: dim {d} != radical rank {rad_rank} "
-            f"+ {len(table.idempotents)} idempotents"
+            f"+ {len(idem)} idempotents"
         )
-    full = SpanBuilder(fld, d)
-    for v in table.radical:
-        full.add(list(v))
-    for _, e in table.idempotents:
-        if not full.add(list(e)):
+    for _, e in idem:
+        if not rad.add(e):
             raise CompileError("idempotents are not independent modulo the radical")
     # nilpotency: iterate J -> J*J until zero
-    for _ in _radical_powers(table, rad.rows):
+    for _ in _radical_powers(table, rad_rows):
         pass
 
 
-def _verify_associativity(table: AlgebraTable) -> None:
+def _verify_associativity(table: AlgebraTable, middle=None) -> None:
+    """Raise on the first triple (i, j, k), j in ``middle`` (default: every
+    basis index), with (b_i b_j) b_k != b_i (b_j b_k).  Only the k where
+    one side can be nonzero are visited: a triple where b_i b_j and b_j b_k
+    are both 0 is skipped, as both sides vanish."""
     d = table.dim
-    fld = table.field
+    one = table.field.one()
     mult = table.mult
-
-    def combine(terms):
-        """Sum of c * p over the (c, p) in ``terms``, p as (k, c) pairs, as a dict."""
-        acc = {}
-        for c, prod in terms:
-            for s, x in prod:
-                acc[s] = fld.add(acc.get(s, fld.zero()), fld.mul(c, x))
-        return {s: x for s, x in acc.items() if x}
-
+    mul = table._mul
+    nonzero = [{k for k in range(d) if row[k]} for row in mult]  # k with b_j b_k != 0
     for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if not mult[i][j] and not mult[j][k]:
-                    continue  # both sides are 0
-                left = combine((c, mult[t][k]) for t, c in mult[i][j])  # (b_i b_j) b_k
-                right = combine((c, mult[i][t]) for t, c in mult[j][k])  # b_i (b_j b_k)
-                if left != right:
+        bi = ((i, one),)
+        for j in range(d) if middle is None else middle:
+            ij = mult[i][j]
+            # (b_i b_j) b_k can be nonzero only for k in a nonzero[t], t in b_i b_j
+            for k in sorted(nonzero[j].union(*(nonzero[t] for t, _ in ij))):
+                jk = mult[j][k]
+                if (mul(ij, ((k, one),)) if ij else ()) != (mul(bi, jk) if jk else ()):
                     raise CompileError(f"associativity fails on triple ({i},{j},{k})")
+
+
+def _verify_ideal(table: AlgebraTable, span: _Span, rows, middle=None) -> None:
+    """Raise unless v b_j and b_j v lie in ``span`` for every v in ``rows``
+    and j in ``middle`` (default: every basis index)."""
+    one = table.field.one()
+    for v in rows:
+        for j in range(table.dim) if middle is None else middle:
+            b = ((j, one),)
+            if not span.contains(table._mul(v, b)):
+                raise CompileError("declared radical is not a right ideal")
+            if not span.contains(table._mul(b, v)):
+                raise CompileError("declared radical is not a left ideal")
 
 
 def loewy_length(table: AlgebraTable) -> int:
@@ -622,20 +736,16 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
                 lq = len(q[1])
                 if lp + mindeg + lq > L:
                     continue
-                row = [fld.zero()] * ncols
-                hit = False
+                hits: dict[int, object] = {}  # column -> coefficient of p*r*q
                 for c, t in terms:
                     if t.source != p_end or t.target != q[0]:
                         continue  # the incomposable summands of p*r*q vanish
-                    total = lp + len(t.path) + lq
-                    if total > L:
+                    if lp + len(t.path) + lq > L:
                         continue
-                    key = (p[0], p[1] + t.path + q[1])
-                    col = col_of[key]
-                    row[col] = fld.add(row[col], c)
-                    hit = True
-                if hit and any(row):
-                    span.add(row)
+                    col = col_of[(p[0], p[1] + t.path + q[1])]
+                    hits[col] = fld.add(hits.get(col, fld.zero()), c)
+                if any(hits.values()):
+                    span.add(_dense(hits.items(), ncols, fld.zero()))
 
     pivset = set(span.pivots)
 
@@ -961,34 +1071,33 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
     chosen = [i for i, (l, _) in enumerate(table.idempotents) if l in set(idem_labels)]
     if len(chosen) != len(idem_labels):
         raise KeyError("unknown idempotent label")
-    e = idempotent_sum(table, chosen)
-    span = SpanBuilder(fld, d)
+    e = sparse_row(idempotent_sum(table, chosen))
+    one, zero = fld.one(), fld.zero()
+    span = _Span(fld)
     for i in range(d):
-        ebe = table.mult_elements(e, table.mult_elements(table.basis_vec(i), e))
-        if any(ebe):
-            span.add(ebe)
-    rows, pivots = span.finish()
+        span.add(table._mul(e, table._mul(((i, one),), e)))
+    rows = span.rref()
     dim_c = len(rows)
     if dim_c > SIZE_LIMIT:
         raise SizeLimitError("corner algebra too large")
-    support = [sparse_row(r) for r in rows]
+    pivots = [row[0][0] for row in rows]
 
     def coords(vec):
-        c = coords_against(fld, support, pivots, vec)
-        if c is None:
+        """Coordinates of ``vec`` in the reduced rows: its entries at their pivots."""
+        if span.residue(vec):
             raise CompileError("corner multiplication left the corner span")
-        return c
+        at = dict(vec)
+        return tuple((r, at[c]) for r, c in enumerate(pivots) if c in at)
 
-    mult = [[sparse_row(coords(table.mult_elements(u, v))) for v in rows] for u in rows]
-    unit = coords(e)
-    idem = [(table.idempotents[i][0], tuple(coords(list(table.idempotents[i][1]))))
+    mult = [[coords(table._mul(u, v)) for v in rows] for u in rows]
+    unit = _dense(coords(e), dim_c, zero)
+    idem = [(table.idempotents[i][0], tuple(_dense(coords(sparse_row(table.idempotents[i][1])),
+                                                   dim_c, zero)))
             for i in chosen]
-    rad = SpanBuilder(fld, d)
+    rad = _Span(fld)
     for v in table.radical:
-        eve = table.mult_elements(e, table.mult_elements(list(v), e))
-        if any(eve):
-            rad.add(eve)
-    radical = [coords(list(v)) for v in rad.rows]
+        rad.add(table._mul(e, table._mul(sparse_row(v), e)))
+    radical = [_dense(coords(v), dim_c, zero) for v in rad.rows]
     names = tuple(f"c{i}" for i in range(dim_c))
     corner = make_table(
         field=fld,
@@ -1000,7 +1109,7 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
         generators=None,
         provenance={"kind": "corner", "of": table.provenance, "idem": list(idem_labels)},
     )
-    return corner, [list(r) for r in rows]
+    return corner, [_dense(r, d, zero) for r in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
-from domdimlab.exactmath import F2, F3, QQ, SpanBuilder, rank_rows
+from domdimlab.exactmath import F2, F3, QQ, SpanBuilder, matmul_rows, rank_rows, rref_rows, sparse_row
 from domdimlab.suites import cyclic_series
 
 LOOPS = qa.QuiverSpec(
@@ -373,6 +373,58 @@ def test_corner_algebra_of_unit_recovers_dimension():
     assert len(rows) == table.dim
 
 
+def _rebased(table, seed):
+    """The same algebra in the basis b'_i = b_i + (random multiples of the
+    b_j, j > i): a unitriangular change of basis, so that echelon rows and
+    coordinates inside it are not unit vectors."""
+    fld, d = table.field, table.dim
+    rng = random.Random(seed)
+    P = [[fld.one() if j == i else fld.of_int(rng.randint(0, 2)) if j > i else fld.zero()
+          for j in range(d)] for i in range(d)]
+    work = [P[i] + [fld.one() if j == i else fld.zero() for j in range(d)] for i in range(d)]
+    rref_rows(fld, work)
+    inverse = [row[d:] for row in work]
+    new = lambda w: matmul_rows(fld, [list(w)], inverse)[0]
+    mult = [[sparse_row(new(table.mult_elements(P[i], P[j]))) for j in range(d)] for i in range(d)]
+    return qa.make_table(fld, [f"b{i}" for i in range(d)], mult, new(table.unit),
+                         [(label, new(e)) for label, e in table.idempotents],
+                         [new(r) for r in table.radical])
+
+
+def _cyclic_bridge(kup, fld):
+    return qa.nakayama_to_table(nak.validate(nak.CYCLE, kup), fld)
+
+
+# sha256 of the corner table file and its rows inside A, taken before the
+# corner arithmetic became sparse; the labels are the projective-injective
+# vertices, the corner the gendo-symmetric test reads
+CORNER_DIGESTS = {
+    "2-3-Q": (lambda: _cyclic_bridge((2, 3), QQ), ["v1"],
+              "6e4ffc28e404dc5dcdb6b56dce4fb461290a8a27ecee3cf6b4b83f33cbe8dd83"),
+    "3-4-4-F2": (lambda: _cyclic_bridge((3, 4, 4), F2), ["v1", "v2"],
+                 "86268cef70be1499cb057ef73eb4304e5ec4b19c6fa31f52de42da7424250f19"),
+    "3-3-3-4-F3": (lambda: _cyclic_bridge((3, 3, 3, 4), F3), ["v0", "v2", "v3"],
+                   "e7d9d3b50ded5606da9df776b8151f7efca0734bf1cfb506433eff50e03e7b25"),
+    "4-5-5-5-F2": (lambda: _cyclic_bridge((4, 5, 5, 5), F2), ["v1", "v2", "v3"],
+                   "c180d4d7114cd75db9876568dbe89bf7991870f2f1656bd47ce7c2f7ad458245"),
+    "rebased-2-3-Q": (lambda: _rebased(_cyclic_bridge((2, 3), QQ), 1), ["v1"],
+                      "9677d640cfe558ead4bad8b083351ee0ef296427bd20c4db9cf9ded29ae7ffd3"),
+    "rebased-3-3-3-4-F3": (lambda: _rebased(_cyclic_bridge((3, 3, 3, 4), F3), 2),
+                           ["v0", "v2", "v3"],
+                           "a7fa367310cd6ec108eb2848236cdd7fdbbf04cf3c2d87de15e1ea33a42a5a70"),
+}
+
+
+@pytest.mark.parametrize("name", CORNER_DIGESTS)
+def test_corner_algebras_are_pinned(name):
+    make, labels, digest = CORNER_DIGESTS[name]
+    table = make()
+    corner, rows = qa.corner_algebra(table, labels)
+    obj = {"corner": corner.to_json(), "rows": [[table.field.fmt(x) for x in r] for r in rows]}
+    text = json.dumps(obj, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # -- table integrity ----------------------------------------------------------
 
 def test_verify_catches_broken_associativity():
@@ -400,13 +452,16 @@ def _first_nonassociative_triple(table):
     return None
 
 
-@pytest.mark.parametrize("make", [
-    lambda: qa.preset("truncated-poly(3,Q)"),
-    lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), QQ),
-    lambda: qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 1)), F3),
-    lambda: qa.preset("hopf-a5-f2"),
-    lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3, 3, 4)), F3),
-], ids=["truncpoly3-Q", "cycle23-Q", "line321-F3", "hopf-F2", "cycle3334-F3"])
+PERTURBED = {
+    "truncpoly3-Q": lambda: qa.preset("truncated-poly(3,Q)"),
+    "cycle23-Q": lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), QQ),
+    "line321-F3": lambda: qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 1)), F3),
+    "hopf-F2": lambda: qa.preset("hopf-a5-f2"),
+    "cycle3334-F3": lambda: qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3, 3, 4)), F3),
+}
+
+
+@pytest.mark.parametrize("make", PERTURBED.values(), ids=PERTURBED.keys())
 def test_associativity_check_matches_dense_products(make):
     table = make()
     fld, d = table.field, table.dim
@@ -427,12 +482,153 @@ def test_associativity_check_matches_dense_products(make):
                 qa._verify_associativity(broken)
 
 
+def _verdict(build):
+    """None when ``build`` returns, else the message of its CompileError."""
+    try:
+        build()
+    except qa.CompileError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("make", PERTURBED.values(), ids=PERTURBED.keys())
+def test_checks_over_the_generating_set_give_the_full_verdict(make, monkeypatch):
+    # one and two random cell edits, and radical vectors swapped for basis
+    # vectors; with every basis element as the middle factor, verify_table
+    # runs each check over all of A
+    table = make()
+    fld, d = table.field, table.dim
+    rng = random.Random(d)
+    every = lambda t: list(range(t.dim))
+    builds = []
+    for edits in (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2):
+        mult = [list(row) for row in table.mult]
+        for _ in range(edits):
+            i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+            cell = dict(mult[i][j])
+            cell[k] = fld.of_int(rng.randint(1, 2))
+            mult[i][j] = tuple(sorted((t, c) for t, c in cell.items() if c))
+        builds.append(lambda mult=mult: _remade(table, mult=mult))
+    for r in range(len(table.radical)):
+        radical = list(table.radical)
+        radical[r] = table.basis_vec(rng.randrange(d))
+        builds.append(lambda radical=radical: _remade(table, radical=radical))
+    for build in builds:
+        got = _verdict(build)
+        with monkeypatch.context() as m:
+            m.setattr(qa, "_generating_basis", every)
+            assert _verdict(build) == got
+
+
+def _dense_product(table, u, v):
+    """u * v from the stored cells, one scalar operation at a time."""
+    fld = table.field
+    out = [fld.zero()] * table.dim
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            if x and y:
+                for k, c in table.mult[i][j]:
+                    out[k] = fld.add(out[k], fld.mul(fld.mul(x, y), c))
+    return out
+
+
+GENERATED = {
+    **{name: (lambda name=name: qa.preset(name)) for name in (
+        "hopf-a5-f2", "dihedral8-f2", "quaternion8-f2", "preproj-a2",
+        "truncated-poly(3,F2)", "truncated-poly(4,Q)")},
+    "cycle-4555-F2": lambda: _cyclic_bridge((4, 5, 5, 5), F2),
+    "cycle-23-Q": lambda: _cyclic_bridge((2, 3), QQ),
+    "line-3221-F3": lambda: qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 2, 1)), F3),
+    "rebased-3334-F3": lambda: _rebased(_cyclic_bridge((3, 3, 3, 4), F3), 2),
+}
+
+
+@pytest.mark.parametrize("make", GENERATED.values(), ids=GENERATED.keys())
+def test_generating_basis_spans_the_algebra(make):
+    # 1 and the left-nested products of the chosen basis elements span A:
+    # the closure of 1 under right multiplication by each of them
+    table = make()
+    gens = qa._generating_basis(table)
+    span = SpanBuilder(table.field, table.dim)
+    todo = [list(table.unit)]
+    span.add(todo[0])
+    while todo:
+        w = todo.pop()
+        for g in gens:
+            x = _dense_product(table, w, table.basis_vec(g))
+            if span.add(x):
+                todo.append(x)
+    assert span.rank == table.dim
+    assert gens == sorted(set(gens))
+
+
+def test_generating_basis_sizes():
+    # a bridge needs all idempotents but one and every arrow
+    assert len(qa._generating_basis(_cyclic_bridge((4, 5, 5, 5), F2))) == 4 + 4 - 1
+    assert qa._generating_basis(qa.preset("hopf-a5-f2")) == [1, 2]
+
+
 def test_verify_catches_wrong_radical():
     table = qa.preset("truncated-poly(3,F3)")
     radical = list(table.radical) + [list(table.unit)]
     with pytest.raises(qa.CompileError):
         qa.make_table(table.field, table.basis_names, table.mult, table.unit,
                       list(table.idempotents), radical)
+
+
+def _remade(table, **edit):
+    """``make_table`` on the parts of ``table``, with ``edit`` replacing some."""
+    parts = dict(field=table.field, basis_names=table.basis_names, mult=table.mult,
+                 unit=table.unit, idempotents=list(table.idempotents),
+                 radical=list(table.radical))
+    return qa.make_table(**{**parts, **edit})
+
+
+def _line21():
+    return qa.nakayama_to_table(nak.validate(nak.LINE, (2, 1)), F2)  # basis v0, v1, a0
+
+
+def _nilpotent_x_made_idempotent():
+    # k[x]/(x^2) with x*x = x instead: k x k, whose declared radical [x] is
+    # an ideal independent of the unit but never reaches 0
+    table = qa.preset("truncated-poly(2,F2)")
+    return _remade(table, mult=[table.mult[0], (table.mult[1][0], ((1, 1),))])
+
+
+# one edit of a verified table for each axiom check after associativity,
+# and the message that check raises
+BROKEN = {
+    "not-idempotent": (
+        lambda: _remade(_cyclic_bridge((2, 3), F3),
+                        idempotents=[("v0", (2, 0, 0, 0, 0)), ("v1", (0, 1, 0, 0, 0))]),
+        "idempotent v0 is not idempotent"),
+    "sum-not-unit": (
+        lambda: _remade(_line21(), idempotents=[("v0", (1, 0, 0))]),
+        "idempotents do not sum to the unit"),
+    "not-orthogonal": (  # 1 + 1 + 1 = 1 over F_2
+        lambda: _remade(qa.preset("truncated-poly(2,F2)"),
+                        idempotents=[("v0", (1, 0)), ("x", (1, 0)), ("y", (1, 0))]),
+        "idempotents v0 and x are not orthogonal"),
+    "not-right-ideal": (  # v0 * a0 = a0
+        lambda: _remade(_line21(), radical=[(1, 0, 0)]),
+        "declared radical is not a right ideal"),
+    "not-left-ideal": (  # v1 * A = k v1, but a0 * v1 = a0
+        lambda: _remade(_line21(), radical=[(0, 1, 0)]),
+        "declared radical is not a left ideal"),
+    "split-basic": (  # J^2 is a nilpotent ideal, one dimension short of J
+        lambda: _remade(qa.preset("truncated-poly(3,F3)"), radical=[(0, 0, 1)]),
+        "split-basic certificate fails: dim 3 != radical rank 1 + 1 idempotents"),
+    "dependent-idempotents": (  # a zero idempotent beside the unit
+        lambda: _remade(_line21(), idempotents=[("v0", (1, 1, 0)), ("v1", (0, 0, 0))]),
+        "idempotents are not independent modulo the radical"),
+    "not-nilpotent": (_nilpotent_x_made_idempotent, "declared radical is not nilpotent"),
+}
+
+
+@pytest.mark.parametrize("make, message", BROKEN.values(), ids=BROKEN.keys())
+def test_verify_names_the_broken_axiom(make, message):
+    with pytest.raises(qa.CompileError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_element_from_expr():
