@@ -1,24 +1,25 @@
-"""Exact dense linear algebra over prime fields and the rationals.
+"""Exact linear algebra over prime fields and the rationals.
 
 Scalars are plain ``int`` values reduced into ``[0, p)`` over F_p and
 ``fractions.Fraction`` values (automatically in lowest terms) over Q.
-Matrices are immutable tuples-of-tuples; every operation returns a fresh
-matrix.  Pivoting is deterministic -- the pivot of a column is the first
-nonzero entry in row order -- so reduced forms are canonical and safe to
-freeze into test fixtures.
+Pivoting is deterministic -- the pivot of a column is the first nonzero
+entry in row order -- so reduced forms are canonical and safe to freeze
+into test fixtures.
 
 The raw-row helpers (``rref_rows``, ``kernel_rows`` ...) operate on
 mutable lists of lists and exist for the hot loops of the algebra and
-homology engines; ``coords_against`` takes its basis as sparse rows
-(``sparse_row``), and ``SpanBuilder.residue`` reduces a vector against a
-span.  The ``Matrix`` class is the stable public surface.
+homology engines.  Sparse rows are tuples of (k, c) pairs, k ascending
+and every c nonzero (``sparse_row`` converts a dense row once):
+``coords_against`` takes its basis in that form, and a ``SpanBuilder``
+holds its rows and reduces vectors in it.  The immutable dense ``Matrix``
+class stays as public API.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 
@@ -290,82 +291,76 @@ def coords_against(field: FieldSpec, rref: list, pivots: list[int], vec: list) -
 
 
 class SpanBuilder:
-    """Incrementally maintained row space in echelon form.
+    """A row space in echelon form.  Each row is (k, c) pairs, k ascending,
+    with entry 1 at its pivot, its first column.  A vector, given by the
+    (k, c) pairs of its nonzero entries in canonical form, is reduced by
+    the rows in the order of their pivots, and only nonzero entries are
+    visited.  ``finish`` gives the RREF basis."""
 
-    Rows are inserted one at a time and reduced against the pivots seen so
-    far (forward reduction only; call ``finish`` for full RREF output).
-    """
-
-    def __init__(self, field: FieldSpec, ncols: int):
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.ncols = ncols
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
-        self._hits: list[tuple[int, int]] = []  # (pivot column, row index), sorted
+        self.rows: list[tuple] = []  # in insertion order
+        self.pivots: list[int] = []  # the pivot of each row
+        self._at: dict[int, tuple] = {}  # pivot -> row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def residue(self, vec) -> list:
-        """The remainder of ``vec`` modulo the span, zero at every pivot
-        column.  Only one vector of vec + span is zero there, so this is
-        also its reduction against the RREF basis of ``finish``."""
-        # pivot columns in increasing order: reducing by a row only changes
-        # entries at or right of its pivot, so later pivots are read afresh
-        field = self.field
-        v = list(vec)
-        if field.kind == "prime":
-            p = field.p
-            for c, k in self._hits:
-                if v[c]:
-                    row = self.rows[k]
-                    f = v[c] % p
-                    for j in range(c, self.ncols):
-                        v[j] = (v[j] - f * row[j]) % p
-        else:
-            for c, k in self._hits:
-                if v[c]:
-                    row = self.rows[k]
-                    f = v[c]
-                    for j in range(c, self.ncols):
-                        if row[j]:
-                            v[j] = v[j] - f * row[j]
-        return v
+    def residue(self, vec) -> dict:
+        """``vec`` modulo the span as {column: nonzero entry}, with no pivot
+        column.  Only one vector of vec + span is zero at every pivot, so
+        this is also its reduction against the RREF basis of ``finish``."""
+        at = self._at
+        v = dict(vec)
+        todo = [k for k in v if k in at]
+        if not todo:
+            return v
+        p = self.field.p
+        heapify(todo)
+        while todo:  # a row only reaches columns right of its pivot
+            c = heappop(todo)
+            f = v.pop(c)
+            if not f:
+                continue
+            for j, x in at[c][1:]:
+                old = v.get(j)
+                if old is None:
+                    old = 0
+                    if j in at:
+                        heappush(todo, j)
+                new = old - f * x
+                v[j] = new if p is None else new % p
+        return {k: x for k, x in v.items() if x}
 
     def contains(self, vec) -> bool:
-        return not any(self.residue(vec))
+        return not self.residue(vec)
 
     def add(self, vec) -> bool:
         """Insert ``vec``; returns True when it enlarged the span."""
-        field = self.field
-        v = self.residue(vec)
-        lead = -1
-        for j in range(self.ncols):
-            if v[j]:
-                lead = j
-                break
-        if lead < 0:
+        r = self.residue(vec)
+        if not r:
             return False
-        inv = field.inv(v[lead])
-        if inv != field.one():
-            if field.kind == "prime":
-                p = field.p
-                v = [x * inv % p for x in v]
-            else:
-                v = [x * inv for x in v]
-        insort(self._hits, (lead, len(self.rows)))
-        self.rows.append(v)
+        lead = min(r)
+        inv = self.field.inv(r[lead])
+        if inv != 1:
+            r = {k: self.field.mul(x, inv) for k, x in r.items()}
+        row = tuple(sorted(r.items()))
+        self.rows.append(row)
         self.pivots.append(lead)
+        self._at[lead] = row
         return True
 
-    def finish(self) -> tuple[list[list], list[int]]:
-        """Return a fully reduced (RREF) basis with sorted pivot columns."""
-        rows = [list(r) for r in self.rows]
-        rref_rows(self.field, rows)
-        rank = len(self.rows)
-        pivots = sorted(self.pivots)
-        return rows[:rank], pivots
+    def finish(self) -> tuple[list[tuple], list[int]]:
+        """The RREF basis as (k, c) rows in ascending pivot order, and
+        those pivots: each row cleared, from the last pivot back, of the
+        pivot columns to its right."""
+        done = SpanBuilder(self.field)
+        for c in sorted(self._at, reverse=True):
+            row = self._at[c]
+            done._at[c] = row[:1] + tuple(sorted(done.residue(row[1:]).items()))
+        pivots = sorted(done._at)
+        return [done._at[c] for c in pivots], pivots
 
 
 def kernel_rows(field: FieldSpec, rows: list[list], ncols: int) -> list[list]:

@@ -203,11 +203,11 @@ def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, 
 
     Returns (representation, echelon basis rows inside M)."""
     fld = M.algebra.field
-    span = SpanBuilder(fld, M.dim)
+    span = SpanBuilder(fld)
     for r in rows:
-        span.add(list(r))
-    basis, pivots = span.finish()
-    support = [sparse_row(b) for b in basis]
+        span.add(sparse_row(r))
+    support, pivots = span.finish()
+    basis = [_dense(b, M.dim, fld.zero()) for b in support]
     rows = []
     for u in range(M.algebra.dim):
         mat = []
@@ -223,17 +223,16 @@ def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, 
 def quotient(M: Representation, rows, name: str = "") -> Representation:
     """Quotient of M by the span of ``rows`` (must be action-stable), on
     the unit rows of M at the columns that are not pivots of the span."""
-    span = SpanBuilder(M.algebra.field, M.dim)
+    span = SpanBuilder(M.algebra.field)
     for r in rows:
-        span.add(list(r))
+        span.add(sparse_row(r))
     pivset = set(span.pivots)
-    comp = [j for j in range(M.dim) if j not in pivset]
-    # a unit row times an action is that row of the action
-    zero = M.algebra.field.zero()
+    comp = {j: i for i, j in enumerate(j for j in range(M.dim) if j not in pivset)}
+    # a unit row times an action is that row of the action; its residue
+    # lies on the columns in comp
 
     def project(row):
-        red = span.residue(_dense(row, M.dim, zero))
-        return sparse_row([red[j] for j in comp])
+        return tuple(sorted((comp[j], x) for j, x in span.residue(row).items()))
 
     actions = [[project(M.rows[u][j]) for j in comp] for u in range(M.algebra.dim)]
     return Representation.from_rows(M.algebra, len(comp), actions, name=name)
@@ -242,13 +241,21 @@ def quotient(M: Representation, rows, name: str = "") -> Representation:
 def _image_span(M: Representation, rows, elements) -> SpanBuilder:
     """The span of r @ act(a) over the rows r of M and the algebra
     elements a, elements on the outside and rows on the inside."""
-    span = SpanBuilder(M.algebra.field, M.dim)
+    span = SpanBuilder(M.algebra.field)
     for a in elements:
         for r in rows:
-            img = M.apply_element(r, a)
-            if any(img):
+            img = sparse_row(M.apply_element(r, a))
+            if img:
                 span.add(img)
     return span
+
+
+def _dense_rref(span: SpanBuilder, dim: int) -> tuple[list[list], list[int]]:
+    """The RREF basis of ``span`` (``finish``) as dense rows of length
+    ``dim``, and its pivots."""
+    rows, pivots = span.finish()
+    zero = span.field.zero()
+    return [_dense(r, dim, zero) for r in rows], pivots
 
 
 def _radical_layer(M: Representation, k: int) -> tuple[list[list], list[int]]:
@@ -262,7 +269,7 @@ def _radical_layer(M: Representation, k: int) -> tuple[list[list], list[int]]:
         layers = M._cache["radical-layers"] = [
             (_identity(M.algebra.field, M.dim), list(range(M.dim)))]
     while len(layers) <= k and layers[-1][0]:
-        layers.append(_image_span(M, layers[-1][0], _radical_top(M.algebra)).finish())
+        layers.append(_dense_rref(_image_span(M, layers[-1][0], _radical_top(M.algebra)), M.dim))
     return layers[min(k, len(layers) - 1)]
 
 
@@ -352,10 +359,10 @@ def _reduced_basis(fld, rows) -> tuple[list[list], list[int]]:
     if (len(pivset) == len(rows) and all(s[-1][1] == 1 for s in support)
             and not any(j in pivset for s in support for j, _ in s[:-1])):
         return rows, pivots
-    span = SpanBuilder(fld, len(rows[0]) if rows else 0)
-    for r in rows:
-        span.add(r)
-    return span.finish()
+    span = SpanBuilder(fld)
+    for s in support:
+        span.add(s)
+    return _dense_rref(span, len(rows[0]) if rows else 0)
 
 
 def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list, list]:
@@ -403,12 +410,12 @@ def projective_cover(M: Representation, rows=None) -> Cover:
         return c
 
     # U*J, in the coordinates of U; the top generators extend it to U
-    span = SpanBuilder(fld, len(basis))
+    span = SpanBuilder(fld)
     for x in _radical_top(A):
         for b in basis:
             img = M.apply_element(b, x)
             if any(img):
-                span.add(coords(img))
+                span.add(sparse_row(coords(img)))
     need = len(basis) - span.rank
     gens: list[tuple[int, list]] = []
     for b in basis:
@@ -416,7 +423,7 @@ def projective_cover(M: Representation, rows=None) -> Cover:
             m = M.apply_element(b, e)
             if any(m):
                 c = coords(m)  # every image is checked, also once the top is full
-                if len(gens) < need and span.add(c):
+                if len(gens) < need and span.add(sparse_row(c)):
                     gens.append((vi, m))
     assert len(gens) == need, "top generators do not split by idempotents"
     vertices = [vi for vi, _ in gens]
@@ -576,7 +583,7 @@ def _weight_basis(N: Representation, vertex: int):
     if key in N._cache:
         return N._cache[key]
     _, e = N.algebra.idempotents[vertex]
-    N._cache[key] = _image_span(N, _identity(N.algebra.field, N.dim), [e]).finish()
+    N._cache[key] = _dense_rref(_image_span(N, _identity(N.algebra.field, N.dim), [e]), N.dim)
     return N._cache[key]
 
 
@@ -904,22 +911,20 @@ def ideal_module(table: AlgebraTable, generator_vectors) -> IdealModule:
     """Smallest two-sided ideal containing the generators, as a right module.
     It is closed under products with the idempotents and the radical top
     (``_default_generators``), which generate A by the verified axioms."""
-    gens = [list(v) for v in generator_vectors if any(v)]
+    gens = [g for g in map(sparse_row, generator_vectors) if g]
     if not gens:
         raise PreconditionError("ideal generators are all zero")
     fld = table.field
-    span = SpanBuilder(fld, table.dim)
-    work = []
-    for g in gens:
-        if span.add(g):
-            work.append(g)
+    span = SpanBuilder(fld)
+    work = [g for g in gens if span.add(g)]
+    sides = [sparse_row(g) for g in _default_generators(table)]
     while work:
         v = work.pop()
-        for g in _default_generators(table):
-            for prod in (table.mult_elements(v, g), table.mult_elements(g, v)):
-                if any(prod) and span.add(prod):
+        for g in sides:
+            for prod in (table._mul(v, g), table._mul(g, v)):
+                if prod and span.add(prod):
                     work.append(prod)
-    rows = [list(r) for r in span.rows]
+    rows = [_dense(r, table.dim, fld.zero()) for r in span.rows]
     rep, basis = submodule(regular(table), rows, name="ideal")
     return IdealModule(rep, basis)
 
@@ -1019,9 +1024,9 @@ def _local_end(ends, fld, dim: int) -> bool:
     if any(N is None for N in nil):
         return False
     flat = lambda mat: [x for row in mat for x in row]
-    span = SpanBuilder(fld, dim * dim)
+    span = SpanBuilder(fld)
     for N in nil:
-        span.add(flat(N))
+        span.add(sparse_row(flat(N)))
     if span.rank != len(ends) - 1:
         return False
     current = nil
@@ -1030,12 +1035,12 @@ def _local_end(ends, fld, dim: int) -> bool:
         steps += 1
         if steps > len(ends) + 1:
             return False
-        nxt = SpanBuilder(fld, dim * dim)
+        nxt = SpanBuilder(fld)
         keep = []
         for U in current:
             for V in nil:
                 W = matmul_rows(fld, U, V)
-                if any(any(row) for row in W) and nxt.add(flat(W)):
+                if any(any(row) for row in W) and nxt.add(sparse_row(flat(W))):
                     keep.append(W)
         current = keep
     return True
@@ -1082,12 +1087,12 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
     names = []
     for a in range(k):
         for b in range(k):
-            span = SpanBuilder(fld, dims[a] * dims[b])
+            span = SpanBuilder(fld)
             for T in ends[a] if a == b else hom_basis(summands[a], summands[b]):
-                span.add(flat(T))
+                span.add(sparse_row(flat(T)))
             rows, pivots = span.finish()
-            hom_rref[(a, b)] = (len(basis), [sparse_row(r) for r in rows], pivots)
-            for idx, r in enumerate(rows):
+            hom_rref[(a, b)] = (len(basis), rows, pivots)
+            for idx, r in enumerate(_dense(r, dims[a] * dims[b], fld.zero()) for r in rows):
                 basis.append((a, b, [r[i * dims[b]:(i + 1) * dims[b]] for i in range(dims[a])]))
                 names.append(f"h{a}to{b}_{idx}")
     dim_e = len(basis)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
-from heapq import heapify, heappop, heappush
 
 from . import nakayama as nak
 from .exactmath import (
@@ -351,6 +350,11 @@ class AlgebraTable:
         fld = FieldSpec.from_json(obj["field"])
         basis = tuple(obj["basis"])
         d = len(basis)
+        if len(set(basis)) != d:  # an expression names each basis element once
+            raise ValueError(f"repeated basis names in {list(basis)!r}")
+        provenance = obj.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ValueError(f"provenance {provenance!r} is not a JSON object")
         if d > SIZE_LIMIT:
             raise SizeLimitError(f"table of dimension {d} exceeds limit {SIZE_LIMIT}")
         cells: dict[tuple, dict] = {}  # (i, j) -> {k: c}; a repeated entry overrides
@@ -373,7 +377,7 @@ class AlgebraTable:
             idempotents=[(label, parse_vec(vec)) for label, vec in obj["idempotents"]],
             radical=[parse_vec(v) for v in obj["radical"]],
             generators=[parse_vec(v) for v in obj.get("generators", [])] or None,
-            provenance=obj.get("provenance", {}),
+            provenance=provenance,
         )
 
 
@@ -407,74 +411,13 @@ def _dense(pairs, n: int, zero) -> list:
     return out
 
 
-class _Span:
-    """A row space in echelon form, each row (k, c) pairs with entry 1 at
-    its pivot, its first column.  A vector is reduced by the rows in the
-    order of their pivots, as ``exactmath.SpanBuilder`` reduces it, so the
-    two hold the same rows; here only nonzero entries are visited."""
-
-    def __init__(self, fld: FieldSpec):
-        self.fld = fld
-        self.rows: list[tuple] = []  # in insertion order
-        self._at: dict[int, tuple] = {}  # pivot -> row
-
-    def residue(self, vec) -> dict:
-        """``vec`` ((k, c) pairs) modulo the span, as {column: nonzero
-        entry} with no pivot column."""
-        at = self._at
-        p = self.fld.p
-        v = dict(vec)
-        todo = [k for k in v if k in at]
-        heapify(todo)
-        while todo:  # a row only reaches columns right of its pivot
-            c = heappop(todo)
-            f = v.pop(c)
-            if not f:
-                continue
-            for j, x in at[c][1:]:
-                old = v.get(j)
-                if old is None:
-                    old = 0
-                    if j in at:
-                        heappush(todo, j)
-                new = old - f * x
-                v[j] = new if p is None else new % p
-        return {k: x for k, x in v.items() if x}
-
-    def contains(self, vec) -> bool:
-        return not self.residue(vec)
-
-    def add(self, vec) -> bool:
-        """Insert ``vec``; True when it enlarged the span."""
-        r = self.residue(vec)
-        if not r:
-            return False
-        lead = min(r)
-        inv = self.fld.inv(r[lead])
-        if inv != self.fld.one():
-            r = {k: self.fld.mul(x, inv) for k, x in r.items()}
-        row = tuple(sorted(r.items()))
-        self.rows.append(row)
-        self._at[lead] = row
-        return True
-
-    def rref(self) -> list[tuple]:
-        """The reduced echelon basis, in the order of the pivots."""
-        done = _Span(self.fld)
-        for c in sorted(self._at, reverse=True):
-            row = self._at[c]
-            done._at[c] = row[:1] + tuple(sorted(done.residue(row[1:]).items()))
-        return [done._at[c] for c in sorted(done._at)]
-
-
 def _radical_powers(table: AlgebraTable, rad=None):
-    """Dense rows spanning J, J^2, J^3, ... in turn, stopping before the
-    first zero power.  ``rad`` spans J as (k, c) pairs (default: the
-    declared radical basis); each higher power comes as echelon rows.
+    """(k, c) rows spanning J, J^2, J^3, ... in turn, stopping before the
+    first zero power.  ``rad`` spans J (default: the declared radical
+    basis); each higher power comes as echelon rows.
     Raises ``CompileError`` when the powers do not reach 0 within dim + 1
     steps."""
     d = table.dim
-    zero = table.field.zero()
     rad = [sparse_row(v) for v in table.radical] if rad is None else rad
     # reach[i]: the rows v of rad with b_i v possibly nonzero
     at_column: list[list[int]] = [[] for _ in range(d)]
@@ -488,8 +431,8 @@ def _radical_powers(table: AlgebraTable, rad=None):
         steps += 1
         if steps > d + 1:
             raise CompileError("declared radical is not nilpotent")
-        yield [_dense(r, d, zero) for r in current]
-        nxt = _Span(table.field)
+        yield current
+        nxt = SpanBuilder(table.field)
         for u in current:
             for r in sorted(set().union(*(reach[i] for i, _ in u))):
                 nxt.add(table._mul(u, rad[r]))
@@ -507,10 +450,11 @@ def _radical_top(table: AlgebraTable) -> list[list]:
     if top is None:
         powers = _radical_powers(table)
         next(powers, None)  # J
-        mod = SpanBuilder(table.field, table.dim)
+        mod = SpanBuilder(table.field)
         for r in next(powers, []):  # J^2
             mod.add(r)
-        top = table._cache["radical_top"] = [list(v) for v in table.radical if mod.add(list(v))]
+        top = table._cache["radical_top"] = [list(v) for v in table.radical
+                                             if mod.add(sparse_row(v))]
     return top
 
 
@@ -532,11 +476,11 @@ def _generating_basis(table: AlgebraTable) -> list[int]:
     {y : Jy in J} and {y : yJ in J} lets the right and left ideal checks
     of J run over G alone."""
     one = table.field.one()
-    span = _Span(table.field)
+    span = SpanBuilder(table.field)
     span.add(sparse_row(table.unit))
     gens: list[int] = []
     i = 0
-    while len(span.rows) < table.dim:
+    while span.rank < table.dim:
         while span.contains(((i, one),)):
             i += 1
         gens.append(i)
@@ -597,11 +541,11 @@ def verify_table(table: AlgebraTable) -> None:
             raise CompileError(f"idempotents {la} and {lb} are not orthogonal")
     # radical: two-sided ideal, nilpotent, complement spanned by idempotents
     rad_rows = [sparse_row(v) for v in table.radical]
-    rad = _Span(fld)
+    rad = SpanBuilder(fld)
     for v in rad_rows:
         rad.add(v)
     _check_over(gens, _verify_ideal, table, rad, rad_rows)
-    rad_rank = len(rad.rows)
+    rad_rank = rad.rank
     if rad_rank + len(idem) != d:
         raise CompileError(
             f"split-basic certificate fails: dim {d} != radical rank {rad_rank} "
@@ -636,7 +580,7 @@ def _verify_associativity(table: AlgebraTable, middle=None) -> None:
                     raise CompileError(f"associativity fails on triple ({i},{j},{k})")
 
 
-def _verify_ideal(table: AlgebraTable, span: _Span, rows, middle=None) -> None:
+def _verify_ideal(table: AlgebraTable, span: SpanBuilder, rows, middle=None) -> None:
     """Raise unless v b_j and b_j v lie in ``span`` for every v in ``rows``
     and j in ``middle`` (default: every basis index)."""
     one = table.field.one()
@@ -702,7 +646,7 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
 
     paths.sort(key=sort_key)
     col_of = {p: i for i, p in enumerate(paths)}
-    ncols = len(paths)
+    one = fld.one()
 
     def path_target(p) -> str:
         src, arr = p
@@ -710,7 +654,7 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
 
     # relation ideal span, truncated at length L
     parsed = [parse_relation(text, spec) for text in spec.relations]
-    span = SpanBuilder(fld, ncols)
+    span = SpanBuilder(fld)
     for expr in parsed:
         terms = []
         for t in expr.terms:
@@ -727,15 +671,15 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
                 )
         mindeg = min(len(t.path) for _, t in terms)
         budget = L - mindeg
-        for p in paths:
+        for p in paths:  # paths ascend in length, so the loops stop at the budget
             lp = len(p[1])
             if lp > budget:
-                continue
+                break
             p_end = path_target(p)
             for q in paths:
                 lq = len(q[1])
                 if lp + mindeg + lq > L:
-                    continue
+                    break
                 hits: dict[int, object] = {}  # column -> coefficient of p*r*q
                 for c, t in terms:
                     if t.source != p_end or t.target != q[0]:
@@ -744,17 +688,16 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
                         continue
                     col = col_of[(p[0], p[1] + t.path + q[1])]
                     hits[col] = fld.add(hits.get(col, fld.zero()), c)
-                if any(hits.values()):
-                    span.add(_dense(hits.items(), ncols, fld.zero()))
+                hits = {k: x for k, x in hits.items() if x}
+                if hits:
+                    span.add(hits.items())
 
     pivset = set(span.pivots)
 
     # Loewy certificate: every path of length exactly L lies in the span
     for p in paths:
         if len(p[1]) == L:
-            vec = [fld.zero()] * ncols
-            vec[col_of[p]] = fld.one()
-            if not span.contains(vec):
+            if not span.contains(((col_of[p], one),)):
                 raise LoewyBoundError(
                     f"path {'*'.join(p[1])} of length {L} does not lie in the "
                     "relation ideal; the declared Loewy bound is not certified"
@@ -764,15 +707,14 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
     if not basis_paths:
         raise CompileError("empty quotient")
     basis_col = {p: i for i, p in enumerate(basis_paths)}
-    basis_cols = [col_of[p] for p in basis_paths]
     d = len(basis_paths)
 
     def normal_form(p) -> tuple:
-        """The path p in the basis, as (index, coefficient) pairs."""
-        vec = [fld.zero()] * ncols
-        vec[col_of[p]] = fld.one()
-        red = span.residue(vec)
-        return tuple((i, red[c]) for i, c in enumerate(basis_cols) if red[c])
+        """The path p in the basis, as (index, coefficient) pairs: its
+        residue lies on the non-pivot columns, every one a basis path, as
+        the paths of length L span their own columns."""
+        red = span.residue(((col_of[p], one),))
+        return tuple(sorted((basis_col[paths[c]], x) for c, x in red.items()))
 
     nf_cache: dict[tuple, tuple] = {}
     mult = []
@@ -1036,17 +978,16 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
         for la, ea in a.idempotents
         for lb, eb in b.idempotents
     ]
-    idem_a = [list(e) for _, e in a.idempotents]
     radical = []
     for r in a.radical:
         for j in range(b.dim):
             radical.append(kron(r, b.basis_vec(j)))
-    span_e = SpanBuilder(fld, a.dim)
-    for e in idem_a:
-        span_e.add(e)
+    span_e = SpanBuilder(fld)
+    for _, e in a.idempotents:
+        span_e.add(sparse_row(e))
     for e in span_e.rows:
         for r in b.radical:
-            radical.append(kron(e, r))
+            radical.append(kron(_dense(e, a.dim, zero), r))
     generators = [kron(g, b.unit) for g in a.generators]
     generators += [kron(a.unit, g) for g in b.generators]
     return make_table(
@@ -1073,14 +1014,13 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
         raise KeyError("unknown idempotent label")
     e = sparse_row(idempotent_sum(table, chosen))
     one, zero = fld.one(), fld.zero()
-    span = _Span(fld)
+    span = SpanBuilder(fld)
     for i in range(d):
         span.add(table._mul(e, table._mul(((i, one),), e)))
-    rows = span.rref()
+    rows, pivots = span.finish()
     dim_c = len(rows)
     if dim_c > SIZE_LIMIT:
         raise SizeLimitError("corner algebra too large")
-    pivots = [row[0][0] for row in rows]
 
     def coords(vec):
         """Coordinates of ``vec`` in the reduced rows: its entries at their pivots."""
@@ -1094,7 +1034,7 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
     idem = [(table.idempotents[i][0], tuple(_dense(coords(sparse_row(table.idempotents[i][1])),
                                                    dim_c, zero)))
             for i in chosen]
-    rad = _Span(fld)
+    rad = SpanBuilder(fld)
     for v in table.radical:
         rad.add(table._mul(e, table._mul(sparse_row(v), e)))
     radical = [_dense(coords(v), dim_c, zero) for v in rad.rows]

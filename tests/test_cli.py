@@ -297,6 +297,8 @@ OUT_OF_SCOPE_FILES = {
     "idempotent-too-long": ("idempotent-long", "compile"),
     "scalar-not-a-string": ("scalar-number", "compile"),
     "scalar-zero-denominator": ("zero-denominator", "compile"),
+    "provenance-not-an-object": ("provenance-string", "compile"),
+    "repeated-basis-names": ("repeated-names", "compile"),
 }
 # k[x]/(x^2) over F_2, with one vector of the wrong length
 DUAL_NUMBERS = {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": ["1", "x"],
@@ -326,6 +328,8 @@ ALGEBRA_FILES = {
     "scalar-number": {**DUAL_NUMBERS, "structure": [[0, 0, 0, 1], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
     "zero-denominator": {**DUAL_NUMBERS, "field": {"kind": "rational"},
                          "structure": [[0, 0, 0, "1/0"], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
+    "provenance-string": {**DUAL_NUMBERS, "provenance": "abc"},
+    "repeated-names": {**DUAL_NUMBERS, "basis": ["x", "x"]},
 }
 
 

@@ -253,16 +253,21 @@ def spans_with_dependent_rows(draw):
 @given(spans_with_dependent_rows())
 def test_span_residue_matches_reduction_against_the_rref(case):
     # the remainder modulo a span with zeros at the pivot columns is unique,
-    # so the forward-reduced rows give the same one as the RREF basis
-    from domdimlab.exactmath import SpanBuilder
+    # so the forward-reduced rows give the same one as the RREF basis, which
+    # is what rref_rows makes of the same rows
+    from domdimlab.exactmath import SpanBuilder, rref_rows, sparse_row
 
     fld, rows, vec, in_span = case
-    span = SpanBuilder(fld, len(vec))
+    work = [list(r) for r in rows]
+    rank, pivots = rref_rows(fld, work)
+    rref = work[:rank]
+    span = SpanBuilder(fld)
     for r in rows:
-        span.add(r)
-    rref, pivots = span.finish()
+        before = span.rank
+        assert span.add(sparse_row(r)) == (span.rank == before + 1)
+    assert span.finish() == ([sparse_row(r) for r in rref], pivots)
     want = reduce_against_rref(fld, rref, pivots, vec)
-    assert span.residue(vec) == want
-    assert sorted(span.pivots) == pivots
+    assert span.residue(sparse_row(vec)) == dict(sparse_row(want))
+    assert (span.rank, sorted(span.pivots)) == (rank, pivots)
     assert not any(want[c] for c in pivots)
-    assert not any(span.residue(in_span))
+    assert not span.residue(sparse_row(in_span))

@@ -549,14 +549,14 @@ def test_generating_basis_spans_the_algebra(make):
     # the closure of 1 under right multiplication by each of them
     table = make()
     gens = qa._generating_basis(table)
-    span = SpanBuilder(table.field, table.dim)
+    span = SpanBuilder(table.field)
     todo = [list(table.unit)]
-    span.add(todo[0])
+    span.add(sparse_row(todo[0]))
     while todo:
         w = todo.pop()
         for g in gens:
             x = _dense_product(table, w, table.basis_vec(g))
-            if span.add(x):
+            if span.add(sparse_row(x)):
                 todo.append(x)
     assert span.rank == table.dim
     assert gens == sorted(set(gens))
@@ -671,10 +671,10 @@ def test_radical_top_of_a_bridge_is_its_arrows(orientation, kup, fld):
     table = qa.nakayama_to_table(nak.validate(orientation, kup), fld)
     powers = qa._radical_powers(table)
     next(powers)
-    j2 = SpanBuilder(fld, table.dim)
+    j2 = SpanBuilder(fld)
     for r in next(powers, []):
         j2.add(r)
-    expected = [list(v) for v in table.radical if j2.add(list(v))]
+    expected = [list(v) for v in table.radical if j2.add(sparse_row(v))]
     assert qa._radical_top(table) == expected
 
 
