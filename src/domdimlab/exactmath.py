@@ -10,9 +10,9 @@ The raw-row helpers (``rref_rows``, ``kernel_rows`` ...) operate on
 mutable lists of lists and exist for the hot loops of the algebra and
 homology engines.  Sparse rows are tuples of (k, c) pairs, k ascending
 and every c nonzero (``sparse_row`` converts a dense row once):
-``coords_against`` takes its basis in that form, and a ``SpanBuilder``
-holds its rows and reduces vectors in it.  The immutable dense ``Matrix``
-class stays as public API.
+``coords_against`` takes its basis and vector in that form and returns
+the coordinates so, and a ``SpanBuilder`` holds its rows and reduces
+vectors in it.  The immutable dense ``Matrix`` class stays as public API.
 """
 
 from __future__ import annotations
@@ -264,28 +264,32 @@ def sparse_row(row) -> tuple:
     return tuple((j, x) for j, x in enumerate(row) if x)
 
 
-def coords_against(field: FieldSpec, rref: list, pivots: list[int], vec: list) -> list | None:
-    """Coordinates of ``vec`` (entries in canonical form) in the span of
-    an RREF basis, or None if outside.  Each basis row is given by its
-    nonzero entries (``sparse_row``), and only those are visited."""
-    v = list(vec)
-    coords = [field.zero()] * len(rref)
-    if field.kind == "prime":
-        p = field.p
-        for k, (row, c) in enumerate(zip(rref, pivots)):
-            f = v[c] % p
-            if f:
-                coords[k] = f
-                for j, x in row:
-                    v[j] = (v[j] - f * x) % p
+def _canonical(field: FieldSpec, acc: dict) -> tuple:
+    """The nonzero entries of ``acc`` ({k: unreduced c}) as (k, c) pairs,
+    k ascending and every c reduced."""
+    p = field.p
+    if p is None:
+        out = [(k, a) for k, a in acc.items() if a]
     else:
-        for k, (row, c) in enumerate(zip(rref, pivots)):
-            f = v[c]
-            if f:
-                coords[k] = f
-                for j, x in row:
-                    v[j] = v[j] - f * x
-    if any(v):
+        out = [(k, a % p) for k, a in acc.items() if a % p]
+    out.sort()
+    return tuple(out)
+
+
+def coords_against(field: FieldSpec, basis: list, pivots: list[int], vec) -> tuple | None:
+    """Coordinates of ``vec`` in the span of ``basis``, as (k, c) pairs
+    over the basis rows, or None if outside.  Vectors and basis rows are
+    (k, c) pairs.  Row k is 1 at column pivots[k] and every other row is 0
+    there, as in an RREF basis or a kernel basis of ``left_kernel_rows``;
+    so the coordinates are the entries of ``vec`` at the pivots, and only
+    the rows they name are visited."""
+    at = dict(vec)
+    coords = tuple((k, at[c]) for k, c in enumerate(pivots) if c in at)
+    for k, f in coords:
+        for j, x in basis[k]:
+            at[j] = at.get(j, 0) - f * x
+    p = field.p
+    if any(x % p for x in at.values()) if p else any(at.values()):
         return None
     return coords
 

@@ -4,7 +4,11 @@ Right modules are row-vector representations: a module of dimension d
 assigns to each basis element of the algebra a d x d matrix, acting by
 ``m -> m @ act(b)``; multiplicativity ``act(u) @ act(v) = act(uv)`` is
 the module axiom.  The matrices are stored as sparse rows: most entries
-are zero in the modules a resolution builds.  Modules are cut out of the
+are zero in the modules a resolution builds.  Module vectors and algebra
+elements are (k, c) pairs in the same format, k ascending and every c
+nonzero; dense rows appear only as inputs of the elimination kernels
+(cover matrices, Ext differentials, Hom matrices) and in the dense views
+of a module.  Modules are cut out of the
 regular module: the projectives e_vA are its submodules, the powers J^k
 and the uniserial bridges P_v / P_v J^k are read from one radical
 filtration M > MJ > MJ^2 > ... per module, computed once and cached on
@@ -35,6 +39,7 @@ from typing import Optional
 from .bounded import BoundedValue
 from .exactmath import (
     SpanBuilder,
+    _canonical,
     coords_against,
     left_kernel_rows,
     matmul_rows,
@@ -81,10 +86,11 @@ class Representation:
 
     The actions are stored only as sparse rows: ``rows[u][i]`` is row i of
     the action of b_u, a tuple of (column, coefficient) pairs with nonzero
-    coefficients.  The constructor takes dense matrices and converts them
-    once; ``from_rows`` takes sparse rows as they are.  ``apply`` and
-    ``apply_element`` compute every vec @ action product; ``actions`` is a
-    dense view built on each access, for serialisation and tests."""
+    coefficients.  Module vectors and algebra elements are such pairs too,
+    and ``apply`` and ``apply_element`` compute every vec @ action product
+    on them.  The constructor takes dense matrices and converts them once;
+    ``from_rows`` takes sparse rows as they are.  ``actions`` and
+    ``element_action`` are dense views, for serialisation and tests."""
 
     def __init__(self, algebra: AlgebraTable, dim: int, actions, name: str = ""):
         if len(actions) != algebra.dim or any(
@@ -114,34 +120,30 @@ class Representation:
         zero = self.algebra.field.zero()
         return tuple(tuple(tuple(_dense(r, self.dim, zero)) for r in m) for m in self.rows)
 
-    def _combine(self, terms) -> list:
-        """Sum of f * row over the (f, sparse row) pairs, as a dense row
-        reduced once."""
-        fld = self.algebra.field
-        acc = [fld.zero()] * self.dim
+    def _combine(self, terms) -> tuple:
+        """Sum of f * row over the (f, sparse row) pairs, as (k, c) pairs
+        with k ascending and c nonzero, reduced once."""
+        acc = {}
         for f, row in terms:
             for j, c in row:
-                acc[j] += f * c
-        if fld.kind == "prime":
-            p = fld.p
-            return [x % p for x in acc]
-        return acc
+                acc[j] = acc.get(j, 0) + f * c
+        return _canonical(self.algebra.field, acc)
 
-    def apply(self, vec, u: int) -> list:
+    def apply(self, vec, u: int) -> tuple:
         """vec @ act(b_u)."""
         rows = self.rows[u]
-        return self._combine((x, rows[i]) for i, x in enumerate(vec) if x)
+        return self._combine((x, rows[i]) for i, x in vec)
 
-    def apply_element(self, vec, a) -> list:
-        """vec @ act(a) for an algebra element a (coordinate vector)."""
-        support = [(i, x) for i, x in enumerate(vec) if x]
-        return self._combine((c * x, self.rows[u][i])
-                             for u, c in enumerate(a) if c for i, x in support)
+    def apply_element(self, vec, a) -> tuple:
+        """vec @ act(a) for an algebra element a."""
+        return self._combine((c * x, self.rows[u][i]) for u, c in a for i, x in vec)
 
     def element_action(self, vec) -> list[list]:
-        """Dense action matrix of an arbitrary algebra element (coordinate vector)."""
+        """Dense action matrix of an algebra element given as a coordinate vector."""
         terms = [(c, self.rows[u]) for u, c in enumerate(vec) if c]
-        return [self._combine((c, rows[i]) for c, rows in terms) for i in range(self.dim)]
+        zero = self.algebra.field.zero()
+        return [_dense(self._combine((c, rows[i]) for c, rows in terms), self.dim, zero)
+                for i in range(self.dim)]
 
     def verify(self) -> None:
         """Re-check the module axioms against the structure constants."""
@@ -198,26 +200,31 @@ def _identity(fld, dim: int) -> list[list]:
     return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
 
 
-def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, list[list]]:
+def _unit_rows(fld, dim: int) -> list[tuple]:
+    """The unit vectors of a module of dimension ``dim``, as pairs."""
+    one = fld.one()
+    return [((i, one),) for i in range(dim)]
+
+
+def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, list[tuple]]:
     """Restrict M to the span of ``rows`` (must be action-stable).
 
-    Returns (representation, echelon basis rows inside M)."""
+    Returns (representation, RREF basis rows inside M)."""
     fld = M.algebra.field
     span = SpanBuilder(fld)
     for r in rows:
-        span.add(sparse_row(r))
-    support, pivots = span.finish()
-    basis = [_dense(b, M.dim, fld.zero()) for b in support]
-    rows = []
+        span.add(r)
+    basis, pivots = span.finish()
+    actions = []
     for u in range(M.algebra.dim):
         mat = []
         for b in basis:
-            coeffs = coords_against(fld, support, pivots, M.apply(b, u))
+            coeffs = coords_against(fld, basis, pivots, M.apply(b, u))
             if coeffs is None:
                 raise ValueError("rows are not action-stable")
-            mat.append(sparse_row(coeffs))
-        rows.append(mat)
-    return Representation.from_rows(M.algebra, len(basis), rows, name=name), basis
+            mat.append(coeffs)
+        actions.append(mat)
+    return Representation.from_rows(M.algebra, len(basis), actions, name=name), basis
 
 
 def quotient(M: Representation, rows, name: str = "") -> Representation:
@@ -225,7 +232,7 @@ def quotient(M: Representation, rows, name: str = "") -> Representation:
     the unit rows of M at the columns that are not pivots of the span."""
     span = SpanBuilder(M.algebra.field)
     for r in rows:
-        span.add(sparse_row(r))
+        span.add(r)
     pivset = set(span.pivots)
     comp = {j: i for i, j in enumerate(j for j in range(M.dim) if j not in pivset)}
     # a unit row times an action is that row of the action; its residue
@@ -244,21 +251,13 @@ def _image_span(M: Representation, rows, elements) -> SpanBuilder:
     span = SpanBuilder(M.algebra.field)
     for a in elements:
         for r in rows:
-            img = sparse_row(M.apply_element(r, a))
+            img = M.apply_element(r, a)
             if img:
                 span.add(img)
     return span
 
 
-def _dense_rref(span: SpanBuilder, dim: int) -> tuple[list[list], list[int]]:
-    """The RREF basis of ``span`` (``finish``) as dense rows of length
-    ``dim``, and its pivots."""
-    rows, pivots = span.finish()
-    zero = span.field.zero()
-    return [_dense(r, dim, zero) for r in rows], pivots
-
-
-def _radical_layer(M: Representation, k: int) -> tuple[list[list], list[int]]:
+def _radical_layer(M: Representation, k: int) -> tuple[list[tuple], list[int]]:
     """The RREF basis (rows, pivots) of M*J^k.  Layer 0 is M itself, and
     each further layer is the image span of the one before under the
     radical top (``_radical_top``), as N*J is the sum of the N*x.  The
@@ -267,22 +266,22 @@ def _radical_layer(M: Representation, k: int) -> tuple[list[list], list[int]]:
     layers = M._cache.get("radical-layers")
     if layers is None:
         layers = M._cache["radical-layers"] = [
-            (_identity(M.algebra.field, M.dim), list(range(M.dim)))]
+            (_unit_rows(M.algebra.field, M.dim), list(range(M.dim)))]
     while len(layers) <= k and layers[-1][0]:
-        layers.append(_dense_rref(_image_span(M, layers[-1][0], _radical_top(M.algebra)), M.dim))
+        layers.append(_image_span(M, layers[-1][0], _radical_top(M.algebra)).finish())
     return layers[min(k, len(layers) - 1)]
 
 
-def radical_rows(M: Representation) -> list[list]:
+def radical_rows(M: Representation) -> list[tuple]:
     """Rows spanning M*J."""
-    return [list(r) for r in _radical_layer(M, 1)[0]]
+    return list(_radical_layer(M, 1)[0])
 
 
 def top(M: Representation) -> Representation:
     return quotient(M, radical_rows(M), name=f"top({M.name})" if M.name else "top")
 
 
-def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, list[list]]:
+def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, list[tuple]]:
     """(P, basis): the projective e_vA cut out of the regular module by the
     rows e_v * b_u, with its RREF basis inside A.  Cached on the table."""
     if not 0 <= vertex < table.n_vertices:
@@ -291,9 +290,9 @@ def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, 
     key = ("projective", vertex)
     if key not in table._cache:
         label, e = table.idempotents[vertex]
-        R = regular(table)
+        R, e = regular(table), sparse_row(e)
         rows = (R.apply(e, u) for u in range(table.dim))
-        table._cache[key] = submodule(R, [r for r in rows if any(r)], name=f"P({label})")
+        table._cache[key] = submodule(R, [r for r in rows if r], name=f"P({label})")
     return table._cache[key]
 
 
@@ -340,29 +339,28 @@ def dual_representation(M: Representation, target: AlgebraTable) -> Representati
 class Cover:
     vertices: list[int]
     P: Representation
-    blocks: list[tuple[int, list[list]]]  # (vertex, basis rows of e_iA)
+    blocks: list[tuple[int, list[tuple]]]  # (vertex, basis rows of e_iA)
     offsets: list[int]
-    matrix: list[list]  # dim P x dim M
-    generators: list[tuple[int, list]]  # (vertex, image row in M) per summand
+    matrix: list[list]  # dim P x dim M, dense for the elimination kernels
+    generators: list[tuple[int, tuple]]  # (vertex, image row in M) per summand
 
 
-def _reduced_basis(fld, rows) -> tuple[list[list], list[int]]:
+def _reduced_basis(fld, rows) -> tuple[list[tuple], list[int]]:
     """A basis of the span of ``rows`` in which row k is 1 at column
     pivots[k] and every other row is 0 there.  Rows that already have this
     form at their last nonzero entries, as unit rows and the kernel rows of
     ``left_kernel_rows`` do, are kept as they are; others are brought to
     RREF."""
-    rows = [list(r) for r in rows if any(r)]
-    support = [sparse_row(r) for r in rows]
-    pivots = [s[-1][0] for s in support]
+    rows = [r for r in rows if r]
+    pivots = [r[-1][0] for r in rows]
     pivset = set(pivots)
-    if (len(pivset) == len(rows) and all(s[-1][1] == 1 for s in support)
-            and not any(j in pivset for s in support for j, _ in s[:-1])):
+    if (len(pivset) == len(rows) and all(r[-1][1] == 1 for r in rows)
+            and not any(j in pivset for r in rows for j, _ in r[:-1])):
         return rows, pivots
     span = SpanBuilder(fld)
-    for s in support:
-        span.add(s)
-    return _dense_rref(span, len(rows[0]) if rows else 0)
+    for r in rows:
+        span.add(r)
+    return span.finish()
 
 
 def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list, list]:
@@ -397,14 +395,13 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     leaves span(U)."""
     A = M.algebra
     fld = A.field
-    basis, pivots = _reduced_basis(fld, _identity(fld, M.dim) if rows is None else rows)
+    basis, pivots = _reduced_basis(fld, _unit_rows(fld, M.dim) if rows is None else rows)
     if not basis:
         raise ValueError("projective cover of the zero module")
-    support = [sparse_row(b) for b in basis]
 
     def coords(vec):
         """Coordinates of a row of M in the basis of U."""
-        c = coords_against(fld, support, pivots, vec)
+        c = coords_against(fld, basis, pivots, vec)
         if c is None:
             raise ValueError("rows are not action-stable")
         return c
@@ -414,26 +411,28 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     for x in _radical_top(A):
         for b in basis:
             img = M.apply_element(b, x)
-            if any(img):
-                span.add(sparse_row(coords(img)))
+            if img:
+                span.add(coords(img))
     need = len(basis) - span.rank
-    gens: list[tuple[int, list]] = []
+    idem = [sparse_row(e) for _, e in A.idempotents]
+    gens: list[tuple[int, tuple]] = []
     for b in basis:
-        for vi, (_, e) in enumerate(A.idempotents):
+        for vi, e in enumerate(idem):
             m = M.apply_element(b, e)
-            if any(m):
+            if m:
                 c = coords(m)  # every image is checked, also once the top is full
-                if len(gens) < need and span.add(sparse_row(c)):
+                if len(gens) < need and span.add(c):
                     gens.append((vi, m))
     assert len(gens) == need, "top generators do not split by idempotents"
     vertices = [vi for vi, _ in gens]
     P, blocks, offsets = _projective_sum(A, vertices)
+    zero = fld.zero()
     matrix = []
     for (vi, m), (v2, brows) in zip(gens, blocks):
         # the image of the block row r is m @ act(r) = sum_u r_u (m @ act(b_u))
-        images = [sparse_row(M.apply(m, u)) for u in range(A.dim)]
+        images = [M.apply(m, u) for u in range(A.dim)]
         for r in brows:
-            matrix.append(M._combine((c, images[u]) for u, c in enumerate(r) if c))
+            matrix.append(_dense(M._combine((c, images[u]) for u, c in r), M.dim, zero))
     # the images lie in U, which the generators cover modulo U*J
     if rank_rows(fld, matrix) != len(basis):
         raise AssertionError("projective cover failed to surject")
@@ -449,14 +448,15 @@ def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
     if forms is None:
         fld = table.field
         rows, pivots = _radical_layer(P, 1)
+        rows = [dict(r) for r in rows]
         pivset = set(pivots)
         forms = P._cache["top-forms"] = [
-            ((j, fld.one()),) + tuple((c, fld.neg(row[j])) for row, c in zip(rows, pivots) if row[j])
+            ((j, fld.one()),) + tuple((c, fld.neg(r[j])) for r, c in zip(rows, pivots) if j in r)
             for j in range(P.dim) if j not in pivset]
     return forms
 
 
-def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list[list]]:
+def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list[tuple]]:
     """Projective cover of M, or of its submodule spanned by ``rows``, and
     rows spanning the kernel inside the cover, certified to lie in the
     radical of the cover (minimality).  As rad(P) is the sum of the
@@ -464,11 +464,12 @@ def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list[list]]:
     A = M.algebra
     fld = A.field
     cov = projective_cover(M, rows)
-    ker = left_kernel_rows(fld, cov.matrix)
+    ker = [sparse_row(r) for r in left_kernel_rows(fld, cov.matrix)]
+    entries = [dict(r) for r in ker]
     for (v, _), off in zip(cov.blocks, cov.offsets):
         for form in _top_forms(A, v):
-            for row in ker:
-                val = sum(row[off + j] * c for j, c in form)
+            for row in entries:
+                val = sum(row.get(off + j, 0) * c for j, c in form)
                 if val % fld.p if fld.kind == "prime" else val:
                     raise AssertionError("cover is not minimal: kernel escapes the radical")
     return cov, ker
@@ -493,8 +494,9 @@ class MinimalResolution:
 
     ``levels[s]`` is the vertex list of the s-th projective term.
     ``maps[s]`` (s >= 1) is the connecting map P_s -> P_{s-1} written as
-    an element matrix: entry [c][c'] is the algebra element carrying the
-    c'-th generator of P_s into the c-th summand of P_{s-1}.
+    an element matrix: entry [c][c'] is the algebra element, as (k, c)
+    pairs, carrying the c'-th generator of P_s into the c-th summand of
+    P_{s-1}.
     ``kernel_dims[s]`` is dim of the (s+1)-st syzygy.
 
     Each syzygy is kept as the kernel rows inside the projective term it
@@ -507,12 +509,12 @@ class MinimalResolution:
         require_not_semisimple(M.algebra)
         self.M = M
         self.levels: list[list[int]] = []
-        self.maps: list[Optional[list[list]]] = [None]
+        self.maps: list[Optional[list[list[tuple]]]] = [None]
         self.kernel_dims: list[int] = []
         # the next syzygy: rows (None for all of it) of its ambient module,
         # M and then the last projective term; None once a kernel is zero
         self._ambient: Optional[Representation] = M if M.dim else None
-        self._rows: Optional[list[list]] = None
+        self._rows: Optional[list[tuple]] = None
         self._prev: Optional[tuple[list, list]] = None  # (blocks, offsets) of the last cover
         self.finished = False
 
@@ -532,23 +534,12 @@ class MinimalResolution:
         self.kernel_dims.append(len(ker))
         self._ambient, self._rows = (cov.P, ker) if ker else (None, None)
 
-    def _element_matrix(self, gens) -> list[list]:
+    def _element_matrix(self, gens) -> list[list[tuple]]:
         """Entry [c][gi]: the block c of the generator gi, a row of the
         previous projective term, as an element of e_vA."""
-        A = self.M.algebra
-        fld = A.field
         blocks, offsets = self._prev
-        elem_matrix = [[None] * len(gens) for _ in blocks]
-        for gi, (_, m) in enumerate(gens):
-            for c, ((_, brows), off) in enumerate(zip(blocks, offsets)):
-                elem = A.zero_vec()
-                for coeff, brow in zip(m[off:off + len(brows)], brows):
-                    if coeff:
-                        for k in range(A.dim):
-                            if brow[k]:
-                                elem[k] = fld.add(elem[k], fld.mul(coeff, brow[k]))
-                elem_matrix[c][gi] = elem
-        return elem_matrix
+        return [[self.M._combine((x, brows[j - off]) for j, x in m if off <= j < off + len(brows))
+                 for _, m in gens] for (_, brows), off in zip(blocks, offsets)]
 
 
 def _resolution(M: Representation, length: int) -> MinimalResolution:
@@ -583,7 +574,7 @@ def _weight_basis(N: Representation, vertex: int):
     if key in N._cache:
         return N._cache[key]
     _, e = N.algebra.idempotents[vertex]
-    N._cache[key] = _dense_rref(_image_span(N, _identity(N.algebra.field, N.dim), [e]), N.dim)
+    N._cache[key] = _image_span(N, _unit_rows(N.algebra.field, N.dim), [sparse_row(e)]).finish()
     return N._cache[key]
 
 
@@ -618,17 +609,17 @@ def _differential_rank(N: Representation, emat, src, tgt) -> int:
     if not any(rows for rows, _ in src) or not any(rows for rows, _ in tgt):
         return 0
     fld = N.algebra.field
-    tgt_support = [([sparse_row(r) for r in rows], pivots) for rows, pivots in tgt]
+    zero = fld.zero()
     images = []
     for c, (rows, _) in enumerate(src):
         for r in rows:
             img = []
-            for c2, (support, pivots) in enumerate(tgt_support):
+            for c2, (support, pivots) in enumerate(tgt):
                 if support:
                     coeffs = coords_against(fld, support, pivots, N.apply_element(r, emat[c][c2]))
                     if coeffs is None:
                         raise AssertionError("differential image left its weight space")
-                    img.extend(coeffs)
+                    img += _dense(coeffs, len(support), zero)
             images.append(img)
     return rank_rows(fld, images)
 
@@ -680,14 +671,16 @@ def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
     if "cover" not in M._cache:  # every Hom out of M reads the same cover
         M._cache["cover"] = _cover_and_kernel(M)
     cov, ker = M._cache["cover"]
-    zero_row = [fld.zero()] * dn
+    zero = fld.zero()
+    zero_row = [zero] * dn
     phis = []  # Hom(P, N), each map a dim P x dN matrix
     for (v, brows), off in zip(cov.blocks, cov.offsets):
         for n in _weight_basis(N, v)[0]:
-            block = [N.apply_element(n, r) for r in brows]
+            block = [_dense(N.apply_element(n, r), dn, zero) for r in brows]
             phis.append([zero_row] * off + block + [zero_row] * (cov.P.dim - off - len(brows)))
     flat = lambda mat: [x for row in mat for x in row]
-    through_m = left_kernel_rows(fld, [flat(matmul_rows(fld, ker, phi)) for phi in phis])
+    dense_ker = [_dense(r, cov.P.dim, zero) for r in ker]
+    through_m = left_kernel_rows(fld, [flat(matmul_rows(fld, dense_ker, phi)) for phi in phis])
     maps = matmul_rows(fld, through_m, [flat(phi) for phi in phis])
     aug = [list(c) + [x for phi in maps for x in phi[p * dn:(p + 1) * dn]]
            for p, c in enumerate(cov.matrix)]
@@ -766,7 +759,7 @@ def enveloping(table: AlgebraTable):
     for i in range(d):
         for j in range(d):
             # row k: b_j * b_k * b_i, the sum of c * b_t b_i over the (t, c) of b_j b_k
-            actions.append([sparse_row(R._combine((c, R.rows[i][t]) for t, c in cell))
+            actions.append([R._combine((c, R.rows[i][t]) for t, c in cell)
                             for cell in table.mult[j]])
     return env, Representation.from_rows(env, d, actions, name="regular-bimodule")
 
@@ -900,32 +893,32 @@ def delta(table: AlgebraTable, cutoff: int, witnesses=None,
 @dataclass
 class IdealModule:
     rep: Representation
-    rows: list[list]  # echelon basis inside the algebra
+    rows: list[tuple]  # RREF basis inside the algebra
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
 
-def ideal_module(table: AlgebraTable, generator_vectors) -> IdealModule:
-    """Smallest two-sided ideal containing the generators, as a right module.
-    It is closed under products with the idempotents and the radical top
-    (``_default_generators``), which generate A by the verified axioms."""
-    gens = [g for g in map(sparse_row, generator_vectors) if g]
+def ideal_module(table: AlgebraTable, generators) -> IdealModule:
+    """Smallest two-sided ideal containing the generators (elements as
+    (k, c) pairs), as a right module.  It is closed under products with
+    the idempotents and the radical top (``_default_generators``), which
+    generate A by the verified axioms."""
+    gens = [g for g in generators if g]
     if not gens:
         raise PreconditionError("ideal generators are all zero")
     fld = table.field
     span = SpanBuilder(fld)
     work = [g for g in gens if span.add(g)]
-    sides = [sparse_row(g) for g in _default_generators(table)]
+    sides = _default_generators(table)
     while work:
         v = work.pop()
         for g in sides:
             for prod in (table._mul(v, g), table._mul(g, v)):
                 if prod and span.add(prod):
                     work.append(prod)
-    rows = [_dense(r, table.dim, fld.zero()) for r in span.rows]
-    rep, basis = submodule(regular(table), rows, name="ideal")
+    rep, basis = submodule(regular(table), span.rows, name="ideal")
     return IdealModule(rep, basis)
 
 
@@ -1100,10 +1093,10 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
     def element(a, b, T) -> tuple:
         """The map T: M_a -> M_b as (index, coefficient) pairs in the basis."""
         offset, rows, pivots = hom_rref[(a, b)]
-        coeffs = coords_against(fld, rows, pivots, flat(T))
+        coeffs = coords_against(fld, rows, pivots, sparse_row(flat(T)))
         if coeffs is None:
             raise AssertionError(f"a map outside Hom(m{a}, m{b})")
-        return tuple((offset + t, c) for t, c in enumerate(coeffs) if c)
+        return tuple((offset + t, c) for t, c in coeffs)
 
     vector = lambda a, b, T: _dense(element(a, b, T), dim_e, fld.zero())
     mult = [[element(a1, b2, matmul_rows(fld, T1, T2))  # "T1 then T2"
@@ -1127,7 +1120,6 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
         unit=unit,
         idempotents=idem,
         radical=radical,
-        generators=None,
         provenance={"kind": "endomorphism",
                     "summands": [M.name or f"m{i}" for i, M in enumerate(summands)]},
     )

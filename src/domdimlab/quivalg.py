@@ -25,6 +25,8 @@ from . import nakayama as nak
 from .exactmath import (
     FieldSpec,
     SpanBuilder,
+    _canonical,
+    coords_against,
     kernel_rows,
     matmul_rows,
     rank_rows,
@@ -245,7 +247,6 @@ class AlgebraTable:
     unit: tuple
     idempotents: tuple[tuple[str, tuple], ...]  # (vertex label, coordinate vector)
     radical: tuple[tuple, ...]  # vectors spanning the Jacobson radical
-    generators: tuple[tuple, ...]  # vectors generating the algebra (with the unit)
     provenance: dict = dc_field(default_factory=dict)
     # derived data (projectives, opposite, projective-injective vertices)
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -288,13 +289,7 @@ class AlgebraTable:
                     f = x * y
                     for k, c in cell:
                         acc[k] = acc.get(k, 0) + f * c
-        p = self.field.p
-        if p is None:
-            out = [(k, a) for k, a in acc.items() if a]
-        else:
-            out = [(k, a % p) for k, a in acc.items() if a % p]
-        out.sort()
-        return tuple(out)
+        return _canonical(self.field, acc)
 
     def mult_elements(self, u, v) -> list:
         """u * v for coordinate vectors: ``_mul`` on their nonzero entries."""
@@ -341,7 +336,6 @@ class AlgebraTable:
             "structure": structure,
             "idempotents": [[label, fmt_vec(vec)] for label, vec in self.idempotents],
             "radical": [fmt_vec(v) for v in self.radical],
-            "generators": [fmt_vec(v) for v in self.generators],
             "provenance": self.provenance,
         }
 
@@ -368,21 +362,29 @@ class AlgebraTable:
                 raise ValueError(f"vector of length {len(v)} in a table of dimension {d}")
             return tuple(fld.parse(x) for x in v)
 
+        for v in obj.get("generators", []):  # older files list generators; none is kept
+            parse_vec(v)
+        idem = [(label, parse_vec(vec)) for label, vec in obj["idempotents"]]
+        labels = [label for label, _ in idem]
+        if len(set(labels)) != len(labels):  # a label names one vertex
+            raise ValueError(f"repeated idempotent labels in {labels!r}")
+        for label, e in idem:  # an expression reads a basis name before a label
+            if label in basis and sparse_row(e) != ((basis.index(label), fld.one()),):
+                raise ValueError(f"idempotent label {label!r} names another basis element")
         return make_table(
             field=fld,
             basis_names=basis,
             mult=[[tuple(sorted((k, c) for k, c in cells.get((i, j), {}).items() if c))
                    for j in range(d)] for i in range(d)],
             unit=parse_vec(obj["unit"]),
-            idempotents=[(label, parse_vec(vec)) for label, vec in obj["idempotents"]],
+            idempotents=idem,
             radical=[parse_vec(v) for v in obj["radical"]],
-            generators=[parse_vec(v) for v in obj.get("generators", [])] or None,
             provenance=provenance,
         )
 
 
 def make_table(field, basis_names, mult, unit, idempotents, radical,
-               generators=None, provenance=None) -> AlgebraTable:
+               provenance=None) -> AlgebraTable:
     """A verified table; ``mult[i][j]`` is b_i * b_j as (k, c) pairs, k
     strictly ascending and every c nonzero."""
     mult = tuple(tuple(tuple(cell) for cell in row) for row in mult)
@@ -393,13 +395,9 @@ def make_table(field, basis_names, mult, unit, idempotents, radical,
         unit=tuple(unit),
         idempotents=tuple((label, tuple(vec)) for label, vec in idempotents),
         radical=tuple(tuple(v) for v in radical),
-        generators=(),
         provenance=provenance or {},
     )
     verify_table(table)
-    if generators is None:
-        generators = _default_generators(table)
-    table.generators = tuple(tuple(v) for v in generators)
     return table
 
 
@@ -439,11 +437,11 @@ def _radical_powers(table: AlgebraTable, rad=None):
         current = nxt.rows
 
 
-def _radical_top(table: AlgebraTable) -> list[list]:
+def _radical_top(table: AlgebraTable) -> list[tuple]:
     """Elements that generate J as a left and as a right ideal, so that
-    M J is the sum of the M x.  ``compile_quiver`` stores the nonzero
-    arrow images, as every path is a product of arrows; for any other
-    table they are the radical basis vectors whose classes form a basis
+    M J is the sum of the M x, as (k, c) pairs.  ``compile_quiver`` stores
+    the nonzero arrow images, as every path is a product of arrows; for
+    any other table they are the radical basis vectors whose classes form a basis
     of J/J^2 (J = AX + J^2 forces J = AX, and J = XA + J^2 forces
     J = XA, since J is nilpotent)."""
     top = table._cache.get("radical_top")
@@ -453,14 +451,15 @@ def _radical_top(table: AlgebraTable) -> list[list]:
         mod = SpanBuilder(table.field)
         for r in next(powers, []):  # J^2
             mod.add(r)
-        top = table._cache["radical_top"] = [list(v) for v in table.radical
-                                             if mod.add(sparse_row(v))]
+        top = table._cache["radical_top"] = [v for v in map(sparse_row, table.radical)
+                                             if mod.add(v)]
     return top
 
 
-def _default_generators(table: AlgebraTable) -> list[list]:
-    """Idempotents plus lifts of a basis of J/J^2: a unital generating set."""
-    return [list(vec) for _, vec in table.idempotents] + _radical_top(table)
+def _default_generators(table: AlgebraTable) -> list[tuple]:
+    """Idempotents plus lifts of a basis of J/J^2, as (k, c) pairs: a
+    unital generating set."""
+    return [sparse_row(vec) for _, vec in table.idempotents] + _radical_top(table)
 
 
 def _generating_basis(table: AlgebraTable) -> list[int]:
@@ -751,10 +750,6 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
             v = [fld.zero()] * d
             v[i] = fld.one()
             radical.append(v)
-    # idempotents plus the image of every arrow generate: each basis path
-    # is a product of arrow images (arrows rewritten by relations included)
-    arrow_images = [_dense(img, d, fld.zero()) for img in
-                    (normal_form((a.source, (a.name,))) for a in spec.arrows) if img]
     table = make_table(
         field=fld,
         basis_names=basis_names,
@@ -762,12 +757,13 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
         unit=unit,
         idempotents=idem,
         radical=radical,
-        generators=[vec for _, vec in idem] + arrow_images,
         provenance={"kind": "quiver", "spec": spec.to_json()},
     )
-    # J is spanned by the paths of length >= 1, each a product of arrows, so
-    # the arrow images generate J as a left and as a right ideal: no J^2 needed
-    table._cache["radical_top"] = arrow_images
+    # J is spanned by the paths of length >= 1, each a product of arrows
+    # (arrows rewritten by relations included), so the nonzero arrow images
+    # generate J as a left and as a right ideal: no J^2 needed
+    table._cache["radical_top"] = [img for img in (normal_form((a.source, (a.name,)))
+                                                   for a in spec.arrows) if img]
     return table
 
 
@@ -806,8 +802,7 @@ def nakayama_to_table(A: nak.NakAlgebra, field: FieldSpec) -> AlgebraTable:
 
 
 def _group_algebra(names: list[str], mult_map: dict[tuple[str, str], str],
-                   identity: str, gens: list[str], field: FieldSpec,
-                   preset: str) -> AlgebraTable:
+                   identity: str, field: FieldSpec, preset: str) -> AlgebraTable:
     """Group algebra over F_p with p dividing the group order at every
     nontrivial element order (used for the 2-groups here): the radical is
     the augmentation ideal."""
@@ -825,12 +820,6 @@ def _group_algebra(names: list[str], mult_map: dict[tuple[str, str], str],
         v[index[g]] = one
         v[index[identity]] = field.sub(v[index[identity]], one)
         radical.append(v)  # g - 1
-    generators = [list(unit)]
-    for g in gens:
-        v = [zero] * d
-        v[index[g]] = one
-        v[index[identity]] = field.sub(v[index[identity]], one)
-        generators.append(v)
     return make_table(
         field=field,
         basis_names=names,
@@ -838,7 +827,6 @@ def _group_algebra(names: list[str], mult_map: dict[tuple[str, str], str],
         unit=unit,
         idempotents=[("v0", unit)],
         radical=radical,
-        generators=generators,
         provenance={"kind": "preset", "preset": preset},
     )
 
@@ -855,7 +843,7 @@ def _dihedral8_table(field: FieldSpec) -> AlgebraTable:
         return f"r{a}s{b}"
 
     mult_map = {(x, y): mul(x, y) for x in names for y in names}
-    return _group_algebra(names, mult_map, "r0s0", ["r1s0", "r0s1"], field, "dihedral8-f2")
+    return _group_algebra(names, mult_map, "r0s0", field, "dihedral8-f2")
 
 
 def _quaternion8_table(field: FieldSpec) -> AlgebraTable:
@@ -878,7 +866,7 @@ def _quaternion8_table(field: FieldSpec) -> AlgebraTable:
         return ("z" if s else "") + u
 
     mult_map = {(x, y): mul(x, y) for x in names for y in names}
-    return _group_algebra(names, mult_map, "1", ["i", "j"], field, "quaternion8-f2")
+    return _group_algebra(names, mult_map, "1", field, "quaternion8-f2")
 
 
 _TRUNCPOLY = re.compile(r"truncated-poly\((\d+),(F(\d+)|Q)\)$")
@@ -940,7 +928,6 @@ def opposite(table: AlgebraTable) -> AlgebraTable:
         unit=table.unit,
         idempotents=table.idempotents,
         radical=table.radical,
-        generators=table.generators,
         provenance={"kind": "opposite", "of": table.provenance},
     )
 
@@ -988,8 +975,6 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
     for e in span_e.rows:
         for r in b.radical:
             radical.append(kron(_dense(e, a.dim, zero), r))
-    generators = [kron(g, b.unit) for g in a.generators]
-    generators += [kron(a.unit, g) for g in b.generators]
     return make_table(
         field=fld,
         basis_names=basis_names,
@@ -997,7 +982,6 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
         unit=unit,
         idempotents=idem,
         radical=radical,
-        generators=generators,
         provenance={"kind": "tensor"},
     )
 
@@ -1023,11 +1007,10 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
         raise SizeLimitError("corner algebra too large")
 
     def coords(vec):
-        """Coordinates of ``vec`` in the reduced rows: its entries at their pivots."""
-        if span.residue(vec):
+        c = coords_against(fld, rows, pivots, vec)
+        if c is None:
             raise CompileError("corner multiplication left the corner span")
-        at = dict(vec)
-        return tuple((r, at[c]) for r, c in enumerate(pivots) if c in at)
+        return c
 
     mult = [[coords(table._mul(u, v)) for v in rows] for u in rows]
     unit = _dense(coords(e), dim_c, zero)
@@ -1046,7 +1029,6 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
         unit=unit,
         idempotents=idem,
         radical=radical,
-        generators=None,
         provenance={"kind": "corner", "of": table.provenance, "idem": list(idem_labels)},
     )
     return corner, [_dense(r, d, zero) for r in rows]

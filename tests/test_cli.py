@@ -6,9 +6,11 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab import rigidity as rg
 from domdimlab.cli import main
+from domdimlab.exactmath import F2
 
 
 @pytest.fixture()
@@ -299,11 +301,16 @@ OUT_OF_SCOPE_FILES = {
     "scalar-zero-denominator": ("zero-denominator", "compile"),
     "provenance-not-an-object": ("provenance-string", "compile"),
     "repeated-basis-names": ("repeated-names", "compile"),
+    "repeated-idempotent-labels": ("repeated-labels", "predicates"),
+    "label-names-another-element": ("label-names-x", "compile"),
 }
 # k[x]/(x^2) over F_2, with one vector of the wrong length
 DUAL_NUMBERS = {"kind": "table", "field": {"kind": "prime", "p": 2}, "basis": ["1", "x"],
                 "unit": ["1", "0"], "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
                 "idempotents": [["v0", ["1", "0"]]], "radical": [["0", "1"]]}
+# the cyclic Nakayama algebra (2, 3) over F_2, both idempotents labelled "v"
+REPEATED_LABELS = qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), F2).to_json()
+REPEATED_LABELS["idempotents"] = [["v", e] for _, e in REPEATED_LABELS["idempotents"]]
 ALGEBRA_FILES = {
     "semisimple": {"kind": "quiver", "vertices": ["v0"], "arrows": [], "relations": [],
                    "loewy_bound": 2, "field": {"kind": "prime", "p": 2}},
@@ -330,6 +337,9 @@ ALGEBRA_FILES = {
                          "structure": [[0, 0, 0, "1/0"], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
     "provenance-string": {**DUAL_NUMBERS, "provenance": "abc"},
     "repeated-names": {**DUAL_NUMBERS, "basis": ["x", "x"]},
+    "repeated-labels": REPEATED_LABELS,
+    # the idempotent b_0 labelled with the name of b_1
+    "label-names-x": {**DUAL_NUMBERS, "idempotents": [["x", ["1", "0"]]]},
 }
 
 

@@ -195,11 +195,34 @@ def test_coords_against_sparse_basis(m, data):
     coeffs = [fld.of_int(x) for x in data.draw(st.lists(
         st.integers(-4, 4), min_size=res.rank, max_size=res.rank))]
     vec = matmul_rows(fld, [coeffs], basis)[0] if basis else [fld.zero()] * m.cols
-    assert coords_against(fld, support, list(res.pivots), vec) == coeffs
+    assert coords_against(fld, support, list(res.pivots), sparse_row(vec)) == sparse_row(coeffs)
     free = [c for c in range(m.cols) if c not in res.pivots]
     if free:
         vec[free[0]] = fld.add(vec[free[0]], fld.one())
-        assert coords_against(fld, support, list(res.pivots), vec) is None
+        assert coords_against(fld, support, list(res.pivots), sparse_row(vec)) is None
+
+
+@given(matrices(min_rows=1, min_cols=1), st.data())
+def test_coords_against_kernel_basis(m, data):
+    # a basis from left_kernel_rows has each pivot at its row's last entry,
+    # with every other row 0 there; coordinates are still read at the pivots
+    from domdimlab.exactmath import coords_against, left_kernel_rows, matmul_rows, sparse_row
+
+    fld = m.field
+    basis = left_kernel_rows(fld, m.row_lists())
+    support = [sparse_row(r) for r in basis]
+    pivots = [r[-1][0] for r in support]
+    assert all(r[-1][1] == 1 for r in support)
+    assert all(b[c] == 0 for k, c in enumerate(pivots) for j, b in enumerate(basis) if j != k)
+    coeffs = [fld.of_int(x) for x in data.draw(st.lists(
+        st.integers(-4, 4), min_size=len(basis), max_size=len(basis)))]
+    vec = matmul_rows(fld, [coeffs], basis)[0] if basis else [fld.zero()] * m.rows
+    assert coords_against(fld, support, pivots, sparse_row(vec)) == sparse_row(coeffs)
+    # a vector that is 0 at every pivot lies in the span only if it is 0
+    outside = [c for c in range(m.rows) if c not in pivots]
+    if outside:
+        vec[outside[0]] = fld.add(vec[outside[0]], fld.one())
+        assert coords_against(fld, support, pivots, sparse_row(vec)) is None
 
 
 @given(matrices(field=QQ, max_rows=4, max_cols=4), st.data())

@@ -7,8 +7,8 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab.bounded import BoundedValue
-from domdimlab.exactmath import (F2, F3, QQ, coords_against, kernel_rows, matmul_rows, rank_rows,
-                                 rref_rows, sparse_row)
+from domdimlab.exactmath import (F2, F3, QQ, kernel_rows, matmul_rows, rank_rows, rref_rows,
+                                 sparse_row)
 from domdimlab.suites import cyclic_series
 
 
@@ -231,7 +231,8 @@ def test_hom_dims_match_combinatorial():
                     rm, rn = bridged[M], bridged[N]
                     basis = hml.hom_basis(rm, rn)
                     assert len(basis) == nak.dim_hom(A, M, N), (fld, kup, M, N)
-                    for g in table.generators:
+                    for g in qa._default_generators(table):
+                        g = qa._dense(g, table.dim, fld.zero())
                         act_m, act_n = rm.element_action(g), rn.element_action(g)
                         for T in basis:
                             assert (matmul_rows(fld, act_m, T)
@@ -244,7 +245,8 @@ def _intertwiner_oracle(M, N):
     full system in dM * dN unknowns, solved by one kernel."""
     fld, dm, dn = M.algebra.field, M.dim, N.dim
     rows = []
-    for g in M.algebra.generators:
+    for g in qa._default_generators(M.algebra):
+        g = qa._dense(g, M.algebra.dim, fld.zero())
         act_m, act_n = M.element_action(g), N.element_action(g)
         for i in range(dm):
             for k in range(dn):
@@ -448,19 +450,19 @@ def test_delta_selfinjective_needs_witnesses(bridged33):
 
 def test_ideal_module_x_squared():
     table = qa.preset("truncated-poly(4,Q)")
-    X = hml.ideal_module(table, [table.element_from_expr("a0*a0")])
+    X = hml.ideal_module(table, [sparse_row(table.element_from_expr("a0*a0"))])
     assert X.dim == 2
 
 
 def test_ideal_module_rejects_zero():
     table = qa.preset("truncated-poly(4,Q)")
     with pytest.raises(ValueError):
-        hml.ideal_module(table, [table.zero_vec()])
+        hml.ideal_module(table, [sparse_row(table.zero_vec())])
 
 
 def test_check_ideal_rigidity_truncated_poly():
     table = qa.preset("truncated-poly(4,Q)")
-    X = hml.ideal_module(table, [table.element_from_expr("a0*a0")])
+    X = hml.ideal_module(table, [sparse_row(table.element_from_expr("a0*a0"))])
     rep = hml.check_ideal_rigidity(table, X)
     assert rep.holds and rep.hom_to_quotient > 0 and rep.ext1_self > 0
 
@@ -481,7 +483,7 @@ def test_check_ideal_rigidity_enveloping_f3():
 
 def test_check_ideal_rigidity_requires_proper_ideal():
     table = qa.preset("truncated-poly(4,Q)")
-    full = hml.ideal_module(table, [list(table.unit)])
+    full = hml.ideal_module(table, [sparse_row(table.unit)])
     with pytest.raises(hml.PreconditionError):
         hml.check_ideal_rigidity(table, full)
 
@@ -860,10 +862,22 @@ def random_scalar(fld, rng):
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
+def assert_canonical_pairs(fld, pairs, dim):
+    """(k, c) pairs with k strictly ascending in 0..dim-1 and every c
+    nonzero and reduced."""
+    assert isinstance(pairs, tuple)
+    assert [k for k, _ in pairs] == sorted({k for k, _ in pairs})
+    assert all(0 <= k < dim and c for k, c in pairs)
+    if fld.kind == "prime":
+        assert all(0 < c < fld.p for _, c in pairs)
+    else:
+        assert all(isinstance(c, Fraction) for _, c in pairs)
+
+
 @FIELDS
 def test_apply_matches_dense_product(fld):
-    from domdimlab.exactmath import matmul_rows
-
+    # apply and apply_element take and return canonical pairs, equal to the
+    # dense products with the dense action matrices
     rng = random.Random(f"apply:{fld.describe()}")
     for name, M in sparse_builders(fld).items():
         A = M.algebra
@@ -872,14 +886,18 @@ def test_apply_matches_dense_product(fld):
             vec = [random_scalar(fld, rng) for _ in range(M.dim)]
             a = [random_scalar(fld, rng) for _ in range(A.dim)]
             for u in range(A.dim):
-                assert M.apply(vec, u) == matmul_rows(fld, [vec], dense[u])[0], (name, u)
+                got = M.apply(sparse_row(vec), u)
+                assert_canonical_pairs(fld, got, M.dim)
+                assert got == sparse_row(matmul_rows(fld, [vec], dense[u])[0]), (name, u)
             act = [[fld.zero()] * M.dim for _ in range(M.dim)]
             for u, c in enumerate(a):
                 for i in range(M.dim):
                     for j in range(M.dim):
                         act[i][j] = fld.add(act[i][j], fld.mul(c, dense[u][i][j]))
             assert M.element_action(a) == act, name
-            assert M.apply_element(vec, a) == matmul_rows(fld, [vec], act)[0], name
+            got = M.apply_element(sparse_row(vec), sparse_row(a))
+            assert_canonical_pairs(fld, got, M.dim)
+            assert got == sparse_row(matmul_rows(fld, [vec], act)[0]), name
 
 
 # -- resolutions kept inside their projective covers --------------------------
@@ -891,7 +909,7 @@ def dual_numbers_off_the_path_basis(fld):
     mult = [[((0, one),), ((1, one),)],
             [((1, one),), ((0, fld.neg(one)), (1, fld.of_int(2)))]]  # (1+x)^2 = -1 + 2(1+x)
     return qa.make_table(fld, ["1", "1+x"], mult, (one, zero), [("v", (one, zero))],
-                         [(fld.neg(one), one)], None)
+                         [(fld.neg(one), one)])
 
 
 def resolution_cases():
@@ -928,7 +946,8 @@ def test_resolution_matches_iterated_syzygies_and_composes_to_zero(M, t):
             for c2 in range(len(res.levels[s + 1])):
                 total = table.zero_vec()
                 for c1 in range(len(res.levels[s])):
-                    prod = table.mult_elements(d_s[c][c1], d_next[c1][c2])
+                    prod = qa._dense(table._mul(d_s[c][c1], d_next[c1][c2]), table.dim,
+                                     table.field.zero())
                     total = [table.field.add(x, y) for x, y in zip(total, prod)]
                 assert not any(total), (s, c, c2)
 
@@ -937,14 +956,14 @@ def test_cover_of_rows_that_are_not_action_stable_raises(hopf, bridged33):
     # span{1} in the regular module: 1 * J leaves it
     R = hml.regular(hopf)
     with pytest.raises(ValueError, match="not action-stable"):
-        hml.projective_cover(R, [list(hopf.unit)])
+        hml.projective_cover(R, [sparse_row(hopf.unit)])
     with pytest.raises(ValueError, match="not action-stable"):
-        hml.submodule(R, [list(hopf.unit)])
+        hml.submodule(R, [sparse_row(hopf.unit)])
     # span{a0*a1 + a1*a0} over the cycle (3, 3): J kills it, e_0 does not keep it
     R = hml.regular(bridged33)
     names = bridged33.basis_names
-    row = [1 if n in ("a0*a1", "a1*a0") else 0 for n in names]
-    assert not any(any(R.apply_element(row, x)) for x in qa._radical_top(bridged33))
+    row = tuple((k, 1) for k, n in enumerate(names) if n in ("a0*a1", "a1*a0"))
+    assert not any(R.apply_element(row, x) for x in qa._radical_top(bridged33))
     with pytest.raises(ValueError, match="not action-stable"):
         hml.projective_cover(R, [row])
 
@@ -964,15 +983,20 @@ def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
 
 def dense_projective(table, v):
     """e_vA built from dense products: the RREF basis of the span of the
-    e_v * b_j, and each action row b * b_u in that basis."""
+    e_v * b_j, and each action row b * b_u in that basis, read at the
+    pivots and checked by a dense recombination."""
     fld = table.field
     e = list(table.idempotents[v][1])
     basis, pivots = _rref(fld, [table.mult_elements(e, table.basis_vec(j)) for j in range(table.dim)])
-    support = [sparse_row(b) for b in basis]
-    rows = tuple(tuple(sparse_row(coords_against(fld, support, pivots,
-                                                 table.mult_elements(b, table.basis_vec(u))))
-                       for b in basis) for u in range(table.dim))
-    return basis, rows
+
+    def coords(vec):
+        coeffs = [vec[c] for c in pivots]
+        assert matmul_rows(fld, [coeffs], basis)[0] == vec
+        return sparse_row(coeffs)
+
+    rows = tuple(tuple(coords(table.mult_elements(b, table.basis_vec(u))) for b in basis)
+                 for u in range(table.dim))
+    return [sparse_row(b) for b in basis], rows
 
 
 def iterated_quotient(table, v, length):
@@ -981,11 +1005,10 @@ def iterated_quotient(table, v, length):
     reduced against the RREF basis of that span."""
     P = hml.projective(table, v)
     fld = table.field
-    rows = hml._identity(fld, P.dim)
+    rows = hml._unit_rows(fld, P.dim)
     for _ in range(length):
-        rows = [qa._dense(r, P.dim, fld.zero())
-                for r in hml._image_span(P, rows, qa._radical_top(table)).rows]
-    basis, pivots = _rref(fld, rows)
+        rows = hml._image_span(P, rows, qa._radical_top(table)).rows
+    basis, pivots = _rref(fld, [qa._dense(r, P.dim, fld.zero()) for r in rows])
     comp = [j for j in range(P.dim) if j not in pivots]
 
     def project(row):
@@ -1032,8 +1055,7 @@ def test_bridged_module_matches_the_iterated_quotient(make):
 @pytest.mark.parametrize("make", CUT_TABLES.values(), ids=CUT_TABLES.keys())
 def test_radical_power_matches_the_powers_of_the_declared_radical(make):
     table = make()
-    zero = table.field.zero()
-    powers = [[qa._dense(r, table.dim, zero) for r in rows] for rows in qa._radical_powers(table)]
+    powers = list(qa._radical_powers(table))
     for k in range(1, qa.loewy_length(table) + 2):
         X = hml.radical_power(table, k)
         if k <= len(powers):
