@@ -15,9 +15,10 @@ filtration M > MJ > MJ^2 > ... per module, computed once and cached on
 it.  All functors here are computed through minimal projective
 resolutions built from explicit projective covers.  A resolution keeps
 each syzygy as rows of the projective term that contains it and covers
-it there, so no syzygy is built as a module of its own.  Injective
-constructions are obtained exclusively by dualising over the opposite
-algebra, so there is a single code path to test.
+it there, so no syzygy is built as a module of its own.  The
+projective-injective vertices are read from the socle of A_A, and the
+dominant dimension dualises a resolution of D(A_A) over the opposite
+algebra.
 
 Every potentially infinite search (dominant dimension, first
 non-vanishing self-extension, their suprema) takes a cutoff and returns
@@ -460,11 +461,14 @@ def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list[tuple]]
     """Projective cover of M, or of its submodule spanned by ``rows``, and
     rows spanning the kernel inside the cover, certified to lie in the
     radical of the cover (minimality).  As rad(P) is the sum of the
-    rad(P_v), each block of a kernel row is checked on its own."""
+    rad(P_v), each block of a kernel row is checked on its own; an empty
+    kernel needs no check."""
     A = M.algebra
     fld = A.field
     cov = projective_cover(M, rows)
     ker = [sparse_row(r) for r in left_kernel_rows(fld, cov.matrix)]
+    if not ker:
+        return cov, ker
     entries = [dict(r) for r in ker]
     for (v, _), off in zip(cov.blocks, cov.offsets):
         for form in _top_forms(A, v):
@@ -716,7 +720,7 @@ def modules_isomorphic(M: Representation, N: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# injectives, dominant dimension, phi, delta
+# dominant dimension, phi, delta
 # ---------------------------------------------------------------------------
 
 def _op_table(table: AlgebraTable) -> AlgebraTable:
@@ -727,14 +731,6 @@ def _op_table(table: AlgebraTable) -> AlgebraTable:
         op._cache["opposite"] = table
         op._cache["radical_top"] = _radical_top(table)  # same J and J^2 as the table
     return op
-
-
-def injective(table: AlgebraTable, vertex: int) -> Representation:
-    """D(A e_v), computed as the dual of the projective over the opposite."""
-    op = _op_table(table)
-    rep = dual_representation(projective(op, vertex), table)
-    rep.name = f"I({table.idempotents[vertex][0]})"
-    return rep
 
 
 def dual_regular(table: AlgebraTable) -> Representation:
@@ -765,13 +761,29 @@ def enveloping(table: AlgebraTable):
 
 
 def projective_injective_vertices(table: AlgebraTable) -> set[int]:
-    """Vertices whose injective is also projective.  An indecomposable
-    injective is isomorphic to some P_j exactly when it is projective,
-    i.e. when its projective cover is no larger than itself."""
+    """Vertices w whose injective I_w = D(Ae_w) is projective, i.e. is some
+    P_v = e_vA.  On a split basic algebra (``verify_table``) that holds iff
+    soc(e_vA) is S_w, one-dimensional, and dim e_vA = dim Ae_w, as P_v
+    embeds in I_w, the envelope of its socle.  soc(e_vA) = e_v soc(A_A),
+    and soc(A_A) is the left kernel of right multiplication by the radical
+    top, which generates J as a right ideal.  No injective module is built."""
     cached = table._cache.get("pi_vertices")
     if cached is None:
-        cached = {v for v in range(table.n_vertices)
-                  if is_projective_rep(injective(table, v))}
+        fld, d = table.field, table.dim
+        R, units, zero = regular(table), _unit_rows(fld, d), fld.zero()
+        gens = _radical_top(table)
+        # row u: the products b_u x over the radical top, side by side
+        right_mult = [[y for x in gens for y in _dense(R.apply_element(u, x), d, zero)]
+                      for u in units]
+        soc = [sparse_row(r) for r in left_kernel_rows(fld, right_mult)]
+        idem = [sparse_row(e) for _, e in table.idempotents]
+        cached = set()
+        for e in idem:
+            soc_v, _ = _image_span(R, [e], soc).finish()
+            if len(soc_v) == 1:
+                w = next(w for w, f in enumerate(idem) if R.apply_element(soc_v[0], f))
+                if _image_span(R, [e], units).rank == len(_weight_basis(R, w)[0]):
+                    cached.add(w)
         table._cache["pi_vertices"] = cached
     return cached
 
@@ -799,40 +811,6 @@ def domdim(table: AlgebraTable, cutoff: int) -> BoundedValue:
         if any(v not in PI for v in res.levels[s]):
             return BoundedValue.finite(s)
     return BoundedValue.at_least(cutoff)
-
-
-@dataclass
-class CoresolutionReport:
-    module: str
-    terms: list  # per step: {"vertices": {label: count}, "dim": n, "projective": bool}
-
-    def to_json(self):
-        return {"module": self.module, "terms": self.terms}
-
-
-def _term_summary(table: AlgebraTable, vertices) -> dict:
-    """Vertex multiset (by label) and dimension of the sum of the
-    projectives of ``table`` at ``vertices``."""
-    counts: dict[str, int] = {}
-    dim_s = 0
-    for v in vertices:
-        label = table.idempotents[v][0]
-        counts[label] = counts.get(label, 0) + 1
-        dim_s += projective(table, v).dim
-    return {"vertices": dict(sorted(counts.items())), "dim": dim_s}
-
-
-def injective_coresolution(M: Representation, t: int) -> CoresolutionReport:
-    """First t terms of the minimal injective coresolution, by dualising."""
-    table = M.algebra
-    op = _op_table(table)
-    dual = dual_representation(M, op)
-    res = _resolution(dual, t)
-    PI = projective_injective_vertices(table)
-    # the opposite algebra has the same vertex labels
-    terms = [{**_term_summary(op, verts), "projective": all(v in PI for v in verts)}
-             for verts in (res.levels + [[]] * t)[:t]]
-    return CoresolutionReport(M.name or "M", terms)
 
 
 def _first_nonzero_ext(M: Representation, N: Representation, cutoff: int) -> BoundedValue:

@@ -28,12 +28,6 @@ def _announce(num, label, detail=""):
     print(f"ACCEPTANCE {num:02d} {label}: PASS {detail}".rstrip())
 
 
-@pytest.fixture(scope="module")
-def rigidity_sweep():
-    """One run of the rigidity-sweep suite, shared by criteria 03 and 04."""
-    return suites.suite_rigidity_sweep()
-
-
 def _sweep_chunks(items):
     return [it for it in items if it["name"].startswith("rigidity-sweep-")]
 

@@ -356,10 +356,58 @@ def test_duality_consistency():
 
 # -- injectives and dominant dimension ------------------------------------------
 
+def _injective(table, w):
+    """I_w = D(A e_w), the dual of a projective over the opposite algebra:
+    the reference for the socle test of ``projective_injective_vertices``."""
+    return hml.dual_representation(hml.projective(hml._op_table(table), w), table)
+
+
 def test_injective_dims_line21():
     table = qa.nakayama_to_table(nak.validate(nak.LINE, (2, 1)), QQ)
-    assert sorted(hml.injective(table, a).dim for a in range(2)) == [1, 2]
+    assert sorted(_injective(table, a).dim for a in range(2)) == [1, 2]
     assert hml.projective_injective_vertices(table) == {1}
+
+
+def _pi_reference_tables():
+    """(label, table, expected PI set or None) off and on the bridges."""
+    out = [(f"auslander({n}, {fld.describe()})", auslander_algebra(n, fld), None)
+           for n in range(2, 5) for fld in (F2, F3, QQ)]
+    cases = [((4, 4, 4), F2, [(0, 1)]), ((4, 4, 4), QQ, [(0, 1)]),
+             ((5, 5, 5), F2, [(0, 1)]), ((5, 5, 5), QQ, [(0, 1)]),
+             ((4, 4), F2, [(0, 1), (1, 2)])]
+    for kup, fld, extra in cases:
+        B = qa.nakayama_to_table(nak.validate(nak.CYCLE, kup), fld)
+        summands = [hml.projective(B, v) for v in range(len(kup))]
+        summands += [hml.bridged_module(B, v, length) for v, length in extra]
+        out.append((f"End({kup} + {extra}, {fld.describe()})",
+                    hml.endomorphism_algebra(summands), None))
+    out += [(name, qa.preset(name), None) for name in
+            ("hopf-a5-f2", "dihedral8-f2", "quaternion8-f2", "preproj-a2", "truncated-poly(4,Q)")]
+    out.append(("line(3,2,1)", qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 1)), QQ), {2}))
+    two_points = qa.compile_quiver(qa.QuiverSpec(("u", "v"), (), (), 2, F3))
+    out.append(("two points", two_points, {0, 1}))
+    return out
+
+
+def test_projective_injectives_from_the_socle_match_the_injectives(monkeypatch):
+    cases = _pi_reference_tables()
+    want = {}
+    for label, table, expected in cases:
+        want[label] = {w for w in range(table.n_vertices)
+                       if hml.is_projective_rep(_injective(table, w))}
+        if expected is not None:
+            assert want[label] == expected, label
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an injective module was built")
+
+    for name in ("dual_representation", "projective_cover", "opposite"):
+        monkeypatch.setattr(hml, name, refuse)
+    for label, table, _ in cases:
+        # the reference route filled other caches, never this one
+        assert "pi_vertices" not in table._cache, label
+        assert hml.projective_injective_vertices(table) == want[label], label
+        assert hml.is_selfinjective(table) == (want[label] == set(range(table.n_vertices))), label
 
 
 def test_domdim_bridged_family(bridged33):
@@ -378,24 +426,6 @@ def test_domdim_agrees_with_combinatorial_engine():
         A = nak.validate(nak.CYCLE, kup)
         table = qa.nakayama_to_table(A, F2)
         assert hml.domdim(table, 16) == nak.domdim(A, 16)
-
-
-def test_injective_coresolution_report(bridged33):
-    S = hml.bridged_module(bridged33, 0, 1)
-    rep = hml.injective_coresolution(S, 3)
-    assert len(rep.terms) == 3
-    assert all(t["projective"] for t in rep.terms)  # selfinjective algebra
-    assert rep.terms[0]["dim"] == 3  # envelope of a simple is one injective
-
-
-def test_injective_coresolution_matches_combinatorial_domdim():
-    A = nak.validate(nak.CYCLE, (2, 3))
-    table = qa.nakayama_to_table(A, F2)
-    P0 = hml.projective(table, 0)
-    rep = hml.injective_coresolution(P0, 4)
-    flags = [t["projective"] for t in rep.terms]
-    # first non-projective term sits exactly at the dominant dimension
-    assert flags.index(False) == nak.domdim_module(A, nak.projective(A, 0), 16).value == 2
 
 
 def test_resolution_terms_hopf(hopf):

@@ -12,11 +12,22 @@ SUITE_DIGESTS = {
     "main-inequality": "d98bd19adde5587f15f4489374e17ade57515f7f1e2b5b34f7d8dc13d9ad72ef",
     "oracle-cross": "0d2c7c75fc5dbd6067c09faa3248473e189d880350995815d1b3a9ce7f726fbc",
 }
+# read from the session's one run of the suite (the rigidity_sweep fixture)
+RIGIDITY_SWEEP_DIGEST = "dff7c16db346ad15a1c42d4aeba75c533975bcc28fb70646c8fbf49e64ac8362"
+
+
+def _digest(items):
+    return hashlib.sha256(json.dumps(items, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", SUITE_DIGESTS)
 def test_suite_reports_are_pinned(name):
     items, failures = suites.SUITES[name]()
     assert failures == []
-    text = json.dumps(items, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGESTS[name]
+    assert _digest(items) == SUITE_DIGESTS[name]
+
+
+def test_rigidity_sweep_report_is_pinned(rigidity_sweep):
+    items, failures = rigidity_sweep
+    assert failures == []
+    assert _digest(items) == RIGIDITY_SWEEP_DIGEST
