@@ -11,8 +11,11 @@ mutable lists of lists and exist for the hot loops of the algebra and
 homology engines.  Sparse rows are tuples of (k, c) pairs, k ascending
 and every c nonzero (``sparse_row`` converts a dense row once):
 ``coords_against`` takes its basis and vector in that form and returns
-the coordinates so, and a ``SpanBuilder`` holds its rows and reduces
-vectors in it.  The immutable dense ``Matrix`` class stays as public API.
+the coordinates so, a ``SpanBuilder`` holds its rows and reduces
+vectors in it, and ``left_kernel_rows`` takes pair rows and returns
+their rank and left kernel, the kernel as pair rows, from one
+elimination of [C | I] (bit-packed over F_2).  The immutable dense
+``Matrix`` class stays as public API.
 """
 
 from __future__ import annotations
@@ -388,14 +391,40 @@ def kernel_rows(field: FieldSpec, rows: list[list], ncols: int) -> list[list]:
     return basis
 
 
-def left_kernel_rows(field: FieldSpec, rows: list[list]) -> list[list]:
-    """Basis of {x : x . rows_matrix = 0} (rows of length len(rows))."""
-    nrows = len(rows)
-    if nrows == 0:
-        return []
-    ncols = len(rows[0])
-    transposed = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    return kernel_rows(field, transposed, nrows)
+def left_kernel_rows(field: FieldSpec, rows: list[tuple], ncols: int) -> tuple[int, list[tuple]]:
+    """(rank, basis of {x : x . rows_matrix = 0}) for ``rows`` given as
+    (k, c) pairs over ``ncols`` columns, from one elimination of [C | I].
+    Row i of I sits at column ncols + n-1-i, so the kernel rows are
+    reduced from their last entry back: each is 1 at its last entry,
+    where every other row is 0, in ascending order of that entry.  This
+    basis is unique, and it is the one ``kernel_rows`` gives for the
+    transpose.  F_2 rows are packed into ints, bit k for column k, as in
+    ``_rref_f2``."""
+    n = len(rows)
+    if field.kind == "prime" and field.p == 2:
+        pivot: dict[int, int] = {}  # lowest bit -> echelon row
+        for i, r in enumerate(rows):
+            v = sum(1 << k for k, c in r if c & 1) | 1 << (ncols + n - 1 - i)
+            while (low := v & -v) in pivot:
+                v ^= pivot[low]
+            pivot[low] = v
+        ker = sorted((low >> ncols, v >> ncols) for low, v in pivot.items() if low >> ncols)
+        for a, (low, v) in enumerate(ker):  # back-substitution; the lowest bit is the last entry
+            for b in range(a):
+                if ker[b][1] & low:
+                    ker[b] = ker[b][0], ker[b][1] ^ v
+        width = f"0{n}b"
+        kernel = [tuple((i, 1) for i, x in enumerate(format(v, width)) if x == "1") for _, v in ker]
+        return n - len(ker), kernel[::-1]
+    span = SpanBuilder(field)
+    one = field.one()
+    for i, r in enumerate(rows):
+        span.add(tuple(r) + ((ncols + n - 1 - i, one),))
+    ker = SpanBuilder(field)  # the rows with their pivot in I span the kernel
+    ker._at = {c: row for c, row in span._at.items() if c >= ncols}
+    last = ncols + n - 1
+    kernel = [tuple((last - k, x) for k, x in reversed(row)) for row in ker.finish()[0]]
+    return n - len(kernel), kernel[::-1]
 
 
 def matmul_rows(field: FieldSpec, a: list[list], b: list[list]) -> list[list]:

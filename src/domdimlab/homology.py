@@ -7,8 +7,10 @@ the module axiom.  The matrices are stored as sparse rows: most entries
 are zero in the modules a resolution builds.  Module vectors and algebra
 elements are (k, c) pairs in the same format, k ascending and every c
 nonzero; dense rows appear only as inputs of the elimination kernels
-(cover matrices, Ext differentials, Hom matrices) and in the dense views
-of a module.  Modules are cut out of the
+(Ext differentials, Hom matrices) and in the dense views of a module.
+A projective cover writes its map as pair rows, and one elimination
+(``exactmath.left_kernel_rows``) gives both its rank and its kernel.
+Modules are cut out of the
 regular module: the projectives e_vA are its submodules, the powers J^k
 and the uniserial bridges P_v / P_v J^k are read from one radical
 filtration M > MJ > MJ^2 > ... per module, computed once and cached on
@@ -342,16 +344,18 @@ class Cover:
     P: Representation
     blocks: list[tuple[int, list[tuple]]]  # (vertex, basis rows of e_iA)
     offsets: list[int]
-    matrix: list[list]  # dim P x dim M, dense for the elimination kernels
+    matrix: list[tuple]  # dim P rows of (k, c) pairs over the dim M columns
     generators: list[tuple[int, tuple]]  # (vertex, image row in M) per summand
+    kernel: list[tuple]  # of the cover map, from ``left_kernel_rows``
 
 
 def _reduced_basis(fld, rows) -> tuple[list[tuple], list[int]]:
     """A basis of the span of ``rows`` in which row k is 1 at column
     pivots[k] and every other row is 0 there.  Rows that already have this
-    form at their last nonzero entries, as unit rows and the kernel rows of
-    ``left_kernel_rows`` do, are kept as they are; others are brought to
-    RREF."""
+    form at their last nonzero entries, as unit rows and the kernel of a
+    cover (``Cover.kernel``, from ``left_kernel_rows``) do, are kept as
+    they are, so a resolution step reduces no syzygy; others are brought
+    to RREF."""
     rows = [r for r in rows if r]
     pivots = [r[-1][0] for r in rows]
     pivset = set(pivots)
@@ -389,9 +393,10 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     as a module of its own.  U*J is spanned by the images of the rows
     under ``_radical_top``; the top generators are rows times vertex
     idempotents, picked while independent modulo U*J; the cover matrix
-    (dim P x dim M) maps each summand e_vA onto the submodule its
-    generator spans, and its rank must be dim U (surjectivity).  Each
-    generator is returned as its row in M.  ValueError: U is not
+    (dim P pair rows over the dim M columns) maps each summand e_vA onto
+    the submodule its generator spans.  One elimination gives its rank,
+    which must be dim U (surjectivity), and its left kernel, the
+    syzygy.  Each generator is returned as its row in M.  ValueError: U is not
     action-stable, that is a row of U*J or an idempotent image of a row
     leaves span(U)."""
     A = M.algebra
@@ -427,17 +432,17 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     assert len(gens) == need, "top generators do not split by idempotents"
     vertices = [vi for vi, _ in gens]
     P, blocks, offsets = _projective_sum(A, vertices)
-    zero = fld.zero()
     matrix = []
     for (vi, m), (v2, brows) in zip(gens, blocks):
         # the image of the block row r is m @ act(r) = sum_u r_u (m @ act(b_u))
         images = [M.apply(m, u) for u in range(A.dim)]
         for r in brows:
-            matrix.append(_dense(M._combine((c, images[u]) for u, c in r), M.dim, zero))
+            matrix.append(M._combine((c, images[u]) for u, c in r))
+    rank, kernel = left_kernel_rows(fld, matrix, M.dim)
     # the images lie in U, which the generators cover modulo U*J
-    if rank_rows(fld, matrix) != len(basis):
+    if rank != len(basis):
         raise AssertionError("projective cover failed to surject")
-    return Cover(vertices, P, blocks, offsets, matrix, gens)
+    return Cover(vertices, P, blocks, offsets, matrix, gens, kernel)
 
 
 def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
@@ -461,21 +466,26 @@ def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list[tuple]]
     """Projective cover of M, or of its submodule spanned by ``rows``, and
     rows spanning the kernel inside the cover, certified to lie in the
     radical of the cover (minimality).  As rad(P) is the sum of the
-    rad(P_v), each block of a kernel row is checked on its own; an empty
-    kernel needs no check."""
-    A = M.algebra
-    fld = A.field
+    rad(P_v), the top forms of each block are read on that block alone;
+    they are indexed by the columns of P they read, so a kernel row costs
+    only its own entries.  An empty kernel needs no check."""
     cov = projective_cover(M, rows)
-    ker = [sparse_row(r) for r in left_kernel_rows(fld, cov.matrix)]
+    ker = cov.kernel
     if not ker:
         return cov, ker
-    entries = [dict(r) for r in ker]
+    p = M.algebra.field.p
+    reads: dict[int, list] = {}  # column of P -> ((block, form), coefficient) pairs
     for (v, _), off in zip(cov.blocks, cov.offsets):
-        for form in _top_forms(A, v):
-            for row in entries:
-                val = sum(row.get(off + j, 0) * c for j, c in form)
-                if val % fld.p if fld.kind == "prime" else val:
-                    raise AssertionError("cover is not minimal: kernel escapes the radical")
+        for f, form in enumerate(_top_forms(M.algebra, v)):
+            for j, c in form:
+                reads.setdefault(off + j, []).append(((off, f), c))
+    for row in ker:
+        val: dict = {}
+        for j, x in row:
+            for key, c in reads.get(j, ()):
+                val[key] = val.get(key, 0) + x * c
+        if any(x % p for x in val.values()) if p else any(val.values()):
+            raise AssertionError("cover is not minimal: kernel escapes the radical")
     return cov, ker
 
 
@@ -640,16 +650,25 @@ def ext_dims(M: Representation, N: Representation, t: int,
     if t < 1:
         raise ValueError("t must be >= 1")
     _require_same_algebra(M, N)
-    res = _resolution(M, t + 2)  # the outgoing differential needs level t+1
-    bases = [[_weight_basis(N, v) for v in verts] for verts in res.levels[:t + 2]]
-    dims = [sum(len(rows) for rows, _ in b) for b in bases] + [0] * (t + 2 - len(bases))
-    ranks = [0] * (t + 3)  # ranks[s]: rank of Hom(P_{s-1}, N) -> Hom(P_s, N)
-    for s in range(1, len(bases)):
-        ranks[s] = _differential_rank(N, res.maps[s], bases[s - 1], bases[s])
+    ranks = [0]
+    dims = _hom_complex(M, N, t, ranks)
     degrees = tuple(dims[s] - ranks[s] - ranks[s + 1] for s in range(1, t + 1))
     assert all(x >= 0 for x in degrees)
     hom = dims[0] - ranks[1] if include_hom else None
     return ExtTable(M.name or "M", N.name or "N", degrees, hom)
+
+
+def _hom_complex(M: Representation, N: Representation, t: int, ranks: list[int]) -> list[int]:
+    """dim Hom(P_s, N) for s = 0..t+1 over the minimal resolution of M,
+    extended to level t+1 for the outgoing differential.  ``ranks[s]``,
+    the rank of Hom(P_{s-1}, N) -> Hom(P_s, N) (ranks[0] = 0), is ranked
+    in place up to s = t+1 for the s not in the list yet.  Levels past
+    the end of a finite resolution count as zero."""
+    res = _resolution(M, t + 2)
+    bases = [[_weight_basis(N, v) for v in verts] for verts in res.levels[:t + 2]]
+    for s in range(len(ranks), t + 2):
+        ranks.append(_differential_rank(N, res.maps[s], bases[s - 1], bases[s]) if s < len(bases) else 0)
+    return [sum(len(rows) for rows, _ in b) for b in bases] + [0] * (t + 2 - len(bases))
 
 
 def _require_same_algebra(M: Representation, N: Representation) -> None:
@@ -676,17 +695,17 @@ def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
         M._cache["cover"] = _cover_and_kernel(M)
     cov, ker = M._cache["cover"]
     zero = fld.zero()
-    zero_row = [zero] * dn
-    phis = []  # Hom(P, N), each map a dim P x dN matrix
+    phis = []  # Hom(P, N), each map as {row of P: its image in N}
     for (v, brows), off in zip(cov.blocks, cov.offsets):
         for n in _weight_basis(N, v)[0]:
-            block = [_dense(N.apply_element(n, r), dn, zero) for r in brows]
-            phis.append([zero_row] * off + block + [zero_row] * (cov.P.dim - off - len(brows)))
-    flat = lambda mat: [x for row in mat for x in row]
-    dense_ker = [_dense(r, cov.P.dim, zero) for r in ker]
-    through_m = left_kernel_rows(fld, [flat(matmul_rows(fld, dense_ker, phi)) for phi in phis])
-    maps = matmul_rows(fld, through_m, [flat(phi) for phi in phis])
-    aug = [list(c) + [x for phi in maps for x in phi[p * dn:(p + 1) * dn]]
+            phis.append({off + j: N.apply_element(n, r) for j, r in enumerate(brows)})
+    # phi restricted to K, the images of the kernel rows side by side
+    on_ker = [tuple((k * dn + j, c) for k, row in enumerate(ker)
+                    for j, c in N._combine((x, phi.get(i, ())) for i, x in row)) for phi in phis]
+    _, through_m = left_kernel_rows(fld, on_ker, len(ker) * dn)
+    maps = [[_dense(N._combine((c, phis[h].get(p, ())) for h, c in r), dn, zero)
+             for p in range(cov.P.dim)] for r in through_m]
+    aug = [_dense(c, dm, zero) + [x for phi in maps for x in phi[p]]
            for p, c in enumerate(cov.matrix)]
     _, pivots = rref_rows(fld, aug)
     if pivots[dm:]:
@@ -770,12 +789,12 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
     cached = table._cache.get("pi_vertices")
     if cached is None:
         fld, d = table.field, table.dim
-        R, units, zero = regular(table), _unit_rows(fld, d), fld.zero()
+        R, units = regular(table), _unit_rows(fld, d)
         gens = _radical_top(table)
         # row u: the products b_u x over the radical top, side by side
-        right_mult = [[y for x in gens for y in _dense(R.apply_element(u, x), d, zero)]
+        right_mult = [tuple((k * d + j, c) for k, x in enumerate(gens) for j, c in R.apply_element(u, x))
                       for u in units]
-        soc = [sparse_row(r) for r in left_kernel_rows(fld, right_mult)]
+        _, soc = left_kernel_rows(fld, right_mult, len(gens) * d)
         idem = [sparse_row(e) for _, e in table.idempotents]
         cached = set()
         for e in idem:
@@ -814,12 +833,14 @@ def domdim(table: AlgebraTable, cutoff: int) -> BoundedValue:
 
 
 def _first_nonzero_ext(M: Representation, N: Representation, cutoff: int) -> BoundedValue:
-    """First degree r in [1, cutoff] with Ext^r(M, N) nonzero."""
-    res = _resolution(M, cutoff + 1)
+    """First degree r in [1, cutoff] with Ext^r(M, N) nonzero.  The
+    resolution grows with r, and each differential is ranked once."""
+    ranks = [0]
     for r in range(1, cutoff + 1):
-        if r >= len(res.levels) and res.finished:
+        if r >= len(_resolution(M, r + 2).levels):
             return BoundedValue.at_least(cutoff)  # finite projective dimension, all higher Ext vanish
-        if ext_dims(M, N, r).dim(r) > 0:
+        dims = _hom_complex(M, N, r, ranks)
+        if dims[r] - ranks[r] - ranks[r + 1] > 0:
             return BoundedValue.finite(r)
     return BoundedValue.at_least(cutoff)
 

@@ -202,6 +202,13 @@ def test_coords_against_sparse_basis(m, data):
         assert coords_against(fld, support, list(res.pivots), sparse_row(vec)) is None
 
 
+def dense(fld, pairs, n):
+    out = [fld.zero()] * n
+    for j, x in pairs:
+        out[j] = x
+    return out
+
+
 @given(matrices(min_rows=1, min_cols=1), st.data())
 def test_coords_against_kernel_basis(m, data):
     # a basis from left_kernel_rows has each pivot at its row's last entry,
@@ -209,8 +216,8 @@ def test_coords_against_kernel_basis(m, data):
     from domdimlab.exactmath import coords_against, left_kernel_rows, matmul_rows, sparse_row
 
     fld = m.field
-    basis = left_kernel_rows(fld, m.row_lists())
-    support = [sparse_row(r) for r in basis]
+    _, support = left_kernel_rows(fld, [sparse_row(r) for r in m.row_lists()], m.cols)
+    basis = [dense(fld, r, m.rows) for r in support]
     pivots = [r[-1][0] for r in support]
     assert all(r[-1][1] == 1 for r in support)
     assert all(b[c] == 0 for k, c in enumerate(pivots) for j, b in enumerate(basis) if j != k)
@@ -223,6 +230,59 @@ def test_coords_against_kernel_basis(m, data):
     if outside:
         vec[outside[0]] = fld.add(vec[outside[0]], fld.one())
         assert coords_against(fld, support, pivots, sparse_row(vec)) is None
+
+
+@st.composite
+def rows_with_a_left_kernel(draw, fld, max_rows, max_cols):
+    """Dense rows: drawn rows, then combinations of them and zero rows, in a
+    drawn order, so that the left kernel is rarely zero."""
+    ncols = draw(st.integers(0, max_cols))
+    entry = st.integers(-3, 3).map(fld.of_int)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        rows.append(combination(fld, coeffs, rows, ncols))
+    rows += [[fld.zero()] * ncols for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows)), ncols
+
+
+def check_left_kernel(fld, rows, ncols):
+    # against rank_rows, and against kernel_rows of the dense transpose:
+    # the reduced basis is unique, so the rows agree exactly
+    from domdimlab.exactmath import kernel_rows, left_kernel_rows, rank_rows, sparse_row
+
+    rank, kernel = left_kernel_rows(fld, [sparse_row(r) for r in rows], ncols)
+    transpose = [[r[j] for r in rows] for j in range(ncols)]
+    assert rank == rank_rows(fld, rows)
+    assert kernel == [sparse_row(r) for r in kernel_rows(fld, transpose, len(rows))]
+    assert len(kernel) == len(rows) - rank
+
+
+@given(st.sampled_from([F2, F3, QQ]).flatmap(lambda fld: st.tuples(
+    st.just(fld), rows_with_a_left_kernel(fld, max_rows=6, max_cols=6))))
+def test_left_kernel_rows_matches_the_dense_transpose(case):
+    fld, (rows, ncols) = case
+    check_left_kernel(fld, rows, ncols)
+
+
+@given(rows_with_a_left_kernel(F2, max_rows=30, max_cols=60))
+def test_left_kernel_rows_f2_packed_matches_the_dense_transpose(case):
+    # up to 34 x 60 cells, past the 512 where rref_rows packs F_2 rows
+    check_left_kernel(F2, *case)
+
+
+def test_left_kernel_rows_fixed_shapes():
+    from domdimlab.exactmath import left_kernel_rows
+
+    for fld in (F2, F3, QQ):
+        one = fld.one()
+        assert left_kernel_rows(fld, [], 3) == (0, [])
+        # no columns: every row lies in the kernel
+        assert left_kernel_rows(fld, [(), (), ()], 0) == (0, [((0, one),), ((1, one),), ((2, one),)])
+        # rows 0 and 2 are equal, row 1 is zero
+        rows = [((0, one), (1, one)), (), ((0, one), (1, one))]
+        assert left_kernel_rows(fld, rows, 2) == (1, [((1, one),), ((0, fld.neg(one)), (2, one))])
+    check_left_kernel(F2, [[1] * 40 for _ in range(20)], 40)
 
 
 @given(matrices(field=QQ, max_rows=4, max_cols=4), st.data())

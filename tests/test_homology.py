@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab.bounded import BoundedValue
-from domdimlab.exactmath import (F2, F3, QQ, kernel_rows, matmul_rows, rank_rows, rref_rows,
-                                 sparse_row)
+from domdimlab.exactmath import (F2, F3, QQ, SpanBuilder, kernel_rows, matmul_rows, rank_rows,
+                                 rref_rows, sparse_row)
 from domdimlab.suites import cyclic_series
 
 
@@ -137,6 +138,52 @@ def test_syzygy_dims_quaternion_periodic():
     for _ in range(4):
         om = hml.syzygy(om)
     assert hml.modules_isomorphic(om, S) is True
+
+
+@pytest.mark.parametrize("name, ext", [
+    ("dihedral8-f2", tuple(t + 1 for t in range(1, 13))),  # dim Ext^t_{kD8}(k, k) = t + 1
+    ("quaternion8-f2", (2, 2, 1, 1) * 3),  # kQ8 is periodic
+    ("hopf-a5-f2", (2, 2, 2, 3, 4, 4, 4, 5, 6, 6, 6, 7)),
+])
+def test_deep_resolution_of_the_simple_module(name, ext):
+    # a local algebra: P_t = A^{m_t} with m_t = dim Ext^t(k, k), and
+    # dim P_t = dim Omega^t + dim Omega^{t+1}
+    table = qa.preset(name)
+    S = hml.simple(table, 0)
+    assert hml.ext_dims(S, S, 12).degrees == ext
+    omega = [S.dim] + hml.syzygy_dims(S, 13)
+    levels = hml._resolution(S, 13).levels
+    for t in range(1, 13):
+        assert len(levels[t]) == ext[t - 1]
+        assert table.dim * len(levels[t]) == omega[t] + omega[t + 1]
+
+
+def test_cover_rejects_a_kernel_with_a_top_component(hopf, monkeypatch):
+    # a kernel row outside the radical of P: the minimality check fires
+    real = hml.projective_cover
+    v = 0
+    j = hml._top_forms(hopf, v)[0][0][0]  # each top form is 1 at its own column
+
+    def forged(M, rows=None):
+        cov = real(M, rows)
+        assert cov.vertices[0] == v
+        return dataclasses.replace(cov, kernel=cov.kernel + [((j, 1),)])
+
+    monkeypatch.setattr(hml, "projective_cover", forged)
+    with pytest.raises(AssertionError, match="cover is not minimal"):
+        hml.syzygy(hml.simple(hopf, 0))
+
+
+def test_cover_rejects_a_rank_short_of_the_module(hopf, monkeypatch):
+    real = hml.left_kernel_rows
+
+    def short(fld, rows, ncols):
+        rank, kernel = real(fld, rows, ncols)
+        return rank - 1, kernel
+
+    monkeypatch.setattr(hml, "left_kernel_rows", short)
+    with pytest.raises(AssertionError, match="failed to surject"):
+        hml.projective_cover(hml.simple(hopf, 0))
 
 
 def test_kernel_dimension_bookkeeping(hopf):
@@ -463,6 +510,17 @@ def test_phi_simple_33(bridged33):
 def test_delta_line21():
     table = qa.nakayama_to_table(nak.validate(nak.LINE, (2, 1)), F2)
     assert hml.delta(table, 12) == BoundedValue.finite(1)
+
+
+def test_delta_ranks_each_differential_once(monkeypatch):
+    # the first nonzero Ext^r(D(A), A) reads the differentials 1..r+1 of
+    # Hom(res, A), and the search up to r ranks each of them once
+    A = nak.validate(nak.CYCLE, (6,) + (7,) * 5)
+    table = qa.nakayama_to_table(A, F2)
+    real, calls = hml._differential_rank, []
+    monkeypatch.setattr(hml, "_differential_rank", lambda *a: calls.append(a) or real(*a))
+    assert hml.delta(table, 12) == nak.delta(A, 12) == BoundedValue.finite(9)
+    assert len(calls) == 10
 
 
 def test_delta_selfinjective_needs_witnesses(bridged33):
@@ -1006,7 +1064,13 @@ def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
     alone = hml.projective_cover(hml.submodule(R, rows)[0])
     assert inside.vertices == alone.vertices == [0, 0]
     assert inside.P.dim == alone.P.dim == 16
-    assert len(inside.matrix[0]) == R.dim
+    # the cover map is written in the coordinates of R, onto the rows
+    image, target = SpanBuilder(hopf.field), SpanBuilder(hopf.field)
+    for r in inside.matrix:
+        image.add(r)
+    for r in rows:
+        target.add(r)
+    assert image.finish() == target.finish()
 
 
 # -- modules cut from the regular module, against the dense constructions ------
