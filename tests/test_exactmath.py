@@ -267,7 +267,7 @@ def test_left_kernel_rows_matches_the_dense_transpose(case):
 
 @given(rows_with_a_left_kernel(F2, max_rows=30, max_cols=60))
 def test_left_kernel_rows_f2_packed_matches_the_dense_transpose(case):
-    # up to 34 x 60 cells, past the 512 where rref_rows packs F_2 rows
+    # up to 36 x 60 cells, past the 512 where rref_rows packs F_2 rows
     check_left_kernel(F2, *case)
 
 
