@@ -12,10 +12,10 @@ homology engines.  Sparse rows are tuples of (k, c) pairs, k ascending
 and every c nonzero (``sparse_row`` converts a dense row once):
 ``coords_against`` takes its basis and vector in that form and returns
 the coordinates so, a ``SpanBuilder`` holds its rows and reduces
-vectors in it, and ``left_kernel_rows`` takes pair rows and returns
-their rank and left kernel, the kernel as pair rows, from one
-elimination of [C | I] (bit-packed over F_2).  The immutable dense
-``Matrix`` class stays as public API.
+vectors in it, and ``left_kernel_rows`` takes pair rows (or over F_2
+ints, bit k for column k, as the ``_pack_pairs`` helpers beside it hold
+vectors) and returns their rank and left kernel, the kernel as pair
+rows, from one elimination of [C | I].  ``Matrix`` stays public API.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress, count, repeat
 from typing import NamedTuple
 
 
@@ -391,31 +392,66 @@ def kernel_rows(field: FieldSpec, rows: list[list], ncols: int) -> list[list]:
     return basis
 
 
-def left_kernel_rows(field: FieldSpec, rows: list[tuple], ncols: int) -> tuple[int, list[tuple]]:
+def _pack_pairs(row) -> int:
+    """An F_2 pair row (every c is 1) as an int, bit k for column k."""
+    v = 0
+    for k, _ in row:
+        v |= 1 << k
+    return v
+
+
+def _unpack(v: int) -> tuple:
+    """The packed F_2 row ``v`` as (k, 1) pairs, k ascending."""
+    return tuple(zip(compress(count(), bin(v)[:1:-1].encode().translate(_BIT_BYTES)), repeat(1)))
+
+
+def _xor_rows(v: int, rows: list[int]) -> int:
+    """v times the packed F_2 rows ``rows``: the XOR of rows[i] over the set bits i of v."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= rows[low.bit_length() - 1]
+        v ^= low
+    return acc
+
+
+class _PackedSpan(dict):
+    """Packed F_2 rows in echelon form: the lowest bit of each row -> the row."""
+
+    rank = property(len)
+
+    def add(self, v: int) -> bool:
+        """Insert ``v``; returns True when it enlarged the span."""
+        while v:
+            low = v & -v
+            if low not in self:
+                self[low] = v
+                return True
+            v ^= self[low]
+        return False
+
+
+def left_kernel_rows(field: FieldSpec, rows: list, ncols: int) -> tuple[int, list[tuple]]:
     """(rank, basis of {x : x . rows_matrix = 0}) for ``rows`` given as
     (k, c) pairs over ``ncols`` columns, from one elimination of [C | I].
     Row i of I sits at column ncols + n-1-i, so the kernel rows are
     reduced from their last entry back: each is 1 at its last entry,
     where every other row is 0, in ascending order of that entry.  This
     basis is unique, and it is the one ``kernel_rows`` gives for the
-    transpose.  F_2 rows are packed into ints, bit k for column k, as in
-    ``_rref_f2``."""
+    transpose.  Over F_2 a row may also be a packed int; pair rows are
+    packed (``_pack_pairs``), and the kernel is read back as pairs."""
     n = len(rows)
     if field.kind == "prime" and field.p == 2:
-        pivot: dict[int, int] = {}  # lowest bit -> echelon row
+        span = _PackedSpan()
         for i, r in enumerate(rows):
-            v = sum(1 << k for k, c in r if c & 1) | 1 << (ncols + n - 1 - i)
-            while (low := v & -v) in pivot:
-                v ^= pivot[low]
-            pivot[low] = v
-        ker = sorted((low >> ncols, v >> ncols) for low, v in pivot.items() if low >> ncols)
+            span.add((r if isinstance(r, int) else _pack_pairs(r)) | 1 << (ncols + n - 1 - i))
+        ker = sorted((low >> ncols, v >> ncols) for low, v in span.items() if low >> ncols)
         for a, (low, v) in enumerate(ker):  # back-substitution; the lowest bit is the last entry
             for b in range(a):
                 if ker[b][1] & low:
                     ker[b] = ker[b][0], ker[b][1] ^ v
-        width = f"0{n}b"
-        kernel = [tuple((i, 1) for i, x in enumerate(format(v, width)) if x == "1") for _, v in ker]
-        return n - len(ker), kernel[::-1]
+        width = f"0{n}b"  # row i at bit n-1-i: reverse the bits
+        return n - len(ker), [_unpack(int(format(v, width)[::-1], 2)) for _, v in reversed(ker)]
     span = SpanBuilder(field)
     one = field.one()
     for i, r in enumerate(rows):

@@ -8,8 +8,8 @@ are zero in the modules a resolution builds.  Module vectors and algebra
 elements are (k, c) pairs in the same format, k ascending and every c
 nonzero; dense rows appear only as inputs of the elimination kernels
 (Ext differentials, Hom matrices) and in the dense views of a module.
-A projective cover writes its map as pair rows, and one elimination
-(``exactmath.left_kernel_rows``) gives both its rank and its kernel.
+Over F_2 a projective cover holds its vectors as packed ints, and one
+elimination (``exactmath.left_kernel_rows``) gives its rank and kernel.
 Modules are cut out of the
 regular module: the projectives e_vA are its submodules, the powers J^k
 and the uniserial bridges P_v / P_v J^k are read from one radical
@@ -37,12 +37,19 @@ its absence raises :class:`PreconditionError`; no verdict is left open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import xor
 from typing import Optional
 
 from .bounded import BoundedValue
 from .exactmath import (
     SpanBuilder,
     _canonical,
+    _pack_pairs,
+    _PackedSpan,
+    _unpack,
+    _xor_rows,
     coords_against,
     left_kernel_rows,
     matmul_rows,
@@ -344,9 +351,14 @@ class Cover:
     P: Representation
     blocks: list[tuple[int, list[tuple]]]  # (vertex, basis rows of e_iA)
     offsets: list[int]
-    matrix: list[tuple]  # dim P rows of (k, c) pairs over the dim M columns
+    rows: list  # the cover map, dim P rows over the dim M columns: packed ints over F_2, else pairs
     generators: list[tuple[int, tuple]]  # (vertex, image row in M) per summand
     kernel: list[tuple]  # of the cover map, from ``left_kernel_rows``
+
+    @property
+    def matrix(self) -> list[tuple]:
+        """The rows of the cover map as (k, c) pairs, unpacked on each access."""
+        return [r if isinstance(r, tuple) else _unpack(r) for r in self.rows]
 
 
 def _reduced_basis(fld, rows) -> tuple[list[tuple], list[int]]:
@@ -368,19 +380,45 @@ def _reduced_basis(fld, rows) -> tuple[list[tuple], list[int]]:
     return span.finish()
 
 
+def _actions(M: Representation) -> list:
+    """The action rows on M of the basis elements, the radical top and the
+    vertex idempotents of A, in that order: packed ints over F_2
+    (``_pack_pairs``), pairs otherwise.  Cached on M."""
+    acts = M._cache.get("actions")
+    if acts is None:
+        A = M.algebra
+        packed = A.field.p == 2
+        acts = [[_pack_pairs(r) for r in rows] for rows in M.rows] if packed else list(M.rows)
+        for a in _radical_top(A) + [sparse_row(e) for _, e in A.idempotents]:
+            # row i of the action of a = sum_u c_u b_u is that sum of the rows i of the b_u
+            cols = zip(*(acts[u] for u, _ in a))
+            acts.append([reduce(xor, col) for col in cols] if packed else
+                        [M._combine(zip((c for _, c in a), col)) for col in cols])
+        M._cache["actions"] = acts
+    return acts
+
+
 def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list, list]:
+    """P = (+) P_v, its blocks and their offsets.  Its action rows and
+    ``_actions`` join those of each P_v moved to its block, which are
+    cached on the table per (vertex, offset)."""
     blocks = [_projective_data(table, v) for v in vertices]
-    dims = [b[0].dim for b in blocks]
     offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    total = offsets[-1]
-    actions = []
-    for u in range(table.dim):
-        actions.append([tuple((off + j, c) for j, c in row)
-                        for (Pv, _), off in zip(blocks, offsets) for row in Pv.rows[u]])
+    for Pv, _ in blocks:
+        offsets.append(offsets[-1] + Pv.dim)
+    packed, moved = table.field.p == 2, []
+    for v, (Pv, _), off in zip(vertices, blocks, offsets):
+        key = ("block", v, off)
+        if key not in table._cache:
+            pairs = [tuple(tuple((off + j, c) for j, c in r) for r in m)
+                     for m in (Pv.rows if packed else _actions(Pv))]
+            acts = [[r << off for r in m] for m in _actions(Pv)] if packed else pairs
+            table._cache[key] = pairs[:table.dim], acts
+        moved.append(table._cache[key])
+    actions = [tuple(chain.from_iterable(rows[u] for rows, _ in moved)) for u in range(table.dim)]
     name = "(+)".join(f"P{v}" for v in vertices)
-    rep = Representation.from_rows(table, total, actions, name=name)
+    rep = Representation.from_rows(table, offsets[-1], actions, name=name)
+    rep._cache["actions"] = [list(chain.from_iterable(a)) for a in zip(*(acts for _, acts in moved))]
     block_data = [(v, b[1]) for v, b in zip(vertices, blocks)]
     return rep, block_data, offsets
 
@@ -393,10 +431,12 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     as a module of its own.  U*J is spanned by the images of the rows
     under ``_radical_top``; the top generators are rows times vertex
     idempotents, picked while independent modulo U*J; the cover matrix
-    (dim P pair rows over the dim M columns) maps each summand e_vA onto
+    (dim P rows over the dim M columns) maps each summand e_vA onto
     the submodule its generator spans.  One elimination gives its rank,
     which must be dim U (surjectivity), and its left kernel, the
-    syzygy.  Each generator is returned as its row in M.  ValueError: U is not
+    syzygy.  Each generator is returned as its row in M.  Vectors meet
+    the rows of ``_actions``: over F_2 as packed ints, with the bits at
+    the pivots of U as coordinates.  ValueError: U is not
     action-stable, that is a row of U*J or an idempotent image of a row
     leaves span(U)."""
     A = M.algebra
@@ -404,27 +444,40 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     basis, pivots = _reduced_basis(fld, _unit_rows(fld, M.dim) if rows is None else rows)
     if not basis:
         raise ValueError("projective cover of the zero module")
+    if fld.p == 2:  # a coordinate in U is the bit at a pivot
+        basis = [_pack_pairs(b) for b in basis]
+        at = [0] * M.dim  # each basis row of U at its pivot
+        for b, c in zip(basis, pivots):
+            at[c] = b
+        mask = sum(1 << c for c in pivots)
+        span, act, out = _PackedSpan(), _xor_rows, _unpack
+        combine = lambda terms: reduce(xor, (img for _, img in terms), 0)
+        in_u = lambda vec: vec & mask if _xor_rows(vec, at) == vec else None
+    else:
+        span, combine, out = SpanBuilder(fld), M._combine, lambda vec: vec
+        act = lambda vec, rows: M._combine((x, rows[i]) for i, x in vec)
+        in_u = lambda vec: coords_against(fld, basis, pivots, vec)
 
     def coords(vec):
         """Coordinates of a row of M in the basis of U."""
-        c = coords_against(fld, basis, pivots, vec)
+        c = in_u(vec)
         if c is None:
             raise ValueError("rows are not action-stable")
         return c
 
+    acts = _actions(M)
+    d, n = A.dim, A.n_vertices
     # U*J, in the coordinates of U; the top generators extend it to U
-    span = SpanBuilder(fld)
-    for x in _radical_top(A):
+    for x in acts[d:-n]:
         for b in basis:
-            img = M.apply_element(b, x)
+            img = act(b, x)
             if img:
                 span.add(coords(img))
     need = len(basis) - span.rank
-    idem = [sparse_row(e) for _, e in A.idempotents]
-    gens: list[tuple[int, tuple]] = []
+    gens: list[tuple[int, object]] = []
     for b in basis:
-        for vi, e in enumerate(idem):
-            m = M.apply_element(b, e)
+        for vi, e in enumerate(acts[-n:]):
+            m = act(b, e)
             if m:
                 c = coords(m)  # every image is checked, also once the top is full
                 if len(gens) < need and span.add(c):
@@ -435,14 +488,14 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     matrix = []
     for (vi, m), (v2, brows) in zip(gens, blocks):
         # the image of the block row r is m @ act(r) = sum_u r_u (m @ act(b_u))
-        images = [M.apply(m, u) for u in range(A.dim)]
+        images = [act(m, rows) for rows in acts[:d]]
         for r in brows:
-            matrix.append(M._combine((c, images[u]) for u, c in r))
+            matrix.append(combine((c, images[u]) for u, c in r))
     rank, kernel = left_kernel_rows(fld, matrix, M.dim)
     # the images lie in U, which the generators cover modulo U*J
     if rank != len(basis):
         raise AssertionError("projective cover failed to surject")
-    return Cover(vertices, P, blocks, offsets, matrix, gens, kernel)
+    return Cover(vertices, P, blocks, offsets, matrix, [(vi, out(m)) for vi, m in gens], kernel)
 
 
 def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:

@@ -268,7 +268,33 @@ def test_left_kernel_rows_matches_the_dense_transpose(case):
 @given(rows_with_a_left_kernel(F2, max_rows=30, max_cols=60))
 def test_left_kernel_rows_f2_packed_matches_the_dense_transpose(case):
     # up to 36 x 60 cells, past the 512 where rref_rows packs F_2 rows
+    from domdimlab.exactmath import left_kernel_rows, sparse_row
+
     check_left_kernel(F2, *case)
+    # int rows, bit k for column k, give the same rank and kernel as pairs
+    rows, ncols = case
+    packed = [sum(1 << k for k, x in enumerate(r) if x) for r in rows]
+    assert left_kernel_rows(F2, packed, ncols) == left_kernel_rows(F2, [sparse_row(r) for r in rows], ncols)
+
+
+@given(rows_with_a_left_kernel(F2, max_rows=12, max_cols=40), st.data())
+def test_packed_f2_helpers_match_pair_arithmetic(case, data):
+    # pack and unpack, v times a matrix, and the rank of a packed span,
+    # against sparse rows, matmul_rows and rank_rows
+    from domdimlab.exactmath import (_pack_pairs, _PackedSpan, _unpack, _xor_rows, matmul_rows,
+                                     rank_rows, sparse_row)
+
+    rows, ncols = case
+    pairs = [sparse_row(r) for r in rows]
+    packed = [_pack_pairs(r) for r in pairs]
+    assert [_unpack(v) for v in packed] == pairs
+    x = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    if rows and ncols:
+        assert _unpack(_xor_rows(_pack_pairs(sparse_row(x)), packed)) == sparse_row(
+            matmul_rows(F2, [x], rows)[0])
+    span = _PackedSpan()
+    added = [span.add(v) for v in packed]
+    assert span.rank == sum(added) == (rank_rows(F2, rows) if ncols else 0)
 
 
 def test_left_kernel_rows_fixed_shapes():

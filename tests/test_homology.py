@@ -186,6 +186,78 @@ def test_cover_rejects_a_rank_short_of_the_module(hopf, monkeypatch):
         hml.projective_cover(hml.simple(hopf, 0))
 
 
+def test_cover_rejects_a_kernel_with_a_top_component_over_q(monkeypatch):
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ)
+    real = hml.projective_cover
+    j = hml._top_forms(table, 0)[0][0][0]
+
+    def forged(M, rows=None):
+        cov = real(M, rows)
+        assert cov.vertices[0] == 0
+        return dataclasses.replace(cov, kernel=cov.kernel + [((j, QQ.one()),)])
+
+    monkeypatch.setattr(hml, "projective_cover", forged)
+    with pytest.raises(AssertionError, match="cover is not minimal"):
+        hml.syzygy(hml.simple(table, 0))
+
+
+@pytest.mark.parametrize("fld", [F3, QQ], ids=["F3", "Q"])
+def test_cover_rejects_a_rank_short_of_the_module_over_pairs(fld, monkeypatch):
+    S = hml.simple(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), fld), 0)
+    real = hml.left_kernel_rows
+
+    def short(fld, rows, ncols):
+        rank, kernel = real(fld, rows, ncols)
+        return rank - 1, kernel
+
+    monkeypatch.setattr(hml, "left_kernel_rows", short)
+    with pytest.raises(AssertionError, match="failed to surject"):
+        hml.projective_cover(S)
+
+
+@pytest.mark.parametrize("fld", [F2, QQ], ids=["F2", "Q"])
+def test_cover_rejects_top_generators_that_do_not_split(fld):
+    # every basis element, so every idempotent, acts as 0 on a line: it is
+    # no module, and no idempotent image of its basis reaches its top
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), fld)
+    M = hml.Representation.from_rows(table, 1, [[()] for _ in range(table.dim)])
+    with pytest.raises(AssertionError, match="top generators do not split"):
+        hml.projective_cover(M)
+
+
+def _covers(M, steps):
+    """(ambient, cover) for M and then each syzygy, covered inside the
+    last projective term as a resolution does, ``steps`` covers in all."""
+    rows = None
+    for _ in range(steps):
+        cov = hml.projective_cover(M, rows)
+        yield M, cov
+        if not cov.kernel:
+            return
+        M, rows = cov.P, cov.kernel
+
+
+@pytest.mark.parametrize("name", ["hopf-a5-f2", "dihedral8-f2", "quaternion8-f2", "cycle (3, 3)"])
+def test_packed_cover_matches_pair_arithmetic(name, bridged33):
+    # over F_2 a cover step holds its vectors as ints; its outputs are pair
+    # rows equal to what pair arithmetic gives, for the simple module and
+    # its first six syzygies
+    from domdimlab.exactmath import left_kernel_rows
+
+    table = bridged33 if name.startswith("cycle") else qa.preset(name)
+    steps = 0
+    for M, cov in _covers(hml.simple(table, 0), 7):
+        assert all(isinstance(r, int) for r in cov.rows)
+        want = [M._combine((c, M.apply(m, u)) for u, c in r)
+                for (_, m), (_, brows) in zip(cov.generators, cov.blocks) for r in brows]
+        assert cov.matrix == want
+        assert cov.kernel == left_kernel_rows(F2, cov.matrix, M.dim)[1]
+        for k in cov.kernel:
+            assert M._combine((x, cov.matrix[i]) for i, x in k) == ()
+        steps += 1
+    assert steps == 7
+
+
 def test_kernel_dimension_bookkeeping(hopf):
     # dim Omega(M) = dim P(top M) - dim M at every resolution step
     S = hml.simple(hopf, 0)
@@ -1052,6 +1124,21 @@ def test_cover_of_rows_that_are_not_action_stable_raises(hopf, bridged33):
     names = bridged33.basis_names
     row = tuple((k, 1) for k, n in enumerate(names) if n in ("a0*a1", "a1*a0"))
     assert not any(R.apply_element(row, x) for x in qa._radical_top(bridged33))
+    with pytest.raises(ValueError, match="not action-stable"):
+        hml.projective_cover(R, [row])
+
+
+def test_cover_of_rows_that_are_not_action_stable_raises_over_f3_and_q():
+    # span{1} in the regular module of the Auslander algebra of k[x]/(x^2)
+    # over Q: 1 * J leaves it
+    aus = auslander_algebra(2, QQ)
+    with pytest.raises(ValueError, match="not action-stable"):
+        hml.projective_cover(hml.regular(aus), [sparse_row(aus.unit)])
+    # span{a0*a1 + a1*a0} over the cycle (3, 3) over F_3: J kills it, e_0 does not keep it
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), F3)
+    R = hml.regular(table)
+    row = tuple((k, 1) for k, n in enumerate(table.basis_names) if n in ("a0*a1", "a1*a0"))
+    assert not any(R.apply_element(row, x) for x in qa._radical_top(table))
     with pytest.raises(ValueError, match="not action-stable"):
         hml.projective_cover(R, [row])
 
