@@ -158,68 +158,48 @@ def test_deep_resolution_of_the_simple_module(name, ext):
         assert table.dim * len(levels[t]) == omega[t] + omega[t + 1]
 
 
+def cycle33(fld):
+    return qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), fld)
+
+
 def test_cover_rejects_a_kernel_with_a_top_component(hopf, monkeypatch):
-    # a kernel row outside the radical of P: the minimality check fires
+    # a kernel row outside the radical of P: the minimality check fires,
+    # on a packed F_2 cover and on a pair cover over Q
     real = hml.projective_cover
     v = 0
-    j = hml._top_forms(hopf, v)[0][0][0]  # each top form is 1 at its own column
+    for table in (hopf, cycle33(QQ)):
+        j = hml._top_forms(table, v)[0][0][0]  # each top form is 1 at its own column
 
-    def forged(M, rows=None):
-        cov = real(M, rows)
-        assert cov.vertices[0] == v
-        return dataclasses.replace(cov, kernel=cov.kernel + [((j, 1),)])
+        def forged(M, rows=None):
+            cov = real(M, rows)
+            assert cov.vertices[0] == v
+            return dataclasses.replace(cov, kernel=cov.kernel + [((j, table.field.one()),)])
 
-    monkeypatch.setattr(hml, "projective_cover", forged)
-    with pytest.raises(AssertionError, match="cover is not minimal"):
-        hml.syzygy(hml.simple(hopf, 0))
+        monkeypatch.setattr(hml, "projective_cover", forged)
+        with pytest.raises(AssertionError, match="cover is not minimal"):
+            hml.syzygy(hml.simple(table, 0))
 
 
 def test_cover_rejects_a_rank_short_of_the_module(hopf, monkeypatch):
+    # the rank comes from hml.left_kernel_rows for int rows and pair rows alike
     real = hml.left_kernel_rows
+    modules = [hml.simple(table, 0) for table in (hopf, cycle33(F3), cycle33(QQ))]
 
     def short(fld, rows, ncols):
         rank, kernel = real(fld, rows, ncols)
         return rank - 1, kernel
 
     monkeypatch.setattr(hml, "left_kernel_rows", short)
-    with pytest.raises(AssertionError, match="failed to surject"):
-        hml.projective_cover(hml.simple(hopf, 0))
-
-
-def test_cover_rejects_a_kernel_with_a_top_component_over_q(monkeypatch):
-    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ)
-    real = hml.projective_cover
-    j = hml._top_forms(table, 0)[0][0][0]
-
-    def forged(M, rows=None):
-        cov = real(M, rows)
-        assert cov.vertices[0] == 0
-        return dataclasses.replace(cov, kernel=cov.kernel + [((j, QQ.one()),)])
-
-    monkeypatch.setattr(hml, "projective_cover", forged)
-    with pytest.raises(AssertionError, match="cover is not minimal"):
-        hml.syzygy(hml.simple(table, 0))
-
-
-@pytest.mark.parametrize("fld", [F3, QQ], ids=["F3", "Q"])
-def test_cover_rejects_a_rank_short_of_the_module_over_pairs(fld, monkeypatch):
-    S = hml.simple(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), fld), 0)
-    real = hml.left_kernel_rows
-
-    def short(fld, rows, ncols):
-        rank, kernel = real(fld, rows, ncols)
-        return rank - 1, kernel
-
-    monkeypatch.setattr(hml, "left_kernel_rows", short)
-    with pytest.raises(AssertionError, match="failed to surject"):
-        hml.projective_cover(S)
+    for S in modules:
+        with pytest.raises(AssertionError, match="failed to surject"):
+            hml.projective_cover(S)
 
 
 @pytest.mark.parametrize("fld", [F2, QQ], ids=["F2", "Q"])
 def test_cover_rejects_top_generators_that_do_not_split(fld):
     # every basis element, so every idempotent, acts as 0 on a line: it is
     # no module, and no idempotent image of its basis reaches its top
-    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), fld)
+    table = cycle33(fld)
     M = hml.Representation.from_rows(table, 1, [[()] for _ in range(table.dim)])
     with pytest.raises(AssertionError, match="top generators do not split"):
         hml.projective_cover(M)
@@ -1113,34 +1093,22 @@ def test_resolution_matches_iterated_syzygies_and_composes_to_zero(M, t):
 
 
 def test_cover_of_rows_that_are_not_action_stable_raises(hopf, bridged33):
-    # span{1} in the regular module: 1 * J leaves it
-    R = hml.regular(hopf)
-    with pytest.raises(ValueError, match="not action-stable"):
-        hml.projective_cover(R, [sparse_row(hopf.unit)])
-    with pytest.raises(ValueError, match="not action-stable"):
-        hml.submodule(R, [sparse_row(hopf.unit)])
+    # span{1} in the regular module: 1 * J leaves it; over F_2 (packed
+    # vectors) and over Q (pairs: the Auslander algebra of k[x]/(x^2))
+    for table in (hopf, auslander_algebra(2, QQ)):
+        R = hml.regular(table)
+        with pytest.raises(ValueError, match="not action-stable"):
+            hml.projective_cover(R, [sparse_row(table.unit)])
+        with pytest.raises(ValueError, match="not action-stable"):
+            hml.submodule(R, [sparse_row(table.unit)])
     # span{a0*a1 + a1*a0} over the cycle (3, 3): J kills it, e_0 does not keep it
-    R = hml.regular(bridged33)
-    names = bridged33.basis_names
-    row = tuple((k, 1) for k, n in enumerate(names) if n in ("a0*a1", "a1*a0"))
-    assert not any(R.apply_element(row, x) for x in qa._radical_top(bridged33))
-    with pytest.raises(ValueError, match="not action-stable"):
-        hml.projective_cover(R, [row])
-
-
-def test_cover_of_rows_that_are_not_action_stable_raises_over_f3_and_q():
-    # span{1} in the regular module of the Auslander algebra of k[x]/(x^2)
-    # over Q: 1 * J leaves it
-    aus = auslander_algebra(2, QQ)
-    with pytest.raises(ValueError, match="not action-stable"):
-        hml.projective_cover(hml.regular(aus), [sparse_row(aus.unit)])
-    # span{a0*a1 + a1*a0} over the cycle (3, 3) over F_3: J kills it, e_0 does not keep it
-    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), F3)
-    R = hml.regular(table)
-    row = tuple((k, 1) for k, n in enumerate(table.basis_names) if n in ("a0*a1", "a1*a0"))
-    assert not any(R.apply_element(row, x) for x in qa._radical_top(table))
-    with pytest.raises(ValueError, match="not action-stable"):
-        hml.projective_cover(R, [row])
+    for table in (bridged33, cycle33(F3)):
+        R = hml.regular(table)
+        names = table.basis_names
+        row = tuple((k, 1) for k, n in enumerate(names) if n in ("a0*a1", "a1*a0"))
+        assert not any(R.apply_element(row, x) for x in qa._radical_top(table))
+        with pytest.raises(ValueError, match="not action-stable"):
+            hml.projective_cover(R, [row])
 
 
 def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
