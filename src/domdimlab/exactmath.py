@@ -14,8 +14,9 @@ and every c nonzero (``sparse_row`` converts a dense row once):
 the coordinates so, a ``SpanBuilder`` holds its rows and reduces
 vectors in it, and ``left_kernel_rows`` takes pair rows (or over F_2
 ints, bit k for column k, as the ``_pack_pairs`` helpers beside it hold
-vectors) and returns their rank and left kernel, the kernel as pair
-rows, from one elimination of [C | I].  ``Matrix`` stays public API.
+vectors) and returns their rank and left kernel, the kernel in the
+format of the rows, from one elimination of [C | I].  ``Matrix`` stays
+public API.
 """
 
 from __future__ import annotations
@@ -431,27 +432,32 @@ class _PackedSpan(dict):
         return False
 
 
-def left_kernel_rows(field: FieldSpec, rows: list, ncols: int) -> tuple[int, list[tuple]]:
+def left_kernel_rows(field: FieldSpec, rows: list, ncols: int) -> tuple[int, list]:
     """(rank, basis of {x : x . rows_matrix = 0}) for ``rows`` given as
     (k, c) pairs over ``ncols`` columns, from one elimination of [C | I].
     Row i of I sits at column ncols + n-1-i, so the kernel rows are
     reduced from their last entry back: each is 1 at its last entry,
     where every other row is 0, in ascending order of that entry.  This
     basis is unique, and it is the one ``kernel_rows`` gives for the
-    transpose.  Over F_2 a row may also be a packed int; pair rows are
-    packed (``_pack_pairs``), and the kernel is read back as pairs."""
+    transpose.  Over F_2 the rows may instead be packed ints (bit k for
+    column k); the kernel comes back in the format of the rows, ints for
+    ints and pairs for pairs, and the elimination runs packed either way."""
     n = len(rows)
     if field.kind == "prime" and field.p == 2:
+        packed = bool(rows) and isinstance(rows[0], int)
         span = _PackedSpan()
         for i, r in enumerate(rows):
-            span.add((r if isinstance(r, int) else _pack_pairs(r)) | 1 << (ncols + n - 1 - i))
-        ker = sorted((low >> ncols, v >> ncols) for low, v in span.items() if low >> ncols)
-        for a, (low, v) in enumerate(ker):  # back-substitution; the lowest bit is the last entry
-            for b in range(a):
-                if ker[b][1] & low:
-                    ker[b] = ker[b][0], ker[b][1] ^ v
+            span.add((r if packed else _pack_pairs(r)) | 1 << (ncols + n - 1 - i))
+        # The rows with their lowest bit in I span the kernel, and are 0 on C.
+        # They need no back-substitution: a row is only ever reduced by rows
+        # with their lowest bit in C, and (by induction) those carry bits of
+        # I only for rows that ended with their lowest bit in C; so a kernel
+        # row is 1 at its own bit of I, its lowest, and 0 at the lowest bit
+        # of every other kernel row.
+        ker = sorted(((low, v >> ncols) for low, v in span.items() if low >> ncols), reverse=True)
         width = f"0{n}b"  # row i at bit n-1-i: reverse the bits
-        return n - len(ker), [_unpack(int(format(v, width)[::-1], 2)) for _, v in reversed(ker)]
+        kernel = [int(format(v, width)[::-1], 2) for _, v in ker]
+        return n - len(kernel), kernel if packed else [_unpack(v) for v in kernel]
     span = SpanBuilder(field)
     one = field.one()
     for i, r in enumerate(rows):

@@ -6,15 +6,16 @@ assigns to each basis element of the algebra a d x d matrix, acting by
 the module axiom.  The matrices are stored as sparse rows: most entries
 are zero in the modules a resolution builds.  Module vectors and algebra
 elements are (k, c) pairs in the same format, k ascending and every c
-nonzero; dense rows appear only as inputs of the elimination kernels
-(Ext differentials, Hom matrices) and in the dense views of a module.
-Over F_2 a projective cover holds its vectors as packed ints, and one
-elimination (``exactmath.left_kernel_rows``) gives its rank and kernel.
-Modules are cut out of the
-regular module: the projectives e_vA are its submodules, the powers J^k
-and the uniserial bridges P_v / P_v J^k are read from one radical
-filtration M > MJ > MJ^2 > ... per module, computed once and cached on
-it.  All functors here are computed through minimal projective
+nonzero; dense rows appear only in the Hom matrices and in the dense
+views of a module.  Over F_2 a resolution is packed end to end: a
+projective cover holds its vectors as packed ints, one elimination
+(``exactmath.left_kernel_rows``) gives its rank and its kernel as ints,
+the next cover takes those ints as its rows, and the element matrices
+and the images ranked by an Ext differential are ints too.  Modules are
+cut out of the regular module: the projectives e_vA are its submodules,
+the powers J^k and the uniserial bridges P_v / P_v J^k are read from one
+radical filtration M > MJ > MJ^2 > ... per module, computed once and
+cached on it.  All functors here are computed through minimal projective
 resolutions built from explicit projective covers.  A resolution keeps
 each syzygy as rows of the projective term that contains it and covers
 it there, so no syzygy is built as a module of its own.  The
@@ -37,9 +38,9 @@ its absence raises :class:`PreconditionError`; no verdict is left open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
-from operator import xor
+from operator import or_, xor
 from typing import Optional
 
 from .bounded import BoundedValue
@@ -53,7 +54,6 @@ from .exactmath import (
     coords_against,
     left_kernel_rows,
     matmul_rows,
-    rank_rows,
     rref_rows,
     sparse_row,
 )
@@ -351,33 +351,65 @@ class Cover:
     P: Representation
     blocks: list[tuple[int, list[tuple]]]  # (vertex, basis rows of e_iA)
     offsets: list[int]
-    rows: list  # the cover map, dim P rows over the dim M columns: packed ints over F_2, else pairs
+    # the cover map, dim P rows over the dim M columns, and its kernel
+    # (``left_kernel_rows``), rows of P: packed ints over F_2, else pairs
+    rows: list
     generators: list[tuple[int, tuple]]  # (vertex, image row in M) per summand
-    kernel: list[tuple]  # of the cover map, from ``left_kernel_rows``
+    kernel: list
 
     @property
     def matrix(self) -> list[tuple]:
         """The rows of the cover map as (k, c) pairs, unpacked on each access."""
-        return [r if isinstance(r, tuple) else _unpack(r) for r in self.rows]
+        return _pairs(self.rows)
 
 
-def _reduced_basis(fld, rows) -> tuple[list[tuple], list[int]]:
+def _pairs(rows) -> list[tuple]:
+    """Rows as (k, c) pairs: packed F_2 ints unpacked, pairs as they are."""
+    return [r if isinstance(r, tuple) else _unpack(r) for r in rows]
+
+
+def _reduced_basis(fld, rows) -> tuple[list, list[int]]:
     """A basis of the span of ``rows`` in which row k is 1 at column
-    pivots[k] and every other row is 0 there.  Rows that already have this
-    form at their last nonzero entries, as unit rows and the kernel of a
-    cover (``Cover.kernel``, from ``left_kernel_rows``) do, are kept as
-    they are, so a resolution step reduces no syzygy; others are brought
-    to RREF."""
+    pivots[k] and every other row is 0 there: packed ints over F_2 (pair
+    rows are packed), pairs otherwise.  Rows that already have this form
+    at their last nonzero entries (the highest bit of an int), as unit
+    rows and the kernel of a cover (``Cover.kernel``, from
+    ``left_kernel_rows``) do, are kept as they are, so a resolution step
+    reduces no syzygy; others are brought to RREF."""
     rows = [r for r in rows if r]
-    pivots = [r[-1][0] for r in rows]
-    pivset = set(pivots)
-    if (len(pivset) == len(rows) and all(r[-1][1] == 1 for r in rows)
-            and not any(j in pivset for r in rows for j, _ in r[:-1])):
+    packed = fld.p == 2
+    if packed:
+        rows = [r if isinstance(r, int) else _pack_pairs(r) for r in rows]
+        pivots = [r.bit_length() - 1 for r in rows]
+        mask = reduce(or_, (1 << c for c in pivots), 0)
+        reduced = mask.bit_count() == len(rows) and all(r & mask == 1 << c for r, c in zip(rows, pivots))
+    else:
+        pivots = [r[-1][0] for r in rows]
+        pivset = set(pivots)
+        reduced = (len(pivset) == len(rows) and all(r[-1][1] == 1 for r in rows)
+                   and not any(j in pivset for r in rows for j, _ in r[:-1]))
+    if reduced:
         return rows, pivots
     span = SpanBuilder(fld)
-    for r in rows:
+    for r in _pairs(rows):
         span.add(r)
-    return span.finish()
+    basis, pivots = span.finish()
+    return [_pack_pairs(b) for b in basis] if packed else basis, pivots
+
+
+def _coordinates(fld, basis, pivots, dim: int):
+    """The function giving a vector's coordinates in the span of ``basis``
+    (rows of ``_reduced_basis``), or None outside it.  Over F_2 the
+    vector is packed and its coordinates are its bits at the pivots: it
+    lies in the span iff it is the sum of the basis rows those bits name.
+    Otherwise ``coords_against`` gives them as pairs."""
+    if fld.p != 2:
+        return partial(coords_against, fld, basis, pivots)
+    at = [0] * dim  # each basis row at its pivot
+    for b, c in zip(basis, pivots):
+        at[c] = b
+    mask = sum(1 << c for c in pivots)
+    return lambda vec: vec & mask if _xor_rows(vec, at) == vec else None
 
 
 def _actions(M: Representation) -> list:
@@ -425,7 +457,8 @@ def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Represent
 
 def projective_cover(M: Representation, rows=None) -> Cover:
     """Minimal projective cover of the submodule U of M spanned by ``rows``
-    (default: all of M), which must be nonzero.
+    (default: all of M), which must be nonzero.  Over F_2 the rows may be
+    pairs or packed ints, as ``Cover.kernel`` holds them.
 
     Everything is computed in the coordinates of M, and U is never built
     as a module of its own.  U*J is spanned by the images of the rows
@@ -434,29 +467,27 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     (dim P rows over the dim M columns) maps each summand e_vA onto
     the submodule its generator spans.  One elimination gives its rank,
     which must be dim U (surjectivity), and its left kernel, the
-    syzygy.  Each generator is returned as its row in M.  Vectors meet
-    the rows of ``_actions``: over F_2 as packed ints, with the bits at
-    the pivots of U as coordinates.  ValueError: U is not
+    syzygy.  Each generator is returned as its row in M, as pairs.
+    Vectors meet the rows of ``_actions``: over F_2 as packed ints, with
+    the bits at the pivots of U as coordinates (``_coordinates``), and
+    the kernel stays packed.  ValueError: U is not
     action-stable, that is a row of U*J or an idempotent image of a row
     leaves span(U)."""
     A = M.algebra
     fld = A.field
-    basis, pivots = _reduced_basis(fld, _unit_rows(fld, M.dim) if rows is None else rows)
+    packed = fld.p == 2
+    if rows is None:
+        rows = [1 << i for i in range(M.dim)] if packed else _unit_rows(fld, M.dim)
+    basis, pivots = _reduced_basis(fld, rows)
     if not basis:
         raise ValueError("projective cover of the zero module")
-    if fld.p == 2:  # a coordinate in U is the bit at a pivot
-        basis = [_pack_pairs(b) for b in basis]
-        at = [0] * M.dim  # each basis row of U at its pivot
-        for b, c in zip(basis, pivots):
-            at[c] = b
-        mask = sum(1 << c for c in pivots)
+    in_u = _coordinates(fld, basis, pivots, M.dim)
+    if packed:
         span, act, out = _PackedSpan(), _xor_rows, _unpack
         combine = lambda terms: reduce(xor, (img for _, img in terms), 0)
-        in_u = lambda vec: vec & mask if _xor_rows(vec, at) == vec else None
     else:
         span, combine, out = SpanBuilder(fld), M._combine, lambda vec: vec
         act = lambda vec, rows: M._combine((x, rows[i]) for i, x in vec)
-        in_u = lambda vec: coords_against(fld, basis, pivots, vec)
 
     def coords(vec):
         """Coordinates of a row of M in the basis of U."""
@@ -515,37 +546,49 @@ def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
     return forms
 
 
-def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list[tuple]]:
+def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list]:
     """Projective cover of M, or of its submodule spanned by ``rows``, and
     rows spanning the kernel inside the cover, certified to lie in the
     radical of the cover (minimality).  As rad(P) is the sum of the
     rad(P_v), the top forms of each block are read on that block alone;
     they are indexed by the columns of P they read, so a kernel row costs
-    only its own entries.  An empty kernel needs no check."""
+    only its own entries.  Over F_2 column j holds the forms reading it
+    as bits, and the forms' values on a packed row are the XOR of its
+    columns.  An empty kernel needs no check."""
     cov = projective_cover(M, rows)
     ker = cov.kernel
     if not ker:
         return cov, ker
     p = M.algebra.field.p
-    reads: dict[int, list] = {}  # column of P -> ((block, form), coefficient) pairs
-    for (v, _), off in zip(cov.blocks, cov.offsets):
-        for f, form in enumerate(_top_forms(M.algebra, v)):
+    forms = [(off, form) for (v, _), off in zip(cov.blocks, cov.offsets)
+             for form in _top_forms(M.algebra, v)]
+    if p == 2:
+        cols = [0] * cov.P.dim  # column of P -> the forms that read it, bit i for form i
+        for i, (off, form) in enumerate(forms):
+            for j, _ in form:
+                cols[off + j] |= 1 << i
+        escapes = lambda row: _xor_rows(row, cols)
+    else:
+        reads: dict[int, list] = {}  # column of P -> (form, coefficient) pairs
+        for i, (off, form) in enumerate(forms):
             for j, c in form:
-                reads.setdefault(off + j, []).append(((off, f), c))
-    for row in ker:
-        val: dict = {}
-        for j, x in row:
-            for key, c in reads.get(j, ()):
-                val[key] = val.get(key, 0) + x * c
-        if any(x % p for x in val.values()) if p else any(val.values()):
-            raise AssertionError("cover is not minimal: kernel escapes the radical")
+                reads.setdefault(off + j, []).append((i, c))
+
+        def escapes(row) -> bool:
+            val: dict = {}
+            for j, x in row:
+                for i, c in reads.get(j, ()):
+                    val[i] = val.get(i, 0) + x * c
+            return any(x % p for x in val.values()) if p else any(val.values())
+    if any(escapes(row) for row in ker):
+        raise AssertionError("cover is not minimal: kernel escapes the radical")
     return cov, ker
 
 
 def syzygy(M: Representation) -> Representation:
     """Kernel of the projective cover (zero-dimensional for projectives)."""
     cov, ker = _cover_and_kernel(M)
-    rep, _ = submodule(cov.P, ker, name=f"syz({M.name})" if M.name else "syzygy")
+    rep, _ = submodule(cov.P, _pairs(ker), name=f"syz({M.name})" if M.name else "syzygy")
     return rep
 
 
@@ -563,27 +606,34 @@ class MinimalResolution:
     ``maps[s]`` (s >= 1) is the connecting map P_s -> P_{s-1} written as
     an element matrix: entry [c][c'] is the algebra element, as (k, c)
     pairs, carrying the c'-th generator of P_s into the c-th summand of
-    P_{s-1}.
+    P_{s-1}.  It is a view of ``_maps``, which holds the entries in the
+    field's format: packed ints over F_2 (bit u for b_u), else pairs.
     ``kernel_dims[s]`` is dim of the (s+1)-st syzygy.
 
     Each syzygy is kept as the kernel rows inside the projective term it
     lies in, and covered there (``projective_cover`` with rows), so no
-    syzygy is built as a module of its own.  The generators of P_s are
-    then rows of P_{s-1}, and ``maps[s]`` is read from their blocks.
+    syzygy is built as a module of its own; over F_2 those rows stay
+    packed from one cover to the next.  The generators of P_s are then
+    rows of P_{s-1}, and ``_maps[s]`` is read from their blocks.
     """
 
     def __init__(self, M: Representation):
         require_not_semisimple(M.algebra)
         self.M = M
         self.levels: list[list[int]] = []
-        self.maps: list[Optional[list[list[tuple]]]] = [None]
+        self._maps: list[Optional[list[list]]] = [None]
         self.kernel_dims: list[int] = []
         # the next syzygy: rows (None for all of it) of its ambient module,
         # M and then the last projective term; None once a kernel is zero
         self._ambient: Optional[Representation] = M if M.dim else None
-        self._rows: Optional[list[tuple]] = None
+        self._rows: Optional[list] = None
         self._prev: Optional[tuple[list, list]] = None  # (blocks, offsets) of the last cover
         self.finished = False
+
+    @property
+    def maps(self) -> list[Optional[list[list[tuple]]]]:
+        """The element matrices with (k, c) pair entries, unpacked on each access."""
+        return [m and [_pairs(row) for row in m] for m in self._maps]
 
     def extend_to(self, length: int) -> None:
         while len(self.levels) < length and not self.finished:
@@ -596,17 +646,33 @@ class MinimalResolution:
         cov, ker = _cover_and_kernel(self._ambient, self._rows)
         self.levels.append(list(cov.vertices))
         if self._prev is not None:
-            self.maps.append(self._element_matrix(cov.generators))
+            self._maps.append(self._element_matrix(cov.generators))
         self._prev = (cov.blocks, cov.offsets)
         self.kernel_dims.append(len(ker))
         self._ambient, self._rows = (cov.P, ker) if ker else (None, None)
 
-    def _element_matrix(self, gens) -> list[list[tuple]]:
+    def _element_matrix(self, gens) -> list[list]:
         """Entry [c][gi]: the block c of the generator gi, a row of the
-        previous projective term, as an element of e_vA."""
+        previous projective term, as an element of e_vA, the sum of the
+        basis rows of that block at the generator's entries there.  Over
+        F_2 the generator is packed, and a block is its bits at the
+        block's offset; otherwise each entry of the generator is sent to
+        its (block, basis row) in one pass."""
         blocks, offsets = self._prev
-        return [[self.M._combine((x, brows[j - off]) for j, x in m if off <= j < off + len(brows))
-                 for _, m in gens] for (_, brows), off in zip(blocks, offsets)]
+        if self.M.algebra.field.p == 2:
+            packed = {v: [_pack_pairs(r) for r in brows] for v, brows in dict(blocks).items()}
+            gens = [_pack_pairs(m) for _, m in gens]
+            return [[_xor_rows((m >> off) & ((1 << len(brows)) - 1), packed[v]) for m in gens]
+                    for (v, brows), off in zip(blocks, offsets)]
+        where = [(c, brows[j]) for c, (_, brows) in enumerate(blocks) for j in range(len(brows))]
+        columns = []  # per generator, its entries per block
+        for _, m in gens:
+            terms: list[list] = [[] for _ in blocks]
+            for j, x in m:
+                c, r = where[j]
+                terms[c].append((x, r))
+            columns.append([self.M._combine(t) for t in terms])
+        return [list(row) for row in zip(*columns)]
 
 
 def _resolution(M: Representation, length: int) -> MinimalResolution:
@@ -667,28 +733,55 @@ class ExtTable:
         return obj
 
 
-def _differential_rank(N: Representation, emat, src, tgt) -> int:
+def _weight_coordinates(N: Representation) -> list[tuple[list, object]]:
+    """Per vertex, the weight basis of N there (``_weight_basis``) in the
+    field's format, packed over F_2, and its ``_coordinates``.  Cached on N."""
+    weights = N._cache.get("weight-coordinates")
+    if weights is None:
+        fld, weights = N.algebra.field, []
+        for v in range(N.algebra.n_vertices):
+            rows, pivots = _weight_basis(N, v)
+            if fld.p == 2:
+                rows = [_pack_pairs(r) for r in rows]
+            weights.append((rows, _coordinates(fld, rows, pivots, N.dim)))
+        N._cache["weight-coordinates"] = weights
+    return weights
+
+
+def _differential_rank(N: Representation, emat, src: list[int], tgt: list[int]) -> int:
     """Rank of Hom(P_{s-1}, N) -> Hom(P_s, N), the right multiplication by
-    the element matrix ``emat`` of P_s -> P_{s-1}.  ``src`` and ``tgt``
-    hold the weight bases (rows, pivots) of N at the summands of P_{s-1}
-    and of P_s; an image is written as its coordinates in each target
-    weight basis in turn."""
-    if not any(rows for rows, _ in src) or not any(rows for rows, _ in tgt):
+    the element matrix ``emat`` (``MinimalResolution._maps``) of P_s ->
+    P_{s-1}, whose summands sit at the vertices ``src`` and ``tgt``.  A
+    map is read on the weight basis of N at each summand.  The image of a
+    basis row r under an entry is checked against the target weight
+    basis (``_weight_coordinates``), and its coordinates there are joined,
+    those of target summand c2 at offset c2 * dim N, into one row of a
+    span.  Over F_2 r is packed and taken once through the action rows of
+    N; its image under an entry a is the XOR of those images at the bits
+    of a."""
+    weights = _weight_coordinates(N)
+    fld, dn = N.algebra.field, N.dim
+    targets = [(c2, c2 * dn, weights[w][1]) for c2, w in enumerate(tgt) if weights[w][0]]
+    if not targets or not any(weights[v][0] for v in src):
         return 0
-    fld = N.algebra.field
-    zero = fld.zero()
-    images = []
-    for c, (rows, _) in enumerate(src):
-        for r in rows:
-            img = []
-            for c2, (support, pivots) in enumerate(tgt):
-                if support:
-                    coeffs = coords_against(fld, support, pivots, N.apply_element(r, emat[c][c2]))
-                    if coeffs is None:
-                        raise AssertionError("differential image left its weight space")
-                    img += _dense(coeffs, len(support), zero)
-            images.append(img)
-    return rank_rows(fld, images)
+    if fld.p == 2:
+        acts = _actions(N)[:N.algebra.dim]
+        through = lambda r: [_xor_rows(r, act) for act in acts]  # r @ act(b_u) for each u
+        image, span, empty, shift = _xor_rows, _PackedSpan(), 0, lambda x, off: x << off
+    else:
+        through = lambda r: r
+        image, span, empty = lambda a, r: N.apply_element(r, a), SpanBuilder(fld), ()
+        shift = lambda x, off: tuple([(off + k, c) for k, c in x]) if off else x
+    for v, entries in zip(src, emat):
+        for r in weights[v][0]:
+            r, img = through(r), empty
+            for c2, off, coords in targets:
+                x = coords(image(entries[c2], r))
+                if x is None:
+                    raise AssertionError("differential image left its weight space")
+                img += shift(x, off)  # disjoint bits, or pairs in column order
+            span.add(img)
+    return span.rank
 
 
 def ext_dims(M: Representation, N: Representation, t: int,
@@ -718,10 +811,11 @@ def _hom_complex(M: Representation, N: Representation, t: int, ranks: list[int])
     in place up to s = t+1 for the s not in the list yet.  Levels past
     the end of a finite resolution count as zero."""
     res = _resolution(M, t + 2)
-    bases = [[_weight_basis(N, v) for v in verts] for verts in res.levels[:t + 2]]
+    levels = res.levels[:t + 2]
     for s in range(len(ranks), t + 2):
-        ranks.append(_differential_rank(N, res.maps[s], bases[s - 1], bases[s]) if s < len(bases) else 0)
-    return [sum(len(rows) for rows, _ in b) for b in bases] + [0] * (t + 2 - len(bases))
+        ranks.append(_differential_rank(N, res._maps[s], levels[s - 1], levels[s]) if s < len(levels) else 0)
+    dims = [sum(len(_weight_basis(N, v)[0]) for v in verts) for verts in levels]
+    return dims + [0] * (t + 2 - len(levels))
 
 
 def _require_same_algebra(M: Representation, N: Representation) -> None:
@@ -744,8 +838,9 @@ def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
         return []
     fld = M.algebra.field
     dm, dn = M.dim, N.dim
-    if "cover" not in M._cache:  # every Hom out of M reads the same cover
-        M._cache["cover"] = _cover_and_kernel(M)
+    if "cover" not in M._cache:  # every Hom out of M reads the same cover, its kernel as pairs
+        cov, ker = _cover_and_kernel(M)
+        M._cache["cover"] = cov, _pairs(ker)
     cov, ker = M._cache["cover"]
     zero = fld.zero()
     phis = []  # Hom(P, N), each map as {row of P: its image in N}

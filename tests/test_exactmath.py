@@ -268,13 +268,16 @@ def test_left_kernel_rows_matches_the_dense_transpose(case):
 @given(rows_with_a_left_kernel(F2, max_rows=30, max_cols=60))
 def test_left_kernel_rows_f2_packed_matches_the_dense_transpose(case):
     # up to 36 x 60 cells, past the 512 where rref_rows packs F_2 rows
-    from domdimlab.exactmath import left_kernel_rows, sparse_row
+    from domdimlab.exactmath import _unpack, left_kernel_rows, sparse_row
 
     check_left_kernel(F2, *case)
-    # int rows, bit k for column k, give the same rank and kernel as pairs
+    # int rows, bit k for column k, give the same rank as pairs, and the
+    # same kernel as int rows
     rows, ncols = case
     packed = [sum(1 << k for k, x in enumerate(r) if x) for r in rows]
-    assert left_kernel_rows(F2, packed, ncols) == left_kernel_rows(F2, [sparse_row(r) for r in rows], ncols)
+    rank, kernel = left_kernel_rows(F2, packed, ncols)
+    assert all(isinstance(k, int) for k in kernel)
+    assert (rank, [_unpack(k) for k in kernel]) == left_kernel_rows(F2, [sparse_row(r) for r in rows], ncols)
 
 
 @given(rows_with_a_left_kernel(F2, max_rows=12, max_cols=40), st.data())
@@ -308,6 +311,9 @@ def test_left_kernel_rows_fixed_shapes():
         # rows 0 and 2 are equal, row 1 is zero
         rows = [((0, one), (1, one)), (), ((0, one), (1, one))]
         assert left_kernel_rows(fld, rows, 2) == (1, [((1, one),), ((0, fld.neg(one)), (2, one))])
+    # over F_2, int rows give int kernel rows, bit k for entry k
+    assert left_kernel_rows(F2, [0, 0, 0], 0) == (0, [1, 2, 4])
+    assert left_kernel_rows(F2, [3, 0, 3], 2) == (1, [2, 5])
     check_left_kernel(F2, [[1] * 40 for _ in range(20)], 40)
 
 

@@ -164,16 +164,18 @@ def cycle33(fld):
 
 def test_cover_rejects_a_kernel_with_a_top_component(hopf, monkeypatch):
     # a kernel row outside the radical of P: the minimality check fires,
-    # on a packed F_2 cover and on a pair cover over Q
+    # on a packed F_2 cover (int kernel rows) and on a pair cover over Q
     real = hml.projective_cover
     v = 0
     for table in (hopf, cycle33(QQ)):
         j = hml._top_forms(table, v)[0][0][0]  # each top form is 1 at its own column
+        row = 1 << j if table.field == F2 else ((j, table.field.one()),)
 
         def forged(M, rows=None):
             cov = real(M, rows)
             assert cov.vertices[0] == v
-            return dataclasses.replace(cov, kernel=cov.kernel + [((j, table.field.one()),)])
+            assert all(isinstance(k, type(row)) for k in cov.kernel)
+            return dataclasses.replace(cov, kernel=cov.kernel + [row])
 
         monkeypatch.setattr(hml, "projective_cover", forged)
         with pytest.raises(AssertionError, match="cover is not minimal"):
@@ -219,10 +221,10 @@ def _covers(M, steps):
 
 @pytest.mark.parametrize("name", ["hopf-a5-f2", "dihedral8-f2", "quaternion8-f2", "cycle (3, 3)"])
 def test_packed_cover_matches_pair_arithmetic(name, bridged33):
-    # over F_2 a cover step holds its vectors as ints; its outputs are pair
-    # rows equal to what pair arithmetic gives, for the simple module and
-    # its first six syzygies
-    from domdimlab.exactmath import left_kernel_rows
+    # over F_2 a cover step holds its vectors as ints, the kernel too; its
+    # outputs, unpacked, are pair rows equal to what pair arithmetic
+    # gives, for the simple module and its first six syzygies
+    from domdimlab.exactmath import _unpack, left_kernel_rows
 
     table = bridged33 if name.startswith("cycle") else qa.preset(name)
     steps = 0
@@ -231,8 +233,10 @@ def test_packed_cover_matches_pair_arithmetic(name, bridged33):
         want = [M._combine((c, M.apply(m, u)) for u, c in r)
                 for (_, m), (_, brows) in zip(cov.generators, cov.blocks) for r in brows]
         assert cov.matrix == want
-        assert cov.kernel == left_kernel_rows(F2, cov.matrix, M.dim)[1]
-        for k in cov.kernel:
+        assert all(isinstance(k, int) for k in cov.kernel)
+        kernel = [_unpack(k) for k in cov.kernel]
+        assert kernel == left_kernel_rows(F2, cov.matrix, M.dim)[1]
+        for k in kernel:
             assert M._combine((x, cov.matrix[i]) for i, x in k) == ()
         steps += 1
     assert steps == 7
@@ -312,6 +316,55 @@ def test_ext_dims_reads_the_first_levels_of_a_deeper_resolution(make):
     assert again.degrees == deep.degrees[:2] == fresh.degrees
     assert again.hom == fresh.hom
     assert all(fresh.degrees) and fresh.hom
+
+
+@pytest.mark.parametrize("name", ["hopf-a5-f2", "dihedral8-f2", "cycle (3, 3)"])
+def test_packed_differential_rank_matches_dense_images(name, bridged33):
+    # over F_2 the element matrices hold ints and an Ext differential is
+    # ranked packed; against the images written as dense coordinate rows
+    # from the pair view of the maps, ranked by rank_rows, for N = A, J
+    # and A/J^2 and s <= 6
+    from domdimlab.exactmath import _unpack, coords_against
+
+    table = bridged33 if name.startswith("cycle") else qa.preset(name)
+    res = hml._resolution(hml.simple(table, 0), 7)
+    for s in range(1, 7):
+        assert all(isinstance(a, int) for row in res._maps[s] for a in row)
+        assert res.maps[s] == [[_unpack(a) for a in row] for row in res._maps[s]]
+    R = hml.regular(table)
+    targets = [R, hml.radical_power(table, 1).rep, hml.quotient(R, hml._radical_layer(R, 2)[0])]
+    for N in targets:
+        ranks = []
+        for s in range(1, 7):
+            src, tgt = res.levels[s - 1], res.levels[s]
+            images = []
+            for c, v in enumerate(src):
+                for r in hml._weight_basis(N, v)[0]:
+                    img = []
+                    for c2, w in enumerate(tgt):
+                        basis, pivots = hml._weight_basis(N, w)
+                        coeffs = coords_against(F2, basis, pivots, N.apply_element(r, res.maps[s][c][c2]))
+                        img += qa._dense(coeffs, len(basis), 0)
+                    images.append(img)
+            ranks.append(rank_rows(F2, images))
+            assert hml._differential_rank(N, res._maps[s], src, tgt) == ranks[-1]
+        assert any(ranks)
+
+
+@pytest.mark.parametrize("fld", [F2, QQ], ids=["F2", "Q"])
+def test_differential_image_outside_its_weight_space_is_an_internal_error(fld):
+    # maps[1][0][0] lies in e_0 A e_1; forged as e_0, it keeps a row of
+    # A e_0 in A e_0, outside A e_1: a packed entry over F_2, pairs over Q
+    from domdimlab.exactmath import _pack_pairs
+
+    table = cycle33(fld)
+    S = hml.simple(table, 0)
+    res = hml._resolution(S, 3)
+    assert res.levels[:2] == [[0], [1]]
+    e0 = sparse_row(table.idempotents[0][1])
+    res._maps[1][0][0] = _pack_pairs(e0) if fld == F2 else e0
+    with pytest.raises(AssertionError, match="differential image left its weight space"):
+        hml.ext_dims(S, hml.regular(table), 1)
 
 
 HOM_CROSS_CASES = [(nak.CYCLE, (3, 3)), (nak.CYCLE, (2, 3)), (nak.CYCLE, (3, 4, 4)),
@@ -1126,6 +1179,14 @@ def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
     for r in rows:
         target.add(r)
     assert image.finish() == target.finish()
+    # int rows, reduced at their highest bits or not, span the same rows
+    # and give the same cover as pairs
+    from domdimlab.exactmath import _pack_pairs
+
+    packed = [_pack_pairs(r) for r in rows]
+    for ints in (packed, packed[:1] + [packed[0] ^ r for r in packed[1:]]):
+        cov = hml.projective_cover(R, ints)
+        assert (cov.vertices, cov.matrix, cov.kernel) == (inside.vertices, inside.matrix, inside.kernel)
 
 
 # -- modules cut from the regular module, against the dense constructions ------
