@@ -306,6 +306,15 @@ def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, 
     return table._cache[key]
 
 
+def _packed_basis(table: AlgebraTable, vertex: int) -> list[int]:
+    """The basis of e_vA (``_projective_data``) as packed F_2 rows.
+    Cached on the table."""
+    key = ("packed-basis", vertex)
+    if key not in table._cache:
+        table._cache[key] = [_pack_pairs(r) for r in _projective_data(table, vertex)[1]]
+    return table._cache[key]
+
+
 def projective(table: AlgebraTable, vertex: int) -> Representation:
     """The indecomposable projective e_v A with its right regular action.
     Each call wraps the cached rows in a fresh module, so renaming one
@@ -354,13 +363,18 @@ class Cover:
     # the cover map, dim P rows over the dim M columns, and its kernel
     # (``left_kernel_rows``), rows of P: packed ints over F_2, else pairs
     rows: list
-    generators: list[tuple[int, tuple]]  # (vertex, image row in M) per summand
+    gen_rows: list[tuple[int, object]]  # (vertex, image row in M) per summand, in the same format
     kernel: list
 
     @property
     def matrix(self) -> list[tuple]:
         """The rows of the cover map as (k, c) pairs, unpacked on each access."""
         return _pairs(self.rows)
+
+    @property
+    def generators(self) -> list[tuple[int, tuple]]:
+        """The generators as (vertex, pair row in M), unpacked on each access."""
+        return [(v, m if isinstance(m, tuple) else _unpack(m)) for v, m in self.gen_rows]
 
 
 def _pairs(rows) -> list[tuple]:
@@ -467,7 +481,7 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     (dim P rows over the dim M columns) maps each summand e_vA onto
     the submodule its generator spans.  One elimination gives its rank,
     which must be dim U (surjectivity), and its left kernel, the
-    syzygy.  Each generator is returned as its row in M, as pairs.
+    syzygy.  Each generator is returned as its row in M.
     Vectors meet the rows of ``_actions``: over F_2 as packed ints, with
     the bits at the pivots of U as coordinates (``_coordinates``), and
     the kernel stays packed.  ValueError: U is not
@@ -483,10 +497,10 @@ def projective_cover(M: Representation, rows=None) -> Cover:
         raise ValueError("projective cover of the zero module")
     in_u = _coordinates(fld, basis, pivots, M.dim)
     if packed:
-        span, act, out = _PackedSpan(), _xor_rows, _unpack
+        span, act = _PackedSpan(), _xor_rows
         combine = lambda terms: reduce(xor, (img for _, img in terms), 0)
     else:
-        span, combine, out = SpanBuilder(fld), M._combine, lambda vec: vec
+        span, combine = SpanBuilder(fld), M._combine
         act = lambda vec, rows: M._combine((x, rows[i]) for i, x in vec)
 
     def coords(vec):
@@ -526,7 +540,7 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     # the images lie in U, which the generators cover modulo U*J
     if rank != len(basis):
         raise AssertionError("projective cover failed to surject")
-    return Cover(vertices, P, blocks, offsets, matrix, [(vi, out(m)) for vi, m in gens], kernel)
+    return Cover(vertices, P, blocks, offsets, matrix, gens, kernel)
 
 
 def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
@@ -646,33 +660,24 @@ class MinimalResolution:
         cov, ker = _cover_and_kernel(self._ambient, self._rows)
         self.levels.append(list(cov.vertices))
         if self._prev is not None:
-            self._maps.append(self._element_matrix(cov.generators))
+            self._maps.append(self._element_matrix(cov.gen_rows))
         self._prev = (cov.blocks, cov.offsets)
         self.kernel_dims.append(len(ker))
         self._ambient, self._rows = (cov.P, ker) if ker else (None, None)
 
     def _element_matrix(self, gens) -> list[list]:
         """Entry [c][gi]: the block c of the generator gi, a row of the
-        previous projective term, as an element of e_vA, the sum of the
-        basis rows of that block at the generator's entries there.  Over
-        F_2 the generator is packed, and a block is its bits at the
-        block's offset; otherwise each entry of the generator is sent to
-        its (block, basis row) in one pass."""
+        previous projective term (``Cover.gen_rows``), as an element of
+        e_vA, the sum of the basis rows of that block at the generator's
+        entries there.  Over F_2 the generator is packed, and a block is
+        its bits at the block's offset."""
         blocks, offsets = self._prev
-        if self.M.algebra.field.p == 2:
-            packed = {v: [_pack_pairs(r) for r in brows] for v, brows in dict(blocks).items()}
-            gens = [_pack_pairs(m) for _, m in gens]
-            return [[_xor_rows((m >> off) & ((1 << len(brows)) - 1), packed[v]) for m in gens]
+        A = self.M.algebra
+        if A.field.p == 2:
+            return [[_xor_rows((m >> off) & ((1 << len(brows)) - 1), _packed_basis(A, v)) for _, m in gens]
                     for (v, brows), off in zip(blocks, offsets)]
-        where = [(c, brows[j]) for c, (_, brows) in enumerate(blocks) for j in range(len(brows))]
-        columns = []  # per generator, its entries per block
-        for _, m in gens:
-            terms: list[list] = [[] for _ in blocks]
-            for j, x in m:
-                c, r = where[j]
-                terms[c].append((x, r))
-            columns.append([self.M._combine(t) for t in terms])
-        return [list(row) for row in zip(*columns)]
+        return [[self.M._combine((x, brows[j - off]) for j, x in m if off <= j < off + len(brows))
+                 for _, m in gens] for (_, brows), off in zip(blocks, offsets)]
 
 
 def _resolution(M: Representation, length: int) -> MinimalResolution:
@@ -814,7 +819,8 @@ def _hom_complex(M: Representation, N: Representation, t: int, ranks: list[int])
     levels = res.levels[:t + 2]
     for s in range(len(ranks), t + 2):
         ranks.append(_differential_rank(N, res._maps[s], levels[s - 1], levels[s]) if s < len(levels) else 0)
-    dims = [sum(len(_weight_basis(N, v)[0]) for v in verts) for verts in levels]
+    weights = _weight_coordinates(N)
+    dims = [sum(len(weights[v][0]) for v in verts) for verts in levels]
     return dims + [0] * (t + 2 - len(levels))
 
 

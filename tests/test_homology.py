@@ -230,6 +230,7 @@ def test_packed_cover_matches_pair_arithmetic(name, bridged33):
     steps = 0
     for M, cov in _covers(hml.simple(table, 0), 7):
         assert all(isinstance(r, int) for r in cov.rows)
+        assert all(isinstance(m, int) for _, m in cov.gen_rows)
         want = [M._combine((c, M.apply(m, u)) for u, c in r)
                 for (_, m), (_, brows) in zip(cov.generators, cov.blocks) for r in brows]
         assert cov.matrix == want
