@@ -12,19 +12,23 @@ homology engines.  Sparse rows are tuples of (k, c) pairs, k ascending
 and every c nonzero (``sparse_row`` converts a dense row once):
 ``coords_against`` takes its basis and vector in that form and returns
 the coordinates so, a ``SpanBuilder`` holds its rows and reduces
-vectors in it, and ``left_kernel_rows`` takes pair rows (or over F_2
-ints, bit k for column k, as the ``_pack_pairs`` helpers beside it hold
-vectors) and returns their rank and left kernel, the kernel in the
-format of the rows, from one elimination of [C | I].  ``Matrix`` stays
-public API.
+vectors in it, and ``combine_pairs`` sums multiples of them.
+``row_format(field)`` is the one place that chooses how a resolution
+holds its rows: packed ints over F_2 (bit k for column k) and pairs
+over F_p (p odd) and Q, with the same operations on both.
+``left_kernel_rows`` takes rows of either format over F_2 and returns
+their rank and left kernel, the kernel in the format of the rows, from
+one elimination of [C | I].  ``Matrix`` stays public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, repeat
+from operator import lshift, xor
 from typing import NamedTuple
 
 
@@ -393,29 +397,6 @@ def kernel_rows(field: FieldSpec, rows: list[list], ncols: int) -> list[list]:
     return basis
 
 
-def _pack_pairs(row) -> int:
-    """An F_2 pair row (every c is 1) as an int, bit k for column k."""
-    v = 0
-    for k, _ in row:
-        v |= 1 << k
-    return v
-
-
-def _unpack(v: int) -> tuple:
-    """The packed F_2 row ``v`` as (k, 1) pairs, k ascending."""
-    return tuple(zip(compress(count(), bin(v)[:1:-1].encode().translate(_BIT_BYTES)), repeat(1)))
-
-
-def _xor_rows(v: int, rows: list[int]) -> int:
-    """v times the packed F_2 rows ``rows``: the XOR of rows[i] over the set bits i of v."""
-    acc = 0
-    while v:
-        low = v & -v
-        acc ^= rows[low.bit_length() - 1]
-        v ^= low
-    return acc
-
-
 class _PackedSpan(dict):
     """Packed F_2 rows in echelon form: the lowest bit of each row -> the row."""
 
@@ -432,6 +413,132 @@ class _PackedSpan(dict):
         return False
 
 
+def combine_pairs(field: FieldSpec, terms) -> tuple:
+    """The sum of f * row over the (f, pair row) terms, as (k, c) pairs
+    with k ascending and c nonzero, reduced once."""
+    acc = {}
+    for f, row in terms:
+        for j, c in row:
+            acc[j] = acc.get(j, 0) + f * c
+    return _canonical(field, acc)
+
+
+class _PackedRows:
+    """The row format of F_2: packed ints, bit k for column k."""
+
+    field = F2
+    zero = 0
+    span = _PackedSpan
+    shift = staticmethod(lshift)
+
+    @staticmethod
+    def pack(row: tuple) -> int:
+        """A pair row (every c is 1) as an int."""
+        v = 0
+        for k, _ in row:
+            v |= 1 << k
+        return v
+
+    @staticmethod
+    def unpack(v: int) -> tuple:
+        """The int ``v`` as (k, 1) pairs, k ascending."""
+        return tuple(zip(compress(count(), bin(v)[:1:-1].encode().translate(_BIT_BYTES)), repeat(1)))
+
+    @staticmethod
+    def times(v: int, rows: list[int]) -> int:
+        """The XOR of rows[i] over the set bits i of v."""
+        acc = 0
+        while v:
+            low = v & -v
+            acc ^= rows[low.bit_length() - 1]
+            v ^= low
+        return acc
+
+    @staticmethod
+    def apply(vec: int, a: int, acts: list) -> int:
+        return reduce(xor, (_PackedRows.times(vec, acts[u]) for u, _ in _PackedRows.unpack(a)), 0)
+
+    @staticmethod
+    def window(row: int, off: int, n: int) -> int:
+        return (row >> off) & ((1 << n) - 1)
+
+    @staticmethod
+    def pivots(rows: list[int]) -> list[int] | None:
+        pivots = [r.bit_length() - 1 for r in rows]
+        mask = sum(1 << c for c in set(pivots))
+        if mask.bit_count() == len(rows) and all(r & mask == 1 << c for r, c in zip(rows, pivots)):
+            return pivots
+        return None
+
+    @staticmethod
+    def coordinates(basis: list[int], pivots: list[int], dim: int):
+        at = [0] * dim  # each basis row at its pivot
+        for b, c in zip(basis, pivots):
+            at[c] = b
+        mask, times = sum(1 << c for c in pivots), _PackedRows.times
+        return lambda vec: vec & mask if times(vec, at) == vec else None
+
+
+class _PairRows:
+    """The row format of F_p (p odd) and Q: (k, c) pairs."""
+
+    zero = ()
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+
+    pack = unpack = staticmethod(tuple)  # the identity on pair rows
+
+    def times(self, vec: tuple, rows: list) -> tuple:
+        return combine_pairs(self.field, ((x, rows[i]) for i, x in vec))
+
+    def apply(self, vec: tuple, a: tuple, acts: list) -> tuple:
+        return combine_pairs(self.field, ((c * x, acts[u][i]) for u, c in a for i, x in vec))
+
+    def span(self) -> SpanBuilder:
+        return SpanBuilder(self.field)
+
+    @staticmethod
+    def shift(row: tuple, off: int) -> tuple:
+        return tuple([(k + off, c) for k, c in row]) if off else row
+
+    @staticmethod
+    def window(row: tuple, off: int, n: int) -> tuple:
+        return tuple([(j - off, x) for j, x in row if off <= j < off + n])
+
+    @staticmethod
+    def pivots(rows: list[tuple]) -> list[int] | None:
+        pivots = [r[-1][0] for r in rows]
+        pivset = set(pivots)
+        if (len(pivset) == len(rows) and all(r[-1][1] == 1 for r in rows)
+                and not any(j in pivset for r in rows for j, _ in r[:-1])):
+            return pivots
+        return None
+
+    def coordinates(self, basis: list[tuple], pivots: list[int], dim: int):
+        return partial(coords_against, self.field, basis, pivots)
+
+
+_PACKED = _PackedRows()
+
+
+def row_format(field: FieldSpec):
+    """The rows a resolution computes with over ``field``, packed ints over
+    F_2 and (k, c) pairs otherwise, and their operations: ``zero``,
+    ``pack(pairs)``, ``unpack(row)``; ``times(vec, rows)``, vec @ rows;
+    ``apply(vec, a, acts)``, vec @ act(a) for an algebra element a and the
+    action rows acts[u] of each b_u, summed over the entries of a and vec
+    only; ``span()``, an empty ``_PackedSpan`` or ``SpanBuilder``;
+    ``shift(row, off)``, the row moved off columns right, and
+    ``window(row, off, n)``, its columns off..off+n-1 moved to 0..n-1;
+    ``pivots(rows)``, the last entry of each row if each is 1 there and
+    every other row 0, else None; ``coordinates(basis, pivots, dim)``, the
+    function giving a vector's coordinates in such a basis, or None
+    outside its span: its bits at the pivots over F_2 (it lies in the span
+    iff it is the sum of the rows they name), else ``coords_against``."""
+    return _PACKED if field == F2 else _PairRows(field)
+
+
 def left_kernel_rows(field: FieldSpec, rows: list, ncols: int) -> tuple[int, list]:
     """(rank, basis of {x : x . rows_matrix = 0}) for ``rows`` given as
     (k, c) pairs over ``ncols`` columns, from one elimination of [C | I].
@@ -439,34 +546,33 @@ def left_kernel_rows(field: FieldSpec, rows: list, ncols: int) -> tuple[int, lis
     reduced from their last entry back: each is 1 at its last entry,
     where every other row is 0, in ascending order of that entry.  This
     basis is unique, and it is the one ``kernel_rows`` gives for the
-    transpose.  Over F_2 the rows may instead be packed ints (bit k for
-    column k); the kernel comes back in the format of the rows, ints for
-    ints and pairs for pairs, and the elimination runs packed either way."""
+    transpose.  It is read off the rows of the elimination with their
+    pivot (their lowest bit over F_2) in I, with no back-substitution:
+    a row is only reduced by rows with their pivot in C, which carry
+    entries of I only of rows that got their pivot in C; so a kernel row
+    is 1 at its own entry of I, its pivot, and 0 at the pivot of every
+    other kernel row.  Over F_2 the rows may instead be packed ints (bit
+    k for column k); the kernel comes back in the format of the rows,
+    ints for ints and pairs for pairs, and the elimination runs packed
+    either way."""
     n = len(rows)
     if field.kind == "prime" and field.p == 2:
         packed = bool(rows) and isinstance(rows[0], int)
         span = _PackedSpan()
         for i, r in enumerate(rows):
-            span.add((r if packed else _pack_pairs(r)) | 1 << (ncols + n - 1 - i))
-        # The rows with their lowest bit in I span the kernel, and are 0 on C.
-        # They need no back-substitution: a row is only ever reduced by rows
-        # with their lowest bit in C, and (by induction) those carry bits of
-        # I only for rows that ended with their lowest bit in C; so a kernel
-        # row is 1 at its own bit of I, its lowest, and 0 at the lowest bit
-        # of every other kernel row.
+            span.add((r if packed else _PACKED.pack(r)) | 1 << (ncols + n - 1 - i))
         ker = sorted(((low, v >> ncols) for low, v in span.items() if low >> ncols), reverse=True)
         width = f"0{n}b"  # row i at bit n-1-i: reverse the bits
         kernel = [int(format(v, width)[::-1], 2) for _, v in ker]
-        return n - len(kernel), kernel if packed else [_unpack(v) for v in kernel]
+        return n - len(kernel), kernel if packed else [_PACKED.unpack(v) for v in kernel]
     span = SpanBuilder(field)
     one = field.one()
     for i, r in enumerate(rows):
         span.add(tuple(r) + ((ncols + n - 1 - i, one),))
-    ker = SpanBuilder(field)  # the rows with their pivot in I span the kernel
-    ker._at = {c: row for c, row in span._at.items() if c >= ncols}
     last = ncols + n - 1
-    kernel = [tuple((last - k, x) for k, x in reversed(row)) for row in ker.finish()[0]]
-    return n - len(kernel), kernel[::-1]
+    kernel = [tuple((last - k, x) for k, x in reversed(span._at[c]))
+              for c in sorted((c for c in span._at if c >= ncols), reverse=True)]
+    return n - len(kernel), kernel
 
 
 def matmul_rows(field: FieldSpec, a: list[list], b: list[list]) -> list[list]:

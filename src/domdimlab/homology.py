@@ -7,11 +7,13 @@ the module axiom.  The matrices are stored as sparse rows: most entries
 are zero in the modules a resolution builds.  Module vectors and algebra
 elements are (k, c) pairs in the same format, k ascending and every c
 nonzero; dense rows appear only in the Hom matrices and in the dense
-views of a module.  Over F_2 a resolution is packed end to end: a
-projective cover holds its vectors as packed ints, one elimination
-(``exactmath.left_kernel_rows``) gives its rank and its kernel as ints,
-the next cover takes those ints as its rows, and the element matrices
-and the images ranked by an Ext differential are ints too.  Modules are
+views of a module.  Covers, resolutions and Ext hold their rows in the
+format ``exactmath.row_format`` chooses for the field, packed ints over
+F_2 and pairs otherwise, and run one body for both: a projective cover
+computes in that format, one elimination (``exactmath.left_kernel_rows``)
+gives its rank and its kernel in it, the next cover takes that kernel as
+its rows, and the element matrices and the images ranked by an Ext
+differential are rows of the format too.  Modules are
 cut out of the regular module: the projectives e_vA are its submodules,
 the powers J^k and the uniserial bridges P_v / P_v J^k are read from one
 radical filtration M > MJ > MJ^2 > ... per module, computed once and
@@ -38,22 +40,17 @@ its absence raises :class:`PreconditionError`; no verdict is left open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
 from itertools import chain
-from operator import or_, xor
 from typing import Optional
 
 from .bounded import BoundedValue
 from .exactmath import (
     SpanBuilder,
-    _canonical,
-    _pack_pairs,
-    _PackedSpan,
-    _unpack,
-    _xor_rows,
+    combine_pairs,
     coords_against,
     left_kernel_rows,
     matmul_rows,
+    row_format,
     rref_rows,
     sparse_row,
 )
@@ -130,29 +127,20 @@ class Representation:
         zero = self.algebra.field.zero()
         return tuple(tuple(tuple(_dense(r, self.dim, zero)) for r in m) for m in self.rows)
 
-    def _combine(self, terms) -> tuple:
-        """Sum of f * row over the (f, sparse row) pairs, as (k, c) pairs
-        with k ascending and c nonzero, reduced once."""
-        acc = {}
-        for f, row in terms:
-            for j, c in row:
-                acc[j] = acc.get(j, 0) + f * c
-        return _canonical(self.algebra.field, acc)
-
     def apply(self, vec, u: int) -> tuple:
         """vec @ act(b_u)."""
         rows = self.rows[u]
-        return self._combine((x, rows[i]) for i, x in vec)
+        return combine_pairs(self.algebra.field, ((x, rows[i]) for i, x in vec))
 
     def apply_element(self, vec, a) -> tuple:
         """vec @ act(a) for an algebra element a."""
-        return self._combine((c * x, self.rows[u][i]) for u, c in a for i, x in vec)
+        return combine_pairs(self.algebra.field, ((c * x, self.rows[u][i]) for u, c in a for i, x in vec))
 
     def element_action(self, vec) -> list[list]:
         """Dense action matrix of an algebra element given as a coordinate vector."""
         terms = [(c, self.rows[u]) for u, c in enumerate(vec) if c]
-        zero = self.algebra.field.zero()
-        return [_dense(self._combine((c, rows[i]) for c, rows in terms), self.dim, zero)
+        fld = self.algebra.field
+        return [_dense(combine_pairs(fld, ((c, rows[i]) for c, rows in terms)), self.dim, fld.zero())
                 for i in range(self.dim)]
 
     def verify(self) -> None:
@@ -163,8 +151,8 @@ class Representation:
         for u in range(A.dim):
             for v in range(A.dim):
                 # row i of act(b_u) @ act(b_v) against row i of act(b_u b_v)
-                lhs = [self._combine((c, self.rows[v][j]) for j, c in row) for row in self.rows[u]]
-                rhs = [self._combine((c, self.rows[k][i]) for k, c in A.mult[u][v])
+                lhs = [self.apply(row, v) for row in self.rows[u]]
+                rhs = [combine_pairs(A.field, ((c, self.rows[k][i]) for k, c in A.mult[u][v]))
                        for i in range(self.dim)]
                 if lhs != rhs:
                     raise ValueError(
@@ -291,9 +279,10 @@ def top(M: Representation) -> Representation:
     return quotient(M, radical_rows(M), name=f"top({M.name})" if M.name else "top")
 
 
-def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, list[tuple]]:
-    """(P, basis): the projective e_vA cut out of the regular module by the
-    rows e_v * b_u, with its RREF basis inside A.  Cached on the table."""
+def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, list[tuple], list]:
+    """(P, basis, rows): the projective e_vA cut out of the regular module
+    by the rows e_v * b_u, and its RREF basis inside A as pairs and as
+    rows of the field's format.  Cached on the table."""
     if not 0 <= vertex < table.n_vertices:
         raise PreconditionError(
             f"vertex {vertex} out of range 0..{table.n_vertices - 1}")
@@ -302,16 +291,8 @@ def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, 
         label, e = table.idempotents[vertex]
         R, e = regular(table), sparse_row(e)
         rows = (R.apply(e, u) for u in range(table.dim))
-        table._cache[key] = submodule(R, [r for r in rows if r], name=f"P({label})")
-    return table._cache[key]
-
-
-def _packed_basis(table: AlgebraTable, vertex: int) -> list[int]:
-    """The basis of e_vA (``_projective_data``) as packed F_2 rows.
-    Cached on the table."""
-    key = ("packed-basis", vertex)
-    if key not in table._cache:
-        table._cache[key] = [_pack_pairs(r) for r in _projective_data(table, vertex)[1]]
+        P, basis = submodule(R, [r for r in rows if r], name=f"P({label})")
+        table._cache[key] = P, basis, [row_format(table.field).pack(r) for r in basis]
     return table._cache[key]
 
 
@@ -358,121 +339,73 @@ def dual_representation(M: Representation, target: AlgebraTable) -> Representati
 class Cover:
     vertices: list[int]
     P: Representation
-    blocks: list[tuple[int, list[tuple]]]  # (vertex, basis rows of e_iA)
-    offsets: list[int]
-    # the cover map, dim P rows over the dim M columns, and its kernel
-    # (``left_kernel_rows``), rows of P: packed ints over F_2, else pairs
+    offsets: list[int]  # of the summand e_vA of each vertex in P
+    # in the field's row format (``exactmath.row_format``): the cover map,
+    # dim P rows over the dim M columns, and its kernel (``left_kernel_rows``)
     rows: list
-    gen_rows: list[tuple[int, object]]  # (vertex, image row in M) per summand, in the same format
+    gen_rows: list[tuple[int, object]]  # (vertex, image row in M) per summand
     kernel: list
 
-    @property
-    def matrix(self) -> list[tuple]:
-        """The rows of the cover map as (k, c) pairs, unpacked on each access."""
-        return _pairs(self.rows)
 
-    @property
-    def generators(self) -> list[tuple[int, tuple]]:
-        """The generators as (vertex, pair row in M), unpacked on each access."""
-        return [(v, m if isinstance(m, tuple) else _unpack(m)) for v, m in self.gen_rows]
-
-
-def _pairs(rows) -> list[tuple]:
-    """Rows as (k, c) pairs: packed F_2 ints unpacked, pairs as they are."""
-    return [r if isinstance(r, tuple) else _unpack(r) for r in rows]
-
-
-def _reduced_basis(fld, rows) -> tuple[list, list[int]]:
-    """A basis of the span of ``rows`` in which row k is 1 at column
-    pivots[k] and every other row is 0 there: packed ints over F_2 (pair
-    rows are packed), pairs otherwise.  Rows that already have this form
-    at their last nonzero entries (the highest bit of an int), as unit
-    rows and the kernel of a cover (``Cover.kernel``, from
+def _reduced_basis(fmt, rows) -> tuple[list, list[int]]:
+    """A basis of the span of ``rows`` (in the row format ``fmt``) in which
+    row k is 1 at column pivots[k] and every other row is 0 there.  Rows
+    that already have this form at their last entries (``fmt.pivots``), as
+    unit rows and the kernel of a cover (``Cover.kernel``, from
     ``left_kernel_rows``) do, are kept as they are, so a resolution step
     reduces no syzygy; others are brought to RREF."""
     rows = [r for r in rows if r]
-    packed = fld.p == 2
-    if packed:
-        rows = [r if isinstance(r, int) else _pack_pairs(r) for r in rows]
-        pivots = [r.bit_length() - 1 for r in rows]
-        mask = reduce(or_, (1 << c for c in pivots), 0)
-        reduced = mask.bit_count() == len(rows) and all(r & mask == 1 << c for r, c in zip(rows, pivots))
-    else:
-        pivots = [r[-1][0] for r in rows]
-        pivset = set(pivots)
-        reduced = (len(pivset) == len(rows) and all(r[-1][1] == 1 for r in rows)
-                   and not any(j in pivset for r in rows for j, _ in r[:-1]))
-    if reduced:
+    pivots = fmt.pivots(rows)
+    if pivots is not None:
         return rows, pivots
-    span = SpanBuilder(fld)
-    for r in _pairs(rows):
-        span.add(r)
+    span = SpanBuilder(fmt.field)
+    for r in rows:
+        span.add(fmt.unpack(r))
     basis, pivots = span.finish()
-    return [_pack_pairs(b) for b in basis] if packed else basis, pivots
-
-
-def _coordinates(fld, basis, pivots, dim: int):
-    """The function giving a vector's coordinates in the span of ``basis``
-    (rows of ``_reduced_basis``), or None outside it.  Over F_2 the
-    vector is packed and its coordinates are its bits at the pivots: it
-    lies in the span iff it is the sum of the basis rows those bits name.
-    Otherwise ``coords_against`` gives them as pairs."""
-    if fld.p != 2:
-        return partial(coords_against, fld, basis, pivots)
-    at = [0] * dim  # each basis row at its pivot
-    for b, c in zip(basis, pivots):
-        at[c] = b
-    mask = sum(1 << c for c in pivots)
-    return lambda vec: vec & mask if _xor_rows(vec, at) == vec else None
+    return [fmt.pack(b) for b in basis], pivots
 
 
 def _actions(M: Representation) -> list:
     """The action rows on M of the basis elements, the radical top and the
-    vertex idempotents of A, in that order: packed ints over F_2
-    (``_pack_pairs``), pairs otherwise.  Cached on M."""
+    vertex idempotents of A, in that order, in the field's row format.
+    Cached on M."""
     acts = M._cache.get("actions")
     if acts is None:
         A = M.algebra
-        packed = A.field.p == 2
-        acts = [[_pack_pairs(r) for r in rows] for rows in M.rows] if packed else list(M.rows)
-        for a in _radical_top(A) + [sparse_row(e) for _, e in A.idempotents]:
-            # row i of the action of a = sum_u c_u b_u is that sum of the rows i of the b_u
-            cols = zip(*(acts[u] for u, _ in a))
-            acts.append([reduce(xor, col) for col in cols] if packed else
-                        [M._combine(zip((c for _, c in a), col)) for col in cols])
+        fmt = row_format(A.field)
+        acts = [[fmt.pack(r) for r in rows] for rows in M.rows]
+        units = [fmt.pack(r) for r in _unit_rows(A.field, M.dim)]
+        for a in map(fmt.pack, _radical_top(A) + [sparse_row(e) for _, e in A.idempotents]):
+            acts.append([fmt.apply(x, a, acts) for x in units])
         M._cache["actions"] = acts
     return acts
 
 
-def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list, list]:
-    """P = (+) P_v, its blocks and their offsets.  Its action rows and
-    ``_actions`` join those of each P_v moved to its block, which are
+def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list[int]]:
+    """P = (+) P_v and the offsets of its summands.  Its action rows and
+    ``_actions`` join those of each P_v moved to its summand, which are
     cached on the table per (vertex, offset)."""
-    blocks = [_projective_data(table, v) for v in vertices]
-    offsets = [0]
-    for Pv, _ in blocks:
-        offsets.append(offsets[-1] + Pv.dim)
-    packed, moved = table.field.p == 2, []
-    for v, (Pv, _), off in zip(vertices, blocks, offsets):
+    fmt = row_format(table.field)
+    offsets, moved = [0], []
+    for v in vertices:
+        Pv, off = _projective_data(table, v)[0], offsets[-1]
         key = ("block", v, off)
         if key not in table._cache:
-            pairs = [tuple(tuple((off + j, c) for j, c in r) for r in m)
-                     for m in (Pv.rows if packed else _actions(Pv))]
-            acts = [[r << off for r in m] for m in _actions(Pv)] if packed else pairs
-            table._cache[key] = pairs[:table.dim], acts
+            acts = [[fmt.shift(r, off) for r in m] for m in _actions(Pv)]
+            table._cache[key] = [tuple(map(fmt.unpack, m)) for m in acts[:table.dim]], acts
         moved.append(table._cache[key])
+        offsets.append(off + Pv.dim)
     actions = [tuple(chain.from_iterable(rows[u] for rows, _ in moved)) for u in range(table.dim)]
     name = "(+)".join(f"P{v}" for v in vertices)
     rep = Representation.from_rows(table, offsets[-1], actions, name=name)
     rep._cache["actions"] = [list(chain.from_iterable(a)) for a in zip(*(acts for _, acts in moved))]
-    block_data = [(v, b[1]) for v, b in zip(vertices, blocks)]
-    return rep, block_data, offsets
+    return rep, offsets[:-1]
 
 
 def projective_cover(M: Representation, rows=None) -> Cover:
     """Minimal projective cover of the submodule U of M spanned by ``rows``
-    (default: all of M), which must be nonzero.  Over F_2 the rows may be
-    pairs or packed ints, as ``Cover.kernel`` holds them.
+    (default: all of M), which must be nonzero, given in the field's row
+    format (``exactmath.row_format``), as ``Cover.kernel`` holds them.
 
     Everything is computed in the coordinates of M, and U is never built
     as a module of its own.  U*J is spanned by the images of the rows
@@ -481,27 +414,18 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     (dim P rows over the dim M columns) maps each summand e_vA onto
     the submodule its generator spans.  One elimination gives its rank,
     which must be dim U (surjectivity), and its left kernel, the
-    syzygy.  Each generator is returned as its row in M.
-    Vectors meet the rows of ``_actions``: over F_2 as packed ints, with
-    the bits at the pivots of U as coordinates (``_coordinates``), and
-    the kernel stays packed.  ValueError: U is not
-    action-stable, that is a row of U*J or an idempotent image of a row
-    leaves span(U)."""
+    syzygy.  Each generator is returned as its row in M.  Every vector
+    is a row of the field's format, from the rows of ``_actions`` to the
+    kernel.  ValueError: U is not action-stable, that is a row of U*J or
+    an idempotent image of a row leaves span(U)."""
     A = M.algebra
-    fld = A.field
-    packed = fld.p == 2
+    fmt = row_format(A.field)
     if rows is None:
-        rows = [1 << i for i in range(M.dim)] if packed else _unit_rows(fld, M.dim)
-    basis, pivots = _reduced_basis(fld, rows)
+        rows = [fmt.pack(r) for r in _unit_rows(A.field, M.dim)]
+    basis, pivots = _reduced_basis(fmt, rows)
     if not basis:
         raise ValueError("projective cover of the zero module")
-    in_u = _coordinates(fld, basis, pivots, M.dim)
-    if packed:
-        span, act = _PackedSpan(), _xor_rows
-        combine = lambda terms: reduce(xor, (img for _, img in terms), 0)
-    else:
-        span, combine = SpanBuilder(fld), M._combine
-        act = lambda vec, rows: M._combine((x, rows[i]) for i, x in vec)
+    in_u = fmt.coordinates(basis, pivots, M.dim)
 
     def coords(vec):
         """Coordinates of a row of M in the basis of U."""
@@ -510,43 +434,43 @@ def projective_cover(M: Representation, rows=None) -> Cover:
             raise ValueError("rows are not action-stable")
         return c
 
-    acts = _actions(M)
+    acts, span = _actions(M), fmt.span()
     d, n = A.dim, A.n_vertices
     # U*J, in the coordinates of U; the top generators extend it to U
     for x in acts[d:-n]:
         for b in basis:
-            img = act(b, x)
+            img = fmt.times(b, x)
             if img:
                 span.add(coords(img))
     need = len(basis) - span.rank
     gens: list[tuple[int, object]] = []
     for b in basis:
         for vi, e in enumerate(acts[-n:]):
-            m = act(b, e)
+            m = fmt.times(b, e)
             if m:
                 c = coords(m)  # every image is checked, also once the top is full
                 if len(gens) < need and span.add(c):
                     gens.append((vi, m))
     assert len(gens) == need, "top generators do not split by idempotents"
     vertices = [vi for vi, _ in gens]
-    P, blocks, offsets = _projective_sum(A, vertices)
+    P, offsets = _projective_sum(A, vertices)
     matrix = []
-    for (vi, m), (v2, brows) in zip(gens, blocks):
-        # the image of the block row r is m @ act(r) = sum_u r_u (m @ act(b_u))
-        images = [act(m, rows) for rows in acts[:d]]
-        for r in brows:
-            matrix.append(combine((c, images[u]) for u, c in r))
-    rank, kernel = left_kernel_rows(fld, matrix, M.dim)
+    for vi, m in gens:
+        # the image of the basis row r of e_vA is m @ act(r) = sum_u r_u (m @ act(b_u))
+        images = [fmt.times(m, rows) for rows in acts[:d]]
+        matrix += [fmt.times(r, images) for r in _projective_data(A, vi)[2]]
+    rank, kernel = left_kernel_rows(A.field, matrix, M.dim)
     # the images lie in U, which the generators cover modulo U*J
     if rank != len(basis):
         raise AssertionError("projective cover failed to surject")
-    return Cover(vertices, P, blocks, offsets, matrix, gens, kernel)
+    return Cover(vertices, P, offsets, matrix, gens, kernel)
 
 
 def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
     """Sparse linear forms on P_vertex whose common kernel is rad(P_vertex):
     for each non-pivot column j of the RREF basis of the radical, the entry
-    at j of a vector reduced against that basis.  Cached on the projective."""
+    at j of a vector reduced against that basis, as (k, c) pairs.  Cached
+    on the projective."""
     P = _projective_data(table, vertex)[0]
     forms = P._cache.get("top-forms")
     if forms is None:
@@ -555,7 +479,7 @@ def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
         rows = [dict(r) for r in rows]
         pivset = set(pivots)
         forms = P._cache["top-forms"] = [
-            ((j, fld.one()),) + tuple((c, fld.neg(r[j])) for r, c in zip(rows, pivots) if j in r)
+            tuple(sorted([(j, fld.one())] + [(c, fld.neg(r[j])) for r, c in zip(rows, pivots) if j in r]))
             for j in range(P.dim) if j not in pivset]
     return forms
 
@@ -564,37 +488,24 @@ def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list]:
     """Projective cover of M, or of its submodule spanned by ``rows``, and
     rows spanning the kernel inside the cover, certified to lie in the
     radical of the cover (minimality).  As rad(P) is the sum of the
-    rad(P_v), the top forms of each block are read on that block alone;
-    they are indexed by the columns of P they read, so a kernel row costs
-    only its own entries.  Over F_2 column j holds the forms reading it
-    as bits, and the forms' values on a packed row are the XOR of its
-    columns.  An empty kernel needs no check."""
+    rad(P_v), the top forms of each summand are read on that summand
+    alone; column j of P holds the (form, coefficient) pairs reading it,
+    in the field's row format, so a kernel row times the columns gives the
+    values of the forms at the cost of its own entries.  An empty kernel
+    needs no check."""
     cov = projective_cover(M, rows)
     ker = cov.kernel
     if not ker:
         return cov, ker
-    p = M.algebra.field.p
-    forms = [(off, form) for (v, _), off in zip(cov.blocks, cov.offsets)
-             for form in _top_forms(M.algebra, v)]
-    if p == 2:
-        cols = [0] * cov.P.dim  # column of P -> the forms that read it, bit i for form i
-        for i, (off, form) in enumerate(forms):
-            for j, _ in form:
-                cols[off + j] |= 1 << i
-        escapes = lambda row: _xor_rows(row, cols)
-    else:
-        reads: dict[int, list] = {}  # column of P -> (form, coefficient) pairs
-        for i, (off, form) in enumerate(forms):
-            for j, c in form:
-                reads.setdefault(off + j, []).append((i, c))
-
-        def escapes(row) -> bool:
-            val: dict = {}
-            for j, x in row:
-                for i, c in reads.get(j, ()):
-                    val[i] = val.get(i, 0) + x * c
-            return any(x % p for x in val.values()) if p else any(val.values())
-    if any(escapes(row) for row in ker):
+    A = M.algebra
+    forms = [(off, form) for v, off in zip(cov.vertices, cov.offsets) for form in _top_forms(A, v)]
+    cols: list[list] = [[] for _ in range(cov.P.dim)]
+    for i, (off, form) in enumerate(forms):
+        for j, c in form:
+            cols[off + j].append((i, c))
+    fmt = row_format(A.field)
+    cols = [fmt.pack(tuple(col)) for col in cols]
+    if any(fmt.times(row, cols) for row in ker):
         raise AssertionError("cover is not minimal: kernel escapes the radical")
     return cov, ker
 
@@ -602,7 +513,8 @@ def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list]:
 def syzygy(M: Representation) -> Representation:
     """Kernel of the projective cover (zero-dimensional for projectives)."""
     cov, ker = _cover_and_kernel(M)
-    rep, _ = submodule(cov.P, _pairs(ker), name=f"syz({M.name})" if M.name else "syzygy")
+    unpack = row_format(M.algebra.field).unpack
+    rep, _ = submodule(cov.P, map(unpack, ker), name=f"syz({M.name})" if M.name else "syzygy")
     return rep
 
 
@@ -618,36 +530,31 @@ class MinimalResolution:
 
     ``levels[s]`` is the vertex list of the s-th projective term.
     ``maps[s]`` (s >= 1) is the connecting map P_s -> P_{s-1} written as
-    an element matrix: entry [c][c'] is the algebra element, as (k, c)
-    pairs, carrying the c'-th generator of P_s into the c-th summand of
-    P_{s-1}.  It is a view of ``_maps``, which holds the entries in the
-    field's format: packed ints over F_2 (bit u for b_u), else pairs.
+    an element matrix: entry [c][c'] is the algebra element carrying the
+    c'-th generator of P_s into the c-th summand of P_{s-1}, a row in the
+    field's row format (``exactmath.row_format``): an int over F_2, bit u
+    for b_u, and (k, c) pairs otherwise.
     ``kernel_dims[s]`` is dim of the (s+1)-st syzygy.
 
     Each syzygy is kept as the kernel rows inside the projective term it
     lies in, and covered there (``projective_cover`` with rows), so no
-    syzygy is built as a module of its own; over F_2 those rows stay
-    packed from one cover to the next.  The generators of P_s are then
-    rows of P_{s-1}, and ``_maps[s]`` is read from their blocks.
+    syzygy is built as a module of its own, and its rows go from one cover
+    to the next as they are.  The generators of P_s are then rows of
+    P_{s-1}, and ``maps[s]`` is read from their summands.
     """
 
     def __init__(self, M: Representation):
         require_not_semisimple(M.algebra)
         self.M = M
         self.levels: list[list[int]] = []
-        self._maps: list[Optional[list[list]]] = [None]
+        self.maps: list[Optional[list[list]]] = [None]
         self.kernel_dims: list[int] = []
         # the next syzygy: rows (None for all of it) of its ambient module,
         # M and then the last projective term; None once a kernel is zero
         self._ambient: Optional[Representation] = M if M.dim else None
         self._rows: Optional[list] = None
-        self._prev: Optional[tuple[list, list]] = None  # (blocks, offsets) of the last cover
+        self._prev: Optional[tuple[list, list]] = None  # (vertices, offsets) of the last cover
         self.finished = False
-
-    @property
-    def maps(self) -> list[Optional[list[list[tuple]]]]:
-        """The element matrices with (k, c) pair entries, unpacked on each access."""
-        return [m and [_pairs(row) for row in m] for m in self._maps]
 
     def extend_to(self, length: int) -> None:
         while len(self.levels) < length and not self.finished:
@@ -660,24 +567,23 @@ class MinimalResolution:
         cov, ker = _cover_and_kernel(self._ambient, self._rows)
         self.levels.append(list(cov.vertices))
         if self._prev is not None:
-            self._maps.append(self._element_matrix(cov.gen_rows))
-        self._prev = (cov.blocks, cov.offsets)
+            self.maps.append(self._element_matrix(cov.gen_rows))
+        self._prev = (cov.vertices, cov.offsets)
         self.kernel_dims.append(len(ker))
         self._ambient, self._rows = (cov.P, ker) if ker else (None, None)
 
     def _element_matrix(self, gens) -> list[list]:
-        """Entry [c][gi]: the block c of the generator gi, a row of the
+        """Entry [c][gi]: the summand c of the generator gi, a row of the
         previous projective term (``Cover.gen_rows``), as an element of
-        e_vA, the sum of the basis rows of that block at the generator's
-        entries there.  Over F_2 the generator is packed, and a block is
-        its bits at the block's offset."""
-        blocks, offsets = self._prev
+        e_vA: its entries in the window of that summand times the basis
+        rows of e_vA."""
         A = self.M.algebra
-        if A.field.p == 2:
-            return [[_xor_rows((m >> off) & ((1 << len(brows)) - 1), _packed_basis(A, v)) for _, m in gens]
-                    for (v, brows), off in zip(blocks, offsets)]
-        return [[self.M._combine((x, brows[j - off]) for j, x in m if off <= j < off + len(brows))
-                 for _, m in gens] for (_, brows), off in zip(blocks, offsets)]
+        fmt = row_format(A.field)
+        out = []
+        for v, off in zip(*self._prev):
+            brows = _projective_data(A, v)[2]
+            out.append([fmt.times(fmt.window(m, off, len(brows)), brows) for _, m in gens])
+        return out
 
 
 def _resolution(M: Representation, length: int) -> MinimalResolution:
@@ -707,15 +613,6 @@ def syzygy_dims(M: Representation, t: int) -> list[int]:
 # Hom and Ext
 # ---------------------------------------------------------------------------
 
-def _weight_basis(N: Representation, vertex: int):
-    key = ("weight", vertex)
-    if key in N._cache:
-        return N._cache[key]
-    _, e = N.algebra.idempotents[vertex]
-    N._cache[key] = _image_span(N, _unit_rows(N.algebra.field, N.dim), [sparse_row(e)]).finish()
-    return N._cache[key]
-
-
 @dataclass
 class ExtTable:
     source: str
@@ -738,53 +635,44 @@ class ExtTable:
         return obj
 
 
-def _weight_coordinates(N: Representation) -> list[tuple[list, object]]:
-    """Per vertex, the weight basis of N there (``_weight_basis``) in the
-    field's format, packed over F_2, and its ``_coordinates``.  Cached on N."""
-    weights = N._cache.get("weight-coordinates")
+def _weights(N: Representation) -> list[tuple[list, list, object]]:
+    """Per vertex v, the RREF basis of the weight space N e_v, as pairs and
+    as rows of the field's format, and its ``coordinates``.  Cached on N."""
+    weights = N._cache.get("weights")
     if weights is None:
         fld, weights = N.algebra.field, []
-        for v in range(N.algebra.n_vertices):
-            rows, pivots = _weight_basis(N, v)
-            if fld.p == 2:
-                rows = [_pack_pairs(r) for r in rows]
-            weights.append((rows, _coordinates(fld, rows, pivots, N.dim)))
-        N._cache["weight-coordinates"] = weights
+        fmt, units = row_format(fld), _unit_rows(fld, N.dim)
+        for _, e in N.algebra.idempotents:
+            pairs, pivots = _image_span(N, units, [sparse_row(e)]).finish()
+            rows = [fmt.pack(r) for r in pairs]
+            weights.append((pairs, rows, fmt.coordinates(rows, pivots, N.dim)))
+        N._cache["weights"] = weights
     return weights
 
 
 def _differential_rank(N: Representation, emat, src: list[int], tgt: list[int]) -> int:
     """Rank of Hom(P_{s-1}, N) -> Hom(P_s, N), the right multiplication by
-    the element matrix ``emat`` (``MinimalResolution._maps``) of P_s ->
+    the element matrix ``emat`` (``MinimalResolution.maps``) of P_s ->
     P_{s-1}, whose summands sit at the vertices ``src`` and ``tgt``.  A
     map is read on the weight basis of N at each summand.  The image of a
-    basis row r under an entry is checked against the target weight
-    basis (``_weight_coordinates``), and its coordinates there are joined,
-    those of target summand c2 at offset c2 * dim N, into one row of a
-    span.  Over F_2 r is packed and taken once through the action rows of
-    N; its image under an entry a is the XOR of those images at the bits
-    of a."""
-    weights = _weight_coordinates(N)
-    fld, dn = N.algebra.field, N.dim
-    targets = [(c2, c2 * dn, weights[w][1]) for c2, w in enumerate(tgt) if weights[w][0]]
+    basis row r under an entry a, r @ act(a), is checked against the
+    target weight basis (``_weights``), and its coordinates
+    there are joined, those of target summand c2 at offset c2 * dim N,
+    into one row of a span.  Every row is in the field's row format."""
+    weights = _weights(N)
+    fmt, dn = row_format(N.algebra.field), N.dim
+    targets = [(c2, c2 * dn, weights[w][2]) for c2, w in enumerate(tgt) if weights[w][0]]
     if not targets or not any(weights[v][0] for v in src):
         return 0
-    if fld.p == 2:
-        acts = _actions(N)[:N.algebra.dim]
-        through = lambda r: [_xor_rows(r, act) for act in acts]  # r @ act(b_u) for each u
-        image, span, empty, shift = _xor_rows, _PackedSpan(), 0, lambda x, off: x << off
-    else:
-        through = lambda r: r
-        image, span, empty = lambda a, r: N.apply_element(r, a), SpanBuilder(fld), ()
-        shift = lambda x, off: tuple([(off + k, c) for k, c in x]) if off else x
+    acts, span = _actions(N)[:N.algebra.dim], fmt.span()
     for v, entries in zip(src, emat):
-        for r in weights[v][0]:
-            r, img = through(r), empty
+        for r in weights[v][1]:
+            img = fmt.zero
             for c2, off, coords in targets:
-                x = coords(image(entries[c2], r))
+                x = coords(fmt.apply(r, entries[c2], acts))
                 if x is None:
                     raise AssertionError("differential image left its weight space")
-                img += shift(x, off)  # disjoint bits, or pairs in column order
+                img += fmt.shift(x, off)  # disjoint bits, or pairs in column order
             span.add(img)
     return span.rank
 
@@ -818,8 +706,8 @@ def _hom_complex(M: Representation, N: Representation, t: int, ranks: list[int])
     res = _resolution(M, t + 2)
     levels = res.levels[:t + 2]
     for s in range(len(ranks), t + 2):
-        ranks.append(_differential_rank(N, res._maps[s], levels[s - 1], levels[s]) if s < len(levels) else 0)
-    weights = _weight_coordinates(N)
+        ranks.append(_differential_rank(N, res.maps[s], levels[s - 1], levels[s]) if s < len(levels) else 0)
+    weights = _weights(N)
     dims = [sum(len(weights[v][0]) for v in verts) for verts in levels]
     return dims + [0] * (t + 2 - len(levels))
 
@@ -834,7 +722,7 @@ def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
     cover P -> M and its kernel K (``_cover_and_kernel``), as Ext is.
 
     A map P -> N sends the top generator of each summand e_vA to some n in
-    N e_v (``_weight_basis``) and so a basis row r of that summand to
+    N e_v (``_weights``) and so a basis row r of that summand to
     n @ act(r); these maps Phi span Hom(P, N).  Those that vanish on K,
     one left kernel, are the maps that factor through M.  The cover matrix
     C has rank dM, so each such Phi is C @ T for exactly one T: one
@@ -842,25 +730,27 @@ def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
     _require_same_algebra(M, N)
     if M.dim == 0 or N.dim == 0:
         return []
-    fld = M.algebra.field
+    A, fld = M.algebra, M.algebra.field
     dm, dn = M.dim, N.dim
-    if "cover" not in M._cache:  # every Hom out of M reads the same cover, its kernel as pairs
+    if "cover" not in M._cache:  # every Hom out of M reads the same cover, as pairs
         cov, ker = _cover_and_kernel(M)
-        M._cache["cover"] = cov, _pairs(ker)
-    cov, ker = M._cache["cover"]
+        unpack = row_format(fld).unpack
+        M._cache["cover"] = cov, [unpack(r) for r in cov.rows], [unpack(k) for k in ker]
+    cov, matrix, ker = M._cache["cover"]
     zero = fld.zero()
     phis = []  # Hom(P, N), each map as {row of P: its image in N}
-    for (v, brows), off in zip(cov.blocks, cov.offsets):
-        for n in _weight_basis(N, v)[0]:
+    for v, off in zip(cov.vertices, cov.offsets):
+        brows = _projective_data(A, v)[1]
+        for n in _weights(N)[v][0]:
             phis.append({off + j: N.apply_element(n, r) for j, r in enumerate(brows)})
     # phi restricted to K, the images of the kernel rows side by side
     on_ker = [tuple((k * dn + j, c) for k, row in enumerate(ker)
-                    for j, c in N._combine((x, phi.get(i, ())) for i, x in row)) for phi in phis]
+                    for j, c in combine_pairs(fld, ((x, phi.get(i, ())) for i, x in row))) for phi in phis]
     _, through_m = left_kernel_rows(fld, on_ker, len(ker) * dn)
-    maps = [[_dense(N._combine((c, phis[h].get(p, ())) for h, c in r), dn, zero)
+    maps = [[_dense(combine_pairs(fld, ((c, phis[h].get(p, ())) for h, c in r)), dn, zero)
              for p in range(cov.P.dim)] for r in through_m]
     aug = [_dense(c, dm, zero) + [x for phi in maps for x in phi[p]]
-           for p, c in enumerate(cov.matrix)]
+           for p, c in enumerate(matrix)]
     _, pivots = rref_rows(fld, aug)
     if pivots[dm:]:
         raise AssertionError("a map that vanishes on the kernel does not factor through M")
@@ -928,8 +818,7 @@ def enveloping(table: AlgebraTable):
     for i in range(d):
         for j in range(d):
             # row k: b_j * b_k * b_i, the sum of c * b_t b_i over the (t, c) of b_j b_k
-            actions.append([R._combine((c, R.rows[i][t]) for t, c in cell)
-                            for cell in table.mult[j]])
+            actions.append([R.apply(cell, i) for cell in table.mult[j]])
     return env, Representation.from_rows(env, d, actions, name="regular-bimodule")
 
 
@@ -955,7 +844,7 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
             soc_v, _ = _image_span(R, [e], soc).finish()
             if len(soc_v) == 1:
                 w = next(w for w, f in enumerate(idem) if R.apply_element(soc_v[0], f))
-                if _image_span(R, [e], units).rank == len(_weight_basis(R, w)[0]):
+                if _image_span(R, [e], units).rank == _image_span(R, units, [idem[w]]).rank:
                     cached.add(w)
         table._cache["pi_vertices"] = cached
     return cached

@@ -20,3 +20,10 @@ def rigidity_sweep():
     """One run of the rigidity-sweep suite, shared by its pinned digest
     and acceptance criteria 03 and 04."""
     return suites.suite_rigidity_sweep()
+
+
+@pytest.fixture(scope="session")
+def oracle_cross():
+    """One run of the oracle-cross suite, shared by its pinned digest and
+    acceptance criterion 08."""
+    return suites.suite_oracle_cross()

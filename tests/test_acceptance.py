@@ -134,11 +134,11 @@ def test_criterion_07_syzygy_fingerprints():
     _announce(7, "local-algebra fingerprints [7,9,7,9] / 17 / 4-periodic")
 
 
-def test_criterion_08_dual_oracle_sweep():
+def test_criterion_08_dual_oracle_sweep(oracle_cross):
     """dim Ext^t (t <= 4) and dim Hom agree between the combinatorial and
     the linear-algebra engine for every pair of indecomposables, over all
     cyclic Kupisch series with n <= 3, entries <= 6, fields F_2 and F_3."""
-    items, failures = suites.suite_oracle_cross()
+    items, failures = oracle_cross
     assert failures == [], [(it["name"], it["mismatches"]) for it in items
                             if not it["pass"]]
     pairs = sum(it["pairs"] for it in items)

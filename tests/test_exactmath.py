@@ -268,7 +268,7 @@ def test_left_kernel_rows_matches_the_dense_transpose(case):
 @given(rows_with_a_left_kernel(F2, max_rows=30, max_cols=60))
 def test_left_kernel_rows_f2_packed_matches_the_dense_transpose(case):
     # up to 36 x 60 cells, past the 512 where rref_rows packs F_2 rows
-    from domdimlab.exactmath import _unpack, left_kernel_rows, sparse_row
+    from domdimlab.exactmath import left_kernel_rows, row_format, sparse_row
 
     check_left_kernel(F2, *case)
     # int rows, bit k for column k, give the same rank as pairs, and the
@@ -277,27 +277,85 @@ def test_left_kernel_rows_f2_packed_matches_the_dense_transpose(case):
     packed = [sum(1 << k for k, x in enumerate(r) if x) for r in rows]
     rank, kernel = left_kernel_rows(F2, packed, ncols)
     assert all(isinstance(k, int) for k in kernel)
-    assert (rank, [_unpack(k) for k in kernel]) == left_kernel_rows(F2, [sparse_row(r) for r in rows], ncols)
+    unpack = row_format(F2).unpack
+    assert (rank, [unpack(k) for k in kernel]) == left_kernel_rows(F2, [sparse_row(r) for r in rows], ncols)
 
 
 @given(rows_with_a_left_kernel(F2, max_rows=12, max_cols=40), st.data())
 def test_packed_f2_helpers_match_pair_arithmetic(case, data):
     # pack and unpack, v times a matrix, and the rank of a packed span,
     # against sparse rows, matmul_rows and rank_rows
-    from domdimlab.exactmath import (_pack_pairs, _PackedSpan, _unpack, _xor_rows, matmul_rows,
-                                     rank_rows, sparse_row)
+    from domdimlab.exactmath import matmul_rows, rank_rows, row_format, sparse_row
 
+    fmt = row_format(F2)
     rows, ncols = case
     pairs = [sparse_row(r) for r in rows]
-    packed = [_pack_pairs(r) for r in pairs]
-    assert [_unpack(v) for v in packed] == pairs
+    packed = [fmt.pack(r) for r in pairs]
+    assert [fmt.unpack(v) for v in packed] == pairs
     x = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
     if rows and ncols:
-        assert _unpack(_xor_rows(_pack_pairs(sparse_row(x)), packed)) == sparse_row(
+        assert fmt.unpack(fmt.times(fmt.pack(sparse_row(x)), packed)) == sparse_row(
             matmul_rows(F2, [x], rows)[0])
-    span = _PackedSpan()
+    span = fmt.span()
     added = [span.add(v) for v in packed]
     assert span.rank == sum(added) == (rank_rows(F2, rows) if ncols else 0)
+
+
+TRUNCATED_POLY = {F2: "truncated-poly(3,F2)", F3: "truncated-poly(3,F3)", QQ: "truncated-poly(3,Q)"}
+
+
+@given(st.sampled_from([F2, F3, QQ]).flatmap(lambda fld: st.tuples(
+    st.just(fld), rows_with_a_left_kernel(fld, max_rows=6, max_cols=6))), st.data())
+def test_row_formats_match_pair_arithmetic(case, data):
+    # each operation of row_format, on random pair rows packed into the
+    # field's format and read back with unpack, against combine_pairs,
+    # Representation.apply_element, coords_against and left_kernel_rows
+    from domdimlab import homology as hml
+    from domdimlab import quivalg as qa
+    from domdimlab.exactmath import (SpanBuilder, combine_pairs, coords_against, left_kernel_rows,
+                                     row_format, sparse_row)
+
+    (fld, (rows, n)), fmt = case, row_format(case[0])
+    entry = st.integers(-3, 3).map(fld.of_int)
+    vector = lambda size: data.draw(st.lists(entry, min_size=size, max_size=size).map(sparse_row))
+    pairs = [sparse_row(r) for r in rows]
+    packed = [fmt.pack(r) for r in pairs]
+    assert [fmt.unpack(v) for v in packed] == pairs
+    x = vector(len(rows))
+    assert fmt.unpack(fmt.times(fmt.pack(x), packed)) == combine_pairs(fld, ((c, pairs[i]) for i, c in x))
+    # apply: vec @ act(a) on a module of dimension n whose d actions are drawn rows
+    table = qa.preset(TRUNCATED_POLY[fld])
+    acts = [[vector(n) for _ in range(n)] for _ in range(table.dim)]
+    M = hml.Representation.from_rows(table, n, acts)
+    vec, a = vector(n), vector(table.dim)
+    got = fmt.apply(fmt.pack(vec), fmt.pack(a), [[fmt.pack(r) for r in m] for m in acts])
+    assert fmt.unpack(got) == M.apply_element(vec, a)
+    off, width = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
+    for r, v in zip(pairs, packed):
+        assert fmt.unpack(fmt.shift(v, off)) == tuple((k + off, c) for k, c in r)
+        assert fmt.unpack(fmt.window(v, off, width)) == tuple((k - off, c) for k, c in r if off <= k < off + width)
+    # coordinates in an RREF basis, of a vector in its span and of one that
+    # may leave it; over F_2 a coordinate is a bit at a pivot, that of basis
+    # row k at pivots[k]
+    span = SpanBuilder(fld)
+    for r in pairs:
+        span.add(r)
+    basis, pivots = span.finish()
+    coordinates = fmt.coordinates([fmt.pack(b) for b in basis], pivots, n)
+    for y in (combine_pairs(fld, ((c, basis[k]) for k, c in vector(len(basis)))), vector(n)):
+        want = coords_against(fld, basis, pivots, y)
+        if want is not None and fld == F2:
+            want = tuple((pivots[k], c) for k, c in want)
+        got = coordinates(fmt.pack(y))
+        assert (got if got is None else fmt.unpack(got)) == want
+    # pivots: a left kernel is reduced at its last entries, a sum of two of its rows is not
+    _, kernel = left_kernel_rows(fld, pairs, n)
+    assert fmt.pivots([fmt.pack(k) for k in kernel]) == [k[-1][0] for k in kernel]
+    if len(kernel) >= 2:
+        summed = combine_pairs(fld, [(fld.one(), kernel[0]), (fld.one(), kernel[1])])
+        assert fmt.pivots([fmt.pack(k) for k in [kernel[0], summed] + kernel[2:]]) is None
+    one = fld.one()
+    assert fmt.pivots([fmt.pack(((0, one), (1, one))), fmt.pack(((1, one),))]) is None
 
 
 def test_left_kernel_rows_fixed_shapes():

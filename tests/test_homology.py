@@ -8,8 +8,8 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab.bounded import BoundedValue
-from domdimlab.exactmath import (F2, F3, QQ, SpanBuilder, kernel_rows, matmul_rows, rank_rows,
-                                 rref_rows, sparse_row)
+from domdimlab.exactmath import (F2, F3, QQ, SpanBuilder, combine_pairs, kernel_rows, matmul_rows,
+                                 rank_rows, row_format, rref_rows, sparse_row)
 from domdimlab.suites import cyclic_series
 
 
@@ -168,7 +168,7 @@ def test_cover_rejects_a_kernel_with_a_top_component(hopf, monkeypatch):
     real = hml.projective_cover
     v = 0
     for table in (hopf, cycle33(QQ)):
-        j = hml._top_forms(table, v)[0][0][0]  # each top form is 1 at its own column
+        j = hml._top_forms(table, v)[0][-1][0]  # each top form is 1 at its own column, its last
         row = 1 << j if table.field == F2 else ((j, table.field.one()),)
 
         def forged(M, rows=None):
@@ -224,21 +224,23 @@ def test_packed_cover_matches_pair_arithmetic(name, bridged33):
     # over F_2 a cover step holds its vectors as ints, the kernel too; its
     # outputs, unpacked, are pair rows equal to what pair arithmetic
     # gives, for the simple module and its first six syzygies
-    from domdimlab.exactmath import _unpack, left_kernel_rows
+    from domdimlab.exactmath import left_kernel_rows
 
+    unpack = row_format(F2).unpack
     table = bridged33 if name.startswith("cycle") else qa.preset(name)
     steps = 0
     for M, cov in _covers(hml.simple(table, 0), 7):
         assert all(isinstance(r, int) for r in cov.rows)
         assert all(isinstance(m, int) for _, m in cov.gen_rows)
-        want = [M._combine((c, M.apply(m, u)) for u, c in r)
-                for (_, m), (_, brows) in zip(cov.generators, cov.blocks) for r in brows]
-        assert cov.matrix == want
+        matrix = [unpack(r) for r in cov.rows]
+        want = [combine_pairs(F2, ((c, M.apply(unpack(m), u)) for u, c in r))
+                for v, m in cov.gen_rows for r in hml._projective_data(table, v)[1]]
+        assert matrix == want
         assert all(isinstance(k, int) for k in cov.kernel)
-        kernel = [_unpack(k) for k in cov.kernel]
-        assert kernel == left_kernel_rows(F2, cov.matrix, M.dim)[1]
+        kernel = [unpack(k) for k in cov.kernel]
+        assert kernel == left_kernel_rows(F2, matrix, M.dim)[1]
         for k in kernel:
-            assert M._combine((x, cov.matrix[i]) for i, x in k) == ()
+            assert combine_pairs(F2, ((x, matrix[i]) for i, x in k)) == ()
         steps += 1
     assert steps == 7
 
@@ -323,15 +325,18 @@ def test_ext_dims_reads_the_first_levels_of_a_deeper_resolution(make):
 def test_packed_differential_rank_matches_dense_images(name, bridged33):
     # over F_2 the element matrices hold ints and an Ext differential is
     # ranked packed; against the images written as dense coordinate rows
-    # from the pair view of the maps, ranked by rank_rows, for N = A, J
+    # from the maps read as pairs, ranked by rank_rows, for N = A, J
     # and A/J^2 and s <= 6
-    from domdimlab.exactmath import _unpack, coords_against
+    from domdimlab.exactmath import coords_against
 
+    fmt = row_format(F2)
     table = bridged33 if name.startswith("cycle") else qa.preset(name)
     res = hml._resolution(hml.simple(table, 0), 7)
+    maps = [None]
     for s in range(1, 7):
-        assert all(isinstance(a, int) for row in res._maps[s] for a in row)
-        assert res.maps[s] == [[_unpack(a) for a in row] for row in res._maps[s]]
+        assert all(isinstance(a, int) for row in res.maps[s] for a in row)
+        maps.append([[fmt.unpack(a) for a in row] for row in res.maps[s]])
+        assert [[fmt.pack(a) for a in row] for row in maps[s]] == res.maps[s]
     R = hml.regular(table)
     targets = [R, hml.radical_power(table, 1).rep, hml.quotient(R, hml._radical_layer(R, 2)[0])]
     for N in targets:
@@ -340,15 +345,16 @@ def test_packed_differential_rank_matches_dense_images(name, bridged33):
             src, tgt = res.levels[s - 1], res.levels[s]
             images = []
             for c, v in enumerate(src):
-                for r in hml._weight_basis(N, v)[0]:
+                for r in hml._weights(N)[v][0]:
                     img = []
                     for c2, w in enumerate(tgt):
-                        basis, pivots = hml._weight_basis(N, w)
-                        coeffs = coords_against(F2, basis, pivots, N.apply_element(r, res.maps[s][c][c2]))
+                        basis = hml._weights(N)[w][0]
+                        pivots = [b[0][0] for b in basis]  # an RREF basis
+                        coeffs = coords_against(F2, basis, pivots, N.apply_element(r, maps[s][c][c2]))
                         img += qa._dense(coeffs, len(basis), 0)
                     images.append(img)
             ranks.append(rank_rows(F2, images))
-            assert hml._differential_rank(N, res._maps[s], src, tgt) == ranks[-1]
+            assert hml._differential_rank(N, res.maps[s], src, tgt) == ranks[-1]
         assert any(ranks)
 
 
@@ -356,14 +362,12 @@ def test_packed_differential_rank_matches_dense_images(name, bridged33):
 def test_differential_image_outside_its_weight_space_is_an_internal_error(fld):
     # maps[1][0][0] lies in e_0 A e_1; forged as e_0, it keeps a row of
     # A e_0 in A e_0, outside A e_1: a packed entry over F_2, pairs over Q
-    from domdimlab.exactmath import _pack_pairs
-
     table = cycle33(fld)
     S = hml.simple(table, 0)
     res = hml._resolution(S, 3)
     assert res.levels[:2] == [[0], [1]]
     e0 = sparse_row(table.idempotents[0][1])
-    res._maps[1][0][0] = _pack_pairs(e0) if fld == F2 else e0
+    res.maps[1][0][0] = row_format(fld).pack(e0)
     with pytest.raises(AssertionError, match="differential image left its weight space"):
         hml.ext_dims(S, hml.regular(table), 1)
 
@@ -800,7 +804,7 @@ def test_isomorphism_decided_by_end_locality(fld):
     # decomposable module could have an isomorphism that only a combination
     # of basis maps reaches
     R = hml.regular(table)
-    P00, _, _ = hml._projective_sum(table, [0, 0])
+    P00, _ = hml._projective_sum(table, [0, 0])
     with pytest.raises(hml.PreconditionError, match=r"End\(regular\)"):
         hml.modules_isomorphic(R, P00)
 
@@ -1094,6 +1098,18 @@ def test_apply_matches_dense_product(fld):
             assert got == sparse_row(matmul_rows(fld, [vec], act)[0]), name
 
 
+def test_top_forms_are_canonical_pairs():
+    # the forms the minimality check reads, on the local presets and a
+    # bridged cycle, are pairs in ascending column order like every row
+    tables = [qa.preset(name) for name in ("hopf-a5-f2", "dihedral8-f2", "quaternion8-f2")]
+    for table in tables + [cycle33(F3)]:
+        for v in range(table.n_vertices):
+            forms = hml._top_forms(table, v)
+            assert forms
+            for form in forms:
+                assert_canonical_pairs(table.field, form, hml.projective(table, v).dim)
+
+
 # -- resolutions kept inside their projective covers --------------------------
 
 def dual_numbers_off_the_path_basis(fld):
@@ -1134,13 +1150,14 @@ def test_resolution_matches_iterated_syzygies_and_composes_to_zero(M, t):
     assert hml.syzygy_dims(M, t) == dims
     res = hml._resolution(M, t)
     table = M.algebra
+    unpack = row_format(table.field).unpack  # the entries are ints over F_2
     for s in range(1, len(res.maps) - 1):
         d_s, d_next = res.maps[s], res.maps[s + 1]
         for c in range(len(res.levels[s - 1])):
             for c2 in range(len(res.levels[s + 1])):
                 total = table.zero_vec()
                 for c1 in range(len(res.levels[s])):
-                    prod = qa._dense(table._mul(d_s[c][c1], d_next[c1][c2]), table.dim,
+                    prod = qa._dense(table._mul(unpack(d_s[c][c1]), unpack(d_next[c1][c2])), table.dim,
                                      table.field.zero())
                     total = [table.field.add(x, y) for x, y in zip(total, prod)]
                 assert not any(total), (s, c, c2)
@@ -1152,7 +1169,7 @@ def test_cover_of_rows_that_are_not_action_stable_raises(hopf, bridged33):
     for table in (hopf, auslander_algebra(2, QQ)):
         R = hml.regular(table)
         with pytest.raises(ValueError, match="not action-stable"):
-            hml.projective_cover(R, [sparse_row(table.unit)])
+            hml.projective_cover(R, [row_format(table.field).pack(sparse_row(table.unit))])
         with pytest.raises(ValueError, match="not action-stable"):
             hml.submodule(R, [sparse_row(table.unit)])
     # span{a0*a1 + a1*a0} over the cycle (3, 3): J kills it, e_0 does not keep it
@@ -1162,32 +1179,31 @@ def test_cover_of_rows_that_are_not_action_stable_raises(hopf, bridged33):
         row = tuple((k, 1) for k, n in enumerate(names) if n in ("a0*a1", "a1*a0"))
         assert not any(R.apply_element(row, x) for x in qa._radical_top(table))
         with pytest.raises(ValueError, match="not action-stable"):
-            hml.projective_cover(R, [row])
+            hml.projective_cover(R, [row_format(table.field).pack(row)])
 
 
 def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
     # the radical of the regular module, as rows and as a module of its own
+    fmt = row_format(hopf.field)
     R = hml.regular(hopf)
     rows = hml.radical_rows(R)
-    inside = hml.projective_cover(R, rows)
+    packed = [fmt.pack(r) for r in rows]
+    inside = hml.projective_cover(R, packed)
     alone = hml.projective_cover(hml.submodule(R, rows)[0])
     assert inside.vertices == alone.vertices == [0, 0]
     assert inside.P.dim == alone.P.dim == 16
     # the cover map is written in the coordinates of R, onto the rows
     image, target = SpanBuilder(hopf.field), SpanBuilder(hopf.field)
-    for r in inside.matrix:
-        image.add(r)
+    for r in inside.rows:
+        image.add(fmt.unpack(r))
     for r in rows:
         target.add(r)
     assert image.finish() == target.finish()
     # int rows, reduced at their highest bits or not, span the same rows
-    # and give the same cover as pairs
-    from domdimlab.exactmath import _pack_pairs
-
-    packed = [_pack_pairs(r) for r in rows]
+    # and give the same cover
     for ints in (packed, packed[:1] + [packed[0] ^ r for r in packed[1:]]):
         cov = hml.projective_cover(R, ints)
-        assert (cov.vertices, cov.matrix, cov.kernel) == (inside.vertices, inside.matrix, inside.kernel)
+        assert (cov.vertices, cov.rows, cov.kernel) == (inside.vertices, inside.rows, inside.kernel)
 
 
 # -- modules cut from the regular module, against the dense constructions ------
@@ -1247,7 +1263,7 @@ def test_projective_matches_the_dense_construction(make):
     table = make()
     for v in range(table.n_vertices):
         basis, rows = dense_projective(table, v)
-        P, cut_basis = hml._projective_data(table, v)
+        P, cut_basis, _ = hml._projective_data(table, v)
         assert (P.dim, P.rows, cut_basis) == (len(basis), rows, basis)
         assert P.name == f"P({table.idempotents[v][0]})"
 
