@@ -839,12 +839,14 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
                       for u in units]
         _, soc = left_kernel_rows(fld, right_mult, len(gens) * d)
         idem = [sparse_row(e) for _, e in table.idempotents]
-        cached = set()
+        cached, dims = set(), {}  # dims: w -> dim Ae_w, read once per w
         for e in idem:
             soc_v, _ = _image_span(R, [e], soc).finish()
             if len(soc_v) == 1:
                 w = next(w for w, f in enumerate(idem) if R.apply_element(soc_v[0], f))
-                if _image_span(R, [e], units).rank == _image_span(R, units, [idem[w]]).rank:
+                if w not in dims:
+                    dims[w] = _image_span(R, units, [idem[w]]).rank
+                if _image_span(R, [e], units).rank == dims[w]:
                     cached.add(w)
         table._cache["pi_vertices"] = cached
     return cached
