@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, repeat
-from operator import lshift, xor
+from operator import lshift
 from typing import NamedTuple
 
 
@@ -456,7 +456,12 @@ class _PackedRows:
 
     @staticmethod
     def apply(vec: int, a: int, acts: list) -> int:
-        return reduce(xor, (_PackedRows.times(vec, acts[u]) for u, _ in _PackedRows.unpack(a)), 0)
+        acc = 0
+        while a:  # vec @ acts[u] for each bit u of a
+            low = a & -a
+            acc ^= _PackedRows.times(vec, acts[low.bit_length() - 1])
+            a ^= low
+        return acc
 
     @staticmethod
     def window(row: int, off: int, n: int) -> int:
@@ -466,9 +471,8 @@ class _PackedRows:
     def pivots(rows: list[int]) -> list[int] | None:
         pivots = [r.bit_length() - 1 for r in rows]
         mask = sum(1 << c for c in set(pivots))
-        if mask.bit_count() == len(rows) and all(r & mask == 1 << c for r, c in zip(rows, pivots)):
-            return pivots
-        return None
+        reduced = mask.bit_count() == len(rows) and all(r & mask == 1 << c for r, c in zip(rows, pivots))
+        return pivots if reduced else None
 
     @staticmethod
     def coordinates(basis: list[int], pivots: list[int], dim: int):
@@ -486,6 +490,7 @@ class _PairRows:
 
     def __init__(self, field: FieldSpec):
         self.field = field
+        self.span = partial(SpanBuilder, field)
 
     pack = unpack = staticmethod(tuple)  # the identity on pair rows
 
@@ -494,9 +499,6 @@ class _PairRows:
 
     def apply(self, vec: tuple, a: tuple, acts: list) -> tuple:
         return combine_pairs(self.field, ((c * x, acts[u][i]) for u, c in a for i, x in vec))
-
-    def span(self) -> SpanBuilder:
-        return SpanBuilder(self.field)
 
     @staticmethod
     def shift(row: tuple, off: int) -> tuple:
@@ -510,10 +512,9 @@ class _PairRows:
     def pivots(rows: list[tuple]) -> list[int] | None:
         pivots = [r[-1][0] for r in rows]
         pivset = set(pivots)
-        if (len(pivset) == len(rows) and all(r[-1][1] == 1 for r in rows)
-                and not any(j in pivset for r in rows for j, _ in r[:-1])):
-            return pivots
-        return None
+        reduced = (len(pivset) == len(rows) and all(r[-1][1] == 1 for r in rows)
+                   and not any(j in pivset for r in rows for j, _ in r[:-1]))
+        return pivots if reduced else None
 
     def coordinates(self, basis: list[tuple], pivots: list[int], dim: int):
         return partial(coords_against, self.field, basis, pivots)

@@ -40,6 +40,7 @@ its absence raises :class:`PreconditionError`; no verdict is left open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import chain
 from typing import Optional
 
@@ -116,6 +117,13 @@ class Representation:
         rep.algebra, rep.dim, rep.name, rep._cache = algebra, dim, name, {}
         rep.rows = tuple(tuple(m) for m in rows)
         return rep
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Set by the constructors; a projective sum (``_projective_sum``)
+        builds them from its ``_actions`` when they are first read."""
+        unpack = row_format(self.algebra.field).unpack
+        return tuple(tuple(map(unpack, m)) for m in self._cache["actions"][:self.algebra.dim])
 
     def __repr__(self):
         label = self.name or "module"
@@ -374,32 +382,30 @@ def _actions(M: Representation) -> list:
         A = M.algebra
         fmt = row_format(A.field)
         acts = [[fmt.pack(r) for r in rows] for rows in M.rows]
-        units = [fmt.pack(r) for r in _unit_rows(A.field, M.dim)]
+        cols = list(zip(*acts))  # cols[i][u]: row i of the action of b_u
         for a in map(fmt.pack, _radical_top(A) + [sparse_row(e) for _, e in A.idempotents]):
-            acts.append([fmt.apply(x, a, acts) for x in units])
+            acts.append([fmt.times(a, col) for col in cols])  # row i of act(a) is a @ cols[i]
         M._cache["actions"] = acts
     return acts
 
 
 def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list[int]]:
-    """P = (+) P_v and the offsets of its summands.  Its action rows and
-    ``_actions`` join those of each P_v moved to its summand, which are
-    cached on the table per (vertex, offset)."""
+    """P = (+) P_v and the offsets of its summands.  Its ``_actions`` join
+    those of each P_v moved to its summand, cached on the table per
+    (vertex, offset); a resolution never reads its rows (``rows``)."""
     fmt = row_format(table.field)
     offsets, moved = [0], []
     for v in vertices:
         Pv, off = _projective_data(table, v)[0], offsets[-1]
         key = ("block", v, off)
         if key not in table._cache:
-            acts = [[fmt.shift(r, off) for r in m] for m in _actions(Pv)]
-            table._cache[key] = [tuple(map(fmt.unpack, m)) for m in acts[:table.dim]], acts
+            table._cache[key] = [[fmt.shift(r, off) for r in m] for m in _actions(Pv)]
         moved.append(table._cache[key])
         offsets.append(off + Pv.dim)
-    actions = [tuple(chain.from_iterable(rows[u] for rows, _ in moved)) for u in range(table.dim)]
-    name = "(+)".join(f"P{v}" for v in vertices)
-    rep = Representation.from_rows(table, offsets[-1], actions, name=name)
-    rep._cache["actions"] = [list(chain.from_iterable(a)) for a in zip(*(acts for _, acts in moved))]
-    return rep, offsets[:-1]
+    P = Representation.__new__(Representation)
+    P.algebra, P.dim, P.name = table, offsets[-1], "(+)".join(f"P{v}" for v in vertices)
+    P._cache = {"actions": [list(chain.from_iterable(a)) for a in zip(*moved)]}
+    return P, offsets[:-1]
 
 
 def projective_cover(M: Representation, rows=None) -> Cover:
@@ -600,13 +606,7 @@ def syzygy_dims(M: Representation, t: int) -> list[int]:
     if t < 1:
         raise ValueError("t must be >= 1")
     res = _resolution(M, t)
-    out = []
-    for s in range(t):
-        if s < len(res.kernel_dims):
-            out.append(res.kernel_dims[s])
-        else:
-            out.append(0)
-    return out
+    return [res.kernel_dims[s] if s < len(res.kernel_dims) else 0 for s in range(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -839,14 +839,13 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
                       for u in units]
         _, soc = left_kernel_rows(fld, right_mult, len(gens) * d)
         idem = [sparse_row(e) for _, e in table.idempotents]
-        cached, dims = set(), {}  # dims: w -> dim Ae_w, read once per w
+        dim_ae = cache(lambda w: _image_span(R, units, [idem[w]]).rank)  # dim Ae_w
+        cached = set()
         for e in idem:
             soc_v, _ = _image_span(R, [e], soc).finish()
             if len(soc_v) == 1:
                 w = next(w for w, f in enumerate(idem) if R.apply_element(soc_v[0], f))
-                if w not in dims:
-                    dims[w] = _image_span(R, units, [idem[w]]).rank
-                if _image_span(R, [e], units).rank == dims[w]:
+                if _image_span(R, [e], units).rank == dim_ae(w):
                     cached.add(w)
         table._cache["pi_vertices"] = cached
     return cached
