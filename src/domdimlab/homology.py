@@ -505,12 +505,12 @@ def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list]:
         return cov, ker
     A = M.algebra
     forms = [(off, form) for v, off in zip(cov.vertices, cov.offsets) for form in _top_forms(A, v)]
-    cols: list[list] = [[] for _ in range(cov.P.dim)]
+    reads: list[list] = [[] for _ in range(cov.P.dim)]  # column of P -> (form, coefficient) pairs
     for i, (off, form) in enumerate(forms):
         for j, c in form:
-            cols[off + j].append((i, c))
+            reads[off + j].append((i, c))
     fmt = row_format(A.field)
-    cols = [fmt.pack(tuple(col)) for col in cols]
+    cols = [fmt.pack(tuple(r)) for r in reads]
     if any(fmt.times(row, cols) for row in ker):
         raise AssertionError("cover is not minimal: kernel escapes the radical")
     return cov, ker
