@@ -6,10 +6,13 @@ Pivoting is deterministic -- the pivot of a column is the first nonzero
 entry in row order -- so reduced forms are canonical and safe to freeze
 into test fixtures.
 
-The raw-row helpers (``rref_rows``, ``kernel_rows`` ...) operate on
-mutable lists of lists and exist for the hot loops of the algebra and
-homology engines.  Sparse rows are tuples of (k, c) pairs, k ascending
-and every c nonzero (``sparse_row`` converts a dense row once):
+The dense row helpers (``rref_rows``, ``kernel_rows``, ``rank_rows``,
+``matmul_rows``) take lists of lists of canonical scalars, with one body
+for every field.  They serve the Hom solve of ``homology.hom_basis``, the
+rank checks of ``quivalg.is_symmetric`` and the isomorphism tests, and
+``Matrix``; the tests of the sparse helpers compare against them.
+Sparse rows are tuples of (k, c) pairs, k ascending and every c nonzero
+(``sparse_row`` converts a dense row once):
 ``coords_against`` takes its basis and vector in that form and returns
 the coordinates so, a ``SpanBuilder`` holds its rows and reduces
 vectors in it, and ``combine_pairs`` sums multiples of them.
@@ -148,94 +151,11 @@ def rref_rows(field: FieldSpec, rows: list[list]) -> tuple[int, list[int]]:
     """Bring ``rows`` into reduced row-echelon form in place.
 
     Returns (rank, pivot column list).  Zero rows sink to the bottom.
-    F_2 rows are bit-packed into integers during elimination, which is the
-    difference between seconds and minutes on the bimodule searches.
+    The entries must be canonical scalars of ``field``, ints in [0, p)
+    over F_p and Fractions over Q, as ``Matrix`` holds them.  A pivot row
+    clears the others only on its own nonzero columns.
     """
-    if field.kind == "prime":
-        if field.p == 2 and rows and len(rows) * len(rows[0]) > 512:
-            return _rref_f2(rows)
-        return _rref_mod(rows, field.p)
-    return _rref_frac(rows)
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-# byte b -> the ASCII digit of its parity, "0" or "1"
-_PARITY = bytes(48 + (b & 1) for b in range(256))
-
-
-def _pack_f2(row: list[int]) -> int:
-    """The row as an int whose bit j is the parity of entry j."""
-    try:
-        # one C-level pass: entries as bytes, last entry first, each to its parity digit
-        return int(bytes(row[::-1]).translate(_PARITY), 2)
-    except ValueError:  # an entry outside 0..255, or an empty row
-        return sum(1 << j for j, x in enumerate(row) if x & 1)
-
-
-def _rref_f2(rows: list[list[int]]) -> tuple[int, list[int]]:
-    nrows = len(rows)
-    ncols = len(rows[0])
-    packed = [_pack_f2(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        pr = -1
-        for i in range(r, nrows):
-            if packed[i] & bit:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        packed[r], packed[pr] = packed[pr], packed[r]
-        prow = packed[r]
-        for i in range(nrows):
-            if i != r and packed[i] & bit:
-                packed[i] ^= prow
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    width = f"0{ncols}b"
-    for row, v in zip(rows, packed):
-        # bit j of v is column j: reverse the binary string, map "0"/"1" to 0/1
-        row[:] = format(v, width)[::-1].encode().translate(_BIT_BYTES)
-    return r, pivots
-
-
-def _rref_mod(rows: list[list[int]], p: int) -> tuple[int, list[int]]:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        row = rows[r]
-        inv = pow(row[c], -1, p)
-        if inv != 1:
-            for j in range(c, ncols):
-                row[j] = row[j] * inv % p
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                ri = rows[i]
-                for j in range(c, ncols):
-                    ri[j] = (ri[j] - f * row[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots
-
-
-def _rref_frac(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
+    p = field.p
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -250,17 +170,21 @@ def _rref_frac(rows: list[list[Fraction]]) -> tuple[int, list[int]]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         row = rows[r]
-        inv = 1 / row[c]
-        if inv != 1:
-            for j in range(c, ncols):
-                row[j] = row[j] * inv
-        support = [j for j in range(c, ncols) if row[j]]  # no Fraction arithmetic on zeros
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                for j in support:
-                    ri[j] = ri[j] - f * row[j]
+        if row[c] != 1:
+            inv = field.inv(row[c])
+            row[c:] = [x * inv % p for x in row[c:]] if p else [x * inv for x in row[c:]]
+        support = None  # the pivot row's nonzero columns, once a row needs them
+        for ri in rows:
+            f = ri[c]
+            if f and ri is not row:
+                if support is None:
+                    support = [j for j in range(c, ncols) if row[j]]
+                if p:
+                    for j in support:
+                        ri[j] = (ri[j] - f * row[j]) % p
+                else:
+                    for j in support:
+                        ri[j] = ri[j] - f * row[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -379,7 +303,8 @@ class SpanBuilder:
 def kernel_rows(field: FieldSpec, rows: list[list], ncols: int) -> list[list]:
     """Basis (as rows of length ``ncols``) of {x : rows_matrix . x = 0}.
 
-    ``rows`` is read as a matrix acting on column vectors of length ncols.
+    ``rows`` is read as a matrix acting on column vectors of length ncols;
+    its entries are canonical scalars, as for ``rref_rows``.
     """
     work = [list(r) for r in rows]
     _, pivots = rref_rows(field, work)
@@ -421,6 +346,9 @@ def combine_pairs(field: FieldSpec, terms) -> tuple:
         for j, c in row:
             acc[j] = acc.get(j, 0) + f * c
     return _canonical(field, acc)
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _PackedRows:
@@ -577,38 +505,27 @@ def left_kernel_rows(field: FieldSpec, rows: list, ncols: int) -> tuple[int, lis
 
 
 def matmul_rows(field: FieldSpec, a: list[list], b: list[list]) -> list[list]:
-    if a and b and len(a[0]) != len(b):
+    """The product a @ b of canonical scalars, summed over the nonzero
+    entries of a and b only and reduced once per output row."""
+    if a and len(a[0]) != len(b):
         raise DimensionMismatch(f"{len(a[0])} inner vs {len(b)}")
-    inner = len(b)
+    p = field.p
     ncols = len(b[0]) if b else 0
     zero = field.zero()
     out = []
-    if field.kind == "prime":
-        p = field.p
-        for row in a:
-            acc = [0] * ncols
-            for k in range(inner):
-                f = row[k]
-                if f:
-                    bk = b[k]
-                    for j in range(ncols):
-                        acc[j] += f * bk[j]
-            out.append([x % p for x in acc])
-    else:
-        # no Fraction arithmetic on the zeros of b
-        support = [[(j, x) for j, x in enumerate(bk) if x] for bk in b]
-        for row in a:
-            acc = [zero] * ncols
-            for k in range(inner):
-                f = row[k]
-                if f:
-                    for j, x in support[k]:
-                        acc[j] = acc[j] + f * x
-            out.append(acc)
+    for row in a:
+        acc = [zero] * ncols
+        for f, bk in zip(row, b):
+            if f:
+                for j, x in enumerate(bk):
+                    if x:
+                        acc[j] += f * x
+        out.append([x % p for x in acc] if p else acc)
     return out
 
 
 def rank_rows(field: FieldSpec, rows: list[list]) -> int:
+    """The rank of ``rows``, canonical scalars as for ``rref_rows``."""
     work = [list(r) for r in rows]
     rank, _ = rref_rows(field, work)
     return rank
@@ -630,7 +547,10 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: FieldSpec, data):
-        rows = tuple(tuple(r) for r in data)
+        """Entries are reduced to canonical scalars: ints mod p over F_p,
+        Fractions over Q."""
+        conv = (lambda x: x % field.p) if field.kind == "prime" else Fraction
+        rows = tuple(tuple(map(conv, r)) for r in data)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
@@ -645,8 +565,7 @@ class Matrix:
     # -- constructors ---------------------------------------------------
     @staticmethod
     def from_rows(field: FieldSpec, rows) -> "Matrix":
-        conv = (lambda x: x % field.p) if field.kind == "prime" else Fraction
-        return Matrix(field, [[conv(x) for x in r] for r in rows])
+        return Matrix(field, rows)
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":

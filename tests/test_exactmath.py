@@ -154,33 +154,27 @@ def test_rref_pivot_count_matches_rank(m):
                 assert not data.entry(rr, c)
 
 
-@given(matrices(field=F2, min_rows=8, max_rows=16, min_cols=9, max_cols=80))
-def test_f2_bitpacked_path_matches_generic(m):
-    # up to 80 columns, so packed rows also exceed one 64-bit word
-    from domdimlab.exactmath import _rref_f2, _rref_mod
+@given(st.sampled_from([F2, F3, QQ]).flatmap(lambda fld: matrices(field=fld, max_rows=16, max_cols=80)))
+def test_rref_rows_matches_the_span_builder_basis(m):
+    # up to 16 x 80 cells: the same rank, pivots and RREF rows as the
+    # sparse echelon span, and zero rows below the rank
+    from domdimlab.exactmath import SpanBuilder, rref_rows, sparse_row
 
-    a = m.row_lists()
-    b = m.row_lists()
-    r1 = _rref_f2(a)
-    r2 = _rref_mod(b, 2)
-    assert r1 == r2
-    assert a == b
-
-
-@given(st.lists(st.sampled_from([0, 1, 2, 255, 256, -1]), min_size=1, max_size=90))
-def test_f2_row_packing_matches_per_entry_generator(row):
-    # 256 and -1 are outside a byte, so they take the fallback path
-    from domdimlab.exactmath import _pack_f2
-
-    assert _pack_f2(row) == sum(1 << j for j, x in enumerate(row) if x & 1)
+    work = m.row_lists()
+    rank, pivots = rref_rows(m.field, work)
+    span = SpanBuilder(m.field)
+    for r in m.row_lists():
+        span.add(sparse_row(r))
+    assert span.finish() == ([sparse_row(r) for r in work[:rank]], pivots)
+    assert not any(any(r) for r in work[rank:])
 
 
-def test_f2_row_packing_fixed_rows():
-    from domdimlab.exactmath import _pack_f2
-
-    assert _pack_f2([0, 1, 2, 255]) == 0b1010
-    assert _pack_f2([0, 1, 2, 255, 256, -1]) == 0b101010
-    assert _pack_f2([]) == 0
+def test_matrix_holds_canonical_scalars():
+    # entries are reduced on construction, as rref_rows requires
+    m = Matrix(F3, [[3, 4], [1, 5]])
+    assert m.data == ((0, 1), (1, 2))
+    assert m.rref().matrix == Matrix.identity(F3, 2)
+    assert all(type(x) is Fraction for x in Matrix(QQ, [[1, 2]]).data[0])
 
 
 @given(matrices(min_rows=1, min_cols=1), st.data())
@@ -267,7 +261,7 @@ def test_left_kernel_rows_matches_the_dense_transpose(case):
 
 @given(rows_with_a_left_kernel(F2, max_rows=30, max_cols=60))
 def test_left_kernel_rows_f2_packed_matches_the_dense_transpose(case):
-    # up to 36 x 60 cells, past the 512 where rref_rows packs F_2 rows
+    # up to 36 x 60 cells, over several 64-bit words of packed rows
     from domdimlab.exactmath import left_kernel_rows, row_format, sparse_row
 
     check_left_kernel(F2, *case)
@@ -375,15 +369,29 @@ def test_left_kernel_rows_fixed_shapes():
     check_left_kernel(F2, [[1] * 40 for _ in range(20)], 40)
 
 
-@given(matrices(field=QQ, max_rows=4, max_cols=4), st.data())
+@given(st.sampled_from([F2, F3, QQ]).flatmap(lambda fld: matrices(field=fld, max_rows=4, max_cols=4)),
+       st.data())
 def test_matmul_rows_q_skips_zeros_exactly(a, data):
+    # over Q, and over F_2 and F_3, against field sums of all products
+    from functools import reduce
+
     from domdimlab.exactmath import matmul_rows
 
-    b = data.draw(matrices(field=QQ, min_rows=a.cols, max_rows=a.cols, max_cols=4))
-    want = [[sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)), Fraction(0))
+    fld = a.field
+    b = data.draw(matrices(field=fld, min_rows=a.cols, max_rows=a.cols, max_cols=4))
+    want = [[reduce(fld.add, (fld.mul(a.entry(i, k), b.entry(k, j)) for k in range(a.cols)), fld.zero())
              for j in range(b.cols)] for i in range(a.rows)]
-    assert matmul_rows(QQ, a.row_lists(), b.row_lists()) == want
+    assert matmul_rows(fld, a.row_lists(), b.row_lists()) == want
 
+
+def test_matmul_rows_checks_the_inner_dimension():
+    from domdimlab.exactmath import DimensionMismatch, matmul_rows
+
+    with pytest.raises(DimensionMismatch):
+        matmul_rows(F2, [[1, 1]], [])
+    with pytest.raises(DimensionMismatch):
+        matmul_rows(QQ, [[Fraction(1)]], [[Fraction(1)], [Fraction(1)]])
+    assert matmul_rows(F2, [[]], []) == [[]]  # 1 x 0 times 0 x 0
 
 
 def reduce_against_rref(fld, rref, pivots, vec):
