@@ -25,7 +25,7 @@ from . import homology as hml
 from . import nakayama as nak
 from . import quivalg as qa
 from . import rigidity as rg
-from .exactmath import FieldSpec, sparse_row
+from .exactmath import FieldSpec
 from .suites import SUITES
 
 def _digest(payload) -> str:
@@ -420,7 +420,7 @@ def ideal(algebra, preset, gen_exprs, report, fmt):
     """Two-sided ideal rigidity report: Hom(X, A/X) and Ext^1(X, X)."""
     started = time.perf_counter()
     table = _load_table(preset, algebra)
-    X = hml.ideal_module(table, [sparse_row(table.element_from_expr(e)) for e in gen_exprs])
+    X = hml.ideal_module(table, [table.element_from_expr(e) for e in gen_exprs])
     rep = hml.check_ideal_rigidity(table, X)
     item = {"name": "ideal-rigidity", "pass": rep.holds}
     item.update(rep.to_json())

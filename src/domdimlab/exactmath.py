@@ -26,6 +26,7 @@ one elimination of [C | I].  ``Matrix`` stays public API.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -37,6 +38,9 @@ from typing import NamedTuple
 
 class DimensionMismatch(ValueError):
     """Operand shapes do not line up."""
+
+
+_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(p: int) -> bool:
@@ -106,11 +110,14 @@ class FieldSpec:
         return 1 / Fraction(a)
 
     def parse(self, text: str):
-        """Parse a scalar string: an integer, or "a/b" over the rationals.
-        ValueError for anything else, a zero denominator included."""
-        if not isinstance(text, str):
-            raise ValueError(f"scalar {text!r} is not a string")
-        text = text.strip()
+        """Parse a scalar string: an optional sign and ASCII digits, over the
+        rationals optionally followed by "/" and digits.  ValueError for
+        anything else (whitespace, a decimal point, an exponent or an
+        underscore included) and for a zero denominator."""
+        m = _SCALAR.fullmatch(text) if isinstance(text, str) else None
+        if m is None or (m.group(1) and self.kind == "prime"):
+            raise ValueError(f"scalar {text!r} is not an integer string"
+                             + ("" if self.kind == "prime" else " or a/b"))
         if self.kind == "prime":
             return int(text) % self.p
         try:
@@ -568,9 +575,18 @@ class Matrix:
         return Matrix(field, rows)
 
     @staticmethod
+    def _shaped(field: FieldSpec, data, cols: int) -> "Matrix":
+        """``Matrix(field, data)`` with ``cols`` columns, also when ``data``
+        has no rows to read them from."""
+        m = Matrix(field, data)
+        if not m.rows:
+            object.__setattr__(m, "cols", cols)
+        return m
+
+    @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
         z = field.zero()
-        return Matrix(field, [[z] * cols for _ in range(rows)])
+        return Matrix._shaped(field, [[z] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
@@ -582,11 +598,12 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and self.cols == other.cols
             and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        return hash((self.field, self.cols, self.data))
 
     def __repr__(self):
         return f"Matrix({self.field.describe()}, {self.rows}x{self.cols})"
@@ -598,30 +615,33 @@ class Matrix:
         return [list(r) for r in self.data]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._shaped(self.field, [[self.data[i][j] for i in range(self.rows)]
+                                           for j in range(self.cols)], self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if not (self.rows and other.rows):  # as lists, a matrix without rows has no columns
+            return Matrix.zeros(self.field, self.rows, other.cols)
         return Matrix(self.field, matmul_rows(self.field, self.row_lists(), other.row_lists()))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
         f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        return Matrix._shaped(f, [list(map(f.add, ra, rb)) for ra, rb in zip(self.data, other.data)], self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in subtraction")
         f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        return Matrix._shaped(f, [list(map(f.sub, ra, rb)) for ra, rb in zip(self.data, other.data)], self.cols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.mul(c, x) for x in r] for r in self.data])
+        return Matrix._shaped(f, [[f.mul(c, x) for x in r] for r in self.data], self.cols)
 
     def is_zero(self) -> bool:
         return all(not x for r in self.data for x in r)
@@ -630,7 +650,7 @@ class Matrix:
     def rref(self) -> RrefResult:
         work = self.row_lists()
         rank, pivots = rref_rows(self.field, work)
-        return RrefResult(Matrix(self.field, work), rank, tuple(pivots))
+        return RrefResult(Matrix._shaped(self.field, work, self.cols), rank, tuple(pivots))
 
     def rank(self) -> int:
         return rank_rows(self.field, self.row_lists())
@@ -658,4 +678,4 @@ class Matrix:
         for row, c in zip(aug, pivots):
             for j in range(b.cols):
                 sol[c][j] = row[n + j]
-        return Matrix(field, sol)
+        return Matrix._shaped(field, sol, b.cols)

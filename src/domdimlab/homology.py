@@ -154,7 +154,8 @@ class Representation:
     def verify(self) -> None:
         """Re-check the module axioms against the structure constants."""
         A = self.algebra
-        if self.element_action(A.unit) != _identity(A.field, self.dim):
+        one = A.field.one()
+        if any(self.apply_element(((i, one),), A.unit) != ((i, one),) for i in range(self.dim)):
             raise ValueError("unit does not act as the identity")
         for u in range(A.dim):
             for v in range(A.dim):
@@ -297,7 +298,7 @@ def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, 
     key = ("projective", vertex)
     if key not in table._cache:
         label, e = table.idempotents[vertex]
-        R, e = regular(table), sparse_row(e)
+        R = regular(table)
         rows = (R.apply(e, u) for u in range(table.dim))
         P, basis = submodule(R, [r for r in rows if r], name=f"P({label})")
         table._cache[key] = P, basis, [row_format(table.field).pack(r) for r in basis]
@@ -383,7 +384,7 @@ def _actions(M: Representation) -> list:
         fmt = row_format(A.field)
         acts = [[fmt.pack(r) for r in rows] for rows in M.rows]
         cols = list(zip(*acts))  # cols[i][u]: row i of the action of b_u
-        for a in map(fmt.pack, _radical_top(A) + [sparse_row(e) for _, e in A.idempotents]):
+        for a in map(fmt.pack, _radical_top(A) + [e for _, e in A.idempotents]):
             acts.append([fmt.times(a, col) for col in cols])  # row i of act(a) is a @ cols[i]
         M._cache["actions"] = acts
     return acts
@@ -643,7 +644,7 @@ def _weights(N: Representation) -> list[tuple[list, list, object]]:
         fld, weights = N.algebra.field, []
         fmt, units = row_format(fld), _unit_rows(fld, N.dim)
         for _, e in N.algebra.idempotents:
-            pairs, pivots = _image_span(N, units, [sparse_row(e)]).finish()
+            pairs, pivots = _image_span(N, units, [e]).finish()
             rows = [fmt.pack(r) for r in pairs]
             weights.append((pairs, rows, fmt.coordinates(rows, pivots, N.dim)))
         N._cache["weights"] = weights
@@ -838,7 +839,7 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
         right_mult = [tuple((k * d + j, c) for k, x in enumerate(gens) for j, c in R.apply_element(u, x))
                       for u in units]
         _, soc = left_kernel_rows(fld, right_mult, len(gens) * d)
-        idem = [sparse_row(e) for _, e in table.idempotents]
+        idem = [e for _, e in table.idempotents]
         dim_ae = cache(lambda w: _image_span(R, units, [idem[w]]).rank)  # dim Ae_w
         cached = set()
         for e in idem:
@@ -1131,7 +1132,6 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
             for idx, r in enumerate(_dense(r, dims[a] * dims[b], fld.zero()) for r in rows):
                 basis.append((a, b, [r[i * dims[b]:(i + 1) * dims[b]] for i in range(dims[a])]))
                 names.append(f"h{a}to{b}_{idx}")
-    dim_e = len(basis)
 
     def element(a, b, T) -> tuple:
         """The map T: M_a -> M_b as (index, coefficient) pairs in the basis."""
@@ -1141,28 +1141,21 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
             raise AssertionError(f"a map outside Hom(m{a}, m{b})")
         return tuple((offset + t, c) for t, c in coeffs)
 
-    vector = lambda a, b, T: _dense(element(a, b, T), dim_e, fld.zero())
     mult = [[element(a1, b2, matmul_rows(fld, T1, T2))  # "T1 then T2"
              if b1 == a2 else () for (a2, b2, T2) in basis] for (a1, b1, T1) in basis]
-    idem = [(M.name or f"m{a}", vector(a, a, _identity(fld, M.dim)))
+    idem = [(M.name or f"m{a}", element(a, a, _identity(fld, M.dim)))
             for a, M in enumerate(summands)]
-    unit = [fld.zero()] * dim_e
-    for _, e in idem:
-        unit = [fld.add(x, y) for x, y in zip(unit, e)]
-    radical = []
-    for a, b, T in basis:
-        # off the diagonal every map is radical; on it, the nilpotent part
-        # exists because End(M_a) is split local
-        R = T if a != b else _nilpotent_part(T, fld, dims[a])
-        if any(any(r) for r in R):
-            radical.append(vector(a, b, R))
+    # off the diagonal every map is radical; on it, the nilpotent part
+    # exists because End(M_a) is split local
+    radical = [element(a, b, T if a != b else _nilpotent_part(T, fld, dims[a]))
+               for a, b, T in basis]
     return make_table(
         field=fld,
         basis_names=names,
         mult=mult,
-        unit=unit,
+        unit=combine_pairs(fld, ((1, e) for _, e in idem)),
         idempotents=idem,
-        radical=radical,
+        radical=[v for v in radical if v],
         provenance={"kind": "endomorphism",
                     "summands": [M.name or f"m{i}" for i, M in enumerate(summands)]},
     )

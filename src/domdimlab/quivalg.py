@@ -1,9 +1,13 @@
 """Finite-dimensional algebras as explicit basis/structure-constant tables.
 
 A table records a field, a named basis, the product of every two basis
-elements as (index, coefficient) pairs (nonzero coefficients only), the
-unit, a complete set of orthogonal primitive idempotents (with
-vertex labels) and a basis of the Jacobson radical.  Every constructor
+elements, the unit, a complete set of orthogonal primitive idempotents
+(with vertex labels) and a basis of the Jacobson radical.  Every one of
+these elements is held as (k, c) pairs, k strictly ascending and every
+c a nonzero canonical scalar; vectors are dense only in table files
+(``to_json``/``from_json``) and in the dense views that tests compare
+against (``zero_vec``, ``basis_vec``, ``mult_elements``,
+``left_mult_matrix``).  Every constructor
 but ``opposite`` re-verifies the algebra axioms plus the split-basic
 certificate (``dim A = dim J + #idempotents``), which is what licenses the
 homological machinery downstream (one-dimensional simple tops,
@@ -20,12 +24,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from . import nakayama as nak
 from .exactmath import (
     FieldSpec,
     SpanBuilder,
     _canonical,
+    combine_pairs,
     coords_against,
     kernel_rows,
     matmul_rows,
@@ -242,11 +248,11 @@ def parse_relation(text: str, spec: QuiverSpec) -> RelationExpr:
 class AlgebraTable:
     field: FieldSpec
     basis_names: tuple[str, ...]
-    # mult[i][j] = b_i * b_j as (k, c) pairs: k strictly ascending, every c nonzero
-    mult: tuple[tuple[tuple, ...], ...]
+    # every element as (k, c) pairs: k strictly ascending, every c nonzero
+    mult: tuple[tuple[tuple, ...], ...]  # mult[i][j] = b_i * b_j
     unit: tuple
-    idempotents: tuple[tuple[str, tuple], ...]  # (vertex label, coordinate vector)
-    radical: tuple[tuple, ...]  # vectors spanning the Jacobson radical
+    idempotents: tuple[tuple[str, tuple], ...]  # (vertex label, element)
+    radical: tuple[tuple, ...]  # elements spanning the Jacobson radical
     provenance: dict = dc_field(default_factory=dict)
     # derived data (projectives, opposite, projective-injective vertices)
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
@@ -296,38 +302,34 @@ class AlgebraTable:
         return _dense(self._mul(sparse_row(u), sparse_row(v)), self.dim, self.field.zero())
 
     def left_mult_matrix(self, v) -> list[list]:
-        """Matrix of x -> v*x on row vectors."""
-        out = []
-        for i in range(self.dim):
-            out.append(self.mult_elements(v, self.basis_vec(i)))
-        return out
+        """Dense matrix of x -> v*x on row vectors, for v as (k, c) pairs."""
+        one, zero = self.field.one(), self.field.zero()
+        return [_dense(self._mul(v, ((i, one),)), self.dim, zero) for i in range(self.dim)]
 
-    def element_from_expr(self, text: str):
+    def element_from_expr(self, text: str) -> tuple:
         """Evaluate a relation-grammar expression whose names are basis
-        elements or idempotent labels, inside this table."""
-        by_name = {name: self.basis_vec(i) for i, name in enumerate(self.basis_names)}
-        for label, vec in self.idempotents:
-            by_name.setdefault(label, list(vec))
-        fld = self.field
+        elements or idempotent labels, inside this table, as (k, c) pairs."""
+        one = self.field.one()
+        by_name = {name: ((i, one),) for i, name in enumerate(self.basis_names)}
+        for label, e in self.idempotents:
+            by_name.setdefault(label, e)
 
         def combine(coeff, factors):
             vec = factors[0][0]
             for other, _ in factors[1:]:
-                vec = self.mult_elements(vec, other)
-            c = fld.of_int(coeff)
-            return [fld.mul(c, x) for x in vec]
+                vec = self._mul(vec, other)
+            return coeff, vec
 
-        terms = _parse_terms(text, by_name, combine, coeff_error_at_int=True)
-        acc = terms[0]
-        for nxt in terms[1:]:
-            acc = [fld.add(a, b) for a, b in zip(acc, nxt)]
-        return acc
+        return combine_pairs(self.field, _parse_terms(text, by_name, combine,
+                                                      coeff_error_at_int=True))
 
     def to_json(self):
-        structure = [[i, j, k, self.field.fmt(c)]
+        fmt = self.field.fmt
+        structure = [[i, j, k, fmt(c)]
                      for i, row in enumerate(self.mult)
                      for j, cell in enumerate(row) for k, c in cell]
-        fmt_vec = lambda v: [self.field.fmt(x) for x in v]
+        zero = self.field.zero()
+        fmt_vec = lambda v: [fmt(x) for x in _dense(v, self.dim, zero)]
         return {
             "kind": "table",
             "field": self.field.to_json(),
@@ -360,7 +362,7 @@ class AlgebraTable:
         def parse_vec(v):
             if len(v) != d:
                 raise ValueError(f"vector of length {len(v)} in a table of dimension {d}")
-            return tuple(fld.parse(x) for x in v)
+            return sparse_row(fld.parse(x) for x in v)
 
         for v in obj.get("generators", []):  # older files list generators; none is kept
             parse_vec(v)
@@ -369,7 +371,7 @@ class AlgebraTable:
         if len(set(labels)) != len(labels):  # a label names one vertex
             raise ValueError(f"repeated idempotent labels in {labels!r}")
         for label, e in idem:  # an expression reads a basis name before a label
-            if label in basis and sparse_row(e) != ((basis.index(label), fld.one()),):
+            if label in basis and e != ((basis.index(label), fld.one()),):
                 raise ValueError(f"idempotent label {label!r} names another basis element")
         return make_table(
             field=fld,
@@ -385,8 +387,9 @@ class AlgebraTable:
 
 def make_table(field, basis_names, mult, unit, idempotents, radical,
                provenance=None) -> AlgebraTable:
-    """A verified table; ``mult[i][j]`` is b_i * b_j as (k, c) pairs, k
-    strictly ascending and every c nonzero."""
+    """A verified table; ``mult[i][j]``, ``unit``, each idempotent and each
+    radical element are (k, c) pairs, k strictly ascending and every c a
+    nonzero canonical scalar."""
     mult = tuple(tuple(tuple(cell) for cell in row) for row in mult)
     table = AlgebraTable(
         field=field,
@@ -409,14 +412,14 @@ def _dense(pairs, n: int, zero) -> list:
     return out
 
 
-def _radical_powers(table: AlgebraTable, rad=None):
+def _radical_powers(table: AlgebraTable):
     """(k, c) rows spanning J, J^2, J^3, ... in turn, stopping before the
-    first zero power.  ``rad`` spans J (default: the declared radical
-    basis); each higher power comes as echelon rows.
+    first zero power: J as the declared radical basis, each higher power
+    as echelon rows.
     Raises ``CompileError`` when the powers do not reach 0 within dim + 1
     steps."""
     d = table.dim
-    rad = [sparse_row(v) for v in table.radical] if rad is None else rad
+    rad = table.radical
     # reach[i]: the rows v of rad with b_i v possibly nonzero
     at_column: list[list[int]] = [[] for _ in range(d)]
     for r, v in enumerate(rad):
@@ -451,15 +454,14 @@ def _radical_top(table: AlgebraTable) -> list[tuple]:
         mod = SpanBuilder(table.field)
         for r in next(powers, []):  # J^2
             mod.add(r)
-        top = table._cache["radical_top"] = [v for v in map(sparse_row, table.radical)
-                                             if mod.add(v)]
+        top = table._cache["radical_top"] = [v for v in table.radical if mod.add(v)]
     return top
 
 
 def _default_generators(table: AlgebraTable) -> list[tuple]:
     """Idempotents plus lifts of a basis of J/J^2, as (k, c) pairs: a
     unital generating set."""
-    return [sparse_row(vec) for _, vec in table.idempotents] + _radical_top(table)
+    return [e for _, e in table.idempotents] + _radical_top(table)
 
 
 def _generating_basis(table: AlgebraTable) -> list[int]:
@@ -476,7 +478,7 @@ def _generating_basis(table: AlgebraTable) -> list[int]:
     of J run over G alone."""
     one = table.field.one()
     span = SpanBuilder(table.field)
-    span.add(sparse_row(table.unit))
+    span.add(table.unit)
     gens: list[int] = []
     i = 0
     while span.rank < table.dim:
@@ -501,27 +503,40 @@ def _check_over(middle, check, *args) -> None:
         raise
 
 
+def _check_pairs(table: AlgebraTable, elements, name) -> None:
+    """Raise unless every element is (k, c) pairs, k strictly ascending in
+    0..dim-1 and every c a nonzero canonical scalar of the field; the
+    message calls the n-th element ``name(n)``."""
+    d, p = table.dim, table.field.p
+    for n, vec in enumerate(elements):
+        last = -1
+        for pair in vec:
+            k, c = pair if type(pair) is tuple and len(pair) == 2 else (d, None)  # d fails
+            if not (last < k < d and ((type(c) is int and 0 < c < p) if p
+                                      else (type(c) is Fraction and c != 0))):
+                raise CompileError(f"{name(n)} is not (k, c) pairs with k strictly ascending "
+                                   "and c nonzero")
+            last = k
+
+
 def verify_table(table: AlgebraTable) -> None:
-    """Re-check the storage format of the products and every table axiom:
-    unit, associativity, the idempotent set, and that the declared radical
-    is a nilpotent two-sided ideal with a split-basic quotient.
-    Associativity and the ideal checks take their middle factor from
-    ``_generating_basis``, which is enough (see there)."""
+    """Re-check the storage format of every element (``_check_pairs``) and
+    every table axiom: unit, associativity, the idempotent set, and that
+    the declared radical is a nilpotent two-sided ideal with a split-basic
+    quotient.  Associativity and the ideal checks take their middle factor
+    from ``_generating_basis``, which is enough (see there)."""
     d = table.dim
     fld = table.field
     one = fld.one()
     if len(table.mult) != d or any(len(row) != d for row in table.mult):
         raise CompileError(f"structure constants are not {d} x {d} cells")
     for i, row in enumerate(table.mult):
-        for j, cell in enumerate(row):
-            last = -1
-            for pair in cell:
-                if not (isinstance(pair, tuple) and len(pair) == 2 and last < pair[0] < d
-                        and pair[1]):
-                    raise CompileError(f"product ({i},{j}) is not (k, c) pairs with k "
-                                       "strictly ascending and c nonzero")
-                last = pair[0]
-    unit = sparse_row(table.unit)
+        _check_pairs(table, row, lambda j: f"product ({i},{j})")
+    unit = table.unit
+    _check_pairs(table, [unit], lambda _: "unit")
+    _check_pairs(table, [e for _, e in table.idempotents],
+                 lambda v: f"idempotent {table.idempotents[v][0]}")
+    _check_pairs(table, table.radical, lambda _: "radical element")
     for i in range(d):
         b = ((i, one),)
         if table._mul(unit, b) != b or table._mul(b, unit) != b:
@@ -529,21 +544,20 @@ def verify_table(table: AlgebraTable) -> None:
     gens = _generating_basis(table)
     _check_over(gens, _verify_associativity, table)
     # idempotents: orthogonal, idempotent, complete
-    idem = [(label, sparse_row(e)) for label, e in table.idempotents]
+    idem = table.idempotents
     for label, e in idem:
         if table._mul(e, e) != e:
             raise CompileError(f"idempotent {label} is not idempotent")
-    if idempotent_sum(table, range(len(idem))) != list(table.unit):
+    if idempotent_sum(table, range(len(idem))) != unit:
         raise CompileError("idempotents do not sum to the unit")
     for (la, ea), (lb, eb) in [(x, y) for x in idem for y in idem if x is not y]:
         if table._mul(ea, eb):
             raise CompileError(f"idempotents {la} and {lb} are not orthogonal")
     # radical: two-sided ideal, nilpotent, complement spanned by idempotents
-    rad_rows = [sparse_row(v) for v in table.radical]
     rad = SpanBuilder(fld)
-    for v in rad_rows:
+    for v in table.radical:
         rad.add(v)
-    _check_over(gens, _verify_ideal, table, rad, rad_rows)
+    _check_over(gens, _verify_ideal, table, rad, table.radical)
     rad_rank = rad.rank
     if rad_rank + len(idem) != d:
         raise CompileError(
@@ -554,7 +568,7 @@ def verify_table(table: AlgebraTable) -> None:
         if not rad.add(e):
             raise CompileError("idempotents are not independent modulo the radical")
     # nilpotency: iterate J -> J*J until zero
-    for _ in _radical_powers(table, rad_rows):
+    for _ in _radical_powers(table):
         pass
 
 
@@ -734,29 +748,17 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
         return "*".join(arr) if arr else src
 
     basis_names = [name_of(p) for p in basis_paths]
-    idem = []
-    unit = [fld.zero()] * d
-    for v in spec.vertices:
-        col = basis_col.get((v, ()))
-        if col is None:
-            raise CompileError("empty quotient: a vertex idempotent died in the ideal")
-        e = [fld.zero()] * d
-        e[col] = fld.one()
-        idem.append((v, e))
-        unit[col] = fld.one()
-    radical = []
-    for i, p in enumerate(basis_paths):
-        if len(p[1]) >= 1:
-            v = [fld.zero()] * d
-            v[i] = fld.one()
-            radical.append(v)
+    if any((v, ()) not in basis_col for v in spec.vertices):
+        raise CompileError("empty quotient: a vertex idempotent died in the ideal")
+    # the trivial paths come first, in vertex order, so the unit ascends
+    idem = [(v, ((basis_col[(v, ())], one),)) for v in spec.vertices]
     table = make_table(
         field=fld,
         basis_names=basis_names,
         mult=mult,
-        unit=unit,
+        unit=tuple(e for _, (e,) in idem),
         idempotents=idem,
-        radical=radical,
+        radical=[((i, one),) for i, p in enumerate(basis_paths) if p[1]],
         provenance={"kind": "quiver", "spec": spec.to_json()},
     )
     # J is spanned by the paths of length >= 1, each a product of arrows
@@ -806,20 +808,12 @@ def _group_algebra(names: list[str], mult_map: dict[tuple[str, str], str],
     """Group algebra over F_p with p dividing the group order at every
     nontrivial element order (used for the 2-groups here): the radical is
     the augmentation ideal."""
-    d = len(names)
     index = {g: i for i, g in enumerate(names)}
-    zero, one = field.zero(), field.one()
+    one = field.one()
     mult = [[((index[mult_map[(g, h)]], one),) for h in names] for g in names]
-    unit = [zero] * d
-    unit[index[identity]] = one
-    radical = []
-    for g in names:
-        if g == identity:
-            continue
-        v = [zero] * d
-        v[index[g]] = one
-        v[index[identity]] = field.sub(v[index[identity]], one)
-        radical.append(v)  # g - 1
+    unit = ((index[identity], one),)
+    radical = [tuple(sorted({index[g]: one, index[identity]: field.neg(one)}.items()))
+               for g in names if g != identity]  # g - 1
     return make_table(
         field=field,
         basis_names=names,
@@ -939,22 +933,13 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
     if d > SIZE_LIMIT:
         raise SizeLimitError(f"tensor algebra of dimension {d} exceeds limit {SIZE_LIMIT}")
     fld = a.field
-    zero = fld.zero()
 
     def kron(u, v):
-        out = [zero] * d
-        for i, ui in enumerate(u):
-            if ui:
-                base = i * b.dim
-                for j, vj in enumerate(v):
-                    if vj:
-                        out[base + j] = fld.mul(ui, vj)
-        return out
+        """u (x) v for u in A and v in B; k_u outer keeps k ascending."""
+        return tuple((i * b.dim + j, fld.mul(x, y)) for i, x in u for j, y in v)
 
-    # (b_i1 (x) b_j1)(b_i2 (x) b_j2) = b_i1 b_i2 (x) b_j1 b_j2; k_a outer keeps k ascending
-    mult = [[tuple((ka * b.dim + kb, fld.mul(ca, cb)) for ka, ca in a.mult[i1][i2]
-                   for kb, cb in b.mult[j1][j2])
-             for i2 in range(a.dim) for j2 in range(b.dim)]
+    # (b_i1 (x) b_j1)(b_i2 (x) b_j2) = b_i1 b_i2 (x) b_j1 b_j2
+    mult = [[kron(a.mult[i1][i2], b.mult[j1][j2]) for i2 in range(a.dim) for j2 in range(b.dim)]
             for i1 in range(a.dim) for j1 in range(b.dim)]
     basis_names = tuple(
         f"{na}(x){nb}" for na in a.basis_names for nb in b.basis_names
@@ -965,16 +950,12 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
         for la, ea in a.idempotents
         for lb, eb in b.idempotents
     ]
-    radical = []
-    for r in a.radical:
-        for j in range(b.dim):
-            radical.append(kron(r, b.basis_vec(j)))
+    one = fld.one()
+    radical = [kron(r, ((j, one),)) for r in a.radical for j in range(b.dim)]
     span_e = SpanBuilder(fld)
     for _, e in a.idempotents:
-        span_e.add(sparse_row(e))
-    for e in span_e.rows:
-        for r in b.radical:
-            radical.append(kron(_dense(e, a.dim, zero), r))
+        span_e.add(e)
+    radical += [kron(e, r) for e in span_e.rows for r in b.radical]
     return make_table(
         field=fld,
         basis_names=basis_names,
@@ -989,15 +970,15 @@ def tensor_algebra(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
 def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
     """e*A*e for e the sum of the named idempotents.
 
-    Returns (corner table, basis rows of eAe inside A).
+    Returns (corner table, basis rows of eAe inside A as (k, c) pairs).
     """
     fld = table.field
     d = table.dim
     chosen = [i for i, (l, _) in enumerate(table.idempotents) if l in set(idem_labels)]
     if len(chosen) != len(idem_labels):
         raise KeyError("unknown idempotent label")
-    e = sparse_row(idempotent_sum(table, chosen))
-    one, zero = fld.one(), fld.zero()
+    e = idempotent_sum(table, chosen)
+    one = fld.one()
     span = SpanBuilder(fld)
     for i in range(d):
         span.add(table._mul(e, table._mul(((i, one),), e)))
@@ -1013,25 +994,21 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
         return c
 
     mult = [[coords(table._mul(u, v)) for v in rows] for u in rows]
-    unit = _dense(coords(e), dim_c, zero)
-    idem = [(table.idempotents[i][0], tuple(_dense(coords(sparse_row(table.idempotents[i][1])),
-                                                   dim_c, zero)))
-            for i in chosen]
+    idem = [(table.idempotents[i][0], coords(table.idempotents[i][1])) for i in chosen]
     rad = SpanBuilder(fld)
     for v in table.radical:
-        rad.add(table._mul(e, table._mul(sparse_row(v), e)))
-    radical = [_dense(coords(v), dim_c, zero) for v in rad.rows]
+        rad.add(table._mul(e, table._mul(v, e)))
     names = tuple(f"c{i}" for i in range(dim_c))
     corner = make_table(
         field=fld,
         basis_names=names,
         mult=mult,
-        unit=unit,
+        unit=coords(e),
         idempotents=idem,
-        radical=radical,
+        radical=[coords(v) for v in rad.rows],
         provenance={"kind": "corner", "of": table.provenance, "idem": list(idem_labels)},
     )
-    return corner, [_dense(r, d, zero) for r in rows]
+    return corner, rows
 
 
 # ---------------------------------------------------------------------------
@@ -1054,8 +1031,6 @@ def symmetric_functional_space(table: AlgebraTable) -> list[list]:
                 row[k] = fld.sub(row[k], c)
             if any(row):
                 rows.append(row)
-    if not rows:
-        return [list(table.basis_vec(i)) for i in range(d)]
     return kernel_rows(fld, rows, d)
 
 
@@ -1076,16 +1051,17 @@ def _gram(table: AlgebraTable, lam: list) -> list[list]:
 def blocks(table: AlgebraTable) -> list[list[int]]:
     """The blocks of the algebra: the connected components of its vertices
     under e_i A e_j != 0, each an ascending list of vertex indices."""
-    idem = [list(e) for _, e in table.idempotents]
+    idem = [e for _, e in table.idempotents]
     label = list(range(len(idem)))
+    one = table.field.one()
     for t in range(table.dim):
         for i, ei in enumerate(idem):
-            left = table.mult_elements(ei, table.basis_vec(t))
-            if not any(left):
+            left = table._mul(ei, ((t, one),))
+            if not left:
                 continue
             for j, ej in enumerate(idem):
                 a, b = label[i], label[j]
-                if a != b and any(table.mult_elements(left, ej)):
+                if a != b and table._mul(left, ej):
                     label = [a if x == b else x for x in label]
     groups: dict[int, list[int]] = {}
     for v, lab in enumerate(label):
@@ -1093,13 +1069,9 @@ def blocks(table: AlgebraTable) -> list[list[int]]:
     return list(groups.values())
 
 
-def idempotent_sum(table: AlgebraTable, vertices) -> list:
-    """The sum of the idempotents at ``vertices``."""
-    fld = table.field
-    e = table.zero_vec()
-    for v in vertices:
-        e = [fld.add(a, b) for a, b in zip(e, table.idempotents[v][1])]
-    return e
+def idempotent_sum(table: AlgebraTable, vertices) -> tuple:
+    """The sum of the idempotents at ``vertices``, as (k, c) pairs."""
+    return combine_pairs(table.field, ((1, table.idempotents[v][1]) for v in vertices))
 
 
 def _has_isomorphism(mats, projectors, fld) -> bool:

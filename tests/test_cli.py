@@ -299,6 +299,9 @@ OUT_OF_SCOPE_FILES = {
     "idempotent-too-long": ("idempotent-long", "compile"),
     "scalar-not-a-string": ("scalar-number", "compile"),
     "scalar-zero-denominator": ("zero-denominator", "compile"),
+    "scalar-decimal-point": ("decimal-point", "compile"),
+    "scalar-exponent": ("exponent", "compile"),
+    "scalar-underscore": ("underscore", "compile"),
     "provenance-not-an-object": ("provenance-string", "compile"),
     "repeated-basis-names": ("repeated-names", "compile"),
     "repeated-idempotent-labels": ("repeated-labels", "predicates"),
@@ -335,6 +338,9 @@ ALGEBRA_FILES = {
     "scalar-number": {**DUAL_NUMBERS, "structure": [[0, 0, 0, 1], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
     "zero-denominator": {**DUAL_NUMBERS, "field": {"kind": "rational"},
                          "structure": [[0, 0, 0, "1/0"], [0, 1, 1, "1"], [1, 0, 1, "1"]]},
+    "decimal-point": {**DUAL_NUMBERS, "field": {"kind": "rational"}, "unit": ["1.0", "0"]},
+    "exponent": {**DUAL_NUMBERS, "field": {"kind": "rational"}, "radical": [["0", "1e0"]]},
+    "underscore": {**DUAL_NUMBERS, "idempotents": [["v0", ["1_1", "0"]]]},
     "provenance-string": {**DUAL_NUMBERS, "provenance": "abc"},
     "repeated-names": {**DUAL_NUMBERS, "basis": ["x", "x"]},
     "repeated-labels": REPEATED_LABELS,

@@ -20,7 +20,8 @@ def matrices(draw, min_rows=0, max_rows=5, min_cols=0, max_cols=5, field=None):
     data = draw(st.lists(
         st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
         min_size=rows, max_size=rows))
-    return Matrix.from_rows(fld, data)
+    # a matrix without rows keeps its column count
+    return Matrix.from_rows(fld, data) if rows else Matrix.zeros(fld, 0, cols)
 
 
 def test_fieldspec_rejects_nonprime():
@@ -38,7 +39,11 @@ def test_scalar_canonical_forms():
     assert QQ.inv(Fraction(2)) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("fld, scalar", [(F2, 1), (QQ, 1), (QQ, "1/0"), (F3, "1/2")])
+@pytest.mark.parametrize("fld, scalar", [
+    (F2, 1), (QQ, 1), (QQ, "1/0"), (F3, "1/2"),
+    (QQ, "0.5"), (QQ, "1e3"), (F3, "1_0"), (QQ, "1_0/3"), (QQ, "1/-2"), (F2, " 1"), (F3, "+"),
+    (QQ, "\u0661"),  # an Arabic-Indic digit one
+])
 def test_parse_rejects_what_is_not_a_scalar_string(fld, scalar):
     with pytest.raises(ValueError):
         fld.parse(scalar)
@@ -71,6 +76,18 @@ def test_kernel_of_zero_map():
     k = Matrix.zeros(F3, 2, 3).kernel_basis()
     assert k.cols == 3
     assert k.rank() == 3
+
+
+def test_shapes_of_matrices_without_rows_or_columns():
+    z03 = Matrix.zeros(QQ, 0, 3)
+    assert (z03.rows, z03.cols) == (0, 3)
+    assert Matrix.zeros(QQ, 2, 0) @ z03 == Matrix.zeros(QQ, 2, 3)
+    assert (Matrix.zeros(QQ, 2, 0) @ z03).cols == 3
+    assert z03.kernel_basis() == Matrix.identity(QQ, 3)
+    t = Matrix.zeros(QQ, 3, 0).transpose()
+    assert (t.rows, t.cols) == (0, 3)
+    assert z03.rref().matrix.cols == (z03 + z03).cols == z03.scale(2).cols == 3
+    assert z03 != Matrix.zeros(QQ, 0, 2)
 
 
 def test_kernel_forced_by_rank_nullity_f2():
@@ -381,7 +398,9 @@ def test_matmul_rows_q_skips_zeros_exactly(a, data):
     b = data.draw(matrices(field=fld, min_rows=a.cols, max_rows=a.cols, max_cols=4))
     want = [[reduce(fld.add, (fld.mul(a.entry(i, k), b.entry(k, j)) for k in range(a.cols)), fld.zero())
              for j in range(b.cols)] for i in range(a.rows)]
-    assert matmul_rows(fld, a.row_lists(), b.row_lists()) == want
+    assert (a @ b).row_lists() == want
+    # as lists, a b without rows has no columns either (1 x 0 times 0 x 0 below)
+    assert matmul_rows(fld, a.row_lists(), b.row_lists()) == (want if b.rows else [[]] * a.rows)
 
 
 def test_matmul_rows_checks_the_inner_dimension():

@@ -366,7 +366,7 @@ def test_differential_image_outside_its_weight_space_is_an_internal_error(fld):
     S = hml.simple(table, 0)
     res = hml._resolution(S, 3)
     assert res.levels[:2] == [[0], [1]]
-    e0 = sparse_row(table.idempotents[0][1])
+    e0 = table.idempotents[0][1]
     res.maps[1][0][0] = row_format(fld).pack(e0)
     with pytest.raises(AssertionError, match="differential image left its weight space"):
         hml.ext_dims(S, hml.regular(table), 1)
@@ -448,7 +448,7 @@ def test_hom_without_diagonal_idempotents(fld):
                                       for act in P.actions], name="X")
     X.verify()
     for _, e in table.idempotents:
-        act = X.element_action(e)
+        act = X.element_action(qa._dense(e, table.dim, fld.zero()))
         assert any(x for i, row in enumerate(act) for j, x in enumerate(row) if i != j)
     for M in nak.indecomposables(A):
         N = hml.bridged_module(table, M.vertex, M.length)
@@ -648,7 +648,7 @@ def test_delta_selfinjective_needs_witnesses(bridged33):
 
 def test_ideal_module_x_squared():
     table = qa.preset("truncated-poly(4,Q)")
-    X = hml.ideal_module(table, [sparse_row(table.element_from_expr("a0*a0"))])
+    X = hml.ideal_module(table, [table.element_from_expr("a0*a0")])
     assert X.dim == 2
 
 
@@ -660,7 +660,7 @@ def test_ideal_module_rejects_zero():
 
 def test_check_ideal_rigidity_truncated_poly():
     table = qa.preset("truncated-poly(4,Q)")
-    X = hml.ideal_module(table, [sparse_row(table.element_from_expr("a0*a0"))])
+    X = hml.ideal_module(table, [table.element_from_expr("a0*a0")])
     rep = hml.check_ideal_rigidity(table, X)
     assert rep.holds and rep.hom_to_quotient > 0 and rep.ext1_self > 0
 
@@ -681,7 +681,7 @@ def test_check_ideal_rigidity_enveloping_f3():
 
 def test_check_ideal_rigidity_requires_proper_ideal():
     table = qa.preset("truncated-poly(4,Q)")
-    full = hml.ideal_module(table, [sparse_row(table.unit)])
+    full = hml.ideal_module(table, [table.unit])
     with pytest.raises(hml.PreconditionError):
         hml.check_ideal_rigidity(table, full)
 
@@ -1118,8 +1118,8 @@ def dual_numbers_off_the_path_basis(fld):
     one, zero = fld.one(), fld.zero()
     mult = [[((0, one),), ((1, one),)],
             [((1, one),), ((0, fld.neg(one)), (1, fld.of_int(2)))]]  # (1+x)^2 = -1 + 2(1+x)
-    return qa.make_table(fld, ["1", "1+x"], mult, (one, zero), [("v", (one, zero))],
-                         [(fld.neg(one), one)])
+    return qa.make_table(fld, ["1", "1+x"], mult, ((0, one),), [("v", ((0, one),))],
+                         [((0, fld.neg(one)), (1, one))])
 
 
 def resolution_cases():
@@ -1169,9 +1169,9 @@ def test_cover_of_rows_that_are_not_action_stable_raises(hopf, bridged33):
     for table in (hopf, auslander_algebra(2, QQ)):
         R = hml.regular(table)
         with pytest.raises(ValueError, match="not action-stable"):
-            hml.projective_cover(R, [row_format(table.field).pack(sparse_row(table.unit))])
+            hml.projective_cover(R, [row_format(table.field).pack(table.unit)])
         with pytest.raises(ValueError, match="not action-stable"):
-            hml.submodule(R, [sparse_row(table.unit)])
+            hml.submodule(R, [table.unit])
     # span{a0*a1 + a1*a0} over the cycle (3, 3): J kills it, e_0 does not keep it
     for table in (bridged33, cycle33(F3)):
         R = hml.regular(table)
@@ -1213,7 +1213,7 @@ def dense_projective(table, v):
     e_v * b_j, and each action row b * b_u in that basis, read at the
     pivots and checked by a dense recombination."""
     fld = table.field
-    e = list(table.idempotents[v][1])
+    e = qa._dense(table.idempotents[v][1], table.dim, fld.zero())
     basis, pivots = _rref(fld, [table.mult_elements(e, table.basis_vec(j)) for j in range(table.dim)])
 
     def coords(vec):

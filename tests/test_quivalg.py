@@ -384,8 +384,8 @@ def _rebased(table, seed):
     work = [P[i] + [fld.one() if j == i else fld.zero() for j in range(d)] for i in range(d)]
     rref_rows(fld, work)
     inverse = [row[d:] for row in work]
-    new = lambda w: matmul_rows(fld, [list(w)], inverse)[0]
-    mult = [[sparse_row(new(table.mult_elements(P[i], P[j]))) for j in range(d)] for i in range(d)]
+    new = lambda w: sparse_row(matmul_rows(fld, [qa._dense(w, d, fld.zero())], inverse)[0])
+    mult = [[new(table._mul(sparse_row(P[i]), sparse_row(P[j]))) for j in range(d)] for i in range(d)]
     return qa.make_table(fld, [f"b{i}" for i in range(d)], mult, new(table.unit),
                          [(label, new(e)) for label, e in table.idempotents],
                          [new(r) for r in table.radical])
@@ -421,7 +421,8 @@ def test_corner_algebras_are_pinned(name):
     make, labels, digest = CORNER_DIGESTS[name]
     table = make()
     corner, rows = qa.corner_algebra(table, labels)
-    obj = {"corner": corner.to_json(), "rows": [[table.field.fmt(x) for x in r] for r in rows]}
+    dense = [qa._dense(r, table.dim, table.field.zero()) for r in rows]
+    obj = {"corner": corner.to_json(), "rows": [[table.field.fmt(x) for x in r] for r in dense]}
     text = json.dumps(obj, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -512,7 +513,7 @@ def test_checks_over_the_generating_set_give_the_full_verdict(make, monkeypatch)
         builds.append(lambda mult=mult: _remade(table, mult=mult))
     for r in range(len(table.radical)):
         radical = list(table.radical)
-        radical[r] = table.basis_vec(rng.randrange(d))
+        radical[r] = ((rng.randrange(d), fld.one()),)
         builds.append(lambda radical=radical: _remade(table, radical=radical))
     for build in builds:
         got = _verdict(build)
@@ -551,7 +552,7 @@ def test_generating_basis_spans_the_algebra(make):
     table = make()
     gens = qa._generating_basis(table)
     span = SpanBuilder(table.field)
-    todo = [list(table.unit)]
+    todo = [qa._dense(table.unit, table.dim, table.field.zero())]
     span.add(sparse_row(todo[0]))
     while todo:
         w = todo.pop()
@@ -571,7 +572,7 @@ def test_generating_basis_sizes():
 
 def test_verify_catches_wrong_radical():
     table = qa.preset("truncated-poly(3,F3)")
-    radical = list(table.radical) + [list(table.unit)]
+    radical = list(table.radical) + [table.unit]
     with pytest.raises(qa.CompileError):
         qa.make_table(table.field, table.basis_names, table.mult, table.unit,
                       list(table.idempotents), radical)
@@ -601,26 +602,26 @@ def _nilpotent_x_made_idempotent():
 BROKEN = {
     "not-idempotent": (
         lambda: _remade(_cyclic_bridge((2, 3), F3),
-                        idempotents=[("v0", (2, 0, 0, 0, 0)), ("v1", (0, 1, 0, 0, 0))]),
+                        idempotents=[("v0", ((0, 2),)), ("v1", ((1, 1),))]),
         "idempotent v0 is not idempotent"),
     "sum-not-unit": (
-        lambda: _remade(_line21(), idempotents=[("v0", (1, 0, 0))]),
+        lambda: _remade(_line21(), idempotents=[("v0", ((0, 1),))]),
         "idempotents do not sum to the unit"),
     "not-orthogonal": (  # 1 + 1 + 1 = 1 over F_2
         lambda: _remade(qa.preset("truncated-poly(2,F2)"),
-                        idempotents=[("v0", (1, 0)), ("x", (1, 0)), ("y", (1, 0))]),
+                        idempotents=[("v0", ((0, 1),)), ("x", ((0, 1),)), ("y", ((0, 1),))]),
         "idempotents v0 and x are not orthogonal"),
     "not-right-ideal": (  # v0 * a0 = a0
-        lambda: _remade(_line21(), radical=[(1, 0, 0)]),
+        lambda: _remade(_line21(), radical=[((0, 1),)]),
         "declared radical is not a right ideal"),
     "not-left-ideal": (  # v1 * A = k v1, but a0 * v1 = a0
-        lambda: _remade(_line21(), radical=[(0, 1, 0)]),
+        lambda: _remade(_line21(), radical=[((1, 1),)]),
         "declared radical is not a left ideal"),
     "split-basic": (  # J^2 is a nilpotent ideal, one dimension short of J
-        lambda: _remade(qa.preset("truncated-poly(3,F3)"), radical=[(0, 0, 1)]),
+        lambda: _remade(qa.preset("truncated-poly(3,F3)"), radical=[((2, 1),)]),
         "split-basic certificate fails: dim 3 != radical rank 1 + 1 idempotents"),
     "dependent-idempotents": (  # a zero idempotent beside the unit
-        lambda: _remade(_line21(), idempotents=[("v0", (1, 1, 0)), ("v1", (0, 0, 0))]),
+        lambda: _remade(_line21(), idempotents=[("v0", ((0, 1), (1, 1))), ("v1", ())]),
         "idempotents are not independent modulo the radical"),
     "not-nilpotent": (_nilpotent_x_made_idempotent, "declared radical is not nilpotent"),
 }
@@ -634,19 +635,43 @@ def test_verify_names_the_broken_axiom(make, message):
 
 def test_element_from_expr():
     table = qa.preset("truncated-poly(4,Q)")
-    x2 = table.element_from_expr("a0*a0")
-    assert x2 == table.basis_vec(2)
-    combo = table.element_from_expr("2*a0 - a0*a0")
-    assert combo[1] == 2 and combo[2] == -1
+    assert table.element_from_expr("a0*a0") == ((2, 1),)
+    assert table.element_from_expr("2*a0 - a0*a0") == ((1, 2), (2, -1))
+    assert table.element_from_expr("v0 - v0") == ()
 
 
-def test_algebra_file_roundtrip(tmp_path):
-    table = qa.preset("preproj-a2")
+def _mueller_end():
+    """End_B(P0 + P1 + S0) for B the cycle (3, 3) over F_2."""
+    B = _cyclic_bridge((3, 3), F2)
+    return hml.endomorphism_algebra([hml.projective(B, 0), hml.projective(B, 1),
+                                     hml.bridged_module(B, 0, 1)])
+
+
+ROUNDTRIP = {
+    **{name: (lambda name=name: qa.preset(name)) for name in (
+        "hopf-a5-f2", "dihedral8-f2", "quaternion8-f2", "preproj-a2",
+        "truncated-poly(3,F2)", "truncated-poly(3,F3)", "truncated-poly(4,Q)")},
+    "tensor": lambda: qa.tensor_algebra(qa.preset("preproj-a2"), qa.preset("truncated-poly(2,F2)")),
+    "corner-Q": lambda: qa.corner_algebra(_cyclic_bridge((2, 3), QQ), ["v1"])[0],
+    "mueller-end-3-3": _mueller_end,
+}
+
+
+@pytest.mark.parametrize("make", ROUNDTRIP.values(), ids=ROUNDTRIP.keys())
+def test_algebra_file_roundtrip(make, tmp_path):
+    # the file is dense; the loaded table holds the same pairs
+    table = make()
     path = tmp_path / "algebra.json"
     qa.save_algebra(table, str(path))
     loaded = qa.load_algebra(str(path))
-    assert loaded.dim == table.dim
+    assert loaded.to_json() == table.to_json()
     assert loaded.mult == table.mult
+    assert loaded.unit == table.unit
+    assert loaded.idempotents == table.idempotents
+    assert loaded.radical == table.radical
+
+
+def test_nakayama_file_roundtrip(tmp_path):
     nk = nak.validate(nak.CYCLE, (5, 6, 6, 6, 6))
     path2 = tmp_path / "nak.json"
     qa.save_algebra(nk, str(path2))
@@ -675,7 +700,7 @@ def test_radical_top_of_a_bridge_is_its_arrows(orientation, kup, fld):
     j2 = SpanBuilder(fld)
     for r in next(powers, []):
         j2.add(r)
-    expected = [r for r in map(sparse_row, table.radical) if j2.add(r)]
+    expected = [r for r in table.radical if j2.add(r)]
     assert qa._radical_top(table) == expected
 
 
@@ -757,6 +782,36 @@ def test_make_table_rejects_dense_cells():
     with pytest.raises(qa.CompileError, match="not \\(k, c\\) pairs"):
         qa.make_table(table.field, table.basis_names, dense, table.unit,
                       list(table.idempotents), list(table.radical))
+
+
+def _densified(table, part):
+    """``part`` of ``table`` with every element a dense tuple."""
+    dense = lambda v: tuple(qa._dense(v, table.dim, table.field.zero()))
+    if part == "unit":
+        return dense(table.unit)
+    if part == "idempotents":
+        return [(label, dense(e)) for label, e in table.idempotents]
+    return [dense(v) for v in table.radical]
+
+
+@pytest.mark.parametrize("make, edit, message", [
+    (lambda: qa.preset("truncated-poly(3,F3)"), lambda t: {"unit": _densified(t, "unit")}, "unit"),
+    (lambda: qa.preset("truncated-poly(3,F3)"), lambda t: {"idempotents": _densified(t, "idempotents")},
+     "idempotent v0"),
+    (lambda: qa.preset("truncated-poly(3,F3)"), lambda t: {"radical": _densified(t, "radical")},
+     "radical element"),
+    (lambda: qa.preset("truncated-poly(3,F3)"), lambda t: {"unit": ((0, 4),)}, "unit"),  # 4 unreduced
+    (lambda: qa.preset("truncated-poly(3,F3)"), lambda t: {"radical": [((2, 1), (1, 1))]},
+     "radical element"),  # k descending
+    (lambda: qa.preset("truncated-poly(3,F3)"), lambda t: {"radical": [((3, 1),)]},
+     "radical element"),  # k outside the basis
+    (lambda: qa.preset("truncated-poly(2,Q)"), lambda t: {"unit": ((0, 1),)}, "unit"),  # an int over Q
+], ids=["dense-unit", "dense-idempotents", "dense-radical", "unreduced", "descending",
+        "outside", "int-over-Q"])
+def test_make_table_rejects_elements_that_are_not_canonical_pairs(make, edit, message):
+    table = make()
+    with pytest.raises(qa.CompileError, match=f"^{re.escape(message)} is not \\(k, c\\) pairs"):
+        _remade(table, **edit(table))
 
 
 # sha256 of json.dumps(table.to_json(), sort_keys=True): the table file
