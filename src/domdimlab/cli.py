@@ -331,9 +331,14 @@ def quiver():
     """Linear-algebra engine for algebras given by tables, quivers or presets."""
 
 
+def _table_flags(fn):
+    fn = click.option("--preset", default=None)(fn)
+    fn = click.option("--algebra", type=click.Path(exists=True), default=None)(fn)
+    return fn
+
+
 @quiver.command("compile")
-@click.option("--algebra", type=click.Path(exists=True), default=None)
-@click.option("--preset", default=None)
+@_table_flags
 @shared_options
 def compile_cmd(algebra, preset, report, fmt):
     """Compile / load an algebra and print its headline data."""
@@ -354,8 +359,7 @@ def compile_cmd(algebra, preset, report, fmt):
 
 
 @quiver.command()
-@click.option("--algebra", type=click.Path(exists=True), default=None)
-@click.option("--preset", default=None)
+@_table_flags
 @click.option("--module", "module_spec", default="simple")
 @click.option("--length", type=click.IntRange(min=1), default=4, show_default=True)
 @shared_options
@@ -374,8 +378,7 @@ def resolve(algebra, preset, module_spec, length, report, fmt):
 
 
 @quiver.command("ext")
-@click.option("--algebra", type=click.Path(exists=True), default=None)
-@click.option("--preset", default=None)
+@_table_flags
 @_ext_modules_option
 @_degree_option
 @shared_options
@@ -395,8 +398,7 @@ def quiver_ext(algebra, preset, modules, degree, report, fmt):
 
 
 @quiver.command("domdim")
-@click.option("--algebra", type=click.Path(exists=True), default=None)
-@click.option("--preset", default=None)
+@_table_flags
 @_cutoff_option
 @shared_options
 def quiver_domdim(algebra, preset, cutoff, report, fmt):
@@ -411,8 +413,7 @@ def quiver_domdim(algebra, preset, cutoff, report, fmt):
 
 
 @quiver.command()
-@click.option("--algebra", type=click.Path(exists=True), default=None)
-@click.option("--preset", default=None)
+@_table_flags
 @click.option("--generators", "gen_exprs", multiple=True, required=True,
               help="ideal generators as relation-grammar expressions over basis names")
 @shared_options
@@ -431,8 +432,7 @@ def ideal(algebra, preset, gen_exprs, report, fmt):
 
 
 @quiver.command()
-@click.option("--algebra", type=click.Path(exists=True), default=None)
-@click.option("--preset", default=None)
+@_table_flags
 @_cutoff_option
 @shared_options
 def predicates(algebra, preset, cutoff, report, fmt):

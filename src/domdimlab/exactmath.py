@@ -8,9 +8,9 @@ into test fixtures.
 
 The dense row helpers (``rref_rows``, ``kernel_rows``, ``rank_rows``,
 ``matmul_rows``) take lists of lists of canonical scalars, with one body
-for every field.  They serve the Hom solve of ``homology.hom_basis``, the
-rank checks of ``quivalg.is_symmetric`` and the isomorphism tests, and
-``Matrix``; the tests of the sparse helpers compare against them.
+for every field.  They serve ``Matrix``, and the tests compare the sparse
+helpers and the pair-row maps of ``homology`` and ``quivalg`` against
+them; no engine path calls them.
 Sparse rows are tuples of (k, c) pairs, k ascending and every c nonzero
 (``sparse_row`` converts a dense row once):
 ``coords_against`` takes its basis and vector in that form and returns

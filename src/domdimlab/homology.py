@@ -6,19 +6,21 @@ assigns to each basis element of the algebra a d x d matrix, acting by
 the module axiom.  The matrices are stored as sparse rows: most entries
 are zero in the modules a resolution builds.  Module vectors and algebra
 elements are (k, c) pairs in the same format, k ascending and every c
-nonzero; dense rows appear only in the Hom matrices and in the dense
-views of a module.  Covers, resolutions and Ext hold their rows in the
-format ``exactmath.row_format`` chooses for the field, packed ints over
-F_2 and pairs otherwise, and run one body for both: a projective cover
-computes in that format, one elimination (``exactmath.left_kernel_rows``)
-gives its rank and its kernel in it, the next cover takes that kernel as
-its rows, and the element matrices and the images ranked by an Ext
-differential are rows of the format too.  Modules are
-cut out of the regular module: the projectives e_vA are its submodules,
-the powers J^k and the uniserial bridges P_v / P_v J^k are read from one
-radical filtration M > MJ > MJ^2 > ... per module, computed once and
-cached on it.  All functors here are computed through minimal projective
-resolutions built from explicit projective covers.  A resolution keeps
+nonzero, and a linear map (a Hom basis map, an endomorphism) is pair
+rows, row i the image of unit vector i; dense rows appear only in the
+dense views of a module.  Covers, resolutions and Ext hold their rows in
+the format ``exactmath.row_format`` chooses for the field, packed ints
+over F_2 and pairs otherwise, and run one body for both: a projective
+cover computes in that format, one elimination
+(``exactmath.left_kernel_rows``) gives its rank and its kernel in it,
+the next cover takes that kernel as its rows, and the element matrices
+and the images ranked by an Ext differential are rows of the format
+too.  Modules are cut out of the regular module: the projectives e_vA
+are its submodules, the powers J^k and the uniserial bridges
+P_v / P_v J^k are read from one radical filtration M > MJ > MJ^2 > ...
+per module, computed once and cached on it.  All functors here are
+computed through minimal projective resolutions built from explicit
+projective covers.  A resolution keeps
 each syzygy as rows of the projective term that contains it and covers
 it there, so no syzygy is built as a module of its own.  The
 projective-injective vertices are read from the socle of A_A, and the
@@ -50,9 +52,7 @@ from .exactmath import (
     combine_pairs,
     coords_against,
     left_kernel_rows,
-    matmul_rows,
     row_format,
-    rref_rows,
     sparse_row,
 )
 from .quivalg import (
@@ -202,15 +202,21 @@ def regular(table: AlgebraTable) -> Representation:
     return Representation.from_rows(table, d, rows, name="regular")
 
 
-def _identity(fld, dim: int) -> list[list]:
-    zero, one = fld.zero(), fld.one()
-    return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-
-
 def _unit_rows(fld, dim: int) -> list[tuple]:
-    """The unit vectors of a module of dimension ``dim``, as pairs."""
+    """The unit vectors of a module of dimension ``dim``, as pairs: the identity map."""
     one = fld.one()
     return [((i, one),) for i in range(dim)]
+
+
+def _flat(rows, width: int, offset: int = 0) -> tuple:
+    """Pair rows over ``width`` columns side by side as one pair vector,
+    row i from column offset + i * width on."""
+    return tuple((offset + i * width + j, x) for i, row in enumerate(rows) for j, x in row)
+
+
+def _compose(fld, U, V) -> list[tuple]:
+    """U then V for linear maps as pair rows: row i of U times V."""
+    return [combine_pairs(fld, ((x, V[j]) for j, x in row)) for row in U]
 
 
 def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, list[tuple]]:
@@ -718,16 +724,18 @@ def _require_same_algebra(M: Representation, N: Representation) -> None:
         raise ValueError("modules live over different algebras")
 
 
-def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
-    """Basis of Hom_A(M, N) as dM x dN matrices, read from the projective
-    cover P -> M and its kernel K (``_cover_and_kernel``), as Ext is.
+def hom_basis(M: Representation, N: Representation) -> list[list[tuple]]:
+    """Basis of Hom_A(M, N), each map dM pair rows over dN columns, read
+    from the projective cover P -> M and its kernel K
+    (``_cover_and_kernel``), as Ext is.
 
     A map P -> N sends the top generator of each summand e_vA to some n in
     N e_v (``_weights``) and so a basis row r of that summand to
     n @ act(r); these maps Phi span Hom(P, N).  Those that vanish on K,
     one left kernel, are the maps that factor through M.  The cover matrix
     C has rank dM, so each such Phi is C @ T for exactly one T: one
-    elimination of C augmented by every Phi reads them all."""
+    elimination of C augmented by every Phi reads each T in the first dM
+    rows of its RREF, in the window of its Phi."""
     _require_same_algebra(M, N)
     if M.dim == 0 or N.dim == 0:
         return []
@@ -738,24 +746,25 @@ def hom_basis(M: Representation, N: Representation) -> list[list[list]]:
         unpack = row_format(fld).unpack
         M._cache["cover"] = cov, [unpack(r) for r in cov.rows], [unpack(k) for k in ker]
     cov, matrix, ker = M._cache["cover"]
-    zero = fld.zero()
     phis = []  # Hom(P, N), each map as {row of P: its image in N}
     for v, off in zip(cov.vertices, cov.offsets):
         brows = _projective_data(A, v)[1]
         for n in _weights(N)[v][0]:
             phis.append({off + j: N.apply_element(n, r) for j, r in enumerate(brows)})
     # phi restricted to K, the images of the kernel rows side by side
-    on_ker = [tuple((k * dn + j, c) for k, row in enumerate(ker)
-                    for j, c in combine_pairs(fld, ((x, phi.get(i, ())) for i, x in row))) for phi in phis]
+    on_ker = [_flat([combine_pairs(fld, ((x, phi.get(i, ())) for i, x in row)) for row in ker], dn)
+              for phi in phis]
     _, through_m = left_kernel_rows(fld, on_ker, len(ker) * dn)
-    maps = [[_dense(combine_pairs(fld, ((c, phis[h].get(p, ())) for h, c in r)), dn, zero)
-             for p in range(cov.P.dim)] for r in through_m]
-    aug = [_dense(c, dm, zero) + [x for phi in maps for x in phi[p]]
-           for p, c in enumerate(matrix)]
-    _, pivots = rref_rows(fld, aug)
+    # row p of [C | Phi_1 | ... | Phi_h], Phi_h at column dm + h * dn
+    span = SpanBuilder(fld)
+    for p, c in enumerate(matrix):
+        span.add(c + _flat([combine_pairs(fld, ((x, phis[h].get(p, ())) for h, x in r))
+                            for r in through_m], dn, dm))
+    rows, pivots = span.finish()
     if pivots[dm:]:
         raise AssertionError("a map that vanishes on the kernel does not factor through M")
-    return [[row[dm + h * dn:dm + (h + 1) * dn] for row in aug[:dm]] for h in range(len(maps))]
+    return [[tuple((j - off, x) for j, x in row if off <= j < off + dn) for row in rows]
+            for off in range(dm, dm + len(through_m) * dn, dn)]
 
 
 def dim_hom(M: Representation, N: Representation) -> int:
@@ -777,7 +786,7 @@ def modules_isomorphic(M: Representation, N: Representation) -> bool:
     if M.dim == 0:
         return True
     fld = M.algebra.field
-    if _has_isomorphism(hom_basis(M, N), [_identity(fld, M.dim)], fld):
+    if _has_isomorphism(hom_basis(M, N), [_unit_rows(fld, M.dim)], fld):
         return True
     _require_local_end(M)
     return False
@@ -1022,31 +1031,22 @@ def check_ideal_rigidity(table: AlgebraTable, X: IdealModule) -> IdealRigidityRe
 # endomorphism algebras
 # ---------------------------------------------------------------------------
 
-def _stable_power(T, fld, dim: int) -> list[list]:
-    """T^(2^s) for the least 2^s >= dim: zero iff T is nilpotent."""
-    power = [list(r) for r in T]
-    steps = 1
-    while steps < dim:
-        power = matmul_rows(fld, power, power)
-        steps *= 2
-    return power
-
-
 def _nilpotent_part(T, fld, dim: int):
     """T - lambda*I for the scalar lambda that makes it nilpotent, or None
     when there is none (T has no single eigenvalue in the field).  Such a
-    lambda is trace(T)/dim whenever dim is invertible in the field."""
-    trace = fld.zero()
-    for i in range(dim):
-        trace = fld.add(trace, T[i][i])
+    lambda is trace(T)/dim whenever dim is invertible in the field.  A
+    map is nilpotent iff its power of exponent 2^s >= dim is zero."""
     if fld.kind == "prime" and dim % fld.p == 0:
         lambdas = [fld.of_int(x) for x in range(fld.p)]
     else:
+        trace = sum(dict(row).get(i, 0) for i, row in enumerate(T))
         lambdas = [fld.mul(trace, fld.inv(fld.of_int(dim)))]
     for lam in lambdas:
-        nil = [[fld.sub(T[i][j], lam) if i == j else T[i][j] for j in range(dim)]
-               for i in range(dim)]
-        if not any(any(row) for row in _stable_power(nil, fld, dim)):
+        nil = power = [combine_pairs(fld, ((1, row), (fld.neg(lam), unit)))
+                       for row, unit in zip(T, _unit_rows(fld, dim))]
+        for _ in range((dim - 1).bit_length()):
+            power = _compose(fld, power, power)
+        if not any(power):
             return nil
     return None
 
@@ -1060,30 +1060,22 @@ def _local_end(ends, fld, dim: int) -> bool:
     nil = [_nilpotent_part(T, fld, dim) for T in ends]
     if any(N is None for N in nil):
         return False
-    flat = lambda mat: [x for row in mat for x in row]
     span = SpanBuilder(fld)
     for N in nil:
-        span.add(sparse_row(flat(N)))
+        span.add(_flat(N, dim))
     if span.rank != len(ends) - 1:
         return False
-    current = nil
-    steps = 0
-    while current:
-        steps += 1
-        if steps > len(ends) + 1:
-            return False
+    current = nil  # a basis of I^s, s = 1, 2, ...
+    for _ in range(len(ends) + 1):
+        if not current:
+            return True
         nxt = SpanBuilder(fld)
-        keep = []
-        for U in current:
-            for V in nil:
-                W = matmul_rows(fld, U, V)
-                if any(any(row) for row in W) and nxt.add(sparse_row(flat(W))):
-                    keep.append(W)
-        current = keep
-    return True
+        current = [W for W in (_compose(fld, U, V) for U in current for V in nil)
+                   if nxt.add(_flat(W, dim))]
+    return not current
 
 
-def _require_local_end(M: Representation) -> list[list[list]]:
+def _require_local_end(M: Representation) -> list[list[tuple]]:
     """A basis of End(M), certified split local (``_local_end``), which
     makes M indecomposable.  Raises PreconditionError naming M without the
     certificate: M is decomposable, or End(M) is local with a top larger
@@ -1118,32 +1110,32 @@ def endomorphism_algebra(summands: list[Representation]) -> AlgebraTable:
                 raise PreconditionError("summands must be pairwise non-isomorphic")
     k = len(summands)
     dims = [M.dim for M in summands]
-    flat = lambda mat: [x for row in mat for x in row]
-    hom_rref = {}  # (a, b) -> (offset in the basis, sparse RREF rows, pivots)
-    basis = []  # (a, b, matrix)
+    hom_rref = {}  # (a, b) -> (offset in the basis, RREF rows of the flat maps, pivots)
+    basis = []  # (a, b, map as pair rows)
     names = []
     for a in range(k):
         for b in range(k):
             span = SpanBuilder(fld)
             for T in ends[a] if a == b else hom_basis(summands[a], summands[b]):
-                span.add(sparse_row(flat(T)))
+                span.add(_flat(T, dims[b]))
             rows, pivots = span.finish()
             hom_rref[(a, b)] = (len(basis), rows, pivots)
-            for idx, r in enumerate(_dense(r, dims[a] * dims[b], fld.zero()) for r in rows):
-                basis.append((a, b, [r[i * dims[b]:(i + 1) * dims[b]] for i in range(dims[a])]))
+            for idx, r in enumerate(rows):
+                basis.append((a, b, [tuple((j % dims[b], x) for j, x in r if j // dims[b] == i)
+                                     for i in range(dims[a])]))
                 names.append(f"h{a}to{b}_{idx}")
 
     def element(a, b, T) -> tuple:
         """The map T: M_a -> M_b as (index, coefficient) pairs in the basis."""
         offset, rows, pivots = hom_rref[(a, b)]
-        coeffs = coords_against(fld, rows, pivots, sparse_row(flat(T)))
+        coeffs = coords_against(fld, rows, pivots, _flat(T, dims[b]))
         if coeffs is None:
             raise AssertionError(f"a map outside Hom(m{a}, m{b})")
         return tuple((offset + t, c) for t, c in coeffs)
 
-    mult = [[element(a1, b2, matmul_rows(fld, T1, T2))  # "T1 then T2"
+    mult = [[element(a1, b2, _compose(fld, T1, T2))  # "T1 then T2"
              if b1 == a2 else () for (a2, b2, T2) in basis] for (a1, b1, T1) in basis]
-    idem = [(M.name or f"m{a}", element(a, a, _identity(fld, M.dim)))
+    idem = [(M.name or f"m{a}", element(a, a, _unit_rows(fld, M.dim)))
             for a, M in enumerate(summands)]
     # off the diagonal every map is radical; on it, the nilpotent part
     # exists because End(M_a) is split local

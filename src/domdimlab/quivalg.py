@@ -6,11 +6,11 @@ elements, the unit, a complete set of orthogonal primitive idempotents
 these elements is held as (k, c) pairs, k strictly ascending and every
 c a nonzero canonical scalar; vectors are dense only in table files
 (``to_json``/``from_json``) and in the dense views that tests compare
-against (``zero_vec``, ``basis_vec``, ``mult_elements``,
-``left_mult_matrix``).  Every constructor
-but ``opposite`` re-verifies the algebra axioms plus the split-basic
-certificate (``dim A = dim J + #idempotents``), which is what licenses the
-homological machinery downstream (one-dimensional simple tops,
+against (``zero_vec``, ``basis_vec``, ``mult_elements``); a linear map
+is pair rows, row i the image of unit vector i.  Every constructor but
+``opposite`` re-verifies the algebra axioms plus the split-basic
+certificate (``dim A = dim J + #idempotents``), which is what licenses
+the homological machinery downstream (one-dimensional simple tops,
 projective covers through idempotents, ...).
 
 Tables are produced four ways: compiling a bounded quiver algebra with
@@ -33,9 +33,8 @@ from .exactmath import (
     _canonical,
     combine_pairs,
     coords_against,
-    kernel_rows,
-    matmul_rows,
-    rank_rows,
+    left_kernel_rows,
+    row_format,
     sparse_row,
 )
 
@@ -300,11 +299,6 @@ class AlgebraTable:
     def mult_elements(self, u, v) -> list:
         """u * v for coordinate vectors: ``_mul`` on their nonzero entries."""
         return _dense(self._mul(sparse_row(u), sparse_row(v)), self.dim, self.field.zero())
-
-    def left_mult_matrix(self, v) -> list[list]:
-        """Dense matrix of x -> v*x on row vectors, for v as (k, c) pairs."""
-        one, zero = self.field.one(), self.field.zero()
-        return [_dense(self._mul(v, ((i, one),)), self.dim, zero) for i in range(self.dim)]
 
     def element_from_expr(self, text: str) -> tuple:
         """Evaluate a relation-grammar expression whose names are basis
@@ -1019,33 +1013,29 @@ def is_local(table: AlgebraTable) -> bool:
     return len(table.idempotents) == 1
 
 
-def symmetric_functional_space(table: AlgebraTable) -> list[list]:
-    """Basis of the functionals lam with lam(uv) = lam(vu) for all u, v."""
-    d = table.dim
-    fld = table.field
-    rows = []
+def symmetric_functional_space(table: AlgebraTable) -> list[tuple]:
+    """Basis of the functionals lam with lam(uv) = lam(vu) for all u, v, as
+    pairs: the left kernel of the nonzero commutators b_i b_j - b_j b_i
+    as columns, the basis ``kernel_rows`` gives for them as rows."""
+    d, fld = table.dim, table.field
+    cols: list[list] = [[] for _ in range(d)]  # row k: the b_k-entry of each commutator
+    n = 0
     for i in range(d):
         for j in range(i + 1, d):
-            row = _dense(table.mult[i][j], d, fld.zero())
-            for k, c in table.mult[j][i]:
-                row[k] = fld.sub(row[k], c)
-            if any(row):
-                rows.append(row)
-    return kernel_rows(fld, rows, d)
+            comm = combine_pairs(fld, ((1, table.mult[i][j]), (-1, table.mult[j][i])))
+            if comm:
+                for k, c in comm:
+                    cols[k].append((n, c))
+                n += 1
+    return left_kernel_rows(fld, [tuple(r) for r in cols], n)[1]
 
 
-def _gram(table: AlgebraTable, lam: list) -> list[list]:
-    fld = table.field
-
-    def form(cell):
-        """lam of the product stored in ``cell``."""
-        x = fld.zero()
-        for k, c in cell:
-            if lam[k]:
-                x = fld.add(x, fld.mul(c, lam[k]))
-        return x
-
-    return [[form(cell) for cell in row] for row in table.mult]
+def _gram(table: AlgebraTable, lam) -> list[tuple]:
+    """The Gram matrix lam(b_i b_j) of the functional ``lam``, as pair rows."""
+    at = dict(lam)
+    return [_canonical(table.field, {j: sum(c * at[k] for k, c in cell if k in at)
+                                     for j, cell in enumerate(row) if cell})
+            for row in table.mult]
 
 
 def blocks(table: AlgebraTable) -> list[list[int]]:
@@ -1076,7 +1066,8 @@ def idempotent_sum(table: AlgebraTable, vertices) -> tuple:
 
 def _has_isomorphism(mats, projectors, fld) -> bool:
     """True iff for every projector P some T in ``mats`` is injective on the
-    image of P: rank(P @ T) == rank(P).
+    image of P: rank(B @ T) == rank(B) for a basis B of the rows of P,
+    ranked in the field's row format.  Maps and projectors are pair rows.
 
     Each P is the action of one block idempotent, and the span of ``mats``
     a Hom space over a ring that is local on each block.  Where the span
@@ -1084,9 +1075,17 @@ def _has_isomorphism(mats, projectors, fld) -> bool:
     subspace, so some basis map is an isomorphism on that block; the sum
     of those maps cut down to their blocks is then an isomorphism.  So the
     answer is exact, and no combination needs to be searched."""
+    fmt = row_format(fld)
+    mats = [[fmt.pack(r) for r in T] for T in mats]
+
+    def injective(basis, T) -> bool:
+        span = fmt.span()
+        return all(span.add(fmt.times(b, T)) for b in basis)
+
     for P in projectors:
-        rank = rank_rows(fld, P)
-        if not any(rank_rows(fld, matmul_rows(fld, P, T)) == rank for T in mats):
+        span = fmt.span()
+        basis = [r for r in map(fmt.pack, P) if span.add(r)]
+        if not any(injective(basis, T) for T in mats):
             return False
     return True
 
@@ -1099,9 +1098,11 @@ def is_symmetric(table: AlgebraTable) -> bool:
     Hom(A, D(A)) as bimodules, a module over the centre of A, which is
     local on each block.  So A is symmetric iff, for each block, some
     basis Gram matrix is nondegenerate on it (``_has_isomorphism`` with the
-    left multiplication by each block idempotent)."""
+    left multiplication x -> e*x by each block idempotent e)."""
     grams = [_gram(table, lam) for lam in symmetric_functional_space(table)]
-    projectors = [table.left_mult_matrix(idempotent_sum(table, b)) for b in blocks(table)]
+    units = [((i, table.field.one()),) for i in range(table.dim)]
+    projectors = [[table._mul(e, u) for u in units]
+                  for e in (idempotent_sum(table, b) for b in blocks(table))]
     return _has_isomorphism(grams, projectors, table.field)
 
 

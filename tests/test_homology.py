@@ -386,7 +386,7 @@ def test_hom_dims_match_combinatorial():
             for M in mods:
                 for N in mods:
                     rm, rn = bridged[M], bridged[N]
-                    basis = hml.hom_basis(rm, rn)
+                    basis = [_dense_map(T, rn.dim, fld) for T in hml.hom_basis(rm, rn)]
                     assert len(basis) == nak.dim_hom(A, M, N), (fld, kup, M, N)
                     for g in qa._default_generators(table):
                         g = qa._dense(g, table.dim, fld.zero())
@@ -394,6 +394,29 @@ def test_hom_dims_match_combinatorial():
                         for T in basis:
                             assert (matmul_rows(fld, act_m, T)
                                     == matmul_rows(fld, T, act_n)), (fld, kup, M, N)
+
+
+@pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_hom_basis_maps_are_pair_rows(fld):
+    # each map M -> N is dim M rows of (k, c) pairs over the dim N columns,
+    # k ascending and every c a nonzero canonical scalar, as an action row
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4)), fld)
+    mods = [hml.projective(table, 0), hml.bridged_module(table, 1, 2), hml.simple(table, 0)]
+    for M in mods:
+        for N in mods:
+            for T in hml.hom_basis(M, N):
+                assert len(T) == M.dim
+                for row in T:
+                    assert isinstance(row, tuple) and [k for k, _ in row] == sorted({k for k, _ in row})
+                    assert all(0 <= k < N.dim and c and type(c) is type(fld.one())
+                               and (fld.p is None or c < fld.p) for k, c in row)
+    P0 = mods[0]
+    assert any(hml.hom_basis(P0, P0))
+
+
+def _dense_map(T, width, fld):
+    """A linear map held as pair rows, as dense rows over ``width`` columns."""
+    return [qa._dense(r, width, fld.zero()) for r in T]
 
 
 def _intertwiner_oracle(M, N):
@@ -419,7 +442,7 @@ def _intertwiner_oracle(M, N):
 
 def _assert_hom_matches_oracle(M, N):
     fld = M.algebra.field
-    basis = hml.hom_basis(M, N)
+    basis = [_dense_map(T, N.dim, fld) for T in hml.hom_basis(M, N)]
     flat = [[x for row in T for x in row] for T in basis]
     oracle = _intertwiner_oracle(M, N)
     assert rank_rows(fld, flat) == len(basis), (M.name, N.name)  # a basis, not a spanning set
@@ -775,7 +798,7 @@ def test_end_composition_outside_its_hom_space_is_an_internal_error(bridged33, m
     # coordinates; the table must not be built from a truncated product
     full = hml.hom_basis
     monkeypatch.setattr(hml, "hom_basis", lambda M, N: (
-        [hml._identity(F2, M.dim)] if M is N else full(M, N)))
+        [hml._unit_rows(F2, M.dim)] if M is N else full(M, N)))
     P0 = hml.projective(bridged33, 0)
     P1 = hml.projective(bridged33, 1)
     with pytest.raises(AssertionError, match="outside Hom"):
@@ -812,7 +835,8 @@ def test_isomorphism_decided_by_end_locality(fld):
 def test_end_locality_certificate_needs_a_nilpotent_ideal():
     # each basis matrix is a scalar plus a nilpotent, and the nilpotent parts
     # span sl_2, of codimension one in M_2(F_3); but sl_2 is not nilpotent
-    ends = [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [2, 2]]]
+    dense = [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [2, 2]]]
+    ends = [[sparse_row(r) for r in T] for T in dense]
     assert hml._local_end(ends, F3, 2) is False
     assert hml._local_end(ends[:2], F3, 2) is True  # F_3[t]/(t^2)
 

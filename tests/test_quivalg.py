@@ -10,7 +10,8 @@ import pytest
 from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
-from domdimlab.exactmath import F2, F3, QQ, SpanBuilder, matmul_rows, rank_rows, rref_rows, sparse_row
+from domdimlab.exactmath import (F2, F3, QQ, SpanBuilder, kernel_rows, matmul_rows, rank_rows, rref_rows,
+                                 sparse_row)
 from domdimlab.suites import cyclic_series
 
 LOOPS = qa.QuiverSpec(
@@ -279,6 +280,45 @@ def test_symmetric_decision_over_q():
     assert hml.is_selfinjective(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), QQ))
 
 
+SYMMETRIC_FUNCTIONAL_CASES = {
+    **{name: (lambda name=name: qa.preset(name)) for name in (
+        "hopf-a5-f2", "dihedral8-f2", "quaternion8-f2", "preproj-a2",
+        "truncated-poly(3,F2)", "truncated-poly(3,F3)", "truncated-poly(4,Q)")},
+    "cycle-34-F2": lambda: _cyclic_bridge((3, 4), F2),
+    "cycle-334-F3": lambda: _cyclic_bridge((3, 3, 4), F3),
+    "cycle-23-Q": lambda: _cyclic_bridge((2, 3), QQ),
+    "line-321-Q": lambda: qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 1)), QQ),
+    "rebased-3334-F3": lambda: _rebased(_cyclic_bridge((3, 3, 3, 4), F3), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC_FUNCTIONAL_CASES))
+def test_symmetric_functionals_match_the_dense_commutator_kernel(name):
+    # one left kernel of the transposed commutators gives, as pairs, the
+    # basis that kernel_rows gives for the dense commutator rows
+    table = SYMMETRIC_FUNCTIONAL_CASES[name]()
+    fld, d = table.field, table.dim
+    rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            row = qa._dense(table.mult[i][j], d, fld.zero())
+            for k, c in table.mult[j][i]:
+                row[k] = fld.sub(row[k], c)
+            rows.append(row)
+    want = [sparse_row(r) for r in kernel_rows(fld, rows, d)]
+    assert want and qa.symmetric_functional_space(table) == want
+
+
+def test_table_engine_binds_no_dense_helper():
+    # linear maps in the table engine are pair rows; the dense row helpers
+    # of exactmath serve Matrix and the test references only
+    for mod in (hml, qa):
+        for name in ("rref_rows", "matmul_rows", "rank_rows", "kernel_rows"):
+            assert not hasattr(mod, name), (mod.__name__, name)
+    assert not hasattr(qa.AlgebraTable, "left_mult_matrix")
+    assert not hasattr(hml, "_identity")
+
+
 DISCONNECTED = qa.QuiverSpec(  # k[x]/(x^2) x k[y]/(y^2): two blocks
     vertices=("v0", "v1"),
     arrows=(qa.Arrow("x", "v0", "v0"), qa.Arrow("y", "v1", "v1")),
@@ -323,7 +363,8 @@ def test_disconnected_algebra_decided_per_block(fld, monkeypatch):
     assert len(calls) == 2
     for mats, projectors in calls:
         assert len(projectors) == 2 and mats
-        assert all(rank_rows(fld, T) < len(T) for T in mats)
+        # Gram matrices, d x d pair rows
+        assert all(rank_rows(fld, [qa._dense(r, len(T), fld.zero()) for r in T]) < len(T) for T in mats)
 
 
 def test_selfinjective_bridge_cross_validation():
