@@ -18,14 +18,15 @@ and the images ranked by an Ext differential are rows of the format
 too.  Modules are cut out of the regular module: the projectives e_vA
 are its submodules, the powers J^k and the uniserial bridges
 P_v / P_v J^k are read from one radical filtration M > MJ > MJ^2 > ...
-per module, computed once and cached on it.  All functors here are
-computed through minimal projective resolutions built from explicit
-projective covers.  A resolution keeps
-each syzygy as rows of the projective term that contains it and covers
-it there, so no syzygy is built as a module of its own.  The
-projective-injective vertices are read from the socle of A_A, and the
-dominant dimension dualises a resolution of D(A_A) over the opposite
-algebra.
+per module.  Derived data (projectives, action rows, radical layers,
+weight spaces, resolutions) is computed once per object and arguments
+by ``quivalg._memo``.  All functors here are computed through minimal
+projective resolutions built from explicit projective covers.  A
+resolution keeps each syzygy as rows of the projective term that
+contains it and covers it there, so no syzygy is built as a module of
+its own.  The projective-injective vertices are read from the socle of
+A_A, and the dominant dimension dualises a resolution of D(A_A) over
+the opposite algebra.
 
 Every potentially infinite search (dominant dimension, first
 non-vanishing self-extension, their suprema) takes a cutoff and returns
@@ -53,13 +54,14 @@ from .exactmath import (
     coords_against,
     left_kernel_rows,
     row_format,
-    sparse_row,
 )
 from .quivalg import (
     AlgebraTable,
     _default_generators,
+    _check_pairs,
     _dense,
     _has_isomorphism,
+    _memo,
     _radical_top,
     corner_algebra,
     is_local,
@@ -93,37 +95,24 @@ class Representation:
     b_u, the matrix of m -> m @ act(b_u) (row-vector convention).
 
     The actions are stored only as sparse rows: ``rows[u][i]`` is row i of
-    the action of b_u, a tuple of (column, coefficient) pairs with nonzero
-    coefficients.  Module vectors and algebra elements are such pairs too,
-    and ``apply`` and ``apply_element`` compute every vec @ action product
-    on them.  The constructor takes dense matrices and converts them once;
-    ``from_rows`` takes sparse rows as they are.  ``actions`` and
-    ``element_action`` are dense views, for serialisation and tests."""
+    the action of b_u, a tuple of (column, coefficient) pairs, columns
+    ascending and coefficients nonzero; ``verify`` checks them.  Module
+    vectors and algebra elements are such pairs too, and ``apply`` and
+    ``apply_element`` compute every vec @ action product on them.
+    ``actions`` and ``element_action`` are dense views for tests."""
 
-    def __init__(self, algebra: AlgebraTable, dim: int, actions, name: str = ""):
-        if len(actions) != algebra.dim or any(
-                len(m) != dim or any(len(r) != dim for r in m) for m in actions):
-            raise ValueError(f"expected {algebra.dim} action matrices of size {dim} x {dim}")
-        self.algebra = algebra
-        self.dim = dim
-        self.rows = tuple(tuple(sparse_row(r) for r in m) for m in actions)
-        self.name = name
-        self._cache: dict = {}
-
-    @classmethod
-    def from_rows(cls, algebra: AlgebraTable, dim: int, rows, name: str = "") -> "Representation":
-        """The module whose sparse action rows are ``rows``."""
-        rep = cls.__new__(cls)
-        rep.algebra, rep.dim, rep.name, rep._cache = algebra, dim, name, {}
-        rep.rows = tuple(tuple(m) for m in rows)
-        return rep
+    def __init__(self, algebra: AlgebraTable, dim: int, rows, name: str = ""):
+        self.algebra, self.dim, self.name = algebra, dim, name
+        self._cache: dict = {}  # derived data, kept by ``quivalg._memo``
+        if rows is not None:
+            self.rows = tuple(tuple(m) for m in rows)
 
     @cached_property
     def rows(self) -> tuple:
-        """Set by the constructors; a projective sum (``_projective_sum``)
-        builds them from its ``_actions`` when they are first read."""
+        """Set by the constructor, or built from ``_actions`` when first
+        read by a projective sum (``_projective_sum``, rows None)."""
         unpack = row_format(self.algebra.field).unpack
-        return tuple(tuple(map(unpack, m)) for m in self._cache["actions"][:self.algebra.dim])
+        return tuple(tuple(map(unpack, m)) for m in _actions(self)[:self.algebra.dim])
 
     def __repr__(self):
         label = self.name or "module"
@@ -152,8 +141,13 @@ class Representation:
                 for i in range(self.dim)]
 
     def verify(self) -> None:
-        """Re-check the module axioms against the structure constants."""
+        """Re-check the rows (one action per basis element, ``dim`` rows each,
+        canonical pairs below column ``dim``) and the module axioms."""
         A = self.algebra
+        if len(self.rows) != A.dim or any(len(m) != self.dim for m in self.rows):
+            raise ValueError(f"expected {A.dim} actions of {self.dim} rows each")
+        for u, m in enumerate(self.rows):
+            _check_pairs(A.field, self.dim, m, lambda i: f"row {i} of the action of {A.basis_names[u]}")
         one = A.field.one()
         if any(self.apply_element(((i, one),), A.unit) != ((i, one),) for i in range(self.dim)):
             raise ValueError("unit does not act as the identity")
@@ -169,29 +163,6 @@ class Representation:
                         f"({A.basis_names[u]}, {A.basis_names[v]})"
                     )
 
-    def to_json(self):
-        fld = self.algebra.field
-        return {
-            "dimension": self.dim,
-            "name": self.name,
-            "field": fld.to_json(),
-            "actions": {
-                name: [[fld.fmt(x) for x in row] for row in m]
-                for name, m in zip(self.algebra.basis_names, self.actions)
-            },
-        }
-
-
-def representation_from_json(table: AlgebraTable, obj) -> Representation:
-    fld = table.field
-    actions = []
-    for name in table.basis_names:
-        grid = obj["actions"][name]
-        actions.append([[fld.parse(x) for x in row] for row in grid])
-    rep = Representation(table, int(obj["dimension"]), actions, obj.get("name", ""))
-    rep.verify()
-    return rep
-
 
 def regular(table: AlgebraTable) -> Representation:
     """A as a right module over itself: row k of the action of b_u is
@@ -199,7 +170,7 @@ def regular(table: AlgebraTable) -> Representation:
     in a fresh module, so renaming one renames no other."""
     d = table.dim
     rows = tuple(tuple(table.mult[k][u] for k in range(d)) for u in range(d))
-    return Representation.from_rows(table, d, rows, name="regular")
+    return Representation(table, d, rows, name="regular")
 
 
 def _unit_rows(fld, dim: int) -> list[tuple]:
@@ -237,7 +208,7 @@ def submodule(M: Representation, rows, name: str = "") -> tuple[Representation, 
                 raise ValueError("rows are not action-stable")
             mat.append(coeffs)
         actions.append(mat)
-    return Representation.from_rows(M.algebra, len(basis), actions, name=name), basis
+    return Representation(M.algebra, len(basis), actions, name=name), basis
 
 
 def quotient(M: Representation, rows, name: str = "") -> Representation:
@@ -255,7 +226,7 @@ def quotient(M: Representation, rows, name: str = "") -> Representation:
         return tuple(sorted((comp[j], x) for j, x in span.residue(row).items()))
 
     actions = [[project(M.rows[u][j]) for j in comp] for u in range(M.algebra.dim)]
-    return Representation.from_rows(M.algebra, len(comp), actions, name=name)
+    return Representation(M.algebra, len(comp), actions, name=name)
 
 
 def _image_span(M: Representation, rows, elements) -> SpanBuilder:
@@ -270,19 +241,18 @@ def _image_span(M: Representation, rows, elements) -> SpanBuilder:
     return span
 
 
+@_memo
 def _radical_layer(M: Representation, k: int) -> tuple[list[tuple], list[int]]:
     """The RREF basis (rows, pivots) of M*J^k.  Layer 0 is M itself, and
     each further layer is the image span of the one before under the
-    radical top (``_radical_top``), as N*J is the sum of the N*x.  The
-    layers are computed once per module, as deep as asked or up to the
-    first zero layer, and cached."""
-    layers = M._cache.get("radical-layers")
-    if layers is None:
-        layers = M._cache["radical-layers"] = [
-            (_unit_rows(M.algebra.field, M.dim), list(range(M.dim)))]
-    while len(layers) <= k and layers[-1][0]:
-        layers.append(_image_span(M, layers[-1][0], _radical_top(M.algebra)).finish())
-    return layers[min(k, len(layers) - 1)]
+    radical top (``_radical_top``), as N*J is the sum of the N*x; past the
+    first zero layer, at the latest layer dim M, every layer is that one."""
+    if k == 0:
+        return _unit_rows(M.algebra.field, M.dim), list(range(M.dim))
+    below = _radical_layer(M, min(k, M.dim + 1) - 1)
+    if not below[0]:
+        return below
+    return _image_span(M, below[0], _radical_top(M.algebra)).finish()
 
 
 def radical_rows(M: Representation) -> list[tuple]:
@@ -294,21 +264,19 @@ def top(M: Representation) -> Representation:
     return quotient(M, radical_rows(M), name=f"top({M.name})" if M.name else "top")
 
 
+@_memo
 def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, list[tuple], list]:
     """(P, basis, rows): the projective e_vA cut out of the regular module
     by the rows e_v * b_u, and its RREF basis inside A as pairs and as
-    rows of the field's format.  Cached on the table."""
+    rows of the field's format."""
     if not 0 <= vertex < table.n_vertices:
         raise PreconditionError(
             f"vertex {vertex} out of range 0..{table.n_vertices - 1}")
-    key = ("projective", vertex)
-    if key not in table._cache:
-        label, e = table.idempotents[vertex]
-        R = regular(table)
-        rows = (R.apply(e, u) for u in range(table.dim))
-        P, basis = submodule(R, [r for r in rows if r], name=f"P({label})")
-        table._cache[key] = P, basis, [row_format(table.field).pack(r) for r in basis]
-    return table._cache[key]
+    label, e = table.idempotents[vertex]
+    R = regular(table)
+    rows = (R.apply(e, u) for u in range(table.dim))
+    P, basis = submodule(R, [r for r in rows if r], name=f"P({label})")
+    return P, basis, [row_format(table.field).pack(r) for r in basis]
 
 
 def projective(table: AlgebraTable, vertex: int) -> Representation:
@@ -316,7 +284,7 @@ def projective(table: AlgebraTable, vertex: int) -> Representation:
     Each call wraps the cached rows in a fresh module, so renaming one
     renames no other."""
     P = _projective_data(table, vertex)[0]
-    return Representation.from_rows(table, P.dim, P.rows, name=P.name)
+    return Representation(table, P.dim, P.rows, name=P.name)
 
 
 def simple(table: AlgebraTable, vertex: int) -> Representation:
@@ -342,8 +310,7 @@ def dual_representation(M: Representation, target: AlgebraTable) -> Representati
             for j, c in row:
                 cols[j].append((i, c))
         actions.append([tuple(col) for col in cols])
-    return Representation.from_rows(target, M.dim, actions,
-                                    name=f"D({M.name})" if M.name else "dual")
+    return Representation(target, M.dim, actions, name=f"D({M.name})" if M.name else "dual")
 
 
 # ---------------------------------------------------------------------------
@@ -380,38 +347,37 @@ def _reduced_basis(fmt, rows) -> tuple[list, list[int]]:
     return [fmt.pack(b) for b in basis], pivots
 
 
+@_memo
 def _actions(M: Representation) -> list:
     """The action rows on M of the basis elements, the radical top and the
-    vertex idempotents of A, in that order, in the field's row format.
-    Cached on M."""
-    acts = M._cache.get("actions")
-    if acts is None:
-        A = M.algebra
-        fmt = row_format(A.field)
-        acts = [[fmt.pack(r) for r in rows] for rows in M.rows]
-        cols = list(zip(*acts))  # cols[i][u]: row i of the action of b_u
-        for a in map(fmt.pack, _radical_top(A) + [e for _, e in A.idempotents]):
-            acts.append([fmt.times(a, col) for col in cols])  # row i of act(a) is a @ cols[i]
-        M._cache["actions"] = acts
+    vertex idempotents of A, in that order, in the field's row format."""
+    A = M.algebra
+    fmt = row_format(A.field)
+    acts = [[fmt.pack(r) for r in rows] for rows in M.rows]
+    cols = list(zip(*acts))  # cols[i][u]: row i of the action of b_u
+    for a in map(fmt.pack, _radical_top(A) + [e for _, e in A.idempotents]):
+        acts.append([fmt.times(a, col) for col in cols])  # row i of act(a) is a @ cols[i]
     return acts
+
+
+@_memo
+def _shifted_actions(table: AlgebraTable, vertex: int, offset: int) -> list:
+    """The ``_actions`` of P_vertex moved to the columns from ``offset`` on,
+    its summand in a projective sum."""
+    fmt = row_format(table.field)
+    return [[fmt.shift(r, offset) for r in m] for m in _actions(_projective_data(table, vertex)[0])]
 
 
 def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list[int]]:
     """P = (+) P_v and the offsets of its summands.  Its ``_actions`` join
-    those of each P_v moved to its summand, cached on the table per
-    (vertex, offset); a resolution never reads its rows (``rows``)."""
-    fmt = row_format(table.field)
+    the ``_shifted_actions`` of its summands; a resolution never reads its
+    rows (``rows``)."""
     offsets, moved = [0], []
     for v in vertices:
-        Pv, off = _projective_data(table, v)[0], offsets[-1]
-        key = ("block", v, off)
-        if key not in table._cache:
-            table._cache[key] = [[fmt.shift(r, off) for r in m] for m in _actions(Pv)]
-        moved.append(table._cache[key])
-        offsets.append(off + Pv.dim)
-    P = Representation.__new__(Representation)
-    P.algebra, P.dim, P.name = table, offsets[-1], "(+)".join(f"P{v}" for v in vertices)
-    P._cache = {"actions": [list(chain.from_iterable(a)) for a in zip(*moved)]}
+        moved.append(_shifted_actions(table, v, offsets[-1]))
+        offsets.append(offsets[-1] + _projective_data(table, v)[0].dim)
+    P = Representation(table, offsets[-1], None, "(+)".join(f"P{v}" for v in vertices))
+    _actions.put(P, [list(chain.from_iterable(a)) for a in zip(*moved)])
     return P, offsets[:-1]
 
 
@@ -427,10 +393,11 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     (dim P rows over the dim M columns) maps each summand e_vA onto
     the submodule its generator spans.  One elimination gives its rank,
     which must be dim U (surjectivity), and its left kernel, the
-    syzygy.  Each generator is returned as its row in M.  Every vector
-    is a row of the field's format, from the rows of ``_actions`` to the
-    kernel.  ValueError: U is not action-stable, that is a row of U*J or
-    an idempotent image of a row leaves span(U)."""
+    syzygy, which must lie in the radical of P (minimality).  Each
+    generator is returned as its row in M.  Every vector is a row of the
+    field's format, from the rows of ``_actions`` to the kernel.
+    ValueError: U is not action-stable, that is a row of U*J or an
+    idempotent image of a row leaves span(U)."""
     A = M.algebra
     fmt = row_format(A.field)
     if rows is None:
@@ -476,66 +443,45 @@ def projective_cover(M: Representation, rows=None) -> Cover:
     # the images lie in U, which the generators cover modulo U*J
     if rank != len(basis):
         raise AssertionError("projective cover failed to surject")
+    if kernel:
+        # rad(P) is the sum of the rad(P_v): column j of P holds the (form,
+        # coefficient) pairs of the top forms of its summand that read it, so
+        # a kernel row times the columns gives the values of all the forms
+        forms = [(off, form) for v, off in zip(vertices, offsets) for form in _top_forms(A, v)]
+        reads: list[list] = [[] for _ in range(P.dim)]
+        for i, (off, form) in enumerate(forms):
+            for j, c in form:
+                reads[off + j].append((i, c))
+        cols = [fmt.pack(tuple(r)) for r in reads]
+        if any(fmt.times(row, cols) for row in kernel):
+            raise AssertionError("cover is not minimal: kernel escapes the radical")
     return Cover(vertices, P, offsets, matrix, gens, kernel)
 
 
+@_memo
 def _top_forms(table: AlgebraTable, vertex: int) -> list[tuple]:
     """Sparse linear forms on P_vertex whose common kernel is rad(P_vertex):
     for each non-pivot column j of the RREF basis of the radical, the entry
-    at j of a vector reduced against that basis, as (k, c) pairs.  Cached
-    on the projective."""
+    at j of a vector reduced against that basis, as (k, c) pairs."""
     P = _projective_data(table, vertex)[0]
-    forms = P._cache.get("top-forms")
-    if forms is None:
-        fld = table.field
-        rows, pivots = _radical_layer(P, 1)
-        rows = [dict(r) for r in rows]
-        pivset = set(pivots)
-        forms = P._cache["top-forms"] = [
-            tuple(sorted([(j, fld.one())] + [(c, fld.neg(r[j])) for r, c in zip(rows, pivots) if j in r]))
+    fld = table.field
+    rows, pivots = _radical_layer(P, 1)
+    rows = [dict(r) for r in rows]
+    pivset = set(pivots)
+    return [tuple(sorted([(j, fld.one())] + [(c, fld.neg(r[j])) for r, c in zip(rows, pivots) if j in r]))
             for j in range(P.dim) if j not in pivset]
-    return forms
-
-
-def _cover_and_kernel(M: Representation, rows=None) -> tuple[Cover, list]:
-    """Projective cover of M, or of its submodule spanned by ``rows``, and
-    rows spanning the kernel inside the cover, certified to lie in the
-    radical of the cover (minimality).  As rad(P) is the sum of the
-    rad(P_v), the top forms of each summand are read on that summand
-    alone; column j of P holds the (form, coefficient) pairs reading it,
-    in the field's row format, so a kernel row times the columns gives the
-    values of the forms at the cost of its own entries.  An empty kernel
-    needs no check."""
-    cov = projective_cover(M, rows)
-    ker = cov.kernel
-    if not ker:
-        return cov, ker
-    A = M.algebra
-    forms = [(off, form) for v, off in zip(cov.vertices, cov.offsets) for form in _top_forms(A, v)]
-    reads: list[list] = [[] for _ in range(cov.P.dim)]  # column of P -> (form, coefficient) pairs
-    for i, (off, form) in enumerate(forms):
-        for j, c in form:
-            reads[off + j].append((i, c))
-    fmt = row_format(A.field)
-    cols = [fmt.pack(tuple(r)) for r in reads]
-    if any(fmt.times(row, cols) for row in ker):
-        raise AssertionError("cover is not minimal: kernel escapes the radical")
-    return cov, ker
 
 
 def syzygy(M: Representation) -> Representation:
     """Kernel of the projective cover (zero-dimensional for projectives)."""
-    cov, ker = _cover_and_kernel(M)
+    cov = projective_cover(M)
     unpack = row_format(M.algebra.field).unpack
-    rep, _ = submodule(cov.P, map(unpack, ker), name=f"syz({M.name})" if M.name else "syzygy")
+    rep, _ = submodule(cov.P, map(unpack, cov.kernel), name=f"syz({M.name})" if M.name else "syzygy")
     return rep
 
 
 def is_projective_rep(M: Representation) -> bool:
-    if M.dim == 0:
-        return True
-    cov = projective_cover(M)
-    return cov.P.dim == M.dim
+    return M.dim == 0 or projective_cover(M).P.dim == M.dim
 
 
 class MinimalResolution:
@@ -569,15 +515,17 @@ class MinimalResolution:
         self._prev: Optional[tuple[list, list]] = None  # (vertices, offsets) of the last cover
         self.finished = False
 
-    def extend_to(self, length: int) -> None:
+    def extend_to(self, length: int) -> "MinimalResolution":
         while len(self.levels) < length and not self.finished:
             self._extend_once()
+        return self
 
     def _extend_once(self) -> None:
         if self._ambient is None:
             self.finished = True
             return
-        cov, ker = _cover_and_kernel(self._ambient, self._rows)
+        cov = projective_cover(self._ambient, self._rows)
+        ker = cov.kernel
         self.levels.append(list(cov.vertices))
         if self._prev is not None:
             self.maps.append(self._element_matrix(cov.gen_rows))
@@ -599,20 +547,17 @@ class MinimalResolution:
         return out
 
 
-def _resolution(M: Representation, length: int) -> MinimalResolution:
-    res = M._cache.get("resolution")
-    if res is None:
-        res = MinimalResolution(M)
-        M._cache["resolution"] = res
-    res.extend_to(length)
-    return res
+@_memo
+def _resolution(M: Representation) -> MinimalResolution:
+    """The one resolution of M, extended on demand (``extend_to``)."""
+    return MinimalResolution(M)
 
 
 def syzygy_dims(M: Representation, t: int) -> list[int]:
     """Dimensions of the first t syzygies of M."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    res = _resolution(M, t)
+    res = _resolution(M).extend_to(t)
     return [res.kernel_dims[s] if s < len(res.kernel_dims) else 0 for s in range(t)]
 
 
@@ -642,18 +587,16 @@ class ExtTable:
         return obj
 
 
+@_memo
 def _weights(N: Representation) -> list[tuple[list, list, object]]:
     """Per vertex v, the RREF basis of the weight space N e_v, as pairs and
-    as rows of the field's format, and its ``coordinates``.  Cached on N."""
-    weights = N._cache.get("weights")
-    if weights is None:
-        fld, weights = N.algebra.field, []
-        fmt, units = row_format(fld), _unit_rows(fld, N.dim)
-        for _, e in N.algebra.idempotents:
-            pairs, pivots = _image_span(N, units, [e]).finish()
-            rows = [fmt.pack(r) for r in pairs]
-            weights.append((pairs, rows, fmt.coordinates(rows, pivots, N.dim)))
-        N._cache["weights"] = weights
+    as rows of the field's format, and its ``coordinates``."""
+    fld, weights = N.algebra.field, []
+    fmt, units = row_format(fld), _unit_rows(fld, N.dim)
+    for _, e in N.algebra.idempotents:
+        pairs, pivots = _image_span(N, units, [e]).finish()
+        rows = [fmt.pack(r) for r in pairs]
+        weights.append((pairs, rows, fmt.coordinates(rows, pivots, N.dim)))
     return weights
 
 
@@ -710,7 +653,7 @@ def _hom_complex(M: Representation, N: Representation, t: int, ranks: list[int])
     the rank of Hom(P_{s-1}, N) -> Hom(P_s, N) (ranks[0] = 0), is ranked
     in place up to s = t+1 for the s not in the list yet.  Levels past
     the end of a finite resolution count as zero."""
-    res = _resolution(M, t + 2)
+    res = _resolution(M).extend_to(t + 2)
     levels = res.levels[:t + 2]
     for s in range(len(ranks), t + 2):
         ranks.append(_differential_rank(N, res.maps[s], levels[s - 1], levels[s]) if s < len(levels) else 0)
@@ -724,10 +667,19 @@ def _require_same_algebra(M: Representation, N: Representation) -> None:
         raise ValueError("modules live over different algebras")
 
 
+@_memo
+def _pair_cover(M: Representation) -> tuple[Cover, list[tuple], list[tuple]]:
+    """The projective cover of M with its matrix and its kernel as pair
+    rows, computed once per module: every Hom out of M reads it."""
+    cov = projective_cover(M)
+    unpack = row_format(M.algebra.field).unpack
+    return cov, [unpack(r) for r in cov.rows], [unpack(k) for k in cov.kernel]
+
+
 def hom_basis(M: Representation, N: Representation) -> list[list[tuple]]:
     """Basis of Hom_A(M, N), each map dM pair rows over dN columns, read
-    from the projective cover P -> M and its kernel K
-    (``_cover_and_kernel``), as Ext is.
+    from the projective cover P -> M and its kernel K (``_pair_cover``),
+    as Ext is.
 
     A map P -> N sends the top generator of each summand e_vA to some n in
     N e_v (``_weights``) and so a basis row r of that summand to
@@ -741,11 +693,7 @@ def hom_basis(M: Representation, N: Representation) -> list[list[tuple]]:
         return []
     A, fld = M.algebra, M.algebra.field
     dm, dn = M.dim, N.dim
-    if "cover" not in M._cache:  # every Hom out of M reads the same cover, as pairs
-        cov, ker = _cover_and_kernel(M)
-        unpack = row_format(fld).unpack
-        M._cache["cover"] = cov, [unpack(r) for r in cov.rows], [unpack(k) for k in ker]
-    cov, matrix, ker = M._cache["cover"]
+    cov, matrix, ker = _pair_cover(M)
     phis = []  # Hom(P, N), each map as {row of P: its image in N}
     for v, off in zip(cov.vertices, cov.offsets):
         brows = _projective_data(A, v)[1]
@@ -796,13 +744,11 @@ def modules_isomorphic(M: Representation, N: Representation) -> bool:
 # dominant dimension, phi, delta
 # ---------------------------------------------------------------------------
 
+@_memo
 def _op_table(table: AlgebraTable) -> AlgebraTable:
-    op = table._cache.get("opposite")
-    if op is None:
-        op = opposite(table)
-        table._cache["opposite"] = op
-        op._cache["opposite"] = table
-        op._cache["radical_top"] = _radical_top(table)  # same J and J^2 as the table
+    op = opposite(table)
+    _op_table.put(op, table)
+    _radical_top.put(op, _radical_top(table))  # same J and J^2 as the table
     return op
 
 
@@ -829,9 +775,10 @@ def enveloping(table: AlgebraTable):
         for j in range(d):
             # row k: b_j * b_k * b_i, the sum of c * b_t b_i over the (t, c) of b_j b_k
             actions.append([R.apply(cell, i) for cell in table.mult[j]])
-    return env, Representation.from_rows(env, d, actions, name="regular-bimodule")
+    return env, Representation(env, d, actions, name="regular-bimodule")
 
 
+@_memo
 def projective_injective_vertices(table: AlgebraTable) -> set[int]:
     """Vertices w whose injective I_w = D(Ae_w) is projective, i.e. is some
     P_v = e_vA.  On a split basic algebra (``verify_table``) that holds iff
@@ -839,26 +786,23 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
     embeds in I_w, the envelope of its socle.  soc(e_vA) = e_v soc(A_A),
     and soc(A_A) is the left kernel of right multiplication by the radical
     top, which generates J as a right ideal.  No injective module is built."""
-    cached = table._cache.get("pi_vertices")
-    if cached is None:
-        fld, d = table.field, table.dim
-        R, units = regular(table), _unit_rows(fld, d)
-        gens = _radical_top(table)
-        # row u: the products b_u x over the radical top, side by side
-        right_mult = [tuple((k * d + j, c) for k, x in enumerate(gens) for j, c in R.apply_element(u, x))
-                      for u in units]
-        _, soc = left_kernel_rows(fld, right_mult, len(gens) * d)
-        idem = [e for _, e in table.idempotents]
-        dim_ae = cache(lambda w: _image_span(R, units, [idem[w]]).rank)  # dim Ae_w
-        cached = set()
-        for e in idem:
-            soc_v, _ = _image_span(R, [e], soc).finish()
-            if len(soc_v) == 1:
-                w = next(w for w, f in enumerate(idem) if R.apply_element(soc_v[0], f))
-                if _image_span(R, [e], units).rank == dim_ae(w):
-                    cached.add(w)
-        table._cache["pi_vertices"] = cached
-    return cached
+    fld, d = table.field, table.dim
+    R, units = regular(table), _unit_rows(fld, d)
+    gens = _radical_top(table)
+    # row u: the products b_u x over the radical top, side by side
+    right_mult = [tuple((k * d + j, c) for k, x in enumerate(gens) for j, c in R.apply_element(u, x))
+                  for u in units]
+    _, soc = left_kernel_rows(fld, right_mult, len(gens) * d)
+    idem = [e for _, e in table.idempotents]
+    dim_ae = cache(lambda w: _image_span(R, units, [idem[w]]).rank)  # dim Ae_w
+    vertices = set()
+    for e in idem:
+        soc_v, _ = _image_span(R, [e], soc).finish()
+        if len(soc_v) == 1:
+            w = next(w for w, f in enumerate(idem) if R.apply_element(soc_v[0], f))
+            if _image_span(R, [e], units).rank == dim_ae(w):
+                vertices.add(w)
+    return vertices
 
 
 def is_selfinjective(table: AlgebraTable) -> bool:
@@ -876,7 +820,7 @@ def domdim(table: AlgebraTable, cutoff: int) -> BoundedValue:
     op = _op_table(table)
     co_reg = dual_representation(regular(table), op)
     co_reg.name = "D(A_A)"
-    res = _resolution(co_reg, 1)
+    res = _resolution(co_reg)
     for s in range(cutoff):
         res.extend_to(s + 1)
         if s >= len(res.levels):
@@ -891,7 +835,7 @@ def _first_nonzero_ext(M: Representation, N: Representation, cutoff: int) -> Bou
     resolution grows with r, and each differential is ranked once."""
     ranks = [0]
     for r in range(1, cutoff + 1):
-        if r >= len(_resolution(M, r + 2).levels):
+        if r >= len(_resolution(M).extend_to(r + 2).levels):
             return BoundedValue.at_least(cutoff)  # finite projective dimension, all higher Ext vanish
         dims = _hom_complex(M, N, r, ranks)
         if dims[r] - ranks[r] - ranks[r + 1] > 0:

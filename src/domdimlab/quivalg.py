@@ -11,7 +11,8 @@ is pair rows, row i the image of unit vector i.  Every constructor but
 ``opposite`` re-verifies the algebra axioms plus the split-basic
 certificate (``dim A = dim J + #idempotents``), which is what licenses
 the homological machinery downstream (one-dimensional simple tops,
-projective covers through idempotents, ...).
+projective covers through idempotents, ...).  Data derived from a
+table is kept by one memo decorator, ``_memo``.
 
 Tables are produced four ways: compiling a bounded quiver algebra with
 relations (with a certified Loewy bound), fixed presets, bridging a
@@ -21,6 +22,7 @@ Nakayama algebra given by its Kupisch series, and closure operations
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field as dc_field
@@ -154,7 +156,9 @@ def _parse_terms(text: str, names: dict, combine, coeff_error_at_int: bool = Fal
         expr := term (("+"|"-") term)*
         term := [integer "*"]? name ("*" name)*
 
-    Each name is looked up in ``names``; each term is handed to
+    Each name is looked up in ``names``; an integer that is a key of
+    ``names`` is read as that name where no '*' follows it, and an integer
+    followed by '*' is always a coefficient.  Each term is handed to
     ``combine(signed integer coefficient, [(names[name], position), ...])``
     as soon as it is read, so errors surface left to right.  Returns the
     combined terms.  A coefficient without its '*' is reported at the
@@ -164,6 +168,8 @@ def _parse_terms(text: str, names: dict, combine, coeff_error_at_int: bool = Fal
     tokens = _tokenize(text)
     if not tokens:
         raise RelationSyntaxError("empty expression", 0)
+    tokens = [("name" if kind == "int" and val in names and after[:2] != ("op", "*") else kind, val, pos)
+              for (kind, val, pos), after in zip(tokens, tokens[1:] + [()])]
     idx = 0
 
     def at_star():
@@ -253,7 +259,7 @@ class AlgebraTable:
     idempotents: tuple[tuple[str, tuple], ...]  # (vertex label, element)
     radical: tuple[tuple, ...]  # elements spanning the Jacobson radical
     provenance: dict = dc_field(default_factory=dict)
-    # derived data (projectives, opposite, projective-injective vertices)
+    # derived data, kept by ``_memo``
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -379,6 +385,23 @@ class AlgebraTable:
         )
 
 
+def _memo(fn):
+    """``fn(obj, *args)``, computed once per object and arguments and kept
+    in ``obj._cache``; ``fn.put(obj, value, *args)`` stores a value known
+    from elsewhere.  A call that raises stores nothing.  The builder runs
+    as ``fn.__wrapped__``, where a test can count its calls."""
+
+    @functools.wraps(fn)
+    def memo(obj, *args):
+        key = (memo, *args)
+        if key not in obj._cache:
+            obj._cache[key] = memo.__wrapped__(obj, *args)
+        return obj._cache[key]
+
+    memo.put = lambda obj, value, *args: obj._cache.__setitem__((memo, *args), value)
+    return memo
+
+
 def make_table(field, basis_names, mult, unit, idempotents, radical,
                provenance=None) -> AlgebraTable:
     """A verified table; ``mult[i][j]``, ``unit``, each idempotent and each
@@ -434,6 +457,7 @@ def _radical_powers(table: AlgebraTable):
         current = nxt.rows
 
 
+@_memo
 def _radical_top(table: AlgebraTable) -> list[tuple]:
     """Elements that generate J as a left and as a right ideal, so that
     M J is the sum of the M x, as (k, c) pairs.  ``compile_quiver`` stores
@@ -441,15 +465,12 @@ def _radical_top(table: AlgebraTable) -> list[tuple]:
     any other table they are the radical basis vectors whose classes form a basis
     of J/J^2 (J = AX + J^2 forces J = AX, and J = XA + J^2 forces
     J = XA, since J is nilpotent)."""
-    top = table._cache.get("radical_top")
-    if top is None:
-        powers = _radical_powers(table)
-        next(powers, None)  # J
-        mod = SpanBuilder(table.field)
-        for r in next(powers, []):  # J^2
-            mod.add(r)
-        top = table._cache["radical_top"] = [v for v in table.radical if mod.add(v)]
-    return top
+    powers = _radical_powers(table)
+    next(powers, None)  # J
+    mod = SpanBuilder(table.field)
+    for r in next(powers, []):  # J^2
+        mod.add(r)
+    return [v for v in table.radical if mod.add(v)]
 
 
 def _default_generators(table: AlgebraTable) -> list[tuple]:
@@ -497,11 +518,11 @@ def _check_over(middle, check, *args) -> None:
         raise
 
 
-def _check_pairs(table: AlgebraTable, elements, name) -> None:
+def _check_pairs(fld: FieldSpec, d: int, elements, name) -> None:
     """Raise unless every element is (k, c) pairs, k strictly ascending in
-    0..dim-1 and every c a nonzero canonical scalar of the field; the
-    message calls the n-th element ``name(n)``."""
-    d, p = table.dim, table.field.p
+    0..d-1 and every c a nonzero canonical scalar of ``fld``; the message
+    calls the n-th element ``name(n)``."""
+    p = fld.p
     for n, vec in enumerate(elements):
         last = -1
         for pair in vec:
@@ -525,12 +546,12 @@ def verify_table(table: AlgebraTable) -> None:
     if len(table.mult) != d or any(len(row) != d for row in table.mult):
         raise CompileError(f"structure constants are not {d} x {d} cells")
     for i, row in enumerate(table.mult):
-        _check_pairs(table, row, lambda j: f"product ({i},{j})")
+        _check_pairs(fld, d, row, lambda j: f"product ({i},{j})")
     unit = table.unit
-    _check_pairs(table, [unit], lambda _: "unit")
-    _check_pairs(table, [e for _, e in table.idempotents],
+    _check_pairs(fld, d, [unit], lambda _: "unit")
+    _check_pairs(fld, d, [e for _, e in table.idempotents],
                  lambda v: f"idempotent {table.idempotents[v][0]}")
-    _check_pairs(table, table.radical, lambda _: "radical element")
+    _check_pairs(fld, d, table.radical, lambda _: "radical element")
     for i in range(d):
         b = ((i, one),)
         if table._mul(unit, b) != b or table._mul(b, unit) != b:
@@ -758,8 +779,8 @@ def compile_quiver(spec: QuiverSpec) -> AlgebraTable:
     # J is spanned by the paths of length >= 1, each a product of arrows
     # (arrows rewritten by relations included), so the nonzero arrow images
     # generate J as a left and as a right ideal: no J^2 needed
-    table._cache["radical_top"] = [img for img in (normal_form((a.source, (a.name,)))
-                                                   for a in spec.arrows) if img]
+    _radical_top.put(table, [img for img in (normal_form((a.source, (a.name,)))
+                                             for a in spec.arrows) if img])
     return table
 
 

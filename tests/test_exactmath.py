@@ -337,7 +337,7 @@ def test_row_formats_match_pair_arithmetic(case, data):
     # apply: vec @ act(a) on a module of dimension n whose d actions are drawn rows
     table = qa.preset(TRUNCATED_POLY[fld])
     acts = [[vector(n) for _ in range(n)] for _ in range(table.dim)]
-    M = hml.Representation.from_rows(table, n, acts)
+    M = hml.Representation(table, n, acts)
     vec, a = vector(n), vector(table.dim)
     got = fmt.apply(fmt.pack(vec), fmt.pack(a), [[fmt.pack(r) for r in m] for m in acts])
     assert fmt.unpack(got) == M.apply_element(vec, a)

@@ -681,6 +681,18 @@ def test_element_from_expr():
     assert table.element_from_expr("v0 - v0") == ()
 
 
+def test_element_from_expr_reads_integer_basis_names():
+    # quaternion8-f2 names its identity "1": an integer is that name where
+    # no '*' follows it, and a coefficient where one does
+    table = qa.preset("quaternion8-f2")
+    assert table.element_from_expr("1 + i") == table.element_from_expr("v0 + i") == ((0, 1), (1, 1))
+    assert table.element_from_expr("i*1") == table.element_from_expr("i") == ((1, 1),)
+    assert table.element_from_expr("3*i") == table.element_from_expr("i")
+    for text in ("3 i", "1 i", "i*1*j"):
+        with pytest.raises(qa.RelationSyntaxError):
+            table.element_from_expr(text)
+
+
 def _mueller_end():
     """End_B(P0 + P1 + S0) for B the cycle (3, 3) over F_2."""
     B = _cyclic_bridge((3, 3), F2)
