@@ -16,9 +16,10 @@ cover computes in that format, one elimination
 the next cover takes that kernel as its rows, and the element matrices
 and the images ranked by an Ext differential are rows of the format
 too.  Modules are cut out of the regular module: the projectives e_vA
-are its submodules, the powers J^k and the uniserial bridges
-P_v / P_v J^k are read from one radical filtration M > MJ > MJ^2 > ...
-per module.  Derived data (projectives, action rows, radical layers,
+are its submodules (read off ``mult`` where the table has a certified
+vertex grading, ``quivalg._vertex_grading``), and the powers J^k and
+the uniserial bridges P_v / P_v J^k are read from one radical
+filtration M > MJ > MJ^2 > ... per module.  Derived data (projectives, action rows, radical layers,
 weight spaces, resolutions) is computed once per object and arguments
 by ``quivalg._memo``.  All functors here are computed through minimal
 projective resolutions built from explicit projective covers.  A
@@ -63,6 +64,7 @@ from .quivalg import (
     _has_isomorphism,
     _memo,
     _radical_top,
+    _vertex_grading,
     corner_algebra,
     is_local,
     is_semisimple,
@@ -166,11 +168,16 @@ class Representation:
 
 def regular(table: AlgebraTable) -> Representation:
     """A as a right module over itself: row k of the action of b_u is
-    b_k * b_u, the pairs ``mult[k][u]`` as they are.  Each call wraps them
-    in a fresh module, so renaming one renames no other."""
+    b_k * b_u, the pairs ``mult[k][u]`` as they are.  Each call wraps the
+    rows (``_regular_rows``) in a fresh module, so renaming one renames no
+    other."""
+    return Representation(table, table.dim, _regular_rows(table), name="regular")
+
+
+@_memo
+def _regular_rows(table: AlgebraTable) -> tuple:
     d = table.dim
-    rows = tuple(tuple(table.mult[k][u] for k in range(d)) for u in range(d))
-    return Representation(table, d, rows, name="regular")
+    return tuple(tuple(table.mult[k][u] for k in range(d)) for u in range(d))
 
 
 def _unit_rows(fld, dim: int) -> list[tuple]:
@@ -266,16 +273,33 @@ def top(M: Representation) -> Representation:
 
 @_memo
 def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, list[tuple], list]:
-    """(P, basis, rows): the projective e_vA cut out of the regular module
-    by the rows e_v * b_u, and its RREF basis inside A as pairs and as
-    rows of the field's format."""
+    """(P, basis, rows): the projective e_vA and its RREF basis inside A as
+    pairs and as rows of the field's format (``_cut_projective``)."""
     if not 0 <= vertex < table.n_vertices:
         raise PreconditionError(
             f"vertex {vertex} out of range 0..{table.n_vertices - 1}")
+    return _cut_projective(table, vertex, _vertex_grading(table))
+
+
+def _cut_projective(table: AlgebraTable, vertex: int, grading) -> tuple[Representation, list[tuple], list]:
+    """``_projective_data`` on the vertex degrees ``grading``.  Certified
+    degrees make e_vA the span of the unit vectors b_u with left[u] = v,
+    ascending, its RREF basis, and the action of b_x on it the cells
+    ``mult[u][x]`` re-indexed.  With grading None, e_vA is cut out of the
+    regular module by the rows e_v * b_u."""
     label, e = table.idempotents[vertex]
-    R = regular(table)
-    rows = (R.apply(e, u) for u in range(table.dim))
-    P, basis = submodule(R, [r for r in rows if r], name=f"P({label})")
+    if grading is None:
+        R = regular(table)
+        rows = (R.apply(e, u) for u in range(table.dim))
+        P, basis = submodule(R, [r for r in rows if r], name=f"P({label})")
+    else:
+        index = [u for u, v in enumerate(grading[0]) if v == vertex]
+        at = {u: i for i, u in enumerate(index)}
+        mult = table.mult
+        actions = [[tuple((at[k], c) for k, c in mult[u][x]) for u in index] for x in range(table.dim)]
+        P = Representation(table, len(index), actions, name=f"P({label})")
+        one = table.field.one()
+        basis = [((u, one),) for u in index]
     return P, basis, [row_format(table.field).pack(r) for r in basis]
 
 
@@ -749,6 +773,8 @@ def _op_table(table: AlgebraTable) -> AlgebraTable:
     op = opposite(table)
     _op_table.put(op, table)
     _radical_top.put(op, _radical_top(table))  # same J and J^2 as the table
+    grading = _vertex_grading(table)  # b_u in e_v A e_w is in e_w A^op e_v
+    _vertex_grading.put(op, grading and grading[::-1])
     return op
 
 
@@ -786,6 +812,15 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
     embeds in I_w, the envelope of its socle.  soc(e_vA) = e_v soc(A_A),
     and soc(A_A) is the left kernel of right multiplication by the radical
     top, which generates J as a right ideal.  No injective module is built."""
+    return _pi_vertices(table, _vertex_grading(table))
+
+
+def _pi_vertices(table: AlgebraTable, grading) -> set[int]:
+    """``projective_injective_vertices`` on the vertex degrees ``grading``.
+    Certified degrees make e_v soc the socle rows restricted to left = v,
+    dim e_vA the count of left = v and dim Ae_w that of right = w, and put
+    a one-dimensional e_v soc, a right submodule, in one e_v A e_w.  With
+    grading None, each is an image span in the regular module."""
     fld, d = table.field, table.dim
     R, units = regular(table), _unit_rows(fld, d)
     gens = _radical_top(table)
@@ -793,6 +828,18 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
     right_mult = [tuple((k * d + j, c) for k, x in enumerate(gens) for j, c in R.apply_element(u, x))
                   for u in units]
     _, soc = left_kernel_rows(fld, right_mult, len(gens) * d)
+    if grading is not None:
+        left, right = grading
+        vertices = set()
+        for v in range(table.n_vertices):
+            span = SpanBuilder(fld)
+            for s in soc:
+                span.add(tuple((k, c) for k, c in s if left[k] == v))
+            if span.rank == 1:
+                w = right[span.rows[0][0][0]]  # the degree of its every term
+                if left.count(v) == right.count(w):
+                    vertices.add(w)
+        return vertices
     idem = [e for _, e in table.idempotents]
     dim_ae = cache(lambda w: _image_span(R, units, [idem[w]]).rank)  # dim Ae_w
     vertices = set()

@@ -473,6 +473,41 @@ def _radical_top(table: AlgebraTable) -> list[tuple]:
     return [v for v in table.radical if mod.add(v)]
 
 
+@_memo
+def _vertex_grading(table: AlgebraTable):
+    """(left, right), so that b_u lies in e_v A e_w for v = left[u] and
+    w = right[u], or None.  Read from the stored products alone: left[u] is
+    the one vertex v with b_s b_u != 0 for some b_s in the support of e_v,
+    and right[u] the one w with b_u b_s != 0 for some b_s in that of e_w.
+    The labels are returned only when the constants certify them: each e_v
+    is supported on elements of degree (v, v), and every nonzero b_i b_j
+    has right[i] = left[j] and every term of degree (left[i], right[j]).
+    Then e_v b_u is b_u for v = left[u] and 0 otherwise (the unit is the
+    sum of the e_v), so e_v A is spanned by the b_u with left[u] = v, and a
+    triple with right[i] != left[j] has both sides of associativity 0."""
+    d, mult = table.dim, table.mult
+    left, right = [None] * d, [None] * d
+    for v, (_, e) in enumerate(table.idempotents):
+        for s, _ in e:
+            for u in range(d):
+                for side, cell in ((left, mult[s][u]), (right, mult[u][s])):
+                    if cell:
+                        if side[u] not in (None, v):
+                            return None
+                        side[u] = v
+    if None in left or None in right:
+        return None
+    if any(left[s] != v or right[s] != v
+           for v, (_, e) in enumerate(table.idempotents) for s, _ in e):
+        return None
+    for i, row in enumerate(mult):
+        li, ri = left[i], right[i]
+        for j, cell in enumerate(row):
+            if cell and (ri != left[j] or any(left[k] != li or right[k] != right[j] for k, _ in cell)):
+                return None
+    return left, right
+
+
 def _default_generators(table: AlgebraTable) -> list[tuple]:
     """Idempotents plus lifts of a basis of J/J^2, as (k, c) pairs: a
     unital generating set."""
@@ -591,15 +626,19 @@ def _verify_associativity(table: AlgebraTable, middle=None) -> None:
     """Raise on the first triple (i, j, k), j in ``middle`` (default: every
     basis index), with (b_i b_j) b_k != b_i (b_j b_k).  Only the k where
     one side can be nonzero are visited: a triple where b_i b_j and b_j b_k
-    are both 0 is skipped, as both sides vanish."""
+    are both 0 is skipped, as both sides vanish, and so is every pair with
+    right[i] != left[j] under a certified ``_vertex_grading``."""
     d = table.dim
     one = table.field.one()
     mult = table.mult
     mul = table._mul
     nonzero = [{k for k in range(d) if row[k]} for row in mult]  # k with b_j b_k != 0
+    left, right = _vertex_grading(table) or (None, None)
     for i in range(d):
         bi = ((i, one),)
         for j in range(d) if middle is None else middle:
+            if left and right[i] != left[j]:
+                continue
             ij = mult[i][j]
             # (b_i b_j) b_k can be nonzero only for k in a nonzero[t], t in b_i b_j
             for k in sorted(nonzero[j].union(*(nonzero[t] for t, _ in ij))):
@@ -987,6 +1026,15 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
 
     Returns (corner table, basis rows of eAe inside A as (k, c) pairs).
     """
+    return _corner(table, idem_labels, _vertex_grading(table))
+
+
+def _corner(table: AlgebraTable, idem_labels: list[str], grading):
+    """``corner_algebra`` on the vertex degrees ``grading``.  Certified
+    degrees make eAe the span of the b_u with both degrees chosen, and
+    e v e the part of v on them, so the corner's products, unit,
+    idempotents and radical are cells re-indexed.  With grading None, eAe
+    is the span of the e b_u e, and coordinates are taken against it."""
     fld = table.field
     d = table.dim
     chosen = [i for i, (l, _) in enumerate(table.idempotents) if l in set(idem_labels)]
@@ -994,25 +1042,36 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
         raise KeyError("unknown idempotent label")
     e = idempotent_sum(table, chosen)
     one = fld.one()
-    span = SpanBuilder(fld)
-    for i in range(d):
-        span.add(table._mul(e, table._mul(((i, one),), e)))
-    rows, pivots = span.finish()
+    if grading is None:
+        cut = lambda v: table._mul(e, table._mul(v, e))  # e v e
+        span = SpanBuilder(fld)
+        for i in range(d):
+            span.add(cut(((i, one),)))
+        rows, pivots = span.finish()
+
+        def coords(vec):
+            c = coords_against(fld, rows, pivots, vec)
+            if c is None:
+                raise CompileError("corner multiplication left the corner span")
+            return c
+
+        product = lambda a, b: coords(table._mul(rows[a], rows[b]))
+    else:
+        keep = set(chosen)
+        index = [u for u in range(d) if grading[0][u] in keep and grading[1][u] in keep]
+        at = {u: i for i, u in enumerate(index)}
+        rows = [((u, one),) for u in index]
+        cut = lambda v: tuple((k, c) for k, c in v if k in at)
+        coords = lambda vec: tuple((at[k], c) for k, c in vec)
+        product = lambda a, b: coords(table.mult[index[a]][index[b]])
     dim_c = len(rows)
     if dim_c > SIZE_LIMIT:
         raise SizeLimitError("corner algebra too large")
-
-    def coords(vec):
-        c = coords_against(fld, rows, pivots, vec)
-        if c is None:
-            raise CompileError("corner multiplication left the corner span")
-        return c
-
-    mult = [[coords(table._mul(u, v)) for v in rows] for u in rows]
+    mult = [[product(a, b) for b in range(dim_c)] for a in range(dim_c)]
     idem = [(table.idempotents[i][0], coords(table.idempotents[i][1])) for i in chosen]
     rad = SpanBuilder(fld)
     for v in table.radical:
-        rad.add(table._mul(e, table._mul(v, e)))
+        rad.add(cut(v))
     names = tuple(f"c{i}" for i in range(dim_c))
     corner = make_table(
         field=fld,

@@ -81,7 +81,7 @@ def test_memoised_builders_run_once_per_object_and_arguments(monkeypatch):
     dihedral = qa.preset("dihedral8-f2")  # no compiled arrows: its radical top is built
     builders = [qa._radical_top, hml._projective_data, hml._actions, hml._shifted_actions,
                 hml._top_forms, hml._radical_layer, hml._weights, hml._resolution,
-                hml._pair_cover, hml._op_table, hml.projective_injective_vertices]
+                hml._pair_cover, hml._op_table, hml.projective_injective_vertices, hml._regular_rows]
     calls = []
     for b in builders:
         monkeypatch.setattr(b, "__wrapped__",
@@ -1352,3 +1352,68 @@ def test_radical_power_matches_the_powers_of_the_declared_radical(make):
             assert (X.rep.dim, X.rows) == (0, [])
             assert X.rep.rows == ((),) * table.dim
         assert X.rep.name == f"J^{k}"
+
+
+# -- the certified vertex grading, against the general bodies ------------------
+
+def _ci_end_table(fld):
+    """End_B(P0 + P1 + S0) for B the cycle (3, 3), as the CI saves it."""
+    B = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3)), fld)
+    return hml.endomorphism_algebra([hml.projective(B, 0), hml.projective(B, 1), hml.bridged_module(B, 0, 1)])
+
+
+GRADED_TABLES = {
+    **{name: (lambda name=name: qa.preset(name)) for name in (
+        "hopf-a5-f2", "dihedral8-f2", "quaternion8-f2", "preproj-a2",
+        "truncated-poly(3,F2)", "truncated-poly(4,F3)", "truncated-poly(4,Q)")},
+    **{f"{orientation}{''.join(map(str, kup))}-{fld.describe()}":
+       (lambda o=orientation, k=kup, f=fld: qa.nakayama_to_table(nak.validate(o, k), f))
+       for fld in (F2, F3, QQ) for orientation, kup in ((nak.CYCLE, (3, 4, 4)), (nak.LINE, (3, 2, 2, 1)))},
+    "end-33-F2": lambda: _ci_end_table(F2),
+    "end-33-Q": lambda: _ci_end_table(QQ),
+    "opposite-3334-F3": lambda: hml._op_table(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 3, 3, 4)), F3)),
+    "corner-344-Q": lambda: qa.corner_algebra(qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4, 4)), QQ),
+                                              ["v1", "v2"])[0],
+}
+
+
+@pytest.mark.parametrize("make", GRADED_TABLES.values(), ids=GRADED_TABLES.keys())
+def test_certified_grading_matches_the_general_bodies(make):
+    table = make()
+    grading = qa._vertex_grading(table)
+    assert grading is not None
+    # the value the opposite table is given is the one its constants certify
+    assert qa._vertex_grading.__wrapped__(table) == grading
+    for v in range(table.n_vertices):
+        P, basis, rows = hml._projective_data(table, v)
+        Q, general_basis, general_rows = hml._cut_projective(table, v, None)
+        assert (P.dim, P.name, P.rows, basis, rows) == (Q.dim, Q.name, Q.rows, general_basis, general_rows)
+    assert hml.projective_injective_vertices(table) == hml._pi_vertices(table, None)
+    labels = table.vertex_labels()
+    pi = [labels[v] for v in sorted(hml.projective_injective_vertices(table))]
+    for chosen in [labels, *([label] for label in labels), *([pi] if pi else [])]:
+        corner, rows = qa.corner_algebra(table, chosen)
+        general, general_rows = qa._corner(table, chosen, None)
+        assert (corner.to_json(), rows) == (general.to_json(), general_rows), chosen
+
+
+def test_vertex_grading_is_read_once_per_table(monkeypatch):
+    calls = []
+    build = qa._vertex_grading.__wrapped__
+    monkeypatch.setattr(qa._vertex_grading, "__wrapped__", lambda table: calls.append(table) or build(table))
+    table = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 4, 4)), F2)
+    hml.domdim(table, 8)
+    assert hml.is_gendo_symmetric(table, 8) is True
+    # the opposite table is given the mirrored grading; the corner reads its own
+    assert calls[0] is table and [t.provenance["kind"] for t in calls[1:]] == ["corner"]
+    op = hml._op_table(table)
+    assert qa._vertex_grading(op) == qa._vertex_grading(table)[::-1]
+
+
+@pytest.mark.parametrize("fld", [F3, QQ])
+def test_a_local_table_off_the_path_basis_is_graded_trivially(fld):
+    # one idempotent, the unit: every basis is adapted, though the radical
+    # is no span of unit vectors
+    table = dual_numbers_off_the_path_basis(fld)
+    assert qa._vertex_grading(table) == ([0, 0], [0, 0])
+    assert hml.syzygy_dims(hml.simple(table, 0), 4) == [1, 1, 1, 1]

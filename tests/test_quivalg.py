@@ -457,15 +457,28 @@ CORNER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", CORNER_DIGESTS)
-def test_corner_algebras_are_pinned(name):
-    make, labels, digest = CORNER_DIGESTS[name]
-    table = make()
+def _corner_digest(table, labels):
     corner, rows = qa.corner_algebra(table, labels)
     dense = [qa._dense(r, table.dim, table.field.zero()) for r in rows]
     obj = {"corner": corner.to_json(), "rows": [[table.field.fmt(x) for x in r] for r in dense]}
     text = json.dumps(obj, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", CORNER_DIGESTS)
+def test_corner_algebras_are_pinned(name):
+    make, labels, digest = CORNER_DIGESTS[name]
+    assert _corner_digest(make(), labels) == digest
+
+
+@pytest.mark.parametrize("name", [name for name in CORNER_DIGESTS if name.startswith("rebased")])
+def test_rebased_tables_have_no_grading_and_keep_their_corners(name):
+    # b_0 + (multiples of later b_j) lies in no single e_v A e_w
+    make, labels, digest = CORNER_DIGESTS[name]
+    table = make()
+    assert qa._vertex_grading(table) is None
+    assert _corner_digest(table, labels) == digest
+    assert hml.projective_injective_vertices(table) == {table.vertex_labels().index(x) for x in labels}
 
 
 # -- table integrity ----------------------------------------------------------
@@ -478,6 +491,37 @@ def test_verify_catches_broken_associativity():
     with pytest.raises(qa.CompileError):
         qa.make_table(table.field, table.basis_names, mult, table.unit,
                       list(table.idempotents), list(table.radical))
+
+
+@pytest.mark.parametrize("i, j, cell", [
+    (2, 3, ((2, 1), (4, 1))),  # a0 * a1 = a0*a1 + a0: a term of degree (v0, v1) in e_0 A e_0
+    (2, 2, ((2, 1),)),  # a0 * a0 = a0: a nonzero product across v1 != v0
+], ids=["term-across", "product-across"])
+def test_a_cell_across_vertices_voids_the_grading_and_fails_verification(i, j, cell):
+    table = _cyclic_bridge((3, 3), F3)  # v0, v1, a0, a1, a0*a1, a1*a0
+    assert qa._vertex_grading(table) is not None
+    mult = [list(row) for row in table.mult]
+    mult[i][j] = cell
+    broken = dataclasses.replace(table, mult=tuple(map(tuple, mult)))
+    assert qa._vertex_grading(broken) is None
+    want = _first_nonassociative_triple(broken)
+    with pytest.raises(qa.CompileError, match=re.escape("triple ({},{},{})".format(*want))):
+        qa.verify_table(broken)
+
+
+def test_a_broken_triple_inside_one_block_fails_verification():
+    table = _cyclic_bridge((3, 3, 3, 4), F3)
+    names = table.basis_names
+    a0, a1, a0a1 = (names.index(x) for x in ("a0", "a1", "a0*a1"))
+    mult = [list(row) for row in table.mult]
+    assert mult[a0][a1] == ((a0a1, 1),)
+    mult[a0][a1] = ((a0a1, 2),)  # (a0 a1) a2 = 2 a0*a1*a2, but a0 (a1 a2) = a0*a1*a2
+    broken = dataclasses.replace(table, mult=tuple(map(tuple, mult)))
+    assert qa._vertex_grading(broken) == qa._vertex_grading(table)
+    want = _first_nonassociative_triple(broken)
+    assert want is not None
+    with pytest.raises(qa.CompileError, match=re.escape("triple ({},{},{})".format(*want))):
+        qa.verify_table(broken)
 
 
 def _first_nonassociative_triple(table):
