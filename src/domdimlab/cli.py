@@ -226,7 +226,7 @@ def info(cycle, line, kupisch, report, fmt):
         "kupisch": list(A.kupisch),
         "simples": A.n,
         "dimension": sum(A.kupisch),
-        "indecomposables": len(nak.indecomposables(A)),
+        "indecomposables": sum(A.kupisch),  # c_i modules M(i, k) at each vertex i
         "selfinjective": nak.is_selfinjective(A),
         "symmetric": nak.is_symmetric(A),
         "injective_dimensions": [nak.injective_dim_at(A, a) for a in range(A.n)],

@@ -19,15 +19,16 @@ too.  Modules are cut out of the regular module: the projectives e_vA
 are its submodules (read off ``mult`` where the table has a certified
 vertex grading, ``quivalg._vertex_grading``), and the powers J^k and
 the uniserial bridges P_v / P_v J^k are read from one radical
-filtration M > MJ > MJ^2 > ... per module.  Derived data (projectives, action rows, radical layers,
-weight spaces, resolutions) is computed once per object and arguments
-by ``quivalg._memo``.  All functors here are computed through minimal
-projective resolutions built from explicit projective covers.  A
-resolution keeps each syzygy as rows of the projective term that
-contains it and covers it there, so no syzygy is built as a module of
-its own.  The projective-injective vertices are read from the socle of
-A_A, and the dominant dimension dualises a resolution of D(A_A) over
-the opposite algebra.
+filtration M > MJ > MJ^2 > ... per module.  Derived data (projectives,
+projective sums per vertex tuple, action rows, radical layers, weight
+spaces, covers per submodule, resolutions, Ext differential ranks per
+target) is computed once per object and arguments by ``quivalg._memo``.
+All functors here are computed through minimal projective resolutions
+built from explicit projective covers.  A resolution keeps each syzygy
+as rows of the projective term that contains it and covers it there, so
+no syzygy is built as a module of its own.  The projective-injective
+vertices are read from the socle of A_A, and the dominant dimension
+dualises a resolution of D(A_A) over the opposite algebra.
 
 Every potentially infinite search (dominant dimension, first
 non-vanishing self-extension, their suprema) takes a cutoff and returns
@@ -341,16 +342,18 @@ def dual_representation(M: Representation, target: AlgebraTable) -> Representati
 # projective covers and minimal resolutions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Cover:
-    vertices: list[int]
+    """A projective cover, shared by every caller that asks for it
+    (``projective_cover``), so every field is a tuple."""
+    vertices: tuple[int, ...]
     P: Representation
-    offsets: list[int]  # of the summand e_vA of each vertex in P
+    offsets: tuple[int, ...]  # of the summand e_vA of each vertex in P
     # in the field's row format (``exactmath.row_format``): the cover map,
     # dim P rows over the dim M columns, and its kernel (``left_kernel_rows``)
-    rows: list
-    gen_rows: list[tuple[int, object]]  # (vertex, image row in M) per summand
-    kernel: list
+    rows: tuple
+    gen_rows: tuple[tuple[int, object], ...]  # (vertex, image row in M) per summand
+    kernel: tuple
 
 
 def _reduced_basis(fmt, rows) -> tuple[list, list[int]]:
@@ -392,9 +395,12 @@ def _shifted_actions(table: AlgebraTable, vertex: int, offset: int) -> list:
     return [[fmt.shift(r, offset) for r in m] for m in _actions(_projective_data(table, vertex)[0])]
 
 
-def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Representation, list[int]]:
-    """P = (+) P_v and the offsets of its summands.  Its ``_actions`` join
-    the ``_shifted_actions`` of its summands; a resolution never reads its
+@_memo
+def _projective_sum(table: AlgebraTable, vertices: tuple[int, ...]) -> tuple[Representation, tuple[int, ...]]:
+    """P = (+) P_v and the offsets of its summands, one P per vertex tuple,
+    so the covers of its submodules (``projective_cover``) are kept on it
+    for every resolution that reaches it.  Its ``_actions`` join the
+    ``_shifted_actions`` of its summands; a resolution never reads its
     rows (``rows``)."""
     offsets, moved = [0], []
     for v in vertices:
@@ -402,13 +408,20 @@ def _projective_sum(table: AlgebraTable, vertices: list[int]) -> tuple[Represent
         offsets.append(offsets[-1] + _projective_data(table, v)[0].dim)
     P = Representation(table, offsets[-1], None, "(+)".join(f"P{v}" for v in vertices))
     _actions.put(P, [list(chain.from_iterable(a)) for a in zip(*moved)])
-    return P, offsets[:-1]
+    return P, tuple(offsets[:-1])
 
 
 def projective_cover(M: Representation, rows=None) -> Cover:
     """Minimal projective cover of the submodule U of M spanned by ``rows``
     (default: all of M), which must be nonzero, given in the field's row
     format (``exactmath.row_format``), as ``Cover.kernel`` holds them.
+    One cover is kept per M and row tuple (``_cover``)."""
+    return _cover(M, None if rows is None else tuple(rows))
+
+
+@_memo
+def _cover(M: Representation, rows: Optional[tuple]) -> Cover:
+    """``projective_cover`` of the rows, None for all of M.
 
     Everything is computed in the coordinates of M, and U is never built
     as a module of its own.  U*J is spanned by the images of the rows
@@ -456,7 +469,7 @@ def projective_cover(M: Representation, rows=None) -> Cover:
                 if len(gens) < need and span.add(c):
                     gens.append((vi, m))
     assert len(gens) == need, "top generators do not split by idempotents"
-    vertices = [vi for vi, _ in gens]
+    vertices = tuple([vi for vi, _ in gens])
     P, offsets = _projective_sum(A, vertices)
     matrix = []
     for vi, m in gens:
@@ -479,7 +492,7 @@ def projective_cover(M: Representation, rows=None) -> Cover:
         cols = [fmt.pack(tuple(r)) for r in reads]
         if any(fmt.times(row, cols) for row in kernel):
             raise AssertionError("cover is not minimal: kernel escapes the radical")
-    return Cover(vertices, P, offsets, matrix, gens, kernel)
+    return Cover(vertices, P, offsets, tuple(matrix), tuple(gens), tuple(kernel))
 
 
 @_memo
@@ -511,32 +524,37 @@ def is_projective_rep(M: Representation) -> bool:
 class MinimalResolution:
     """Minimal projective resolution, extended on demand.
 
-    ``levels[s]`` is the vertex list of the s-th projective term.
+    ``levels[s]`` is the vertex tuple of the s-th projective term.
     ``maps[s]`` (s >= 1) is the connecting map P_s -> P_{s-1} written as
     an element matrix: entry [c][c'] is the algebra element carrying the
     c'-th generator of P_s into the c-th summand of P_{s-1}, a row in the
     field's row format (``exactmath.row_format``): an int over F_2, bit u
-    for b_u, and (k, c) pairs otherwise.
+    for b_u, and (k, c) pairs otherwise.  Levels and maps are tuples, so
+    the rank of Hom(maps[s], N) is kept per N and (maps[s], levels[s-1],
+    levels[s]) (``_differential_rank``).
     ``kernel_dims[s]`` is dim of the (s+1)-st syzygy.
 
     Each syzygy is kept as the kernel rows inside the projective term it
     lies in, and covered there (``projective_cover`` with rows), so no
     syzygy is built as a module of its own, and its rows go from one cover
     to the next as they are.  The generators of P_s are then rows of
-    P_{s-1}, and ``maps[s]`` is read from their summands.
+    P_{s-1}, and ``maps[s]`` is read from their summands.  The covers are
+    kept per ambient module and rows, and the projective terms per vertex
+    tuple (``_projective_sum``), so two resolutions whose syzygies meet
+    share every cover from there on.
     """
 
     def __init__(self, M: Representation):
         require_not_semisimple(M.algebra)
         self.M = M
-        self.levels: list[list[int]] = []
-        self.maps: list[Optional[list[list]]] = [None]
+        self.levels: list[tuple[int, ...]] = []
+        self.maps: list[Optional[tuple[tuple, ...]]] = [None]
         self.kernel_dims: list[int] = []
         # the next syzygy: rows (None for all of it) of its ambient module,
         # M and then the last projective term; None once a kernel is zero
         self._ambient: Optional[Representation] = M if M.dim else None
-        self._rows: Optional[list] = None
-        self._prev: Optional[tuple[list, list]] = None  # (vertices, offsets) of the last cover
+        self._rows: Optional[tuple] = None
+        self._prev: Optional[tuple[tuple, tuple]] = None  # (vertices, offsets) of the last cover
         self.finished = False
 
     def extend_to(self, length: int) -> "MinimalResolution":
@@ -550,14 +568,14 @@ class MinimalResolution:
             return
         cov = projective_cover(self._ambient, self._rows)
         ker = cov.kernel
-        self.levels.append(list(cov.vertices))
+        self.levels.append(cov.vertices)
         if self._prev is not None:
             self.maps.append(self._element_matrix(cov.gen_rows))
         self._prev = (cov.vertices, cov.offsets)
         self.kernel_dims.append(len(ker))
         self._ambient, self._rows = (cov.P, ker) if ker else (None, None)
 
-    def _element_matrix(self, gens) -> list[list]:
+    def _element_matrix(self, gens) -> tuple[tuple, ...]:
         """Entry [c][gi]: the summand c of the generator gi, a row of the
         previous projective term (``Cover.gen_rows``), as an element of
         e_vA: its entries in the window of that summand times the basis
@@ -567,8 +585,8 @@ class MinimalResolution:
         out = []
         for v, off in zip(*self._prev):
             brows = _projective_data(A, v)[2]
-            out.append([fmt.times(fmt.window(m, off, len(brows)), brows) for _, m in gens])
-        return out
+            out.append(tuple([fmt.times(fmt.window(m, off, len(brows)), brows) for _, m in gens]))
+        return tuple(out)
 
 
 @_memo
@@ -624,7 +642,8 @@ def _weights(N: Representation) -> list[tuple[list, list, object]]:
     return weights
 
 
-def _differential_rank(N: Representation, emat, src: list[int], tgt: list[int]) -> int:
+@_memo
+def _differential_rank(N: Representation, emat: tuple, src: tuple, tgt: tuple) -> int:
     """Rank of Hom(P_{s-1}, N) -> Hom(P_s, N), the right multiplication by
     the element matrix ``emat`` (``MinimalResolution.maps``) of P_s ->
     P_{s-1}, whose summands sit at the vertices ``src`` and ``tgt``.  A
@@ -632,7 +651,9 @@ def _differential_rank(N: Representation, emat, src: list[int], tgt: list[int]) 
     basis row r under an entry a, r @ act(a), is checked against the
     target weight basis (``_weights``), and its coordinates
     there are joined, those of target summand c2 at offset c2 * dim N,
-    into one row of a span.  Every row is in the field's row format."""
+    into one row of a span.  Every row is in the field's row format.  The
+    rank is kept per N and (emat, src, tgt), so the resolutions that share
+    a differential (``MinimalResolution``) rank it once per target."""
     weights = _weights(N)
     fmt, dn = row_format(N.algebra.field), N.dim
     targets = [(c2, c2 * dn, weights[w][2]) for c2, w in enumerate(tgt) if weights[w][0]]

@@ -160,11 +160,22 @@ def syzygy(A: NakAlgebra, M: NakModule) -> Optional[NakModule]:
     """Kernel of the projective cover, or None when ``M`` is projective.
 
     The cover of ``M(i,k)`` is ``P_i``; its kernel is generated by the
-    path of length ``k`` out of ``i``, giving ``M(i+k, c_i - k)``.
+    path of length ``k`` out of ``i``, giving ``M(i+k, c_i - k)``, read
+    off ``A.kupisch`` with the range checks of :func:`module`.
     """
-    if is_projective(A, M):
+    c, i, k = A.kupisch, M.vertex, M.length
+    n = len(c)
+    ci = c[i % n] if A.is_cycle else c[i]
+    if k == ci:
         return None
-    return module(A, M.vertex + M.length, A.c(M.vertex) - M.length)
+    v = i + k
+    if A.is_cycle:
+        v %= n
+    elif v >= n:
+        raise NakInputError(f"vertex {v} outside the line quiver 0..{n - 1}")
+    if not 1 <= ci - k <= c[v]:
+        raise NakInputError(f"length {ci - k} outside 1..c_{v}={c[v]}")
+    return NakModule(v, ci - k)
 
 
 def syzygy_power(A: NakAlgebra, M: Optional[NakModule], t: int) -> Optional[NakModule]:
@@ -259,8 +270,11 @@ def dim_ext(A: NakAlgebra, t: int, M: NakModule, N: NakModule) -> int:
 def syzygy_chain(A: NakAlgebra, M: NakModule, t: int) -> list[NakModule]:
     """Omega^0 M, Omega^1 M, ... up to Omega^t M or the first projective."""
     chain: list[NakModule] = [M]
-    while len(chain) <= t and not is_projective(A, chain[-1]):
-        chain.append(syzygy(A, chain[-1]))  # type: ignore[arg-type]
+    while len(chain) <= t:
+        om = syzygy(A, chain[-1])
+        if om is None:
+            break
+        chain.append(om)
     return chain
 
 

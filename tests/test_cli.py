@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -57,6 +58,19 @@ def test_info_line(runner):
     item = doc["items"][0]
     assert item["selfinjective"] is False
     assert item["dimension"] == 3
+
+
+def test_info_counts_indecomposables_without_listing_them(runner):
+    # sum(c) modules M(i, k), counted off the Kupisch series: a series of
+    # 10^12 allocates none of them, and small series count the list
+    started = time.perf_counter()
+    doc = run_json(runner, ["nakayama", "info", "--cycle", "--kupisch", str(10**12)])
+    assert time.perf_counter() - started < 1
+    assert doc["items"][0]["indecomposables"] == 10**12
+    for orientation, kup in [(nak.CYCLE, (2, 2)), (nak.CYCLE, (3, 4, 4)), (nak.LINE, (3, 2, 1))]:
+        doc = run_json(runner, ["nakayama", "info", f"--{orientation}", "--kupisch", ",".join(map(str, kup))])
+        A = nak.validate(orientation, kup)
+        assert doc["items"][0]["indecomposables"] == len(nak.indecomposables(A))
 
 
 def test_usage_error_exit_2(runner):

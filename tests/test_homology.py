@@ -81,7 +81,8 @@ def test_memoised_builders_run_once_per_object_and_arguments(monkeypatch):
     dihedral = qa.preset("dihedral8-f2")  # no compiled arrows: its radical top is built
     builders = [qa._radical_top, hml._projective_data, hml._actions, hml._shifted_actions,
                 hml._top_forms, hml._radical_layer, hml._weights, hml._resolution,
-                hml._pair_cover, hml._op_table, hml.projective_injective_vertices, hml._regular_rows]
+                hml._pair_cover, hml._op_table, hml.projective_injective_vertices, hml._regular_rows,
+                hml._cover, hml._projective_sum, hml._differential_rank]
     calls = []
     for b in builders:
         monkeypatch.setattr(b, "__wrapped__",
@@ -132,14 +133,14 @@ def test_projective_cover_of_radical_hopf(hopf):
     R = hml.regular(hopf)
     J, _ = hml.submodule(R, hml.radical_rows(R))
     cov = hml.projective_cover(J)
-    assert cov.vertices == [0, 0]  # A^2: the top of J is two-dimensional
+    assert cov.vertices == (0, 0)  # A^2: the top of J is two-dimensional
     assert cov.P.dim == 16
 
 
 def test_projective_cover_of_simple(bridged33):
     S = hml.simple(bridged33, 1)
     cov = hml.projective_cover(S)
-    assert cov.vertices == [1]
+    assert cov.vertices == (1,)
 
 
 def test_cover_of_projective_is_isomorphism(bridged33):
@@ -370,7 +371,7 @@ def test_packed_differential_rank_matches_dense_images(name, bridged33):
     for s in range(1, 7):
         assert all(isinstance(a, int) for row in res.maps[s] for a in row)
         maps.append([[fmt.unpack(a) for a in row] for row in res.maps[s]])
-        assert [[fmt.pack(a) for a in row] for row in maps[s]] == res.maps[s]
+        assert tuple(tuple(fmt.pack(a) for a in row) for row in maps[s]) == res.maps[s]
     R = hml.regular(table)
     targets = [R, hml.radical_power(table, 1).rep, hml.quotient(R, hml._radical_layer(R, 2)[0])]
     for N in targets:
@@ -399,9 +400,9 @@ def test_differential_image_outside_its_weight_space_is_an_internal_error(fld):
     table = cycle33(fld)
     S = hml.simple(table, 0)
     res = hml._resolution(S).extend_to(3)
-    assert res.levels[:2] == [[0], [1]]
+    assert res.levels[:2] == [(0,), (1,)]
     e0 = table.idempotents[0][1]
-    res.maps[1][0][0] = row_format(fld).pack(e0)
+    res.maps[1] = ((row_format(fld).pack(e0),),)
     with pytest.raises(AssertionError, match="differential image left its weight space"):
         hml.ext_dims(S, hml.regular(table), 1)
 
@@ -649,7 +650,7 @@ def test_resolution_terms_hopf(hopf):
     S = hml.simple(hopf, 0)
     assert hml.syzygy_dims(S, 3) == [7, 9, 7]
     # P_0 = A (dim 8) covers S, A^2 (dim 16) covers its syzygy
-    assert hml._resolution(S).extend_to(3).levels[:2] == [[0], [0, 0]]
+    assert hml._resolution(S).extend_to(3).levels[:2] == [(0,), (0, 0)]
 
 
 def test_semisimple_rejected():
@@ -864,7 +865,7 @@ def test_isomorphism_decided_by_end_locality(fld):
     # decomposable module could have an isomorphism that only a combination
     # of basis maps reaches
     R = hml.regular(table)
-    P00, _ = hml._projective_sum(table, [0, 0])
+    P00, _ = hml._projective_sum(table, (0, 0))
     with pytest.raises(hml.PreconditionError, match=r"End\(regular\)"):
         hml.modules_isomorphic(R, P00)
 
@@ -1080,7 +1081,7 @@ def sparse_builders(fld):
         "simple": hml.simple(table, 1),
         "submodule": hml.submodule(R, hml.radical_rows(R))[0],
         "quotient": hml.quotient(R, hml.radical_rows(R)),
-        "projective-sum": hml._projective_sum(table, [0, 1, 0])[0],
+        "projective-sum": hml._projective_sum(table, (0, 1, 0))[0],
         "bridged": hml.bridged_module(table, 1, 2),
         "dual": hml.dual_representation(P0, hml._op_table(table)),
         "syzygy": hml.syzygy(hml.bridged_module(table, 0, 2)),
@@ -1242,6 +1243,84 @@ def test_cover_of_rows_that_are_not_action_stable_raises(hopf, bridged33):
             hml.projective_cover(R, [row_format(table.field).pack(row)])
 
 
+def test_rows_that_are_not_action_stable_raise_on_every_call_and_store_nothing(monkeypatch):
+    # span{a0*a1 + a1*a0} over the cycle (3, 3) (see above): the cover
+    # builder runs on each call and raises each time, and no cover is kept
+    table = cycle33(QQ)
+    R = hml.regular(table)
+    row = tuple((k, 1) for k, n in enumerate(table.basis_names) if n in ("a0*a1", "a1*a0"))
+    calls = []
+    build = hml._cover.__wrapped__
+    monkeypatch.setattr(hml._cover, "__wrapped__", lambda M, rows: calls.append(rows) or build(M, rows))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not action-stable"):
+            hml.projective_cover(R, [row])
+    assert calls == [(row,)] * 2
+    assert not any(key[0] is hml._cover for key in R._cache)
+    assert hml.projective_cover(R).P is hml.projective_cover(R, None).P  # the whole of R is kept
+
+
+@pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_resolutions_that_meet_share_every_later_cover(fld, monkeypatch):
+    # over the cycle (3, 3), Omega^2 M(0,1) = Omega M(1,2) = P_1 J^2 inside
+    # P_1: the kernel basis is unique, so from there on both resolutions
+    # reach the same covers, each built once, on the same projective terms
+    table = cycle33(fld)
+    calls = []
+    build = hml._cover.__wrapped__
+    monkeypatch.setattr(hml._cover, "__wrapped__", lambda M, rows: calls.append((M, rows)) or build(M, rows))
+    M, N = hml.bridged_module(table, 0, 1), hml.bridged_module(table, 1, 2)
+    long = [cov for _, cov in _covers(M, 9)]
+    built = len(calls)
+    short = [cov for _, cov in _covers(N, 8)]
+    assert calls[built:] == [(N, None)]  # only the cover of N itself is new
+    assert len(calls) == len(set(calls))
+    assert all(a is b for a, b in zip(long[2:], short[1:]))
+    assert all(a.P is b.P for a, b in zip(long[1:], short))
+    # the periodic resolution of M comes back to the cover of Omega M
+    assert built < len(long) and long[5] is long[1]
+    assert hml._resolution(M).extend_to(9).maps[3:] == hml._resolution(N).extend_to(8).maps[2:]
+
+
+def test_ext_over_all_pairs_ranks_each_differential_once_per_target(monkeypatch):
+    # Hom and Ext^1..4 of every pair of a bridge: the rank builder runs
+    # once per target and distinct (element matrix, source, target levels)
+    A = nak.validate(nak.CYCLE, (2, 3, 3))
+    table = qa.nakayama_to_table(A, F3)
+    mods = [hml.bridged_module(table, M.vertex, M.length) for M in nak.indecomposables(A)]
+    calls = []
+    build = hml._differential_rank.__wrapped__
+    monkeypatch.setattr(hml._differential_rank, "__wrapped__",
+                        lambda N, *key: calls.append((N, *key)) or build(N, *key))
+    for M in mods:
+        for N in mods:
+            hml.ext_dims(M, N, 4, include_hom=True)
+    keys = set()
+    for M in mods:
+        res = hml._resolution(M)
+        keys |= {(res.maps[s], res.levels[s - 1], res.levels[s]) for s in range(1, min(6, len(res.levels)))}
+    assert len(calls) == len(set(calls)) == len(mods) * len(keys)
+    assert len(keys) < sum(min(5, len(hml._resolution(M).levels) - 1) for M in mods)
+
+
+@pytest.mark.parametrize("fld", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+@pytest.mark.parametrize("orientation, kup", [(nak.CYCLE, (2, 3)), (nak.CYCLE, (3, 3, 4)), (nak.LINE, (3, 2, 1))])
+def test_shared_covers_and_ranks_change_no_answer(fld, orientation, kup):
+    # Hom and Ext^1..4 of every pair on one table, where the resolutions
+    # share covers and ranks, equal those of the pair on a fresh table
+    A = nak.validate(orientation, kup)
+    mods = nak.indecomposables(A)
+    table = qa.nakayama_to_table(A, fld)
+    shared = {M: hml.bridged_module(table, M.vertex, M.length) for M in mods}
+    for M in mods:
+        for N in mods:
+            got = hml.ext_dims(shared[M], shared[N], 4, include_hom=True)
+            fresh = qa.nakayama_to_table(A, fld)
+            want = hml.ext_dims(hml.bridged_module(fresh, M.vertex, M.length),
+                                hml.bridged_module(fresh, N.vertex, N.length), 4, include_hom=True)
+            assert (got.hom, got.degrees) == (want.hom, want.degrees), (M, N)
+
+
 def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
     # the radical of the regular module, as rows and as a module of its own
     fmt = row_format(hopf.field)
@@ -1250,7 +1329,7 @@ def test_cover_of_rows_agrees_with_cover_of_the_submodule(hopf):
     packed = [fmt.pack(r) for r in rows]
     inside = hml.projective_cover(R, packed)
     alone = hml.projective_cover(hml.submodule(R, rows)[0])
-    assert inside.vertices == alone.vertices == [0, 0]
+    assert inside.vertices == alone.vertices == (0, 0)
     assert inside.P.dim == alone.P.dim == 16
     # the cover map is written in the coordinates of R, onto the rows
     image, target = SpanBuilder(hopf.field), SpanBuilder(hopf.field)

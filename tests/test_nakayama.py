@@ -91,6 +91,30 @@ def test_syzygy_of_projective_is_none():
         assert nak.syzygy(A, nak.projective(A, i)) is None
 
 
+def test_syzygy_reads_the_kupisch_series(monkeypatch):
+    # Omega M(i,k) = M(i+k, c_i - k), as module() builds it, with its range
+    # checks; syzygy_chain calls syzygy once per step and nothing else
+    for A in (nak.validate(C, (3, 4, 4)), nak.validate(C, (2, 3)), nak.validate(L, (3, 2, 2, 1))):
+        for M in nak.indecomposables(A):
+            want = None if nak.is_projective(A, M) else nak.module(
+                A, M.vertex + M.length, A.c(M.vertex) - M.length)
+            assert nak.syzygy(A, M) == want
+    with pytest.raises(nak.NakInputError, match="length -2 outside"):
+        nak.syzygy(nak.validate(C, (3, 3)), nak.NakModule(0, 5))
+    with pytest.raises(nak.NakInputError, match="outside the line quiver"):
+        nak.syzygy(nak.validate(L, (3, 2, 1)), nak.NakModule(1, 3))
+    real, calls = nak.syzygy, []
+    for name in ("is_projective", "module"):
+        monkeypatch.setattr(nak, name, None)
+    monkeypatch.setattr(nak, "syzygy", lambda A, M: calls.append(M) or real(A, M))
+    chain = nak.syzygy_chain(nak.validate(C, (3, 3)), nak.NakModule(0, 1), 6)  # periodic
+    assert len(chain) == 7 and calls == chain[:-1]
+    calls.clear()
+    chain = nak.syzygy_chain(nak.validate(C, (3, 4, 4)), nak.NakModule(0, 1), 6)
+    assert chain == [nak.NakModule(*m) for m in ((0, 1), (1, 2), (0, 2), (2, 1), (0, 3))]
+    assert calls == chain  # the last call finds the projective P_0
+
+
 def test_omega4_of_dual_regular_family_n5():
     # the summands used by the 2-rigid module: only the non-projective
     # injective survives four syzygy steps
