@@ -32,8 +32,8 @@ def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _emit(command: str, inputs, items, failures, report_path=None, fmt="json",
-          started=None):
+def _emit(command: str, inputs, items, report_path, fmt, started):
+    failures = [it["name"] for it in items if not it["pass"]]
     doc = {
         "tool": "domdimlab",
         "version": __version__,
@@ -43,19 +43,17 @@ def _emit(command: str, inputs, items, failures, report_path=None, fmt="json",
         "failures": failures,
     }
     if fmt == "csv":
-        lines = ["name,pass"]
-        for it in items:
-            lines.append(f"{it.get('name', '')},{str(it.get('pass', '')).lower()}")
-        text = "\n".join(lines) + "\n"
+        text = "name,pass\n" + "".join(f"{it['name']},{str(it['pass']).lower()}\n" for it in items)
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    click.echo(text, nl=False)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if started is not None:
-        click.echo(f"[{command}] wall time {time.perf_counter() - started:.2f}s",
-                   err=True)
+        try:
+            with open(report_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write the report: {exc}")
+    click.echo(text, nl=False)
+    click.echo(f"[{command}] wall time {time.perf_counter() - started:.2f}s", err=True)
     if failures:
         sys.exit(1)
 
@@ -73,31 +71,27 @@ def _algebra_from_flags(cycle: bool, line: bool, kupisch: str) -> nak.NakAlgebra
 
 def _parse_nak_modules(A: nak.NakAlgebra, spec: str) -> list[nak.NakModule]:
     """Module spec grammar: simple[:v] | projective:v | dual-regular |
-    omega:T:SPEC | i,k"""
+    omega:T:SPEC | i,k.  Omega^S Omega^T is Omega^(S+T), so nested omega
+    prefixes are added up in one loop, however deep they go."""
+    t = 0
     try:
-        if spec == "dual-regular":
-            return list(nak.dual_regular(A))
-        if spec.startswith("omega:"):
+        while spec.startswith("omega:"):
             _, t_str, inner = spec.split(":", 2)
-            t = int(t_str)
-            if t < 0:
+            if int(t_str) < 0:
                 raise ValueError("syzygy degree must be >= 0")
-            out = []
-            for M in _parse_nak_modules(A, inner):
-                om = nak.syzygy_power(A, M, t)
-                if om is not None:
-                    out.append(om)
-            return out
-        if spec == "simple" or spec.startswith("simple:"):
-            v = int(spec.split(":", 1)[1]) if ":" in spec else 0
-            return [nak.simple(A, v)]
-        if spec.startswith("projective:"):
-            v = int(spec.split(":", 1)[1])
-            return [nak.projective(A, v)]
-        i_str, k_str = spec.split(",")
-        return [nak.module(A, int(i_str), int(k_str))]
+            t, spec = t + int(t_str), inner
+        if spec == "dual-regular":
+            modules = nak.dual_regular(A)
+        elif spec == "simple" or spec.startswith("simple:"):
+            modules = [nak.simple(A, int(spec.split(":", 1)[1]) if ":" in spec else 0)]
+        elif spec.startswith("projective:"):
+            modules = [nak.projective(A, int(spec.split(":", 1)[1]))]
+        else:
+            i_str, k_str = spec.split(",")
+            modules = [nak.module(A, int(i_str), int(k_str))]
     except (ValueError, nak.NakInputError) as exc:
         raise click.UsageError(f"bad module spec {spec!r}: {exc}")
+    return [om for M in modules if (om := nak.syzygy_power(A, M, t)) is not None]
 
 
 def _load_table(preset: str | None, algebra: str | None) -> qa.AlgebraTable:
@@ -127,18 +121,6 @@ def _parse_table_module(table: qa.AlgebraTable, spec: str) -> hml.Representation
     except ValueError as exc:
         raise click.UsageError(f"bad module spec {spec!r}: {exc}")
     raise click.UsageError(f"bad module spec {spec!r} (want simple[:v] or projective:v)")
-
-
-_shared = [
-    click.option("--report", type=click.Path(), default=None, help="also write the JSON report here"),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),
-]
-
-
-def shared_options(fn):
-    for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
 
 
 _cutoff_option = click.option(
@@ -171,18 +153,31 @@ _INPUT_ERRORS = (
 
 
 class _Command(click.Command):
-    """Maps input errors and unmet preconditions to exit 2 and failed
-    internal re-checks (``AssertionError``) to exit 4, so that exit 1 means
-    falsification only."""
+    """The one runner of every command.  It adds ``--report`` and
+    ``--format`` after the command's own options, times the callback,
+    which returns ``(report name, inputs, items)``, and emits the report;
+    an item whose ``"pass"`` is false is a failure and exits 1.  Input
+    errors and unmet preconditions exit 2 and failed internal re-checks
+    (``AssertionError``) exit 4, so that exit 1 means falsification only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params += [
+            click.Option(["--report"], type=click.Path(), help="also write the JSON report here"),
+            click.Option(["--format", "fmt"], type=click.Choice(["json", "csv"]), default="json"),
+        ]
 
     def invoke(self, ctx):
+        report, fmt = ctx.params.pop("report"), ctx.params.pop("fmt")
+        started = time.perf_counter()
         try:
-            return super().invoke(ctx)
+            command, inputs, items = super().invoke(ctx)
         except _INPUT_ERRORS as exc:
             raise click.UsageError(str(exc), ctx)
         except AssertionError as exc:
             click.echo(f"internal error: {str(exc) or 'assertion failed'}", err=True)
             sys.exit(4)
+        _emit(command, inputs, items, report, fmt, started)
 
 
 class _Group(click.Group):
@@ -214,10 +209,8 @@ def _nak_flags(fn):
 
 @nakayama.command()
 @_nak_flags
-@shared_options
-def info(cycle, line, kupisch, report, fmt):
+def info(cycle, line, kupisch):
     """Basic invariants of the algebra."""
-    started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
     item = {
         "name": "info",
@@ -231,17 +224,15 @@ def info(cycle, line, kupisch, report, fmt):
         "symmetric": nak.is_symmetric(A),
         "injective_dimensions": [nak.injective_dim_at(A, a) for a in range(A.n)],
     }
-    _emit("nakayama info", item, [item], [], report, fmt, started)
+    return "nakayama info", item, [item]
 
 
 @nakayama.command()
 @_nak_flags
 @_ext_modules_option
 @_degree_option
-@shared_options
-def ext(cycle, line, kupisch, modules, degree, report, fmt):
+def ext(cycle, line, kupisch, modules, degree):
     """Ext dimensions between (sums of) indecomposables."""
-    started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
     sources = _parse_nak_modules(A, modules[0])
     targets = _parse_nak_modules(A, modules[-1])
@@ -249,34 +240,28 @@ def ext(cycle, line, kupisch, modules, degree, report, fmt):
     for t in range(1, degree + 1):
         total = sum(nak.dim_ext(A, t, M, N) for M in sources for N in targets)
         items.append({"name": f"ext^{t}", "pass": True, "degree": t, "dim": total})
-    _emit("nakayama ext",
-          {"algebra": A.to_json(), "modules": list(modules), "degree": degree},
-          items, [], report, fmt, started)
+    return ("nakayama ext",
+            {"algebra": A.to_json(), "modules": list(modules), "degree": degree}, items)
 
 
 @nakayama.command()
 @_nak_flags
 @_cutoff_option
-@shared_options
-def domdim(cycle, line, kupisch, cutoff, report, fmt):
+def domdim(cycle, line, kupisch, cutoff):
     """Dominant dimension (bounded search)."""
-    started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
     value = nak.domdim(A, cutoff)
     item = {"name": "domdim", "pass": True, "cutoff": cutoff,
             "domdim": value.to_json()}
-    _emit("nakayama domdim", {"algebra": A.to_json(), "cutoff": cutoff},
-          [item], [], report, fmt, started)
+    return "nakayama domdim", {"algebra": A.to_json(), "cutoff": cutoff}, [item]
 
 
 @nakayama.command()
 @_nak_flags
 @click.option("--k", "kdeg", type=int, required=True)
 @click.option("--module", "modules", multiple=True, required=True)
-@shared_options
-def rigid(cycle, line, kupisch, kdeg, modules, report, fmt):
+def rigid(cycle, line, kupisch, kdeg, modules):
     """k-rigidity of a direct sum of indecomposables."""
-    started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
     summands: list[nak.NakModule] = []
     for spec in modules:
@@ -284,42 +269,34 @@ def rigid(cycle, line, kupisch, kdeg, modules, report, fmt):
     verdict = rg.is_k_rigid(A, summands, kdeg)
     item = {"name": "rigid", "pass": True, "k": kdeg, "rigid": verdict,
             "modules": [[m.vertex, m.length] for m in sorted(set(summands))]}
-    _emit("nakayama rigid",
-          {"algebra": A.to_json(), "k": kdeg, "modules": list(modules)},
-          [item], [], report, fmt, started)
+    return ("nakayama rigid",
+            {"algebra": A.to_json(), "k": kdeg, "modules": list(modules)}, [item])
 
 
 @nakayama.command()
 @_nak_flags
 @click.option("--k", "kdeg", type=int, required=True)
-@shared_options
-def ok(cycle, line, kupisch, kdeg, report, fmt):
+def ok(cycle, line, kupisch, kdeg):
     """Exact maximal size of a k-rigid module (clique search)."""
-    started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
     rep = rg.o_k(A, kdeg)
     item = {"name": f"o_{kdeg}", "pass": True}
     item.update(rep.to_json())
-    _emit("nakayama ok", {"algebra": A.to_json(), "k": kdeg},
-          [item], [], report, fmt, started)
+    return "nakayama ok", {"algebra": A.to_json(), "k": kdeg}, [item]
 
 
 @nakayama.command("verify-main")
 @_nak_flags
 @click.option("--k", "kdeg", type=int, required=True)
 @_cutoff_option
-@shared_options
-def verify_main(cycle, line, kupisch, kdeg, cutoff, report, fmt):
+def verify_main(cycle, line, kupisch, kdeg, cutoff):
     """Check the dominant-dimension inequality on one instance."""
-    started = time.perf_counter()
     A = _algebra_from_flags(cycle, line, kupisch)
     rep = rg.verify_main_inequality(A, kdeg, cutoff)
     item = {"name": "main-inequality", "pass": bool(rep.verdict)}
     item.update(rep.to_json())
-    failures = [] if rep.verdict else ["main-inequality"]
-    _emit("nakayama verify-main",
-          {"algebra": A.to_json(), "k": kdeg, "cutoff": cutoff},
-          [item], failures, report, fmt, started)
+    return ("nakayama verify-main",
+            {"algebra": A.to_json(), "k": kdeg, "cutoff": cutoff}, [item])
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +316,8 @@ def _table_flags(fn):
 
 @quiver.command("compile")
 @_table_flags
-@shared_options
-def compile_cmd(algebra, preset, report, fmt):
+def compile_cmd(algebra, preset):
     """Compile / load an algebra and print its headline data."""
-    started = time.perf_counter()
     table = _load_table(preset, algebra)
     item = {
         "name": "compile",
@@ -354,90 +329,74 @@ def compile_cmd(algebra, preset, report, fmt):
         "radical_dim": len(table.radical),
         "loewy_length": qa.loewy_length(table),
     }
-    _emit("quiver compile", {"preset": preset, "algebra": algebra},
-          [item], [], report, fmt, started)
+    return "quiver compile", {"preset": preset, "algebra": algebra}, [item]
 
 
 @quiver.command()
 @_table_flags
 @click.option("--module", "module_spec", default="simple")
 @click.option("--length", type=click.IntRange(min=1), default=4, show_default=True)
-@shared_options
-def resolve(algebra, preset, module_spec, length, report, fmt):
+def resolve(algebra, preset, module_spec, length):
     """Syzygy dimensions along the minimal projective resolution."""
-    started = time.perf_counter()
     table = _load_table(preset, algebra)
     M = _parse_table_module(table, module_spec)
     dims = hml.syzygy_dims(M, length)
     item = {"name": "resolve", "pass": True, "module": M.name,
             "module_dim": M.dim, "syzygy_dims": dims}
-    _emit("quiver resolve",
-          {"preset": preset, "algebra": algebra, "module": module_spec,
-           "length": length},
-          [item], [], report, fmt, started)
+    return ("quiver resolve",
+            {"preset": preset, "algebra": algebra, "module": module_spec, "length": length},
+            [item])
 
 
 @quiver.command("ext")
 @_table_flags
 @_ext_modules_option
 @_degree_option
-@shared_options
-def quiver_ext(algebra, preset, modules, degree, report, fmt):
+def quiver_ext(algebra, preset, modules, degree):
     """Ext dimensions between two modules."""
-    started = time.perf_counter()
     table = _load_table(preset, algebra)
     M = _parse_table_module(table, modules[0])
     N = _parse_table_module(table, modules[-1])
     ext = hml.ext_dims(M, N, degree, include_hom=True)
     item = {"name": "ext", "pass": True, "hom": ext.hom,
             "degrees": list(ext.degrees)}
-    _emit("quiver ext",
-          {"preset": preset, "algebra": algebra, "modules": list(modules),
-           "degree": degree},
-          [item], [], report, fmt, started)
+    return ("quiver ext",
+            {"preset": preset, "algebra": algebra, "modules": list(modules), "degree": degree},
+            [item])
 
 
 @quiver.command("domdim")
 @_table_flags
 @_cutoff_option
-@shared_options
-def quiver_domdim(algebra, preset, cutoff, report, fmt):
+def quiver_domdim(algebra, preset, cutoff):
     """Dominant dimension of a table algebra (bounded search)."""
-    started = time.perf_counter()
     table = _load_table(preset, algebra)
     value = hml.domdim(table, cutoff)
     item = {"name": "domdim", "pass": True, "cutoff": cutoff,
             "domdim": value.to_json()}
-    _emit("quiver domdim", {"preset": preset, "algebra": algebra, "cutoff": cutoff},
-          [item], [], report, fmt, started)
+    return "quiver domdim", {"preset": preset, "algebra": algebra, "cutoff": cutoff}, [item]
 
 
 @quiver.command()
 @_table_flags
 @click.option("--generators", "gen_exprs", multiple=True, required=True,
               help="ideal generators as relation-grammar expressions over basis names")
-@shared_options
-def ideal(algebra, preset, gen_exprs, report, fmt):
+def ideal(algebra, preset, gen_exprs):
     """Two-sided ideal rigidity report: Hom(X, A/X) and Ext^1(X, X)."""
-    started = time.perf_counter()
     table = _load_table(preset, algebra)
     X = hml.ideal_module(table, [table.element_from_expr(e) for e in gen_exprs])
     rep = hml.check_ideal_rigidity(table, X)
     item = {"name": "ideal-rigidity", "pass": rep.holds}
     item.update(rep.to_json())
-    failures = [] if rep.holds else ["ideal-rigidity"]
-    _emit("quiver ideal",
-          {"preset": preset, "algebra": algebra, "generators": list(gen_exprs)},
-          [item], failures, report, fmt, started)
+    return ("quiver ideal",
+            {"preset": preset, "algebra": algebra, "generators": list(gen_exprs)}, [item])
 
 
 @quiver.command()
 @_table_flags
 @_cutoff_option
-@shared_options
-def predicates(algebra, preset, cutoff, report, fmt):
+def predicates(algebra, preset, cutoff):
     """Structural predicates: local, selfinjective, symmetric, gendo-symmetric."""
-    started = time.perf_counter()
     table = _load_table(preset, algebra)
     item = {
         "name": "predicates",
@@ -447,9 +406,7 @@ def predicates(algebra, preset, cutoff, report, fmt):
         "symmetric": qa.is_symmetric(table),
         "gendo_symmetric": hml.is_gendo_symmetric(table, max(cutoff, 2)),
     }
-    _emit("quiver predicates",
-          {"preset": preset, "algebra": algebra, "cutoff": cutoff},
-          [item], [], report, fmt, started)
+    return "quiver predicates", {"preset": preset, "algebra": algebra, "cutoff": cutoff}, [item]
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +415,14 @@ def predicates(algebra, preset, cutoff, report, fmt):
 
 @main.command()
 @click.option("--suite", required=True)
-@shared_options
-def verify(suite, report, fmt):
+def verify(suite):
     """Run a batch verification suite; exit 0 iff every item passes."""
-    started = time.perf_counter()
     runner = SUITES.get(suite)
     if runner is None:
         raise click.UsageError(
             f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
-    items, failures = runner()
-    _emit(f"verify {suite}", {"suite": suite}, items, failures, report, fmt, started)
+    items, _ = runner()  # the failures are the items that do not pass
+    return f"verify {suite}", {"suite": suite}, items
 
 
 if __name__ == "__main__":

@@ -179,11 +179,34 @@ def syzygy(A: NakAlgebra, M: NakModule) -> Optional[NakModule]:
 
 
 def syzygy_power(A: NakAlgebra, M: Optional[NakModule], t: int) -> Optional[NakModule]:
-    for _ in range(t):
-        if M is None:
-            return None
-        M = syzygy(A, M)
-    return M
+    """Omega^t M, or None once a syzygy is 0; past the first repeated
+    module t is read modulo the period (:func:`syzygy_orbit`)."""
+    if M is None:
+        return None
+    orbit = syzygy_orbit(A, M, t)
+    if len(orbit) > t:
+        return orbit[t]
+    i = orbit.index(orbit[-1])
+    if i == len(orbit) - 1:  # the orbit ends at a projective
+        return None
+    return orbit[i + (t - i) % (len(orbit) - 1 - i)]
+
+
+def syzygy_orbit(A: NakAlgebra, M: NakModule, t: int) -> list[NakModule]:
+    """Omega^0 M, Omega^1 M, ... up to Omega^t M, the first projective or
+    the first module equal to an earlier one, whichever comes first.
+
+    Omega maps the sum(c) indecomposables to themselves, so the list is
+    at most sum(c) + 1 long for any t; past its end the syzygies are 0
+    (after a projective) or run through the period again.
+    """
+    orbit, seen = [M], {M}
+    while len(orbit) <= t and (om := syzygy(A, orbit[-1])) is not None:
+        orbit.append(om)
+        if om in seen:
+            break
+        seen.add(om)
+    return orbit
 
 
 def injective_dim_at(A: NakAlgebra, a: int) -> int:

@@ -67,12 +67,19 @@ def compat_graph(A: nak.NakAlgebra, k: int) -> CompatGraph:
     pairs with Ext^t vanishing both ways for t <= k."""
     if k < 1:
         raise nak.NakInputError("rigidity degree must be >= 1")
+    if sum(A.kupisch) > qa.SIZE_LIMIT:
+        raise qa.SizeLimitError(
+            f"{sum(A.kupisch)} indecomposables exceed the limit {qa.SIZE_LIMIT}")
     mods = nak.indecomposables(A)  # already in sorted order
-    # ext[a]: bit b set iff Ext^t(mods[a], mods[b]) != 0 for some t <= k
+    index = {M: a for a, M in enumerate(mods)}
+    ext1 = [sum(1 << b for b, x in enumerate(row) if x) for row in nak.ext_table(A, 1)[0]]
+    # ext[a]: bit b set iff Ext^t(mods[a], mods[b]) != 0 for some t <= k,
+    # where Ext^t(M, -) = Ext^1(Omega^(t-1) M, -): the union of ext1 over
+    # the orbit of M up to Omega^(k-1) M
     ext = [0] * len(mods)
-    for layer in nak.ext_table(A, k):
-        for a, row in enumerate(layer):
-            ext[a] |= sum(1 << b for b, x in enumerate(row) if x)
+    for a, M in enumerate(mods):
+        for X in nak.syzygy_orbit(A, M, k - 1):
+            ext[a] |= ext1[index[X]]
     idx = [a for a in range(len(mods)) if not ext[a] >> a & 1]
     n = len(idx)
     adj = [0] * n
@@ -90,8 +97,10 @@ def is_k_rigid(A: nak.NakAlgebra, modules: Sequence[nak.NakModule], k: int) -> b
     if k < 1:
         raise nak.NakInputError("rigidity degree must be >= 1")
     summands = sorted(set(modules))
-    chains = [nak.syzygy_chain(A, X, k) for X in summands]  # one per summand, not per pair
-    for t in range(1, k + 1):
+    # Ext^t(X, -) is read off (Omega^(t-1) X, Omega^t X), and past the
+    # end of the orbit these pairs are 0 or repeat a pair of its period
+    chains = [nak.syzygy_orbit(A, X, k) for X in summands]
+    for t in range(1, max(map(len, chains), default=1)):
         for chain in chains:
             for Y in summands:
                 if nak.ext_on_chain(A, t, chain, Y):

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,12 +7,15 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab import rigidity as rg
 from domdimlab.cli import main
 from domdimlab.exactmath import F2
+from domdimlab.suites import SUITES, cyclic_series
 
 
 @pytest.fixture()
@@ -165,12 +169,80 @@ def test_report_determinism(runner, tmp_path):
     assert first == second
 
 
-def test_csv_format(runner):
-    result = runner.invoke(main, ["nakayama", "domdim", "--cycle",
-                                  "--kupisch", "2,3", "--format", "csv"],
-                           catch_exceptions=False)
-    assert result.exit_code == 0
-    assert result.output.splitlines()[0] == "name,pass"
+# one small valid argument list per command
+EVERY_COMMAND = {
+    "nakayama info": ["nakayama", "info", "--cycle", "--kupisch", "3,4,4"],
+    "nakayama ext": ["nakayama", "ext", "--cycle", "--kupisch", "3,3", "--module", "0,1",
+                     "--degree", "3"],
+    "nakayama domdim": ["nakayama", "domdim", "--cycle", "--kupisch", "2,3"],
+    "nakayama rigid": ["nakayama", "rigid", "--k", "2", "--cycle", "--kupisch", "3,3",
+                       "--module", "simple", "--module", "omega:3:simple"],
+    "nakayama ok": ["nakayama", "ok", "--k", "1", "--cycle", "--kupisch", "2,2"],
+    "nakayama verify-main": ["nakayama", "verify-main", "--k", "1", "--cycle", "--kupisch", "2,3"],
+    "quiver compile": ["quiver", "compile", "--preset", "preproj-a2"],
+    "quiver resolve": ["quiver", "resolve", "--preset", "preproj-a2", "--length", "2"],
+    "quiver ext": ["quiver", "ext", "--preset", "preproj-a2", "--module", "simple", "--degree", "2"],
+    "quiver domdim": ["quiver", "domdim", "--preset", "preproj-a2", "--cutoff", "8"],
+    "quiver ideal": ["quiver", "ideal", "--preset", "truncated-poly(4,Q)", "--generators", "a0*a0"],
+    "quiver predicates": ["quiver", "predicates", "--preset", "preproj-a2"],
+    "verify": ["verify", "--suite", "paper-core"],
+}
+
+
+def test_every_command_is_listed():
+    def names(group, prefix):
+        for name, cmd in group.commands.items():
+            if hasattr(cmd, "commands"):
+                yield from names(cmd, prefix + name + " ")
+            else:
+                yield prefix + name
+    assert sorted(names(main, "")) == sorted(EVERY_COMMAND)
+
+
+@pytest.mark.parametrize("args", EVERY_COMMAND.values(),
+                         ids=[name.replace(" ", "-") for name in EVERY_COMMAND])
+def test_every_command_reports_through_one_runner(runner, tmp_path, args):
+    report = tmp_path / "report.json"
+    result = runner.invoke(main, args + ["--report", str(report)], catch_exceptions=False)
+    assert report.read_bytes() == result.stdout_bytes
+    doc = json.loads(result.stdout)
+    failed = [it["name"] for it in doc["items"] if not it["pass"]]
+    assert doc["failures"] == failed
+    assert result.exit_code == (1 if failed else 0)
+    assert result.stderr.startswith(f"[{doc['command']}] wall time ")
+    csv = runner.invoke(main, args + ["--format", "csv"], catch_exceptions=False)
+    assert csv.stdout.splitlines() == ["name,pass"] + [
+        f"{it['name']},{str(it['pass']).lower()}" for it in doc["items"]]
+    assert csv.exit_code == result.exit_code
+
+
+def test_an_unwritable_report_path_exits_2(runner, tmp_path):
+    for path in (tmp_path / "missing" / "report.json", tmp_path):  # no directory; a directory
+        result = runner.invoke(main, EVERY_COMMAND["nakayama info"] + ["--report", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == "" and "cannot write the report" in result.stderr
+
+
+def _fail(fn, field):
+    def failing(*args):
+        rep = fn(*args)
+        setattr(rep, field, False)
+        return rep
+    return failing
+
+
+def test_a_failing_item_exits_1(runner, monkeypatch):
+    monkeypatch.setattr(rg, "verify_main_inequality", _fail(rg.verify_main_inequality, "verdict"))
+    monkeypatch.setattr(hml, "check_ideal_rigidity", _fail(hml.check_ideal_rigidity, "holds"))
+    monkeypatch.setitem(SUITES, "paper-core", lambda: ([{"name": "x", "pass": False},
+                                                        {"name": "y", "pass": True}], ["x"]))
+    for command, failures in (("nakayama verify-main", ["main-inequality"]),
+                              ("quiver ideal", ["ideal-rigidity"]), ("verify", ["x"])):
+        doc = run_json(runner, EVERY_COMMAND[command], expect_exit=1)
+        assert doc["failures"] == failures
+        result = runner.invoke(main, EVERY_COMMAND[command] + ["--format", "csv"])
+        assert result.exit_code == 1 and f"{failures[0]},false" in result.stdout.splitlines()
 
 
 PAPER_CORE_ITEMS = [
@@ -243,6 +315,25 @@ def test_failed_internal_recheck_exits_4(runner, monkeypatch):
     assert "Traceback" not in result.output
     assert result.stderr.strip() == (
         "internal error: clique witness failed the direct rigidity re-check")
+
+
+def test_huge_inputs_answer_at_once(runner):
+    # sum(c) over the size limit is refused before the indecomposables are
+    # listed; Omega is periodic, so a huge T or k costs one period
+    started = time.perf_counter()
+    result = runner.invoke(main, ["nakayama", "ok", "--k", "1", "--cycle", "--kupisch", "999999999999"])
+    assert result.exit_code == 2 and "exceed the limit" in result.stderr
+    huge = run_json(runner, ["nakayama", "rigid", "--k", str(10**12), "--cycle", "--kupisch", "3,3",
+                             "--module", f"omega:{10**12}:simple"])
+    small = run_json(runner, ["nakayama", "rigid", "--k", "4", "--cycle", "--kupisch", "3,3",
+                              "--module", "simple"])
+    # nested omega prefixes add up, read in one loop however deep
+    nested = run_json(runner, ["nakayama", "rigid", "--k", "4", "--cycle", "--kupisch", "3,3",
+                               "--module", "omega:1:" * 3000 + "simple"])
+    assert time.perf_counter() - started < 1
+    assert [(d["modules"], d["rigid"]) for d in (huge["items"][0], small["items"][0])] == [
+        ([[0, 1]], False)] * 2
+    assert nested["items"][0]["modules"] == [[0, 1]]  # Omega^3000 S_0 = S_0, period 4
 
 
 @pytest.mark.parametrize("args", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
@@ -399,3 +490,86 @@ def test_package_imports_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- error contract: every input ends in exit 0, 1, 2 or 4, never a traceback --
+
+JUNK = "0123456789,:-+ x_simpleomgacrtivdu"
+VALID_SERIES = [("--cycle", c) for c in cyclic_series(1, 3, 6)] + [
+    ("--line", c) for c in ((2, 1), (3, 2, 1), (2, 2, 2, 1), (3, 3, 2, 1))]
+small_series = st.lists(st.integers(1, 8), min_size=1, max_size=5).filter(lambda c: sum(c) <= 40)
+kupisch_text = st.one_of(small_series.map(lambda c: ",".join(map(str, c))),
+                         st.text(JUNK, max_size=12))
+number = st.one_of(st.integers(-3, 12), st.integers(10**11, 10**13)).map(str)
+module_spec = st.recursive(
+    st.one_of(st.just("simple"), st.just("dual-regular"), number.map("simple:{}".format),
+              number.map("projective:{}".format), st.tuples(number, number).map(",".join),
+              st.text(JUNK, max_size=10)),
+    lambda inner: st.tuples(number, inner).map(lambda p: f"omega:{p[0]}:{p[1]}"), max_leaves=3)
+orientation = st.sampled_from([["--cycle"], ["--line"], [], ["--cycle", "--line"]])
+nak_flags = st.one_of(  # a valid series half of the time
+    st.sampled_from(VALID_SERIES).map(lambda v: [v[0], "--kupisch", ",".join(map(str, v[1]))]),
+    st.tuples(orientation, kupisch_text).map(lambda p: p[0] + ["--kupisch", p[1]]))
+
+
+@st.composite
+def cli_inputs(draw):
+    flags, spec = draw(nak_flags), draw(module_spec)
+    return draw(st.sampled_from([
+        ["nakayama", "rigid", "--k", draw(number), *flags, "--module", spec],
+        ["nakayama", "ext", *flags, "--module", spec, "--degree", "2"],
+        ["nakayama", "ok", "--k", draw(st.sampled_from(["1", "2", str(10**12)])), *flags],
+        ["nakayama", "info", *flags],
+        ["nakayama", "domdim", *flags, "--cutoff", "16"],
+        ["quiver", "resolve", "--preset", "preproj-a2", "--module", spec, "--length", "2"],
+    ]))
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(args=cli_inputs())
+def test_random_inputs_keep_the_exit_code_contract(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 1, 2, 4), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
+    assert "Traceback" not in result.output
+
+
+ALGEBRA_FILES_VALID = [
+    qa.preset("truncated-poly(3,Q)").to_json(),
+    qa.nakayama_to_table(nak.validate(nak.CYCLE, (2, 3)), F2).to_json(),
+    {"kind": "nakayama", "orientation": "cycle", "kupisch": [2, 3]},
+    {"kind": "quiver", "vertices": ["v0", "v1"], "arrows": [["a", "v0", "v1"], ["b", "v1", "v0"]],
+     "relations": ["a*b"], "loewy_bound": 3, "field": {"kind": "prime", "p": 2}},
+]
+json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(allow_nan=False),
+              st.text("01-/ab,v*", max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text("abkinduf", max_size=5), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_algebra_file(draw):
+    """A valid algebra file with one entry, at any depth, replaced by random JSON."""
+    doc = copy.deepcopy(draw(st.sampled_from(ALGEBRA_FILES_VALID)))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+        else:
+            node[key] = draw(json_value)
+            return doc
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_algebra_file(), command=st.sampled_from(
+    [["compile"], ["predicates", "--cutoff", "8"], ["domdim", "--cutoff", "8"]]))
+def test_random_algebra_files_keep_the_exit_code_contract(runner, tmp_path, doc, command):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["quiver", command[0], "--algebra", str(path), *command[1:]])
+    assert result.exit_code in (0, 1, 2, 4), (doc, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (doc, result.exception)
+    assert "Traceback" not in result.output

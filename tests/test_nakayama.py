@@ -244,6 +244,30 @@ def test_symmetric_33_syzygy_period_four():
         assert nak.syzygy_power(A, M, 4) == M
 
 
+def test_syzygy_power_reads_t_modulo_the_period(small_cycles):
+    A = nak.validate(C, (3, 3))
+    S0 = nak.simple(A, 0)
+    assert nak.syzygy_orbit(A, S0, 10**12) == [nak.NakModule(*m) for m in
+                                              ((0, 1), (1, 2), (1, 1), (0, 2), (0, 1))]
+    assert nak.syzygy_power(A, S0, 10**12) == S0  # period 4
+    lines = [nak.validate(L, kup) for kup in ((3, 2, 1), (2, 2, 2, 1), (3, 3, 2, 1))]
+    for A in small_cycles + lines:
+        N = sum(A.kupisch)
+        for M in nak.indecomposables(A):
+            walk = [M]  # Omega^s M step by step, None once it is 0
+            for _ in range(2 * N):
+                walk.append(None if walk[-1] is None else nak.syzygy(A, walk[-1]))
+            for t, X in enumerate(walk):
+                assert nak.syzygy_power(A, M, t) == X, (A, M, t)
+            # Omega^N M is 0 or on the period of the orbit, at most N long
+            X, T = walk[N], 10**12
+            if X is None:
+                assert nak.syzygy_power(A, M, T) is None
+            else:
+                p = next(p for p in range(1, N + 1) if walk[N + p] == X)
+                assert nak.syzygy_power(A, M, T) == walk[N + (T - N) % p], (A, M)
+
+
 # -- one-rigid criterion -----------------------------------------------------
 
 def test_one_rigid_family_vertex1():

@@ -75,6 +75,26 @@ def test_compat_graph_matches_pairwise_dim_ext(k):
         assert (g.vertices, g.adjacency) == pairwise_compat_graph(A, k), kup
 
 
+def test_compat_graph_at_a_huge_k_equals_the_pigeonhole_bound(small_cycles):
+    # Omega^s M is 0 or repeats by s = sum(c), so no Ext^t with t > sum(c) + 1
+    # adds an edge; k = 10^12 reads each orbit once
+    for A in small_cycles:
+        g = rg.compat_graph(A, 10**12)
+        assert (g.vertices, g.adjacency) == pairwise_compat_graph(A, sum(A.kupisch) + 1), A
+
+
+def test_compat_graph_refuses_a_series_over_the_size_limit(monkeypatch):
+    # checked before the indecomposables are listed: sum(c) of 10^12 answers at once
+    with pytest.raises(qa.SizeLimitError, match=f"{qa.SIZE_LIMIT + 1} indecomposables"):
+        rg.compat_graph(nak.validate(C, (qa.SIZE_LIMIT + 1,)), 1)
+    with pytest.raises(qa.SizeLimitError):
+        rg.o_k(nak.validate(C, (10**12,)), 1)
+    monkeypatch.setattr(qa, "SIZE_LIMIT", 6)  # read at call time: sum(c) = 6 is allowed
+    assert rg.o_k(nak.validate(C, (3, 3)), 1).o_k == 3
+    with pytest.raises(qa.SizeLimitError, match="7 indecomposables exceed the limit 6"):
+        rg.o_k(nak.validate(C, (3, 4)), 1)
+
+
 # -- clique search -------------------------------------------------------------
 
 def set_based_degeneracy_order(adj, n):
@@ -150,6 +170,29 @@ def test_is_k_rigid_matches_definition(k):
             assert verdict == rigid_by_definition(A, sub, k), (kup, sub)
             seen[verdict] += 1
     assert seen[True] > 360 and seen[False] > 300  # both verdicts well exercised
+
+
+def rigid_up_to(A, modules, k):
+    """Ext^t vanishes between all summands for every t = 1..k, one syzygy
+    chain per summand read to Omega^k."""
+    summands = sorted(set(modules))
+    chains = [nak.syzygy_chain(A, X, k) for X in summands]
+    return not any(nak.ext_on_chain(A, t, chain, Y)
+                   for t in range(1, k + 1) for chain in chains for Y in summands)
+
+
+def test_is_k_rigid_at_a_huge_k_equals_the_pigeonhole_bound(small_cycles):
+    # k = sum(c) + 1 reaches every pair (Omega^(t-1) X, Omega^t X) there is;
+    # k = 10^12 must stop at the first repeat of each orbit and agree
+    seen = {True: 0, False: 0}
+    for A in small_cycles:
+        mods = nak.indecomposables(A)
+        subs = [[M] for M in mods] + [[M, N] for M, N in zip(mods, mods[1:])]
+        for sub in subs + [nak.dual_regular(A)]:
+            verdict = rg.is_k_rigid(A, sub, 10**12)
+            assert verdict == rigid_up_to(A, sub, sum(A.kupisch) + 1), (A, sub)
+            seen[verdict] += 1
+    assert min(seen.values()) > 50
 
 
 def test_multiset_input_equals_set_input():
