@@ -233,12 +233,16 @@ def info(cycle, line, kupisch):
 @_degree_option
 def ext(cycle, line, kupisch, modules, degree):
     """Ext dimensions between (sums of) indecomposables."""
+    if degree > qa.SIZE_LIMIT:
+        raise qa.SizeLimitError(f"--degree {degree} exceeds the limit {qa.SIZE_LIMIT}")
     A = _algebra_from_flags(cycle, line, kupisch)
     sources = _parse_nak_modules(A, modules[0])
     targets = _parse_nak_modules(A, modules[-1])
+    # one syzygy chain per source serves every degree
+    chains = [nak.syzygy_chain(A, M, degree) for M in sources]
     items = []
     for t in range(1, degree + 1):
-        total = sum(nak.dim_ext(A, t, M, N) for M in sources for N in targets)
+        total = sum(nak.ext_on_chain(A, t, chain, N) for chain in chains for N in targets)
         items.append({"name": f"ext^{t}", "pass": True, "degree": t, "dim": total})
     return ("nakayama ext",
             {"algebra": A.to_json(), "modules": list(modules), "degree": degree}, items)

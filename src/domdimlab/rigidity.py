@@ -11,6 +11,7 @@ inequality of gendo-symmetric algebras and the 1-Extsymmetric bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from . import homology as hml
@@ -28,7 +29,7 @@ class CompatGraph:
     adjacency: tuple[int, ...]  # bitmask per vertex, excluding the vertex itself
 
     def degree(self, i: int) -> int:
-        return bin(self.adjacency[i]).count("1")
+        return self.adjacency[i].bit_count()
 
 
 @dataclass
@@ -72,7 +73,7 @@ def compat_graph(A: nak.NakAlgebra, k: int) -> CompatGraph:
             f"{sum(A.kupisch)} indecomposables exceed the limit {qa.SIZE_LIMIT}")
     mods = nak.indecomposables(A)  # already in sorted order
     index = {M: a for a, M in enumerate(mods)}
-    ext1 = [sum(1 << b for b, x in enumerate(row) if x) for row in nak.ext_table(A, 1)[0]]
+    ext1 = [sum(1 << b for b, x in enumerate(row) if x) for row in nak.ext1_table(A)]
     # ext[a]: bit b set iff Ext^t(mods[a], mods[b]) != 0 for some t <= k,
     # where Ext^t(M, -) = Ext^1(Omega^(t-1) M, -): the union of ext1 over
     # the orbit of M up to Omega^(k-1) M
@@ -113,46 +114,67 @@ def _max_clique(adj: Sequence[int], n: int) -> tuple[int, int]:
 
     Vertices are explored in a fixed (degeneracy) order with canonical
     tie-breaks, so the returned witness mask is deterministic.
-    Returns (size, vertex mask)."""
+
+    The colouring is bit-parallel, after San Segundo et al.'s BBMC (An
+    exact bit-parallel algorithm for the maximum clique problem, Comput.
+    Oper. Res. 2011): colour class c takes the lowest uncoloured candidate,
+    drops its neighbours from the rest and repeats, a few big-int
+    operations per vertex.  Scanning the candidates in ascending order,
+    a vertex joins class c exactly when no earlier member of class c is
+    adjacent to it, so class by class these are the classes of first-fit
+    colouring in the same order, and the search tree and the witness are
+    those of first-fit colouring.  Returns (size, vertex mask)."""
     if n == 0:
         return 0, 0
     order = _degeneracy_order(adj, n)
     order.reverse()  # high-degeneracy vertices first
-    # relabel once: bit i of a mask below is vertex order[i]
-    pos = {v: i for i, v in enumerate(order)}
-    radj = [sum(1 << pos[u] for u in _bits(adj[v])) for v in order]
+    # relabel once: bit i of a mask below is vertex order[i].  Character
+    # n - 1 - u of the binary string of adj[v] is bit u, so picking the
+    # characters of order[n - 1], ..., order[0] spells the relabelled mask
+    spell = itemgetter(*[n - 1 - u for u in reversed(order)])
+    width = f"0{n}b"
+    radj = [int("".join(spell(format(adj[v], width))), 2) for v in order]
+    # keep[v]: the candidates that may join v's colour class after v
+    keep = [~(a | 1 << v) for v, a in enumerate(radj)]
 
     best_size = 0
     best_mask = 0
 
     def expand(cur_mask: int, cur_size: int, cand: int) -> None:
         nonlocal best_size, best_mask
-        # greedy colouring in search order, then candidates in ascending
-        # colour order: once the colour bound fails for the last remaining
-        # one it fails for all earlier ones too
-        classes: list[int] = []  # bitmask per colour class
-        ordered = []
-        for v in _bits(cand):
-            for ci, cmask in enumerate(classes):
-                if not radj[v] & cmask:
-                    classes[ci] = cmask | (1 << v)
-                    ordered.append((ci + 1, v))
-                    break
-            else:
-                classes.append(1 << v)
-                ordered.append((len(classes), v))
-        ordered.sort()
-        for col, v in reversed(ordered):
-            if cur_size + col <= best_size:
-                return
-            new_mask = cur_mask | (1 << v)
-            new_cand = cand & radj[v]
-            if cur_size + 1 > best_size:
-                best_size = cur_size + 1
-                best_mask = new_mask
-            if new_cand:
-                expand(new_mask, cur_size + 1, new_cand)
-            cand &= ~(1 << v)
+        # colour classes as masks, in ascending order; a class of colour
+        # <= best_size - cur_size cannot lead to a larger clique, so only
+        # the classes above it are listed
+        floor = best_size - cur_size
+        classes = []
+        uncoloured = cand
+        col = 0
+        while uncoloured:
+            col += 1
+            q = before = uncoloured
+            while q:
+                low = q & -q
+                q &= keep[low.bit_length() - 1]
+                uncoloured ^= low
+            if col > floor:
+                classes.append((col, before ^ uncoloured))
+        # candidates in descending colour order, highest vertex first within
+        # a class: once the colour bound fails for one it fails for the rest
+        for col, cls in reversed(classes):
+            while cls:
+                if cur_size + col <= best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                new_mask = cur_mask | bit
+                new_cand = cand & radj[v]
+                if cur_size + 1 > best_size:
+                    best_size = cur_size + 1
+                    best_mask = new_mask
+                if new_cand:
+                    expand(new_mask, cur_size + 1, new_cand)
+                cand ^= bit
 
     expand(0, 0, (1 << n) - 1)
     return best_size, sum(1 << order[i] for i in _bits(best_mask))
@@ -160,17 +182,36 @@ def _max_clique(adj: Sequence[int], n: int) -> tuple[int, int]:
 
 def _degeneracy_order(adj: Sequence[int], n: int) -> list[int]:
     """Repeatedly remove a vertex of least degree among those remaining
-    (lowest index on ties); the removal order.  Each vertex's remaining
-    degree is kept as a running count, decremented when a neighbour goes."""
-    deg = [bin(adj[v]).count("1") for v in range(n)]
-    remaining = list(range(n))  # ascending, so min() returns the lowest index on ties
+    (lowest index on ties); the removal order.  Matula-Beck buckets:
+    ``bucket[d]`` is the mask of the remaining vertices of remaining
+    degree d, so the next vertex is the lowest bit of the first nonempty
+    bucket.  Removing a vertex of degree d moves each of its remaining
+    neighbours down one bucket, a mask per bucket from d upwards, and
+    leaves no degree below d - 1."""
+    bucket = [0] * n
+    for v in range(n):
+        bucket[adj[v].bit_count()] |= 1 << v
+    remaining = (1 << n) - 1
     order = []
-    while remaining:
-        v = min(remaining, key=deg.__getitem__)
+    d = 0
+    for _ in range(n):
+        while not bucket[d]:
+            d += 1
+        low = bucket[d] & -bucket[d]
+        v = low.bit_length() - 1
         order.append(v)
-        remaining.remove(v)
-        for u in _bits(adj[v]):
-            deg[u] -= 1
+        bucket[d] ^= low
+        remaining ^= low
+        nbrs = adj[v] & remaining
+        e = d
+        while nbrs:
+            moved = bucket[e] & nbrs
+            if moved:
+                bucket[e] ^= moved
+                bucket[e - 1] |= moved
+                nbrs ^= moved
+            e += 1
+        d = max(d - 1, 0)
     return order
 
 
@@ -295,7 +336,7 @@ def is_ext1_symmetric(A, modules: Optional[list] = None) -> bool:
     if isinstance(A, nak.NakAlgebra):
         if not nak.is_selfinjective(A):
             raise nak.NakInputError("1-Extsymmetry is defined for selfinjective algebras")
-        (ext1,) = nak.ext_table(A, 1)
+        ext1 = nak.ext1_table(A)
         return all((x != 0) == (ext1[b][a] != 0)
                    for a, row in enumerate(ext1) for b, x in enumerate(row))
     if modules is None:

@@ -336,6 +336,35 @@ def test_huge_inputs_answer_at_once(runner):
     assert nested["items"][0]["modules"] == [[0, 1]]  # Omega^3000 S_0 = S_0, period 4
 
 
+def test_ext_degree_reads_one_chain_per_source_and_is_bounded(runner, monkeypatch):
+    # every degree is read off one syzygy chain per source: the values are
+    # the scalar dim_ext values, at the cost of one chain
+    args = ["nakayama", "ext", "--cycle", "--kupisch", "3,4,4", "--module", "dual-regular",
+            "--module", "0,2", "--degree", "12"]
+    A = nak.validate(nak.CYCLE, (3, 4, 4))
+    expected = [sum(nak.dim_ext(A, t, M, nak.NakModule(0, 2)) for M in nak.dual_regular(A))
+                for t in range(1, 13)]
+    calls = []
+    monkeypatch.setattr(nak, "syzygy_chain",
+                        lambda A, M, t, chain=nak.syzygy_chain: calls.append(t) or chain(A, M, t))
+    assert [it["dim"] for it in run_json(runner, args)["items"]] == expected
+    assert calls == [12] * 3  # one chain per summand of D(A)
+    # a degree over SIZE_LIMIT is refused before any chain is built, and
+    # the limit is read at call time
+    calls.clear()
+    started = time.perf_counter()
+    for degree, limit in [(10**9, qa.SIZE_LIMIT), (qa.SIZE_LIMIT + 1, qa.SIZE_LIMIT), (13, 12)]:
+        monkeypatch.setattr(qa, "SIZE_LIMIT", limit)
+        result = runner.invoke(main, args[:-1] + [str(degree)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"--degree {degree} exceeds the limit {limit}" in result.stderr
+    assert calls == [] and time.perf_counter() - started < 1
+    monkeypatch.setattr(qa, "SIZE_LIMIT", 12)
+    assert run_json(runner, args)["items"][-1]["degree"] == 12
+
+
 @pytest.mark.parametrize("args", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
 def test_out_of_range_numbers_exit_2(runner, args):
     result = runner.invoke(main, args)

@@ -7,7 +7,7 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab import rigidity as rg
-from domdimlab.suites import SWEEP_C_MAX, cyclic_series
+from domdimlab.suites import SWEEP_C_MAX, SWEEP_N_MAX, cyclic_series
 
 
 C = nak.CYCLE
@@ -120,6 +120,100 @@ def test_degeneracy_order_matches_set_based_definition():
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         assert rg._degeneracy_order(adj, n) == set_based_degeneracy_order(adj, n)
+
+
+def reference_max_clique(adj, n):
+    """The first-fit search the bit-parallel one must reproduce: colour
+    classes built one vertex at a time, then the (colour, vertex) pairs
+    sorted and explored from the top."""
+    if n == 0:
+        return 0, 0
+    order = set_based_degeneracy_order(adj, n)
+    order.reverse()
+    pos = {v: i for i, v in enumerate(order)}
+    radj = [sum(1 << pos[u] for u in range(n) if adj[v] >> u & 1) for v in order]
+    best_size = 0
+    best_mask = 0
+
+    def expand(cur_mask, cur_size, cand):
+        nonlocal best_size, best_mask
+        classes = []
+        ordered = []
+        for v in (v for v in range(n) if cand >> v & 1):
+            for ci, cmask in enumerate(classes):
+                if not radj[v] & cmask:
+                    classes[ci] = cmask | (1 << v)
+                    ordered.append((ci + 1, v))
+                    break
+            else:
+                classes.append(1 << v)
+                ordered.append((len(classes), v))
+        ordered.sort()
+        for col, v in reversed(ordered):
+            if cur_size + col <= best_size:
+                return
+            new_mask = cur_mask | (1 << v)
+            new_cand = cand & radj[v]
+            if cur_size + 1 > best_size:
+                best_size = cur_size + 1
+                best_mask = new_mask
+            if new_cand:
+                expand(new_mask, cur_size + 1, new_cand)
+            cand &= ~(1 << v)
+
+    expand(0, 0, (1 << n) - 1)
+    return best_size, sum(1 << order[i] for i in range(n) if best_mask >> i & 1)
+
+
+def random_graph(rng, n, density):
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def brute_force_clique_number(adj, n):
+    # clique[mask]: the vertices of mask are pairwise adjacent
+    clique = [True] * (1 << n)
+    best = 0
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << v)
+        clique[mask] = clique[rest] and adj[v] & rest == rest
+        if clique[mask]:
+            best = max(best, mask.bit_count())
+    return best
+
+
+def test_max_clique_matches_the_first_fit_search_on_random_graphs():
+    rng = random.Random(34)
+    for trial in range(320):
+        n = rng.randint(0, 45)
+        adj = random_graph(rng, n, trial / 319)  # densities 0 to 1
+        assert rg._max_clique(adj, n) == reference_max_clique(adj, n), (n, trial)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_max_clique_matches_the_first_fit_search_on_the_sweep_corpus(k):
+    # every compat graph of the rigidity-sweep suite
+    for kup in cyclic_series(2, SWEEP_N_MAX, SWEEP_C_MAX):
+        g = rg.compat_graph(nak.validate(C, kup), k)
+        n = len(g.vertices)
+        assert rg._max_clique(g.adjacency, n) == reference_max_clique(g.adjacency, n), kup
+
+
+def test_max_clique_size_matches_brute_force():
+    rng = random.Random(12)
+    for trial in range(150):
+        n = rng.randint(0, 12)
+        adj = random_graph(rng, n, rng.random())
+        size, mask = rg._max_clique(adj, n)
+        assert size == brute_force_clique_number(adj, n) == mask.bit_count(), (n, trial)
+        assert all(mask & ~(adj[v] | 1 << v) == 0
+                   for v in range(n) if mask >> v & 1)  # the mask is a clique
 
 
 # -- is_k_rigid ----------------------------------------------------------------
