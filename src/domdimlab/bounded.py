@@ -41,9 +41,3 @@ class BoundedValue:
         if self.is_finite:
             return {"kind": "finite", "value": self.value}
         return {"kind": "at_least", "bound": self.value}
-
-    @staticmethod
-    def from_json(obj) -> "BoundedValue":
-        if obj["kind"] == "finite":
-            return BoundedValue.finite(int(obj["value"]))
-        return BoundedValue.at_least(int(obj["bound"]))

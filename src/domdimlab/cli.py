@@ -126,8 +126,18 @@ def _parse_table_module(table: qa.AlgebraTable, spec: str) -> hml.Representation
 _cutoff_option = click.option(
     "--cutoff", type=click.IntRange(min=1), default=64, show_default=True,
     help="search cutoff for bounded invariants")
+
+
+def _at_most_size_limit(ctx, param, value):
+    """Refuse a degree or length above ``qa.SIZE_LIMIT`` (read at call
+    time) before any resolution is built."""
+    if value > qa.SIZE_LIMIT:
+        raise click.UsageError(f"{param.opts[0]} {value} exceeds the limit {qa.SIZE_LIMIT}")
+    return value
+
+
 _degree_option = click.option("--degree", type=click.IntRange(min=1), default=4,
-                              show_default=True)
+                              show_default=True, callback=_at_most_size_limit)
 
 
 def _one_or_two(ctx, param, modules):
@@ -233,8 +243,6 @@ def info(cycle, line, kupisch):
 @_degree_option
 def ext(cycle, line, kupisch, modules, degree):
     """Ext dimensions between (sums of) indecomposables."""
-    if degree > qa.SIZE_LIMIT:
-        raise qa.SizeLimitError(f"--degree {degree} exceeds the limit {qa.SIZE_LIMIT}")
     A = _algebra_from_flags(cycle, line, kupisch)
     sources = _parse_nak_modules(A, modules[0])
     targets = _parse_nak_modules(A, modules[-1])
@@ -339,7 +347,8 @@ def compile_cmd(algebra, preset):
 @quiver.command()
 @_table_flags
 @click.option("--module", "module_spec", default="simple")
-@click.option("--length", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--length", type=click.IntRange(min=1), default=4, show_default=True,
+              callback=_at_most_size_limit)
 def resolve(algebra, preset, module_spec, length):
     """Syzygy dimensions along the minimal projective resolution."""
     table = _load_table(preset, algebra)
@@ -425,8 +434,7 @@ def verify(suite):
     if runner is None:
         raise click.UsageError(
             f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
-    items, _ = runner()  # the failures are the items that do not pass
-    return f"verify {suite}", {"suite": suite}, items
+    return f"verify {suite}", {"suite": suite}, runner()
 
 
 if __name__ == "__main__":

@@ -7,11 +7,11 @@ the module axiom.  The matrices are stored as sparse rows: most entries
 are zero in the modules a resolution builds.  Module vectors and algebra
 elements are (k, c) pairs in the same format, k ascending and every c
 nonzero, and a linear map (a Hom basis map, an endomorphism) is pair
-rows, row i the image of unit vector i; dense rows appear only in the
-dense views of a module.  Covers, resolutions and Ext hold their rows in
-the format ``exactmath.row_format`` chooses for the field, packed ints
-over F_2 and pairs otherwise, and run one body for both: a projective
-cover computes in that format, one elimination
+rows, row i the image of unit vector i; the one dense view of a module
+is ``Representation.element_action``.  Covers, resolutions and Ext
+hold their rows in the format ``exactmath.row_format`` chooses for the
+field, packed ints over F_2 and pairs otherwise, and run one body for
+both: a projective cover computes in that format, one elimination
 (``exactmath.left_kernel_rows``) gives its rank and its kernel in it,
 the next cover takes that kernel as its rows, and the element matrices
 and the images ranked by an Ext differential are rows of the format
@@ -102,7 +102,8 @@ class Representation:
     ascending and coefficients nonzero; ``verify`` checks them.  Module
     vectors and algebra elements are such pairs too, and ``apply`` and
     ``apply_element`` compute every vec @ action product on them.
-    ``actions`` and ``element_action`` are dense views for tests."""
+    ``element_action`` is a dense view that ``perfbench`` traces and no
+    engine path calls."""
 
     def __init__(self, algebra: AlgebraTable, dim: int, rows, name: str = ""):
         self.algebra, self.dim, self.name = algebra, dim, name
@@ -120,12 +121,6 @@ class Representation:
     def __repr__(self):
         label = self.name or "module"
         return f"<{label}: dim {self.dim} over {self.algebra.describe()}>"
-
-    @property
-    def actions(self) -> tuple:
-        """Dense action matrices, one per basis element, built on each access."""
-        zero = self.algebra.field.zero()
-        return tuple(tuple(tuple(_dense(r, self.dim, zero)) for r in m) for m in self.rows)
 
     def apply(self, vec, u: int) -> tuple:
         """vec @ act(b_u)."""
@@ -275,20 +270,16 @@ def top(M: Representation) -> Representation:
 @_memo
 def _projective_data(table: AlgebraTable, vertex: int) -> tuple[Representation, list[tuple], list]:
     """(P, basis, rows): the projective e_vA and its RREF basis inside A as
-    pairs and as rows of the field's format (``_cut_projective``)."""
+    pairs and as rows of the field's format.  A certified vertex grading
+    makes e_vA the span of the unit vectors b_u with left[u] = v,
+    ascending, its RREF basis, and the action of b_x on it the cells
+    ``mult[u][x]`` re-indexed.  Without one, e_vA is cut out of the
+    regular module by the rows e_v * b_u."""
     if not 0 <= vertex < table.n_vertices:
         raise PreconditionError(
             f"vertex {vertex} out of range 0..{table.n_vertices - 1}")
-    return _cut_projective(table, vertex, _vertex_grading(table))
-
-
-def _cut_projective(table: AlgebraTable, vertex: int, grading) -> tuple[Representation, list[tuple], list]:
-    """``_projective_data`` on the vertex degrees ``grading``.  Certified
-    degrees make e_vA the span of the unit vectors b_u with left[u] = v,
-    ascending, its RREF basis, and the action of b_x on it the cells
-    ``mult[u][x]`` re-indexed.  With grading None, e_vA is cut out of the
-    regular module by the rows e_v * b_u."""
     label, e = table.idempotents[vertex]
+    grading = _vertex_grading(table)
     if grading is None:
         R = regular(table)
         rows = (R.apply(e, u) for u in range(table.dim))
@@ -609,8 +600,6 @@ def syzygy_dims(M: Representation, t: int) -> list[int]:
 
 @dataclass
 class ExtTable:
-    source: str
-    target: str
     degrees: tuple[int, ...]  # dims of Ext^1 .. Ext^t
     hom: Optional[int] = None  # dim Hom, when requested
 
@@ -620,13 +609,6 @@ class ExtTable:
                 raise ValueError("degree-0 entry was not requested")
             return self.hom
         return self.degrees[t - 1]
-
-    def to_json(self):
-        obj = {"source": self.source, "target": self.target,
-               "degrees": list(self.degrees)}
-        if self.hom is not None:
-            obj["hom"] = self.hom
-        return obj
 
 
 @_memo
@@ -689,7 +671,7 @@ def ext_dims(M: Representation, N: Representation, t: int,
     degrees = tuple(dims[s] - ranks[s] - ranks[s + 1] for s in range(1, t + 1))
     assert all(x >= 0 for x in degrees)
     hom = dims[0] - ranks[1] if include_hom else None
-    return ExtTable(M.name or "M", N.name or "N", degrees, hom)
+    return ExtTable(degrees, hom)
 
 
 def _hom_complex(M: Representation, N: Representation, t: int, ranks: list[int]) -> list[int]:
@@ -832,16 +814,12 @@ def projective_injective_vertices(table: AlgebraTable) -> set[int]:
     soc(e_vA) is S_w, one-dimensional, and dim e_vA = dim Ae_w, as P_v
     embeds in I_w, the envelope of its socle.  soc(e_vA) = e_v soc(A_A),
     and soc(A_A) is the left kernel of right multiplication by the radical
-    top, which generates J as a right ideal.  No injective module is built."""
-    return _pi_vertices(table, _vertex_grading(table))
-
-
-def _pi_vertices(table: AlgebraTable, grading) -> set[int]:
-    """``projective_injective_vertices`` on the vertex degrees ``grading``.
-    Certified degrees make e_v soc the socle rows restricted to left = v,
-    dim e_vA the count of left = v and dim Ae_w that of right = w, and put
-    a one-dimensional e_v soc, a right submodule, in one e_v A e_w.  With
-    grading None, each is an image span in the regular module."""
+    top, which generates J as a right ideal.  No injective module is built.
+    A certified vertex grading makes e_v soc the socle rows restricted to
+    left = v, dim e_vA the count of left = v and dim Ae_w that of
+    right = w, and puts a one-dimensional e_v soc, a right submodule, in
+    one e_v A e_w.  Without one, each is an image span in the regular
+    module."""
     fld, d = table.field, table.dim
     R, units = regular(table), _unit_rows(fld, d)
     gens = _radical_top(table)
@@ -849,6 +827,7 @@ def _pi_vertices(table: AlgebraTable, grading) -> set[int]:
     right_mult = [tuple((k * d + j, c) for k, x in enumerate(gens) for j, c in R.apply_element(u, x))
                   for u in units]
     _, soc = left_kernel_rows(fld, right_mult, len(gens) * d)
+    grading = _vertex_grading(table)
     if grading is not None:
         left, right = grading
         vertices = set()

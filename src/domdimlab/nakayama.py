@@ -213,20 +213,11 @@ def injective_dim_at(A: NakAlgebra, a: int) -> int:
     """Dimension of the indecomposable injective with socle ``S_a``.
 
     Counts the pairs ``(i, t)`` with ``0 <= t < c_i`` and ``i + t = a``
-    (mod n on the cycle), i.e. the paths ending at ``a``.
+    (mod n on the cycle), i.e. the paths ending at ``a``: the sum of the
+    ``e_a``-weights of the projectives P_i = M(i, c_i).
     """
     a = A.vertex(a)
-    n = A.n
-    total = 0
-    if A.is_cycle:
-        for i in range(n):
-            r = (a - i) % n
-            total += (A.c(i) - r + n - 1) // n if A.c(i) > r else 0
-    else:
-        for i in range(n):
-            if 0 <= a - i < A.c(i):
-                total += 1
-    return total
+    return sum(_weight(A, i, A.c(i), a) for i in range(A.n))
 
 
 def injective_of_socle(A: NakAlgebra, a: int) -> NakModule:

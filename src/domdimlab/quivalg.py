@@ -5,9 +5,9 @@ elements, the unit, a complete set of orthogonal primitive idempotents
 (with vertex labels) and a basis of the Jacobson radical.  Every one of
 these elements is held as (k, c) pairs, k strictly ascending and every
 c a nonzero canonical scalar; vectors are dense only in table files
-(``to_json``/``from_json``) and in the dense views that tests compare
-against (``zero_vec``, ``basis_vec``, ``mult_elements``); a linear map
-is pair rows, row i the image of unit vector i.  Every constructor but
+(``to_json``/``from_json``) and in ``mult_elements``, a dense view
+that ``perfbench`` traces and no engine path calls; a linear map is
+pair rows, row i the image of unit vector i.  Every constructor but
 ``opposite`` re-verifies the algebra axioms plus the split-basic
 certificate (``dim A = dim J + #idempotents``), which is what licenses
 the homological machinery downstream (one-dimensional simple tops,
@@ -278,14 +278,6 @@ class AlgebraTable:
         return f"{name}[dim={self.dim},{self.field.describe()}]"
 
     # -- element arithmetic ------------------------------------------------
-    def zero_vec(self) -> list:
-        return [self.field.zero()] * self.dim
-
-    def basis_vec(self, i: int) -> list:
-        v = self.zero_vec()
-        v[i] = self.field.one()
-        return v
-
     def _mul(self, u, v) -> tuple:
         """u * v for elements given as (k, c) pairs, as (k, c) pairs with k
         ascending and c nonzero: the one product of the table engine, the
@@ -1025,16 +1017,12 @@ def corner_algebra(table: AlgebraTable, idem_labels: list[str]):
     """e*A*e for e the sum of the named idempotents.
 
     Returns (corner table, basis rows of eAe inside A as (k, c) pairs).
+    A certified vertex grading makes eAe the span of the b_u with both
+    degrees chosen, and e v e the part of v on them, so the corner's
+    products, unit, idempotents and radical are cells re-indexed.  Without
+    one, eAe is the span of the e b_u e, and coordinates are taken against
+    it.
     """
-    return _corner(table, idem_labels, _vertex_grading(table))
-
-
-def _corner(table: AlgebraTable, idem_labels: list[str], grading):
-    """``corner_algebra`` on the vertex degrees ``grading``.  Certified
-    degrees make eAe the span of the b_u with both degrees chosen, and
-    e v e the part of v on them, so the corner's products, unit,
-    idempotents and radical are cells re-indexed.  With grading None, eAe
-    is the span of the e b_u e, and coordinates are taken against it."""
     fld = table.field
     d = table.dim
     chosen = [i for i, (l, _) in enumerate(table.idempotents) if l in set(idem_labels)]
@@ -1042,6 +1030,7 @@ def _corner(table: AlgebraTable, idem_labels: list[str], grading):
         raise KeyError("unknown idempotent label")
     e = idempotent_sum(table, chosen)
     one = fld.one()
+    grading = _vertex_grading(table)
     if grading is None:
         cut = lambda v: table._mul(e, table._mul(v, e))  # e v e
         span = SpanBuilder(fld)
@@ -1214,14 +1203,8 @@ def load_algebra(path_or_obj):
 
 
 def save_algebra(obj, path: str) -> None:
-    if isinstance(obj, nak.NakAlgebra):
-        payload = obj.to_json()
-    elif isinstance(obj, QuiverSpec):
-        payload = obj.to_json()
-    elif isinstance(obj, AlgebraTable):
-        payload = obj.to_json()
-    else:
+    if not isinstance(obj, (nak.NakAlgebra, QuiverSpec, AlgebraTable)):
         raise TypeError(f"cannot serialise {type(obj)!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(obj.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")

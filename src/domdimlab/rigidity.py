@@ -264,12 +264,7 @@ def rigid_sequence_module(A: nak.NakAlgebra, k: int, cutoff: int) -> RigidSequen
     dd = nak.domdim(A, cutoff)
     if not dd.is_finite:
         raise nak.NakInputError(f"dominant dimension unresolved at cutoff {cutoff}")
-    n_param = dd.value - 2
-    q = 0
-    while (k + 2) * (q + 1) + k <= n_param:
-        q += 1
-    if (k + 2) * q + k > n_param:
-        q = 0  # even the first shift is out of range; fall back to D(A) alone
+    q = max(0, (dd.value - 2 - k) // (k + 2))  # 0 keeps D(A) alone
     summands: set[nak.NakModule] = set()
     duals = nak.dual_regular(A)
     for l in range(q + 1):
@@ -337,19 +332,12 @@ def is_ext1_symmetric(A, modules: Optional[list] = None) -> bool:
         if not nak.is_selfinjective(A):
             raise nak.NakInputError("1-Extsymmetry is defined for selfinjective algebras")
         ext1 = nak.ext1_table(A)
-        return all((x != 0) == (ext1[b][a] != 0)
-                   for a, row in enumerate(ext1) for b, x in enumerate(row))
-    if modules is None:
+    elif modules is None:
         raise ValueError("a table input needs its complete indecomposable list")
-    ext1 = {}
-    for i, X in enumerate(modules):
-        for j, Y in enumerate(modules):
-            ext1[(i, j)] = hml.ext_dims(X, Y, 1).dim(1)
-    for i in range(len(modules)):
-        for j in range(len(modules)):
-            if (ext1[(i, j)] != 0) != (ext1[(j, i)] != 0):
-                return False
-    return True
+    else:
+        ext1 = [[hml.ext_dims(X, Y, 1).dim(1) for Y in modules] for X in modules]
+    return all((x != 0) == (ext1[b][a] != 0)
+               for a, row in enumerate(ext1) for b, x in enumerate(row))
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Batch verification suites behind the ``verify`` CLI command.
 
-Each suite returns a list of item dicts (JSON-ready, canonically ordered)
-plus a list of failure strings; an empty failure list is the pass
-condition.  Suite items re-derive every expected value from pinned
-constants or independent oracles, never from the code path under test.
+Each suite returns a list of item dicts (JSON-ready, canonically
+ordered); the report lists those whose ``"pass"`` is false as failures.
+Suite items re-derive every expected value from pinned constants or
+independent oracles, never from the code path under test.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ def _item(name: str, passed: bool, **details):
     out = {"name": name, "pass": bool(passed)}
     out.update(details)
     return out
-
-
-def _result(items):
-    return items, [it["name"] for it in items if not it["pass"]]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +154,7 @@ def suite_paper_core():
         "ideal-rigidity-group-algebras", ["dihedral8-f2", "quaternion8-f2"]))
     items.append(_enveloping_ext_item())
     items.append(_extsym_item())
-    return _result(items)
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +191,9 @@ def _oracle_item(kup, fld):
 
 
 def suite_oracle_cross():
-    return _result([_oracle_item(kup, fld)
-                    for kup in cyclic_series(1, ORACLE_N_MAX, ORACLE_C_MAX)
-                    for fld in (F2, F3)])
+    return [_oracle_item(kup, fld)
+            for kup in cyclic_series(1, ORACLE_N_MAX, ORACLE_C_MAX)
+            for fld in (F2, F3)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +237,7 @@ def suite_rigidity_sweep():
     items = [_rigidity_chunk_item(series[i:i + size], f"{i:05d}")
              for i in range(0, len(series), size)]
     items.append(_brute_o1_22_item())
-    return _result(items)
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +274,15 @@ def _confirmed_item(kup):
 
 
 def suite_main_inequality():
-    return _result([_confirmed_item(kup) for kup in MAIN_INEQUALITY_CORPUS])
+    return [_confirmed_item(kup) for kup in MAIN_INEQUALITY_CORPUS]
 
 
 def suite_all():
     items = []
     for fn in (suite_paper_core, suite_oracle_cross, suite_rigidity_sweep,
                suite_main_inequality):
-        items.extend(fn()[0])
-    return _result(items)
+        items.extend(fn())
+    return items
 
 
 SUITES = {

@@ -17,13 +17,15 @@ def small_cycles():
 
 @pytest.fixture(scope="session")
 def rigidity_sweep():
-    """One run of the rigidity-sweep suite, shared by its pinned digest
-    and acceptance criteria 03 and 04."""
-    return suites.suite_rigidity_sweep()
+    """One run of the rigidity-sweep suite as (items, names of the failed
+    items), shared by its pinned digest and acceptance criteria 03 and 04."""
+    items = suites.suite_rigidity_sweep()
+    return items, [it["name"] for it in items if not it["pass"]]
 
 
 @pytest.fixture(scope="session")
 def oracle_cross():
-    """One run of the oracle-cross suite, shared by its pinned digest and
-    acceptance criterion 08."""
-    return suites.suite_oracle_cross()
+    """One run of the oracle-cross suite as (items, names of the failed
+    items), shared by its pinned digest and acceptance criterion 08."""
+    items = suites.suite_oracle_cross()
+    return items, [it["name"] for it in items if not it["pass"]]

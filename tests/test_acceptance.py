@@ -86,7 +86,8 @@ def test_criterion_05_main_inequality():
     """(o_k + 2 - w)(k + 2) - 1 >= domdim for k in {1, 2} on every
     non-selfinjective corpus instance the bimodule test confirms
     gendo-symmetric.  Any failing verdict is a falsification event."""
-    items, failures = suites.suite_main_inequality()
+    items = suites.suite_main_inequality()
+    failures = [it["name"] for it in items if not it["pass"]]
     assert failures == [], ("FALSIFICATION", failures)
     by_name = {it["name"]: it for it in items}
     confirmed = []

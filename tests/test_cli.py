@@ -235,8 +235,8 @@ def _fail(fn, field):
 def test_a_failing_item_exits_1(runner, monkeypatch):
     monkeypatch.setattr(rg, "verify_main_inequality", _fail(rg.verify_main_inequality, "verdict"))
     monkeypatch.setattr(hml, "check_ideal_rigidity", _fail(hml.check_ideal_rigidity, "holds"))
-    monkeypatch.setitem(SUITES, "paper-core", lambda: ([{"name": "x", "pass": False},
-                                                        {"name": "y", "pass": True}], ["x"]))
+    monkeypatch.setitem(SUITES, "paper-core", lambda: [{"name": "x", "pass": False},
+                                                       {"name": "y", "pass": True}])
     for command, failures in (("nakayama verify-main", ["main-inequality"]),
                               ("quiver ideal", ["ideal-rigidity"]), ("verify", ["x"])):
         doc = run_json(runner, EVERY_COMMAND[command], expect_exit=1)
@@ -363,6 +363,30 @@ def test_ext_degree_reads_one_chain_per_source_and_is_bounded(runner, monkeypatc
     assert calls == [] and time.perf_counter() - started < 1
     monkeypatch.setattr(qa, "SIZE_LIMIT", 12)
     assert run_json(runner, args)["items"][-1]["degree"] == 12
+
+
+@pytest.mark.parametrize("args", [
+    ["quiver", "resolve", "--preset", "dihedral8-f2", "--length"],
+    ["quiver", "ext", "--preset", "dihedral8-f2", "--module", "simple", "--degree"],
+], ids=["resolve-length", "ext-degree"])
+def test_quiver_length_and_degree_are_bounded(runner, monkeypatch, args):
+    # a length or degree over SIZE_LIMIT is refused before any cover is
+    # built, and the limit is read at call time
+    calls = []
+    build = hml._cover.__wrapped__
+    monkeypatch.setattr(hml._cover, "__wrapped__", lambda M, rows: calls.append(rows) or build(M, rows))
+    started = time.perf_counter()
+    for value, limit in [(10**9, qa.SIZE_LIMIT), (qa.SIZE_LIMIT + 1, qa.SIZE_LIMIT), (13, 12)]:
+        monkeypatch.setattr(qa, "SIZE_LIMIT", limit)
+        result = runner.invoke(main, args + [str(value)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"{args[-1]} {value} exceeds the limit {limit}" in result.stderr
+    assert calls == [] and time.perf_counter() - started < 1
+    monkeypatch.setattr(qa, "SIZE_LIMIT", 12)
+    item = run_json(runner, args + ["12"])["items"][0]
+    assert calls and len(item.get("syzygy_dims", item.get("degrees"))) == 12
 
 
 @pytest.mark.parametrize("args", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +11,17 @@ from domdimlab.bounded import BoundedValue
 from domdimlab.exactmath import (F2, F3, QQ, SpanBuilder, combine_pairs, kernel_rows, matmul_rows,
                                  rank_rows, row_format, rref_rows, sparse_row)
 from domdimlab.suites import cyclic_series
+
+
+def basis_vec(table, i: int) -> list:
+    """The basis element b_i as a dense coordinate vector."""
+    return qa._dense(((i, table.field.one()),), table.dim, table.field.zero())
+
+
+def dense_actions(M) -> list:
+    """The action matrices of M as dense rows, one matrix per basis element."""
+    zero = M.algebra.field.zero()
+    return [[qa._dense(r, M.dim, zero) for r in m] for m in M.rows]
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +57,7 @@ def test_regular_dimension(hopf):
 def test_regular_matches_the_dense_construction(make):
     table = make()
     d = table.dim
-    dense = hml.Representation(table, d, [[sparse_row(table.mult_elements(table.basis_vec(i), table.basis_vec(u)))
+    dense = hml.Representation(table, d, [[sparse_row(table.mult_elements(basis_vec(table, i), basis_vec(table, u)))
                                            for i in range(d)] for u in range(d)])
     R = hml.regular(table)
     assert (R.dim, R.rows) == (d, dense.rows)
@@ -503,7 +515,7 @@ def test_hom_without_diagonal_idempotents(fld):
     S_inv = [[one if j == i else fld.neg(one) if j == i + 1 else zero for j in range(d)]
              for i in range(d)]
     X = hml.Representation(table, d, [list(map(sparse_row, matmul_rows(fld, matmul_rows(fld, S_inv, act), S)))
-                                      for act in P.actions], name="X")
+                                      for act in dense_actions(P)], name="X")
     X.verify()
     for _, e in table.idempotents:
         act = X.element_action(qa._dense(e, table.dim, fld.zero()))
@@ -716,7 +728,7 @@ def test_ideal_module_x_squared():
 def test_ideal_module_rejects_zero():
     table = qa.preset("truncated-poly(4,Q)")
     with pytest.raises(ValueError):
-        hml.ideal_module(table, [sparse_row(table.zero_vec())])
+        hml.ideal_module(table, [()])
 
 
 def test_check_ideal_rigidity_truncated_poly():
@@ -1093,7 +1105,7 @@ def test_every_module_builder_verifies(fld):
     for name, M in sparse_builders(fld).items():
         M.verify()
         # sparse rows hold exactly the nonzero entries of the dense view
-        for mat, dense in zip(M.rows, M.actions):
+        for mat, dense in zip(M.rows, dense_actions(M)):
             assert [[(j, x) for j, x in enumerate(r) if x] for r in dense] == [list(r) for r in mat]
 
 
@@ -1140,7 +1152,7 @@ def test_apply_matches_dense_product(fld):
     rng = random.Random(f"apply:{fld.describe()}")
     for name, M in sparse_builders(fld).items():
         A = M.algebra
-        dense = [[list(r) for r in mat] for mat in M.actions]
+        dense = dense_actions(M)
         for _ in range(10):
             vec = [random_scalar(fld, rng) for _ in range(M.dim)]
             a = [random_scalar(fld, rng) for _ in range(A.dim)]
@@ -1216,7 +1228,7 @@ def test_resolution_matches_iterated_syzygies_and_composes_to_zero(M, t):
         d_s, d_next = res.maps[s], res.maps[s + 1]
         for c in range(len(res.levels[s - 1])):
             for c2 in range(len(res.levels[s + 1])):
-                total = table.zero_vec()
+                total = qa._dense((), table.dim, table.field.zero())
                 for c1 in range(len(res.levels[s])):
                     prod = qa._dense(table._mul(unpack(d_s[c][c1]), unpack(d_next[c1][c2])), table.dim,
                                      table.field.zero())
@@ -1353,14 +1365,14 @@ def dense_projective(table, v):
     pivots and checked by a dense recombination."""
     fld = table.field
     e = qa._dense(table.idempotents[v][1], table.dim, fld.zero())
-    basis, pivots = _rref(fld, [table.mult_elements(e, table.basis_vec(j)) for j in range(table.dim)])
+    basis, pivots = _rref(fld, [table.mult_elements(e, basis_vec(table, j)) for j in range(table.dim)])
 
     def coords(vec):
         coeffs = [vec[c] for c in pivots]
         assert matmul_rows(fld, [coeffs], basis)[0] == vec
         return sparse_row(coeffs)
 
-    rows = tuple(tuple(coords(table.mult_elements(b, table.basis_vec(u))) for b in basis)
+    rows = tuple(tuple(coords(table.mult_elements(b, basis_vec(table, u))) for b in basis)
                  for u in range(table.dim))
     return [sparse_row(b) for b in basis], rows
 
@@ -1463,16 +1475,20 @@ def test_certified_grading_matches_the_general_bodies(make):
     assert grading is not None
     # the value the opposite table is given is the one its constants certify
     assert qa._vertex_grading.__wrapped__(table) == grading
+    # the same table with no grading stored takes the general bodies
+    twin = dataclasses.replace(table)
+    qa._vertex_grading.put(twin, None)
+    assert qa._vertex_grading(twin) is None
     for v in range(table.n_vertices):
         P, basis, rows = hml._projective_data(table, v)
-        Q, general_basis, general_rows = hml._cut_projective(table, v, None)
+        Q, general_basis, general_rows = hml._projective_data(twin, v)
         assert (P.dim, P.name, P.rows, basis, rows) == (Q.dim, Q.name, Q.rows, general_basis, general_rows)
-    assert hml.projective_injective_vertices(table) == hml._pi_vertices(table, None)
+    assert hml.projective_injective_vertices(table) == hml.projective_injective_vertices(twin)
     labels = table.vertex_labels()
     pi = [labels[v] for v in sorted(hml.projective_injective_vertices(table))]
     for chosen in [labels, *([label] for label in labels), *([pi] if pi else [])]:
         corner, rows = qa.corner_algebra(table, chosen)
-        general, general_rows = qa._corner(table, chosen, None)
+        general, general_rows = qa.corner_algebra(twin, chosen)
         assert (corner.to_json(), rows) == (general.to_json(), general_rows), chosen
 
 

@@ -7,6 +7,7 @@ from domdimlab import homology as hml
 from domdimlab import nakayama as nak
 from domdimlab import quivalg as qa
 from domdimlab import rigidity as rg
+from domdimlab.exactmath import F2
 from domdimlab.suites import SWEEP_C_MAX, SWEEP_N_MAX, cyclic_series
 
 
@@ -377,6 +378,26 @@ def test_rigid_sequence_q0_fallback():
     assert res.size >= res.w
 
 
+def _shift_count(domdim, k):
+    """q as ``rigid_sequence_module`` counted it up before its closed form:
+    the largest q >= 0 with (k + 2)q + k <= domdim - 2, else 0."""
+    q = 0
+    while (k + 2) * (q + 1) + k <= domdim - 2:
+        q += 1
+    return q
+
+
+def test_rigid_sequence_q_is_the_closed_form_of_the_count():
+    for domdim in range(2, 41):
+        for k in range(1, 6):
+            assert max(0, (domdim - 2 - k) // (k + 2)) == _shift_count(domdim, k), (domdim, k)
+    # the family (n, n+1, ..., n+1) has domdim 2n - 2
+    for n in range(2, 7):
+        A = nak.validate(C, (n,) + (n + 1,) * (n - 1))
+        for k in (1, 2, 3):
+            assert rg.rigid_sequence_module(A, k, 64).q == _shift_count(2 * n - 2, k), (n, k)
+
+
 def test_rigid_sequence_rejects_selfinjective():
     with pytest.raises(nak.NakInputError):
         rg.rigid_sequence_module(nak.validate(C, (3, 3)), 1, 64)
@@ -424,6 +445,14 @@ def test_symmetric_33_is_not_ext1_symmetric():
     assert nak.dim_ext(A, 1, nak.NakModule(0, 2), nak.NakModule(0, 1)) == 1
     assert nak.dim_ext(A, 1, nak.NakModule(0, 1), nak.NakModule(0, 2)) == 0
     assert rg.is_ext1_symmetric(A) is False
+
+
+def test_symmetric_33_is_not_ext1_symmetric_on_the_table():
+    # the table route reads the same asymmetric pair off the bridged modules
+    A = nak.validate(C, (3, 3))
+    table = qa.nakayama_to_table(A, F2)
+    mods = [hml.bridged_module(table, M.vertex, M.length) for M in nak.indecomposables(A)]
+    assert rg.is_ext1_symmetric(table, mods) is False
 
 
 def test_extsym_bound_preproj_a2():

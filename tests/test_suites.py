@@ -23,9 +23,9 @@ def _digest(items):
 @pytest.mark.parametrize("name", SUITE_DIGESTS)
 def test_suite_reports_are_pinned(name, request):
     # oracle-cross is read from the session's one run (the oracle_cross fixture)
-    items, failures = (request.getfixturevalue("oracle_cross") if name == "oracle-cross"
-                       else suites.SUITES[name]())
-    assert failures == []
+    items = (request.getfixturevalue("oracle_cross")[0] if name == "oracle-cross"
+             else suites.SUITES[name]())
+    assert [it["name"] for it in items if not it["pass"]] == []
     assert _digest(items) == SUITE_DIGESTS[name]
 
 
