@@ -415,7 +415,8 @@ class _PackedRows:
         for b, c in zip(basis, pivots):
             at[c] = b
         mask, times = sum(1 << c for c in pivots), _PackedRows.times
-        return lambda vec: vec & mask if times(vec, at) == vec else None
+        # at is 0 off the pivots, so only the pivot bits of vec are visited
+        return lambda vec: c if times(c := vec & mask, at) == vec else None
 
 
 class _PairRows:

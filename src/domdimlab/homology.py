@@ -15,14 +15,17 @@ both: a projective cover computes in that format, one elimination
 (``exactmath.left_kernel_rows``) gives its rank and its kernel in it,
 the next cover takes that kernel as its rows, and the element matrices
 and the images ranked by an Ext differential are rows of the format
-too.  Modules are cut out of the regular module: the projectives e_vA
-are its submodules (read off ``mult`` where the table has a certified
-vertex grading, ``quivalg._vertex_grading``), and the powers J^k and
-the uniserial bridges P_v / P_v J^k are read from one radical
-filtration M > MJ > MJ^2 > ... per module.  Derived data (projectives,
-projective sums per vertex tuple, action rows, radical layers, weight
-spaces, covers per submodule, resolutions, Ext differential ranks per
-target) is computed once per object and arguments by ``quivalg._memo``.
+too.  An element matrix is built only when a differential into a
+target N with N*J != 0 is ranked: every differential of Hom(-, N) into
+an N with N*J = 0 is zero, and syzygy dimensions read none.  Modules
+are cut out of the regular module: the projectives e_vA are its
+submodules (read off ``mult`` where the table has a certified vertex
+grading, ``quivalg._vertex_grading``), and the powers J^k and the
+uniserial bridges P_v / P_v J^k are read from one radical filtration
+M > MJ > MJ^2 > ... per module.  Derived data (projectives, projective
+sums per vertex tuple, action rows, radical layers, weight spaces,
+covers per submodule, resolutions, Ext differential ranks per target)
+is computed once per object and arguments by ``quivalg._memo``.
 All functors here are computed through minimal projective resolutions
 built from explicit projective covers.  A resolution keeps each syzygy
 as rows of the projective term that contains it and covers it there, so
@@ -516,20 +519,24 @@ class MinimalResolution:
     """Minimal projective resolution, extended on demand.
 
     ``levels[s]`` is the vertex tuple of the s-th projective term.
-    ``maps[s]`` (s >= 1) is the connecting map P_s -> P_{s-1} written as
-    an element matrix: entry [c][c'] is the algebra element carrying the
-    c'-th generator of P_s into the c-th summand of P_{s-1}, a row in the
-    field's row format (``exactmath.row_format``): an int over F_2, bit u
-    for b_u, and (k, c) pairs otherwise.  Levels and maps are tuples, so
-    the rank of Hom(maps[s], N) is kept per N and (maps[s], levels[s-1],
-    levels[s]) (``_differential_rank``).
+    ``differential(s)`` (1 <= s < len(levels)) is the connecting map
+    P_s -> P_{s-1} written as an element matrix: entry [c][c'] is the
+    algebra element carrying the c'-th generator of P_s into the c-th
+    summand of P_{s-1}, a row in the field's row format
+    (``exactmath.row_format``): an int over F_2, bit u for b_u, and (k, c)
+    pairs otherwise.  It is built on its first call and kept in
+    ``maps[s]``, so a reader of ``levels`` or ``kernel_dims`` alone
+    (``syzygy_dims``) builds none.  Levels and element matrices are
+    tuples, so the rank of Hom(maps[s], N) is kept per N and (maps[s],
+    levels[s-1], levels[s]) (``_differential_rank``).
     ``kernel_dims[s]`` is dim of the (s+1)-st syzygy.
 
     Each syzygy is kept as the kernel rows inside the projective term it
     lies in, and covered there (``projective_cover`` with rows), so no
     syzygy is built as a module of its own, and its rows go from one cover
     to the next as they are.  The generators of P_s are then rows of
-    P_{s-1}, and ``maps[s]`` is read from their summands.  The covers are
+    P_{s-1}, and ``maps[s]`` is read from their summands in the covers of
+    levels s - 1 and s, which the resolution keeps.  The covers are
     kept per ambient module and rows, and the projective terms per vertex
     tuple (``_projective_sum``), so two resolutions whose syzygies meet
     share every cover from there on.
@@ -539,13 +546,13 @@ class MinimalResolution:
         require_not_semisimple(M.algebra)
         self.M = M
         self.levels: list[tuple[int, ...]] = []
-        self.maps: list[Optional[tuple[tuple, ...]]] = [None]
+        self.maps: dict[int, tuple[tuple, ...]] = {}  # the element matrices built so far
         self.kernel_dims: list[int] = []
+        self._covers: list[Cover] = []  # the cover of each level
         # the next syzygy: rows (None for all of it) of its ambient module,
         # M and then the last projective term; None once a kernel is zero
         self._ambient: Optional[Representation] = M if M.dim else None
         self._rows: Optional[tuple] = None
-        self._prev: Optional[tuple[tuple, tuple]] = None  # (vertices, offsets) of the last cover
         self.finished = False
 
     def extend_to(self, length: int) -> "MinimalResolution":
@@ -560,24 +567,26 @@ class MinimalResolution:
         cov = projective_cover(self._ambient, self._rows)
         ker = cov.kernel
         self.levels.append(cov.vertices)
-        if self._prev is not None:
-            self.maps.append(self._element_matrix(cov.gen_rows))
-        self._prev = (cov.vertices, cov.offsets)
+        self._covers.append(cov)
         self.kernel_dims.append(len(ker))
         self._ambient, self._rows = (cov.P, ker) if ker else (None, None)
 
-    def _element_matrix(self, gens) -> tuple[tuple, ...]:
-        """Entry [c][gi]: the summand c of the generator gi, a row of the
-        previous projective term (``Cover.gen_rows``), as an element of
-        e_vA: its entries in the window of that summand times the basis
-        rows of e_vA."""
-        A = self.M.algebra
-        fmt = row_format(A.field)
-        out = []
-        for v, off in zip(*self._prev):
-            brows = _projective_data(A, v)[2]
-            out.append(tuple([fmt.times(fmt.window(m, off, len(brows)), brows) for _, m in gens]))
-        return tuple(out)
+    def differential(self, s: int) -> tuple[tuple, ...]:
+        """``maps[s]``, built on the first call: entry [c][gi] is the
+        summand c of the generator gi of P_s, a row of P_{s-1}
+        (``Cover.gen_rows``), as an element of e_vA, its entries in the
+        window of that summand times the basis rows of e_vA."""
+        if s not in self.maps:
+            if not 1 <= s < len(self.levels):
+                raise IndexError(f"no differential {s} on levels 0..{len(self.levels) - 1}")
+            A, prev = self.M.algebra, self._covers[s - 1]
+            fmt, gens = row_format(A.field), self._covers[s].gen_rows
+            out = []
+            for v, off in zip(prev.vertices, prev.offsets):
+                brows = _projective_data(A, v)[2]
+                out.append(tuple([fmt.times(fmt.window(m, off, len(brows)), brows) for _, m in gens]))
+            self.maps[s] = tuple(out)
+        return self.maps[s]
 
 
 @_memo
@@ -608,6 +617,9 @@ class ExtTable:
             if self.hom is None:
                 raise ValueError("degree-0 entry was not requested")
             return self.hom
+        if not 1 <= t <= len(self.degrees):
+            low = 1 if self.hom is None else 0
+            raise ValueError(f"degree {t} outside the computed range {low}..{len(self.degrees)}")
         return self.degrees[t - 1]
 
 
@@ -627,8 +639,8 @@ def _weights(N: Representation) -> list[tuple[list, list, object]]:
 @_memo
 def _differential_rank(N: Representation, emat: tuple, src: tuple, tgt: tuple) -> int:
     """Rank of Hom(P_{s-1}, N) -> Hom(P_s, N), the right multiplication by
-    the element matrix ``emat`` (``MinimalResolution.maps``) of P_s ->
-    P_{s-1}, whose summands sit at the vertices ``src`` and ``tgt``.  A
+    the element matrix ``emat`` (``MinimalResolution.differential``) of
+    P_s -> P_{s-1}, whose summands sit at the vertices ``src`` and ``tgt``.  A
     map is read on the weight basis of N at each summand.  The image of a
     basis row r under an entry a, r @ act(a), is checked against the
     target weight basis (``_weights``), and its coordinates
@@ -679,11 +691,17 @@ def _hom_complex(M: Representation, N: Representation, t: int, ranks: list[int])
     extended to level t+1 for the outgoing differential.  ``ranks[s]``,
     the rank of Hom(P_{s-1}, N) -> Hom(P_s, N) (ranks[0] = 0), is ranked
     in place up to s = t+1 for the s not in the list yet.  Levels past
-    the end of a finite resolution count as zero."""
+    the end of a finite resolution count as zero, and so does every
+    differential when N*J = 0 (every radical-top row of ``_actions(N)`` is
+    zero): the image of P_s -> P_{s-1} lies in P_{s-1}*J, as ``_cover``
+    checks, and a map into N kills it, so no element matrix is built."""
     res = _resolution(M).extend_to(t + 2)
     levels = res.levels[:t + 2]
+    d, n = N.algebra.dim, N.algebra.n_vertices
+    semisimple = not any(map(any, _actions(N)[d:-n]))
     for s in range(len(ranks), t + 2):
-        ranks.append(_differential_rank(N, res.maps[s], levels[s - 1], levels[s]) if s < len(levels) else 0)
+        ranks.append(_differential_rank(N, res.differential(s), levels[s - 1], levels[s])
+                     if s < len(levels) and not semisimple else 0)
     weights = _weights(N)
     dims = [sum(len(weights[v][0]) for v in verts) for verts in levels]
     return dims + [0] * (t + 2 - len(levels))

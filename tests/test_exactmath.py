@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -471,3 +472,38 @@ def test_span_residue_matches_reduction_against_the_rref(case):
     assert (span.rank, sorted(span.pivots)) == (rank, pivots)
     assert not any(want[c] for c in pivots)
     assert not span.residue(sparse_row(in_span))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_packed_coordinates_agree_with_coords_against(seed):
+    # over F_2 the coordinates of a vector in a reduced basis are its bits
+    # at the pivots, kept only if the rows they name sum to the vector: on
+    # an RREF basis and on a left kernel (pivots at the last entries), for
+    # vectors in the span, the same plus a bit off the pivots (outside the
+    # span) and random vectors
+    from domdimlab.exactmath import SpanBuilder, combine_pairs, coords_against, left_kernel_rows, row_format
+
+    rng = random.Random(seed)
+    fmt = row_format(F2)
+    n = rng.randint(1, 70)
+    rows = [tuple((j, 1) for j in sorted(rng.sample(range(n), rng.randint(0, n))))
+            for _ in range(rng.randint(1, 12))]
+    span = SpanBuilder(F2)
+    for r in rows:
+        span.add(r)
+    _, kernel = left_kernel_rows(F2, rows, n)
+    for (basis, pivots), dim in ((span.finish(), n), ((kernel, [k[-1][0] for k in kernel]), len(rows))):
+        coordinates = fmt.coordinates([fmt.pack(b) for b in basis], pivots, dim)
+        off = [j for j in range(dim) if j not in pivots]
+        for _ in range(20):
+            inside = combine_pairs(F2, ((1, b) for b in basis if rng.random() < 0.5))
+            assert coordinates(fmt.pack(inside)) is not None
+            vecs = [inside, tuple((j, 1) for j in range(dim) if rng.random() < 0.5)]
+            if off:
+                vecs.append(combine_pairs(F2, [(1, inside), (1, ((rng.choice(off), 1),))]))
+                assert coordinates(fmt.pack(vecs[-1])) is None
+            for y in vecs:
+                want = coords_against(F2, basis, pivots, y)
+                got = coordinates(fmt.pack(y))
+                assert (got if got is None else fmt.unpack(got)) == (
+                    want if want is None else tuple(sorted((pivots[k], c) for k, c in want)))

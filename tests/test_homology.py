@@ -317,6 +317,23 @@ def test_ext1_self_extension_of_simple_hopf(hopf):
     assert hml.ext_dims(S, S, 1).dim(1) > 0
 
 
+def test_ext_table_refuses_degrees_outside_the_computed_range():
+    # Ext^1..3 of the simple kD8-module are 2, 3, 4: degree -1 is no
+    # alias of degree 2, and degree 4 was not computed
+    S = hml.simple(qa.preset("dihedral8-f2"), 0)
+    ext = hml.ext_dims(S, S, 3)
+    assert [ext.dim(t) for t in (1, 2, 3)] == [2, 3, 4]
+    for t in (-1, -3, 4):
+        with pytest.raises(ValueError, match=rf"degree {t} outside the computed range 1\.\.3"):
+            ext.dim(t)
+    with_hom = hml.ext_dims(S, S, 3, include_hom=True)
+    assert with_hom.dim(0) == 1
+    with pytest.raises(ValueError, match=r"computed range 0\.\.3"):
+        with_hom.dim(-1)
+    with pytest.raises(ValueError, match="degree-0 entry was not requested"):
+        ext.dim(0)
+
+
 def test_ext_rejects_modules_over_separate_tables(hopf):
     twin = qa.preset("hopf-a5-f2")  # equal structure constants, another table
     assert twin is not hopf and twin.dim == hopf.dim
@@ -381,9 +398,9 @@ def test_packed_differential_rank_matches_dense_images(name, bridged33):
     res = hml._resolution(hml.simple(table, 0)).extend_to(7)
     maps = [None]
     for s in range(1, 7):
-        assert all(isinstance(a, int) for row in res.maps[s] for a in row)
-        maps.append([[fmt.unpack(a) for a in row] for row in res.maps[s]])
-        assert tuple(tuple(fmt.pack(a) for a in row) for row in maps[s]) == res.maps[s]
+        assert all(isinstance(a, int) for row in res.differential(s) for a in row)
+        maps.append([[fmt.unpack(a) for a in row] for row in res.differential(s)])
+        assert tuple(tuple(fmt.pack(a) for a in row) for row in maps[s]) == res.differential(s)
     R = hml.regular(table)
     targets = [R, hml.radical_power(table, 1).rep, hml.quotient(R, hml._radical_layer(R, 2)[0])]
     for N in targets:
@@ -401,19 +418,21 @@ def test_packed_differential_rank_matches_dense_images(name, bridged33):
                         img += qa._dense(coeffs, len(basis), 0)
                     images.append(img)
             ranks.append(rank_rows(F2, images))
-            assert hml._differential_rank(N, res.maps[s], src, tgt) == ranks[-1]
+            assert hml._differential_rank(N, res.differential(s), src, tgt) == ranks[-1]
         assert any(ranks)
 
 
 @pytest.mark.parametrize("fld", [F2, QQ], ids=["F2", "Q"])
 def test_differential_image_outside_its_weight_space_is_an_internal_error(fld):
-    # maps[1][0][0] lies in e_0 A e_1; forged as e_0, it keeps a row of
-    # A e_0 in A e_0, outside A e_1: a packed entry over F_2, pairs over Q
+    # differential(1)[0][0] lies in e_0 A e_1; forged as e_0 once built, it
+    # keeps a row of A e_0 in A e_0, outside A e_1: a packed entry over
+    # F_2, pairs over Q
     table = cycle33(fld)
     S = hml.simple(table, 0)
     res = hml._resolution(S).extend_to(3)
     assert res.levels[:2] == [(0,), (1,)]
     e0 = table.idempotents[0][1]
+    assert len(res.differential(1)) == len(res.differential(1)[0]) == 1
     res.maps[1] = ((row_format(fld).pack(e0),),)
     with pytest.raises(AssertionError, match="differential image left its weight space"):
         hml.ext_dims(S, hml.regular(table), 1)
@@ -1224,8 +1243,8 @@ def test_resolution_matches_iterated_syzygies_and_composes_to_zero(M, t):
     res = hml._resolution(M).extend_to(t)
     table = M.algebra
     unpack = row_format(table.field).unpack  # the entries are ints over F_2
-    for s in range(1, len(res.maps) - 1):
-        d_s, d_next = res.maps[s], res.maps[s + 1]
+    for s in range(1, len(res.levels) - 1):
+        d_s, d_next = res.differential(s), res.differential(s + 1)
         for c in range(len(res.levels[s - 1])):
             for c2 in range(len(res.levels[s + 1])):
                 total = qa._dense((), table.dim, table.field.zero())
@@ -1291,27 +1310,92 @@ def test_resolutions_that_meet_share_every_later_cover(fld, monkeypatch):
     assert all(a.P is b.P for a, b in zip(long[1:], short))
     # the periodic resolution of M comes back to the cover of Omega M
     assert built < len(long) and long[5] is long[1]
-    assert hml._resolution(M).extend_to(9).maps[3:] == hml._resolution(N).extend_to(8).maps[2:]
+    long_res, short_res = hml._resolution(M).extend_to(9), hml._resolution(N).extend_to(8)
+    assert len(long_res.levels) - 1 == len(short_res.levels)
+    assert all(long_res.differential(s + 1) == short_res.differential(s) for s in range(2, len(short_res.levels)))
+
+
+def semisimple_target_cases():
+    """(table, modules to resolve) with an id: the local presets over F_2,
+    the cycle (3, 3) over F_2, F_3 and Q, and the line (3, 2, 1)."""
+    for name in ("hopf-a5-f2", "dihedral8-f2"):
+        table = qa.preset(name)
+        yield pytest.param(table, [hml.simple(table, 0), hml.radical_power(table, 2).rep,
+                                   hml.radical_power(table, 5).rep], id=name)
+    for fld in (F2, F3, QQ):
+        table = cycle33(fld)
+        yield pytest.param(table, [hml.bridged_module(table, v, k) for v in range(2) for k in (1, 2)],
+                           id=f"cycle-3-3-{fld.describe()}")
+    table = qa.nakayama_to_table(nak.validate(nak.LINE, (3, 2, 1)), F3)
+    yield pytest.param(table, [hml.bridged_module(table, 0, 1), hml.bridged_module(table, 0, 2),
+                               hml.bridged_module(table, 1, 1)], id="line-3-2-1")
+
+
+@pytest.mark.parametrize("table, mods", list(semisimple_target_cases()))
+def test_differentials_into_a_semisimple_target_have_rank_zero(table, mods):
+    # the rank builder itself, past the N*J = 0 shortcut of _hom_complex:
+    # every differential of Hom(res M, N) is zero for N a simple or
+    # top(A), so Ext^s(M, N) = Hom(P_s, N); into A the ranks are not all 0
+    R = hml.regular(table)
+    targets = [hml.simple(table, v) for v in range(table.n_vertices)] + [hml.top(R)]
+    rank = hml._differential_rank.__wrapped__
+    nonzero = 0
+    for M in mods:
+        res = hml._resolution(M).extend_to(7)
+        for s in range(1, len(res.levels)):
+            key = (res.differential(s), res.levels[s - 1], res.levels[s])
+            assert [rank(N, *key) for N in targets] == [0] * len(targets), (M.name, s)
+            nonzero += rank(R, *key)
+        for N in targets:
+            dims = hml._hom_complex(M, N, 5, ranks := [0])
+            assert ranks == [0] * 7
+            assert list(hml.ext_dims(M, N, 5).degrees) == dims[1:6]
+    assert nonzero
+
+
+def test_syzygy_dims_builds_no_element_matrix(monkeypatch):
+    # syzygy_dims reads kernel_dims only; the element matrices are built
+    # when an Ext differential into a target with N*J != 0 is ranked
+    table = qa.preset("dihedral8-f2")
+    calls = []
+    build = hml.MinimalResolution.differential
+    monkeypatch.setattr(hml.MinimalResolution, "differential",
+                        lambda res, s: calls.append(s) or build(res, s))
+    S = hml.simple(table, 0)
+    assert hml.syzygy_dims(S, 24) == [8 * ((t + 1) // 2) + (1 if t % 2 == 0 else -1) for t in range(1, 25)]
+    hml.ext_dims(S, S, 23)
+    assert calls == [] and hml._resolution(S).maps == {}
+    hml.ext_dims(S, hml.regular(table), 3)
+    assert calls == [1, 2, 3, 4] and sorted(hml._resolution(S).maps) == [1, 2, 3, 4]
 
 
 def test_ext_over_all_pairs_ranks_each_differential_once_per_target(monkeypatch):
     # Hom and Ext^1..4 of every pair of a bridge: the rank builder runs
-    # once per target and distinct (element matrix, source, target levels)
+    # once per non-semisimple target and distinct (element matrix, source,
+    # target levels); into a simple target it runs for none, and a
+    # resolution read only against simple targets builds no element matrix
     A = nak.validate(nak.CYCLE, (2, 3, 3))
     table = qa.nakayama_to_table(A, F3)
     mods = [hml.bridged_module(table, M.vertex, M.length) for M in nak.indecomposables(A)]
+    simples = [N for N in mods if N.dim == 1]
+    assert (len(mods), len(simples)) == (8, 3)
     calls = []
     build = hml._differential_rank.__wrapped__
     monkeypatch.setattr(hml._differential_rank, "__wrapped__",
                         lambda N, *key: calls.append((N, *key)) or build(N, *key))
+    for M in mods:
+        for N in simples:
+            hml.ext_dims(M, N, 4, include_hom=True)
+    assert calls == [] and all(hml._resolution(M).maps == {} for M in mods)
     for M in mods:
         for N in mods:
             hml.ext_dims(M, N, 4, include_hom=True)
     keys = set()
     for M in mods:
         res = hml._resolution(M)
-        keys |= {(res.maps[s], res.levels[s - 1], res.levels[s]) for s in range(1, min(6, len(res.levels)))}
-    assert len(calls) == len(set(calls)) == len(mods) * len(keys)
+        keys |= {(res.differential(s), res.levels[s - 1], res.levels[s]) for s in range(1, min(6, len(res.levels)))}
+    assert not any(N in simples for N, *_ in calls)
+    assert len(calls) == len(set(calls)) == (len(mods) - len(simples)) * len(keys) == 5 * 5
     assert len(keys) < sum(min(5, len(hml._resolution(M).levels) - 1) for M in mods)
 
 
