@@ -1,7 +1,9 @@
 """Exact linear algebra over prime fields and the rationals.
 
-Scalars are plain ``int`` values reduced into ``[0, p)`` over F_p and
-``fractions.Fraction`` values (automatically in lowest terms) over Q.
+Scalars are plain ``int`` values reduced into ``[0, p)`` over F_p.  Over
+Q a scalar is an ``int`` when it is integral and a ``fractions.Fraction``
+(in lowest terms) only when its denominator is greater than 1, so each
+value has one form; every operation here returns that form.
 Pivoting is deterministic -- the pivot of a column is the first nonzero
 entry in row order -- so reduced forms are canonical and safe to freeze
 into test fixtures.
@@ -38,6 +40,12 @@ from typing import NamedTuple
 
 class DimensionMismatch(ValueError):
     """Operand shapes do not line up."""
+
+
+def _q(x):
+    """The canonical Q scalar of ``x``, an int or a Fraction: its numerator
+    when it is integral, else ``x``."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 _SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -80,22 +88,22 @@ class FieldSpec:
         return FieldSpec("rational")
 
     def zero(self):
-        return 0 if self.kind == "prime" else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.kind == "prime" else Fraction(1)
+        return 1
 
     def of_int(self, n: int):
-        return n % self.p if self.kind == "prime" else Fraction(n)
+        return n % self.p if self.kind == "prime" else n
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "prime" else a + b
+        return (a + b) % self.p if self.kind == "prime" else _q(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "prime" else a - b
+        return (a - b) % self.p if self.kind == "prime" else _q(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "prime" else a * b
+        return (a * b) % self.p if self.kind == "prime" else _q(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "prime" else -a
@@ -107,7 +115,7 @@ class FieldSpec:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return a if type(a) is int and a * a == 1 else _q(1 / Fraction(a))
 
     def parse(self, text: str):
         """Parse a scalar string: an optional sign and ASCII digits, over the
@@ -121,7 +129,7 @@ class FieldSpec:
         if self.kind == "prime":
             return int(text) % self.p
         try:
-            return Fraction(text)
+            return _q(Fraction(text))
         except ZeroDivisionError:
             raise ValueError(f"scalar {text!r} has a zero denominator") from None
 
@@ -158,9 +166,9 @@ def rref_rows(field: FieldSpec, rows: list[list]) -> tuple[int, list[int]]:
     """Bring ``rows`` into reduced row-echelon form in place.
 
     Returns (rank, pivot column list).  Zero rows sink to the bottom.
-    The entries must be canonical scalars of ``field``, ints in [0, p)
-    over F_p and Fractions over Q, as ``Matrix`` holds them.  A pivot row
-    clears the others only on its own nonzero columns.
+    The entries must be canonical scalars of ``field``, as ``Matrix``
+    holds them, and stay so.  A pivot row clears the others only on its
+    own nonzero columns.
     """
     p = field.p
     nrows = len(rows)
@@ -179,7 +187,7 @@ def rref_rows(field: FieldSpec, rows: list[list]) -> tuple[int, list[int]]:
         row = rows[r]
         if row[c] != 1:
             inv = field.inv(row[c])
-            row[c:] = [x * inv % p for x in row[c:]] if p else [x * inv for x in row[c:]]
+            row[c:] = [x * inv % p for x in row[c:]] if p else [_q(x * inv) for x in row[c:]]
         support = None  # the pivot row's nonzero columns, once a row needs them
         for ri in rows:
             f = ri[c]
@@ -191,7 +199,7 @@ def rref_rows(field: FieldSpec, rows: list[list]) -> tuple[int, list[int]]:
                         ri[j] = (ri[j] - f * row[j]) % p
                 else:
                     for j in support:
-                        ri[j] = ri[j] - f * row[j]
+                        ri[j] = _q(ri[j] - f * row[j])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -209,7 +217,7 @@ def _canonical(field: FieldSpec, acc: dict) -> tuple:
     k ascending and every c reduced."""
     p = field.p
     if p is None:
-        out = [(k, a) for k, a in acc.items() if a]
+        out = [(k, _q(a)) for k, a in acc.items() if a]
     else:
         out = [(k, a % p) for k, a in acc.items() if a % p]
     out.sort()
@@ -274,7 +282,7 @@ class SpanBuilder:
                     if j in at:
                         heappush(todo, j)
                 new = old - f * x
-                v[j] = new if p is None else new % p
+                v[j] = _q(new) if p is None else new % p
         return {k: x for k, x in v.items() if x}
 
     def contains(self, vec) -> bool:
@@ -528,7 +536,7 @@ def matmul_rows(field: FieldSpec, a: list[list], b: list[list]) -> list[list]:
                 for j, x in enumerate(bk):
                     if x:
                         acc[j] += f * x
-        out.append([x % p for x in acc] if p else acc)
+        out.append([x % p for x in acc] if p else list(map(_q, acc)))
     return out
 
 
@@ -555,9 +563,9 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: FieldSpec, data):
-        """Entries are reduced to canonical scalars: ints mod p over F_p,
-        Fractions over Q."""
-        conv = (lambda x: x % field.p) if field.kind == "prime" else Fraction
+        """Entries are reduced to canonical scalars: ints mod p over F_p;
+        over Q, ints when integral and Fractions otherwise."""
+        conv = (lambda x: x % field.p) if field.kind == "prime" else (lambda x: _q(Fraction(x)))
         rows = tuple(tuple(map(conv, r)) for r in data)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(rows))

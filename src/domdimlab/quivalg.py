@@ -377,6 +377,9 @@ class AlgebraTable:
         )
 
 
+_MISSING = object()
+
+
 def _memo(fn):
     """``fn(obj, *args)``, computed once per object and arguments and kept
     in ``obj._cache``; ``fn.put(obj, value, *args)`` stores a value known
@@ -386,9 +389,10 @@ def _memo(fn):
     @functools.wraps(fn)
     def memo(obj, *args):
         key = (memo, *args)
-        if key not in obj._cache:
-            obj._cache[key] = memo.__wrapped__(obj, *args)
-        return obj._cache[key]
+        value = obj._cache.get(key, _MISSING)  # one lookup, one hash of the key
+        if value is _MISSING:
+            value = obj._cache[key] = memo.__wrapped__(obj, *args)
+        return value
 
     memo.put = lambda obj, value, *args: obj._cache.__setitem__((memo, *args), value)
     return memo
@@ -547,15 +551,17 @@ def _check_over(middle, check, *args) -> None:
 
 def _check_pairs(fld: FieldSpec, d: int, elements, name) -> None:
     """Raise unless every element is (k, c) pairs, k strictly ascending in
-    0..d-1 and every c a nonzero canonical scalar of ``fld``; the message
-    calls the n-th element ``name(n)``."""
+    0..d-1 and every c a nonzero canonical scalar of ``fld``: an int in
+    1..p-1 over F_p; over Q an int, or a Fraction whose denominator is not
+    1.  The message calls the n-th element ``name(n)``."""
     p = fld.p
     for n, vec in enumerate(elements):
         last = -1
         for pair in vec:
             k, c = pair if type(pair) is tuple and len(pair) == 2 else (d, None)  # d fails
             if not (last < k < d and ((type(c) is int and 0 < c < p) if p
-                                      else (type(c) is Fraction and c != 0))):
+                                      else ((type(c) is int and c != 0)
+                                            or (type(c) is Fraction and c.denominator != 1)))):
                 raise CompileError(f"{name(n)} is not (k, c) pairs with k strictly ascending "
                                    "and c nonzero")
             last = k

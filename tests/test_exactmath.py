@@ -192,7 +192,11 @@ def test_matrix_holds_canonical_scalars():
     m = Matrix(F3, [[3, 4], [1, 5]])
     assert m.data == ((0, 1), (1, 2))
     assert m.rref().matrix == Matrix.identity(F3, 2)
-    assert all(type(x) is Fraction for x in Matrix(QQ, [[1, 2]]).data[0])
+    # over Q an integral entry is an int, whatever form it came in, and only
+    # a proper fraction is a Fraction
+    m = Matrix(QQ, [[1, Fraction(2), Fraction(1, 2), "-3/6", "4/2"]])
+    assert m.data[0] == (1, 2, Fraction(1, 2), Fraction(-1, 2), 2)
+    assert [type(x) for x in m.data[0]] == [int, int, Fraction, Fraction, int]
 
 
 @given(matrices(min_rows=1, min_cols=1), st.data())
@@ -507,3 +511,105 @@ def test_packed_coordinates_agree_with_coords_against(seed):
                 got = coordinates(fmt.pack(y))
                 assert (got if got is None else fmt.unpack(got)) == (
                     want if want is None else tuple(sorted((pivots[k], c) for k, c in want)))
+
+
+# ---------------------------------------------------------------------------
+# one form per Q scalar: an int exactly when it is integral, never a float
+# ---------------------------------------------------------------------------
+
+def canonical_q(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def pair_scalars(rows):
+    return [c for row in rows for _, c in row]
+
+
+# 0, or a value in [-3, 3] with denominator up to 6 (integral ones included), in canonical form
+q_entries = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=6).map(lambda x: QQ.parse(str(x))))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("4/2", 2), ("-3/6", Fraction(-1, 2)), ("0/5", 0), ("-6/3", -2), ("+2/4", Fraction(1, 2)), ("7", 7),
+])
+def test_q_parse_gives_the_canonical_scalar(text, want):
+    got = QQ.parse(text)
+    assert got == want and type(got) is type(want)
+
+
+@given(q_entries, q_entries, st.integers(-9, 9))
+def test_q_field_ops_give_canonical_scalars(a, b, n):
+    assert canonical_q(a) and canonical_q(b)
+    fa, fb = Fraction(a), Fraction(b)
+    cases = [(QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb), (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa),
+             (QQ.of_int(n), n), (QQ.zero(), 0), (QQ.one(), 1), (QQ.parse(str(fa / 4)), fa / 4)]
+    if b:
+        cases.append((QQ.inv(b), 1 / fb))
+    for got, want in cases:
+        assert got == want and canonical_q(got), (got, want)
+
+
+@given(st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(q_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=6)), st.data())
+def test_q_sparse_helpers_give_canonical_scalars(rows, data):
+    # SpanBuilder.add/finish, coords_against, combine_pairs and
+    # left_kernel_rows on fractional rows: every scalar they return is
+    # canonical, and each result equals the dense one
+    from domdimlab.exactmath import (SpanBuilder, combine_pairs, coords_against, kernel_rows,
+                                     left_kernel_rows, matmul_rows, rref_rows, sparse_row)
+
+    ncols = len(rows[0])
+    pairs = [sparse_row(r) for r in rows]
+    span = SpanBuilder(QQ)
+    for r in pairs:
+        span.add(r)
+    assert all(map(canonical_q, pair_scalars(span.rows)))
+    basis, pivots = span.finish()
+    work = [list(r) for r in rows]
+    rank, dense_pivots = rref_rows(QQ, work)
+    assert (basis, pivots) == ([sparse_row(r) for r in work[:rank]], dense_pivots)
+    assert all(map(canonical_q, pair_scalars(basis) + [x for r in work for x in r]))
+    for r in pairs:
+        coords = coords_against(QQ, basis, pivots, r)
+        assert all(map(canonical_q, pair_scalars([coords])))
+        assert combine_pairs(QQ, ((c, basis[k]) for k, c in coords)) == r
+    coeffs = data.draw(st.lists(q_entries, min_size=len(rows), max_size=len(rows)))
+    combo = combine_pairs(QQ, zip(coeffs, pairs))
+    assert all(map(canonical_q, pair_scalars([combo])))
+    assert combo == sparse_row(matmul_rows(QQ, [coeffs], rows)[0])
+    _, kernel = left_kernel_rows(QQ, pairs, ncols)
+    transpose = [[r[j] for r in rows] for j in range(ncols)]
+    assert kernel == [sparse_row(r) for r in kernel_rows(QQ, transpose, len(rows))]
+    assert all(map(canonical_q, pair_scalars(kernel)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_q_tables_in_a_rescaled_basis_hold_canonical_scalars(seed):
+    # a bridged Nakayama algebra over Q with each basis element b_k scaled
+    # by a random nonzero lambda_k has fractional structure constants;
+    # make_table accepts and stores them in canonical form, and x -> x'
+    # (coefficient c at k becomes c / lambda_k) is multiplicative
+    from domdimlab import nakayama as nak
+    from domdimlab import quivalg as qa
+    from domdimlab.exactmath import combine_pairs, sparse_row
+
+    rng = random.Random(seed)
+    T = qa.nakayama_to_table(nak.validate(nak.CYCLE, (3, 2)), QQ)
+    lam = [QQ.mul(rng.choice([-3, -1, 1, 2, 5]), QQ.inv(rng.randint(1, 4))) for _ in range(T.dim)]
+    new = lambda x: combine_pairs(QQ, ((QQ.inv(lam[k]), ((k, c),)) for k, c in x))
+    basis = [((i, 1),) for i in range(T.dim)]
+    R = qa.make_table(QQ, T.basis_names,
+                      [[new(combine_pairs(QQ, [(QQ.mul(lam[i], lam[j]), T._mul(u, v))]))
+                        for j, v in enumerate(basis)] for i, u in enumerate(basis)],
+                      new(T.unit), [(label, new(e)) for label, e in T.idempotents],
+                      [new(r) for r in T.radical])
+    stored = (pair_scalars(c for row in R.mult for c in row) + pair_scalars([R.unit])
+              + pair_scalars(e for _, e in R.idempotents) + pair_scalars(R.radical))
+    assert all(map(canonical_q, stored))
+    assert any(type(c) is Fraction for c in stored)
+    for _ in range(10):
+        x, y = (sparse_row(QQ.mul(rng.randint(-2, 2), QQ.inv(rng.randint(1, 3))) for _ in range(T.dim))
+                for _ in range(2))
+        got = R._mul(new(x), new(y))
+        assert got == new(T._mul(x, y))
+        assert all(map(canonical_q, pair_scalars([got])))

@@ -1149,19 +1149,19 @@ def random_scalar(fld, rng):
         return fld.zero()  # sparse vectors, as in the resolutions
     if fld.kind == "prime":
         return rng.randrange(fld.p)
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return fld.mul(rng.randint(-3, 3), fld.inv(rng.randint(1, 3)))  # canonical: an int when integral
 
 
 def assert_canonical_pairs(fld, pairs, dim):
     """(k, c) pairs with k strictly ascending in 0..dim-1 and every c
-    nonzero and reduced."""
+    nonzero and reduced: over Q an int when integral, else a Fraction."""
     assert isinstance(pairs, tuple)
     assert [k for k, _ in pairs] == sorted({k for k, _ in pairs})
     assert all(0 <= k < dim and c for k, c in pairs)
     if fld.kind == "prime":
         assert all(0 < c < fld.p for _, c in pairs)
     else:
-        assert all(isinstance(c, Fraction) for _, c in pairs)
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for _, c in pairs)
 
 
 @FIELDS

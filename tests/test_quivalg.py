@@ -4,6 +4,7 @@ import json
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -916,9 +917,11 @@ def _densified(table, part):
      "radical element"),  # k descending
     (lambda: qa.preset("truncated-poly(3,F3)"), lambda t: {"radical": [((3, 1),)]},
      "radical element"),  # k outside the basis
-    (lambda: qa.preset("truncated-poly(2,Q)"), lambda t: {"unit": ((0, 1),)}, "unit"),  # an int over Q
+    # over Q the constant 1 is the int 1: an integral Fraction and a float are other forms of it
+    (lambda: qa.preset("truncated-poly(2,Q)"), lambda t: {"unit": ((0, Fraction(1)),)}, "unit"),
+    (lambda: qa.preset("truncated-poly(2,Q)"), lambda t: {"unit": ((0, 1.0),)}, "unit"),
 ], ids=["dense-unit", "dense-idempotents", "dense-radical", "unreduced", "descending",
-        "outside", "int-over-Q"])
+        "outside", "integral-fraction-over-Q", "float-over-Q"])
 def test_make_table_rejects_elements_that_are_not_canonical_pairs(make, edit, message):
     table = make()
     with pytest.raises(qa.CompileError, match=f"^{re.escape(message)} is not \\(k, c\\) pairs"):
